@@ -52,8 +52,8 @@ fn bench_rho_sensitivity(c: &mut Criterion) {
     print!("[ablation:rho-sweep] rho ->");
     for rho in [0.005, 0.01, 0.02, 0.05, 0.08, 0.12, 0.20] {
         let s = NegotiabilityStrategy::Thresholding { rho };
-        let spiky_bit = s.dimension_bit(spiky.values(PerfDimension::Cpu).unwrap());
-        let steady_bit = s.dimension_bit(steady.values(PerfDimension::Memory).unwrap());
+        let spiky_bit = s.dimension_profile(spiky.values(PerfDimension::Cpu).unwrap()).1;
+        let steady_bit = s.dimension_profile(steady.values(PerfDimension::Memory).unwrap()).1;
         print!(
             " {rho}:{}{}",
             if spiky_bit { "S" } else { "-" },
@@ -63,7 +63,9 @@ fn bench_rho_sensitivity(c: &mut Criterion) {
     println!("  (S = spiky CPU negotiable, M = saturated memory negotiable; the useful band keeps S without M)");
     let s = NegotiabilityStrategy::production();
     c.bench_function("thresholding_bit_14d", |b| {
-        b.iter(|| s.dimension_bit(std::hint::black_box(spiky.values(PerfDimension::Cpu).unwrap())))
+        b.iter(|| {
+            s.dimension_profile(std::hint::black_box(spiky.values(PerfDimension::Cpu).unwrap())).1
+        })
     });
 }
 

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType};
-use doppler_core::{ConfidenceConfig, DopplerEngine, EngineConfig};
+use doppler_core::{ConfidenceConfig, DopplerEngine, EngineConfig, RecommendationBackend};
 use doppler_workload::{generate, WorkloadArchetype};
 
 fn bench_confidence(c: &mut Criterion) {

@@ -21,7 +21,7 @@ fn bench_summarizers(c: &mut Criterion) {
             group.sample_size(50);
         }
         group.bench_function(name, |b| {
-            b.iter(|| strategy.weights(std::hint::black_box(&history), &dims))
+            b.iter(|| strategy.profile(std::hint::black_box(&history), &dims))
         });
     }
     group.finish();

@@ -1,13 +1,6 @@
 //! Sharded-fleet hot paths: streamed cohort throughput as the shard count
-//! grows, the cost of the merge-based mid-run snapshot against a six-figure
-//! aggregate, the per-digest aggregation fold itself, and the price of
-//! merging two shard aggregators at reporting time.
-//!
-//! The snapshot rows are the before/after pair for the clone-under-lock
-//! fix: `clone_then_finish` is the shape the old `report_snapshot` executed
-//! while holding the progress mutex; `finish_ref` is the by-ref report
-//! build the service now runs after merging chunk-shared clones outside
-//! the hot path.
+//! grows, the per-digest aggregation fold itself, and the price of merging
+//! two shard aggregators at reporting time.
 
 use std::sync::Arc;
 
@@ -124,20 +117,6 @@ fn folded(n: usize) -> FleetAggregator {
     agg
 }
 
-/// Snapshot latency against a 100k-result aggregate: the legacy
-/// clone-then-consume report build vs the by-ref `finish_ref` the service's
-/// merge-based `report_snapshot` now uses.
-fn bench_snapshot_latency(c: &mut Criterion) {
-    let agg = folded(100_000);
-    let mut group = c.benchmark_group("snapshot_latency_100k_results");
-    group.sample_size(10);
-    group.bench_function("clone_then_finish", |b| {
-        b.iter(|| std::hint::black_box(agg.clone().finish()))
-    });
-    group.bench_function("finish_ref", |b| b.iter(|| std::hint::black_box(agg.finish_ref())));
-    group.finish();
-}
-
 /// The per-assessment aggregation fold (what each worker pays per result)
 /// and the per-report merge of two half-fleet shard aggregators.
 fn bench_fold_and_merge(c: &mut Criterion) {
@@ -170,5 +149,5 @@ fn bench_fold_and_merge(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_sharded_stream, bench_snapshot_latency, bench_fold_and_merge);
+criterion_group!(benches, bench_sharded_stream, bench_fold_and_merge);
 criterion_main!(benches);

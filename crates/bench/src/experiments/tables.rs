@@ -7,63 +7,57 @@ use doppler_core::grouping::bits_to_group;
 use doppler_core::{
     DopplerEngine, EngineConfig, GroupingStrategy, NegotiabilityStrategy, TrainingRecord,
 };
-use doppler_dma::{
-    AdoptionLedger, AssessmentRequest, PreprocessedInstance, SkuRecommendationPipeline,
-};
-use doppler_fleet::AssessmentService;
+use doppler_dma::{AssessmentRequest, PreprocessedInstance};
+use doppler_fleet::{FleetAssessor, FleetConfig, FleetRequest};
 use doppler_stats::SeededRng;
 use doppler_workload::{PopulationSpec, WorkloadArchetype};
 
 use crate::backtest::{backtest_customers, catalog};
 use crate::experiments::ExperimentScale;
 
-/// Table 1: run the batch assessment service over four months of seeded
-/// request volume and print the adoption ledger. The paper's counts are
+/// Table 1: run four months of seeded, month-tagged request volume through
+/// the fleet assessor and print its adoption ledger. The paper's counts are
 /// operational telemetry; the reproduction demonstrates the counting
 /// harness at the same order of magnitude.
 pub fn table1(scale: &ExperimentScale) -> String {
     let engine =
         DopplerEngine::untrained(catalog(), EngineConfig::production(DeploymentType::SqlDb));
-    let service = AssessmentService::new(SkuRecommendationPipeline::new(engine), 8);
-    let mut ledger = AdoptionLedger::default();
+    let assessor = FleetAssessor::new(engine, FleetConfig::with_workers(8));
     let mut rng = SeededRng::new(scale.seed);
     // Paper-scale monthly volumes (instances assessed per month).
     let months: [(&str, usize); 4] =
         [("Oct-21", 185), ("Nov-21", 215), ("Dec-21", 57), ("Jan-22", 231)];
+    let mut requests = Vec::new();
     for (label, instances) in months {
         // Scale request volume down proportionally for fast runs while
         // keeping the relative month-to-month shape.
         let n = (instances * scale.cohort / 600).max(5);
-        let requests: Vec<AssessmentRequest> = (0..n)
-            .map(|i| {
-                let dbs = 1 + rng.index(40); // instances host 1-40 databases
-                let archetype = if rng.chance(0.7) {
-                    WorkloadArchetype::Idle
-                } else {
-                    WorkloadArchetype::Steady
-                };
-                let h = doppler_workload::generate(
-                    &archetype.spec(rng.range(0.5, 4.0), 3.0),
-                    rng.fork(i as u64).unit().to_bits(),
-                );
-                AssessmentRequest {
-                    instance_name: format!("{label}-{i}"),
-                    input: PreprocessedInstance {
-                        instance: h.clone(),
-                        databases: (0..dbs).map(|d| (format!("db{d}"), h.clone())).collect(),
-                        file_sizes_gib: vec![],
-                    },
-                    confidence: None,
-                }
-            })
-            .collect();
-        service.assess_and_record(label, &requests, &mut ledger);
+        for i in 0..n {
+            let dbs = 1 + rng.index(40); // instances host 1-40 databases
+            let archetype =
+                if rng.chance(0.7) { WorkloadArchetype::Idle } else { WorkloadArchetype::Steady };
+            let h = doppler_workload::generate(
+                &archetype.spec(rng.range(0.5, 4.0), 3.0),
+                rng.fork(i as u64).unit().to_bits(),
+            );
+            let request = AssessmentRequest {
+                instance_name: format!("{label}-{i}"),
+                input: PreprocessedInstance {
+                    instance: h.clone(),
+                    databases: (0..dbs).map(|d| (format!("db{d}"), h.clone())).collect(),
+                    file_sizes_gib: vec![],
+                },
+                confidence: None,
+            };
+            requests.push(FleetRequest::new(DeploymentType::SqlDb, request).with_month(label));
+        }
     }
+    let report = assessor.assess(requests).report;
     let mut out = String::from(
         "Table 1 — DMA adoption (simulated request stream)\n\
          Month    Unique instances  Unique databases  Recommendations\n",
     );
-    for (month, m) in ledger.rows() {
+    for (month, m) in report.adoption.rows() {
         let _ = writeln!(
             out,
             "{month:<8} {:>16}  {:>16}  {:>15}",
@@ -276,6 +270,21 @@ mod tests {
         assert!(t.contains("Oct-21"));
         assert!(t.contains("Jan-22"));
         assert_eq!(t.lines().count(), 2 + 4);
+    }
+
+    /// Table 1 at a reduced scale, byte for byte.
+    #[test]
+    fn table1_golden_at_cohort_8_seed_20() {
+        let t = table1(&ExperimentScale { cohort: 8, seed: 20 });
+        assert_eq!(
+            t,
+            "Table 1 — DMA adoption (simulated request stream)\n\
+             Month    Unique instances  Unique databases  Recommendations\n\
+             Oct-21                  5                73              140\n\
+             Nov-21                  5                81              138\n\
+             Dec-21                  5                82              126\n\
+             Jan-22                  5                84              138\n"
+        );
     }
 
     #[test]

@@ -44,8 +44,7 @@ use std::sync::Arc;
 use doppler_catalog::{Catalog, FileLayout, Fingerprint};
 use doppler_telemetry::PerfHistory;
 
-use crate::confidence::ConfidenceConfig;
-use crate::driftdetect::{detect_drift, DriftReport};
+use crate::confidence::{confidence_score, ConfidenceConfig};
 use crate::engine::{DopplerEngine, EngineConfig, Recommendation, TrainingRecord};
 use crate::learned::{LearnedBackend, LearnedConfig};
 
@@ -79,31 +78,33 @@ pub trait RecommendationBackend: Send + Sync + fmt::Debug {
     /// Profile the workload and recommend a SKU.
     fn recommend(&self, history: &PerfHistory, layout: Option<&FileLayout>) -> Recommendation;
 
-    /// Recommend and attach the §3.4 bootstrap confidence score.
+    /// Recommend and attach the §3.4 bootstrap confidence score: the
+    /// bootstrap resamples this backend's own [`recommend`](Self::recommend)
+    /// over random windows of the history, whatever the backend is.
     fn recommend_with_confidence(
         &self,
         history: &PerfHistory,
         layout: Option<&FileLayout>,
         confidence: &ConfidenceConfig,
-    ) -> Recommendation;
+    ) -> Recommendation {
+        let mut rec = self.recommend(history, layout);
+        if let Some(original) = rec.sku_id.clone() {
+            rec.confidence = Some(confidence_score(history, &original, confidence, |window| {
+                self.recommend(window, layout).sku_id
+            }));
+        }
+        rec
+    }
 
     /// Deterministic content fingerprint over everything the backend
     /// learned; two backends fingerprint equal only if they recommend
     /// identically.
     fn fingerprint(&self) -> u64;
 
-    /// Escape hatch for the deprecated concrete-typed accessors
-    /// (`SkuRecommendationPipeline::engine`); return `self`.
+    /// The backend as [`Any`], so callers holding a trait object can
+    /// downcast to the concrete backend (e.g. to read a heuristic engine's
+    /// group model); return `self`.
     fn as_any(&self) -> &dyn Any;
-
-    /// §5.2.3 drift probe: split the history at `change_point` and compare
-    /// the before/after recommendations over this backend's catalog. The
-    /// default implementation runs [`detect_drift`] with the backend's own
-    /// SKU universe; backends with bespoke drift logic may override.
-    fn drift_probe(&self, history: &PerfHistory, change_point: usize, p_g: f64) -> DriftReport {
-        let skus = self.catalog().for_deployment(self.config().deployment);
-        detect_drift(history, change_point, &skus, p_g)
-    }
 }
 
 impl RecommendationBackend for DopplerEngine {
@@ -121,15 +122,6 @@ impl RecommendationBackend for DopplerEngine {
 
     fn recommend(&self, history: &PerfHistory, layout: Option<&FileLayout>) -> Recommendation {
         DopplerEngine::recommend(self, history, layout)
-    }
-
-    fn recommend_with_confidence(
-        &self,
-        history: &PerfHistory,
-        layout: Option<&FileLayout>,
-        confidence: &ConfidenceConfig,
-    ) -> Recommendation {
-        DopplerEngine::recommend_with_confidence(self, history, layout, confidence)
     }
 
     fn fingerprint(&self) -> u64 {
@@ -207,12 +199,10 @@ impl BackendSpec {
         config: EngineConfig,
         records: &[TrainingRecord],
     ) -> Arc<dyn RecommendationBackend> {
-        match self {
-            BackendSpec::Heuristic => Arc::new(DopplerEngine::train(catalog, config, records)),
-            BackendSpec::Learned(cfg) => {
-                Arc::new(LearnedBackend::train(catalog, config, *cfg, records))
-            }
-        }
+        // Only the learned kind can fail; panic with the message
+        // `LearnedBackend::train` uses.
+        self.try_train(catalog, config, records)
+            .unwrap_or_else(|e| panic!("LearnedBackend::train: {e}"))
     }
 
     /// [`train`](BackendSpec::train) with degenerate corpora surfaced as
@@ -265,16 +255,6 @@ mod tests {
     fn as_any_downcasts_back_to_the_engine() {
         let dynamic: Arc<dyn RecommendationBackend> = Arc::new(engine());
         assert!(dynamic.as_any().downcast_ref::<DopplerEngine>().is_some());
-    }
-
-    #[test]
-    fn drift_probe_matches_free_detect_drift() {
-        let e = engine();
-        let h = history(0.4);
-        let skus = DopplerEngine::catalog(&e).for_deployment(DeploymentType::SqlDb);
-        let direct = detect_drift(&h, 48, &skus, 0.1);
-        let via_trait = RecommendationBackend::drift_probe(&e, &h, 48, 0.1);
-        assert_eq!(direct, via_trait);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 use doppler_catalog::{BillingRates, Catalog, DeploymentType, FileLayout, SkuId, StorageTier};
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
-use crate::confidence::{confidence_score, ConfidenceConfig};
 use crate::curve::{CurveShape, PricePerformanceCurve};
 use crate::explain::{explain, Explanation};
 use crate::grouping::{FittedGrouping, GroupingStrategy};
@@ -113,10 +112,8 @@ impl DopplerEngine {
         records: &[TrainingRecord],
     ) -> DopplerEngine {
         let dims = profiled_dimensions(config.deployment);
-        let weights: Vec<Vec<f64>> =
-            records.iter().map(|r| config.negotiability.weights(&r.history, dims)).collect();
-        let bits: Vec<Vec<bool>> =
-            records.iter().map(|r| config.negotiability.bits(&r.history, dims)).collect();
+        let (weights, bits): (Vec<Vec<f64>>, Vec<Vec<bool>>) =
+            records.iter().map(|r| config.negotiability.profile(&r.history, dims)).unzip();
         let (grouping, labels) = if records.is_empty() {
             (FittedGrouping::Enumeration { n_dims: dims.len() }, Vec::new())
         } else {
@@ -196,8 +193,7 @@ impl DopplerEngine {
     /// Profile, group, and recommend.
     pub fn recommend(&self, history: &PerfHistory, layout: Option<&FileLayout>) -> Recommendation {
         let dims = self.dims();
-        let weights = self.config.negotiability.weights(history, dims);
-        let bits = self.config.negotiability.bits(history, dims);
+        let (weights, bits) = self.config.negotiability.profile(history, dims);
         let group = self.grouping.assign(&weights, &bits);
         let preferred_p = self.model.preferred_p(group);
 
@@ -247,28 +243,13 @@ impl DopplerEngine {
             }),
         }
     }
-
-    /// Recommend and attach the §3.4 bootstrap confidence score.
-    pub fn recommend_with_confidence(
-        &self,
-        history: &PerfHistory,
-        layout: Option<&FileLayout>,
-        config: &ConfidenceConfig,
-    ) -> Recommendation {
-        let mut rec = self.recommend(history, layout);
-        if let Some(original) = rec.sku_id.clone() {
-            let c = confidence_score(history, &original, config, |window| {
-                self.recommend(window, layout).sku_id
-            });
-            rec.confidence = Some(c);
-        }
-        rec
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::RecommendationBackend;
+    use crate::confidence::ConfidenceConfig;
     use doppler_catalog::{azure_paas_catalog, CatalogSpec};
     use doppler_telemetry::TimeSeries;
 

@@ -47,7 +47,6 @@ use doppler_stats::scaling::minmax_scale;
 use doppler_stats::{quantile_sorted, spike_dwell_fraction};
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
-use crate::confidence::{confidence_score, ConfidenceConfig};
 use crate::engine::{
     profiled_dimensions, DopplerEngine, EngineConfig, Recommendation, TrainingRecord,
 };
@@ -548,24 +547,6 @@ impl LearnedBackend {
         }
     }
 
-    /// Recommend and attach the §3.4 bootstrap confidence score (resampling
-    /// the learned recommendation itself, fallback included).
-    pub fn recommend_with_confidence(
-        &self,
-        history: &PerfHistory,
-        layout: Option<&FileLayout>,
-        confidence: &ConfidenceConfig,
-    ) -> Recommendation {
-        let mut rec = self.recommend(history, layout);
-        if let Some(original) = rec.sku_id.clone() {
-            let c = confidence_score(history, &original, confidence, |window| {
-                self.recommend(window, layout).sku_id
-            });
-            rec.confidence = Some(c);
-        }
-        rec
-    }
-
     /// Deterministic content fingerprint over the fallback, the
     /// hyper-parameters, the normalization, and every exemplar.
     pub fn fingerprint(&self) -> u64 {
@@ -610,15 +591,6 @@ impl crate::backend::RecommendationBackend for LearnedBackend {
         LearnedBackend::recommend(self, history, layout)
     }
 
-    fn recommend_with_confidence(
-        &self,
-        history: &PerfHistory,
-        layout: Option<&FileLayout>,
-        confidence: &ConfidenceConfig,
-    ) -> Recommendation {
-        LearnedBackend::recommend_with_confidence(self, history, layout, confidence)
-    }
-
     fn fingerprint(&self) -> u64 {
         LearnedBackend::fingerprint(self)
     }
@@ -631,6 +603,8 @@ impl crate::backend::RecommendationBackend for LearnedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::RecommendationBackend;
+    use crate::confidence::ConfidenceConfig;
     use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType, SkuId};
     use doppler_telemetry::TimeSeries;
 

@@ -80,73 +80,75 @@ impl NegotiabilityStrategy {
         ]
     }
 
-    /// Continuous negotiability weight(s) for one dimension's series.
-    /// Every weight lies in `[0, 1]`, higher = more negotiable. Most
-    /// strategies emit one weight; the combined strategy emits two.
-    pub fn dimension_weights(&self, values: &[f64]) -> Vec<f64> {
+    /// One dimension's negotiability profile: the continuous weight(s) —
+    /// every weight in `[0, 1]`, higher = more negotiable; most strategies
+    /// emit one, the combined strategy two — and the boolean bit. Each
+    /// strategy's statistic is computed once and feeds both.
+    pub fn dimension_profile(&self, values: &[f64]) -> (Vec<f64>, bool) {
         match *self {
-            NegotiabilityStrategy::Thresholding { .. } => {
-                vec![1.0 - spike_dwell_fraction(values)]
+            NegotiabilityStrategy::Thresholding { rho } => {
+                let dwell = spike_dwell_fraction(values);
+                (vec![1.0 - dwell], dwell < rho)
             }
-            NegotiabilityStrategy::MinMaxScalerAuc { .. } => vec![minmax_scaled_auc(values)],
-            NegotiabilityStrategy::MaxScalerAuc { .. } => vec![max_scaled_auc(values)],
-            NegotiabilityStrategy::OutlierPercentage { .. } => {
+            NegotiabilityStrategy::MinMaxScalerAuc { cut } => {
+                let auc = minmax_scaled_auc(values);
+                (vec![auc], auc > cut)
+            }
+            NegotiabilityStrategy::MaxScalerAuc { cut } => {
+                let auc = max_scaled_auc(values);
+                (vec![auc], auc > cut)
+            }
+            NegotiabilityStrategy::OutlierPercentage { cut } => {
+                let fraction = outlier_fraction(values, 3.0);
                 // Outlier fractions live near 0; stretch them so clustering
                 // sees the contrast (3σ outliers cap out around a few %).
-                vec![(outlier_fraction(values, 3.0) * 25.0).min(1.0)]
+                (vec![(fraction * 25.0).min(1.0)], fraction > cut)
             }
-            NegotiabilityStrategy::StlVarianceDecomposition { period, .. } => {
+            NegotiabilityStrategy::StlVarianceDecomposition { period, cut } => {
                 let explained = stl_decompose(values, &StlConfig { period, ..Default::default() })
                     .map(|d| d.variance_explained())
                     // Short series: fall back to "unstructured".
                     .unwrap_or(0.0);
-                vec![1.0 - explained]
+                (vec![1.0 - explained], explained < cut)
             }
-            NegotiabilityStrategy::MinMaxAucWithThresholding { .. } => {
-                vec![minmax_scaled_auc(values), 1.0 - spike_dwell_fraction(values)]
-            }
-        }
-    }
-
-    /// Boolean negotiability of one dimension's series.
-    pub fn dimension_bit(&self, values: &[f64]) -> bool {
-        match *self {
-            NegotiabilityStrategy::Thresholding { rho }
-            | NegotiabilityStrategy::MinMaxAucWithThresholding { rho, .. } => {
-                spike_dwell_fraction(values) < rho
-            }
-            NegotiabilityStrategy::MinMaxScalerAuc { cut } => minmax_scaled_auc(values) > cut,
-            NegotiabilityStrategy::MaxScalerAuc { cut } => max_scaled_auc(values) > cut,
-            NegotiabilityStrategy::OutlierPercentage { cut } => outlier_fraction(values, 3.0) > cut,
-            NegotiabilityStrategy::StlVarianceDecomposition { period, cut } => {
-                stl_decompose(values, &StlConfig { period, ..Default::default() })
-                    .map(|d| d.variance_explained())
-                    .unwrap_or(0.0)
-                    < cut
+            NegotiabilityStrategy::MinMaxAucWithThresholding { rho, .. } => {
+                let dwell = spike_dwell_fraction(values);
+                (vec![minmax_scaled_auc(values), 1.0 - dwell], dwell < rho)
             }
         }
     }
 
-    /// Weight vector across the profiled dimensions (Eq. 2's
-    /// `w_CPU, w_RAM, …`). Missing dimensions read as non-negotiable
-    /// (weight 0) — absence of evidence is not permission to throttle.
-    pub fn weights(&self, history: &PerfHistory, dims: &[PerfDimension]) -> Vec<f64> {
-        let mut out = Vec::new();
+    /// Weight and bit vectors across the profiled dimensions: Eq. 2's
+    /// `w_CPU, w_RAM, …` and the `<0,0,1,1>`-style bits of §5.2.1. Missing
+    /// dimensions read as non-negotiable (weight 0, bit false) — absence of
+    /// evidence is not permission to throttle.
+    pub fn profile(&self, history: &PerfHistory, dims: &[PerfDimension]) -> (Vec<f64>, Vec<bool>) {
+        let mut weights = Vec::with_capacity(dims.len() * self.weights_per_dimension());
+        let mut bits = Vec::with_capacity(dims.len());
         for &dim in dims {
             match history.values(dim) {
-                Some(values) => out.extend(self.dimension_weights(values)),
-                None => out.extend(std::iter::repeat_n(0.0, self.weights_per_dimension())),
+                Some(values) => {
+                    let (w, bit) = self.dimension_profile(values);
+                    weights.extend(w);
+                    bits.push(bit);
+                }
+                None => {
+                    weights.extend(std::iter::repeat_n(0.0, self.weights_per_dimension()));
+                    bits.push(false);
+                }
             }
         }
-        out
+        (weights, bits)
     }
 
-    /// Bit vector across the profiled dimensions — the `<0,0,1,1>`-style
-    /// output of §5.2.1.
+    /// The weight half of [`profile`](NegotiabilityStrategy::profile).
+    pub fn weights(&self, history: &PerfHistory, dims: &[PerfDimension]) -> Vec<f64> {
+        self.profile(history, dims).0
+    }
+
+    /// The bit half of [`profile`](NegotiabilityStrategy::profile).
     pub fn bits(&self, history: &PerfHistory, dims: &[PerfDimension]) -> Vec<bool> {
-        dims.iter()
-            .map(|&dim| history.values(dim).map(|v| self.dimension_bit(v)).unwrap_or(false))
-            .collect()
+        self.profile(history, dims).1
     }
 
     /// Number of weights emitted per dimension (2 for the combined
@@ -187,13 +189,13 @@ mod tests {
     #[test]
     fn every_strategy_calls_spiky_negotiable() {
         for (name, s) in NegotiabilityStrategy::table4_lineup() {
-            assert!(s.dimension_bit(&spiky()), "{name} missed the spiky series");
+            assert!(s.dimension_profile(&spiky()).1, "{name} missed the spiky series");
         }
     }
 
     #[test]
     fn thresholding_calls_saturated_non_negotiable() {
-        assert!(!NegotiabilityStrategy::production().dimension_bit(&saturated()));
+        assert!(!NegotiabilityStrategy::production().dimension_profile(&saturated()).1);
     }
 
     #[test]
@@ -202,8 +204,8 @@ mod tests {
             NegotiabilityStrategy::MinMaxScalerAuc { cut: 0.75 },
             NegotiabilityStrategy::MaxScalerAuc { cut: 0.70 },
         ] {
-            let w_spiky = s.dimension_weights(&spiky())[0];
-            let w_sat = s.dimension_weights(&saturated())[0];
+            let w_spiky = s.dimension_profile(&spiky()).0[0];
+            let w_sat = s.dimension_profile(&saturated()).0[0];
             assert!(w_spiky > w_sat, "{s:?}: {w_spiky} !> {w_sat}");
         }
     }
@@ -211,8 +213,8 @@ mod tests {
     #[test]
     fn outlier_strategy_sees_three_sigma_spikes() {
         let s = NegotiabilityStrategy::OutlierPercentage { cut: 0.004 };
-        assert!(s.dimension_bit(&spiky()));
-        assert!(!s.dimension_bit(&saturated()));
+        assert!(s.dimension_profile(&spiky()).1);
+        assert!(!s.dimension_profile(&saturated()).1);
     }
 
     #[test]
@@ -223,15 +225,15 @@ mod tests {
             .map(|i| 5.0 + 3.0 * (2.0 * std::f64::consts::PI * i as f64 / 144.0).sin())
             .collect();
         let s = NegotiabilityStrategy::StlVarianceDecomposition { period: 144, cut: 0.55 };
-        assert!(!s.dimension_bit(&diurnal));
-        assert!(s.dimension_bit(&spiky()));
+        assert!(!s.dimension_profile(&diurnal).1);
+        assert!(s.dimension_profile(&spiky()).1);
     }
 
     #[test]
     fn weights_are_unit_interval() {
         for (_, s) in NegotiabilityStrategy::table4_lineup() {
             for series in [spiky(), saturated()] {
-                for w in s.dimension_weights(&series) {
+                for w in s.dimension_profile(&series).0 {
                     assert!((0.0..=1.0).contains(&w), "{s:?} weight {w}");
                 }
             }
@@ -242,7 +244,7 @@ mod tests {
     fn combined_strategy_emits_two_weights_per_dimension() {
         let s = NegotiabilityStrategy::MinMaxAucWithThresholding { rho: 0.05, cut: 0.75 };
         assert_eq!(s.weights_per_dimension(), 2);
-        assert_eq!(s.dimension_weights(&spiky()).len(), 2);
+        assert_eq!(s.dimension_profile(&spiky()).0.len(), 2);
     }
 
     #[test]
@@ -266,8 +268,81 @@ mod tests {
         assert_eq!(w[1], 0.0);
     }
 
+    /// The profile of one series straight from the `doppler_stats`
+    /// summaries, independent of [`NegotiabilityStrategy::dimension_profile`].
+    fn reference(strategy: NegotiabilityStrategy, v: &[f64]) -> (Vec<f64>, bool) {
+        let dwell = spike_dwell_fraction(v);
+        let minmax = minmax_scaled_auc(v);
+        match strategy {
+            NegotiabilityStrategy::Thresholding { rho } => (vec![1.0 - dwell], dwell < rho),
+            NegotiabilityStrategy::MinMaxScalerAuc { cut } => (vec![minmax], minmax > cut),
+            NegotiabilityStrategy::MaxScalerAuc { cut } => {
+                (vec![max_scaled_auc(v)], max_scaled_auc(v) > cut)
+            }
+            NegotiabilityStrategy::OutlierPercentage { cut } => {
+                let fraction = outlier_fraction(v, 3.0);
+                (vec![(fraction * 25.0).min(1.0)], fraction > cut)
+            }
+            NegotiabilityStrategy::StlVarianceDecomposition { period, cut } => {
+                let explained = stl_decompose(v, &StlConfig { period, ..Default::default() })
+                    .map_or(0.0, |d| d.variance_explained());
+                (vec![1.0 - explained], explained < cut)
+            }
+            NegotiabilityStrategy::MinMaxAucWithThresholding { rho, .. } => {
+                (vec![minmax, 1.0 - dwell], dwell < rho)
+            }
+        }
+    }
+
+    #[test]
+    fn profile_matches_the_stats_summaries_for_every_strategy() {
+        const DAYS: usize = 3 * 144; // long enough for STL at a daily period
+        let dims = [PerfDimension::Cpu, PerfDimension::Memory, PerfDimension::Iops];
+        let diurnal: Vec<f64> = (0..DAYS)
+            .map(|i| 5.0 + 3.0 * (2.0 * std::f64::consts::PI * i as f64 / 144.0).sin())
+            .collect();
+        let full = PerfHistory::new()
+            .with(PerfDimension::Cpu, TimeSeries::ten_minute(spiky()[..DAYS].to_vec()))
+            .with(PerfDimension::Memory, TimeSeries::ten_minute(saturated()[..DAYS].to_vec()))
+            .with(PerfDimension::Iops, TimeSeries::ten_minute(diurnal.clone()));
+        let missing = PerfHistory::new()
+            .with(PerfDimension::Cpu, TimeSeries::ten_minute(spiky()[..DAYS].to_vec()))
+            .with(PerfDimension::Iops, TimeSeries::ten_minute(diurnal));
+        // 96 samples: shorter than two STL seasons, so STL falls back.
+        let short = PerfHistory::new()
+            .with(PerfDimension::Cpu, TimeSeries::ten_minute(spiky()[..96].to_vec()))
+            .with(PerfDimension::Memory, TimeSeries::ten_minute(saturated()[..96].to_vec()))
+            .with(PerfDimension::Iops, TimeSeries::ten_minute(vec![3.0; 96]));
+        for (name, s) in NegotiabilityStrategy::table4_lineup() {
+            for history in [&full, &missing, &short] {
+                let mut want = (Vec::new(), Vec::new());
+                for dim in dims {
+                    let (w, bit) = match history.values(dim) {
+                        Some(v) => reference(s, v),
+                        None => (vec![0.0; s.weights_per_dimension()], false),
+                    };
+                    want.0.extend(w);
+                    want.1.push(bit);
+                }
+                let got = s.profile(history, &dims);
+                assert_eq!(got, want, "{name}");
+                assert_eq!(s.weights(history, &dims), want.0, "{name}");
+                assert_eq!(s.bits(history, &dims), want.1, "{name}");
+            }
+            if let NegotiabilityStrategy::StlVarianceDecomposition { .. } = s {
+                // The fallback reads "unstructured": weight 1 on every
+                // present dimension.
+                assert_eq!(s.weights(&short, &dims), vec![1.0; 3]);
+            }
+        }
+        // The missing dimension profiles as weight 0, bit false.
+        let s = NegotiabilityStrategy::MinMaxAucWithThresholding { rho: 0.08, cut: 0.75 };
+        let (w, bits) = s.profile(&missing, &dims);
+        assert_eq!((&w[2..4], bits[1]), (&[0.0, 0.0][..], false));
+    }
+
     #[test]
     fn empty_series_is_non_negotiable_under_production() {
-        assert!(!NegotiabilityStrategy::production().dimension_bit(&[]));
+        assert!(!NegotiabilityStrategy::production().dimension_profile(&[]).1);
     }
 }

@@ -1,12 +1,11 @@
-//! Adoption accounting for the batch assessment service.
+//! Adoption accounting for batch assessment.
 //!
 //! DMA "receives hundreds of assessment requests daily" (abstract) and
 //! Table 1 reports its adoption: unique instances assessed, unique
 //! databases assessed, and total recommendations generated, per month.
-//! This module keeps those three counters. The batch execution itself —
-//! once a bespoke atomic-counter thread fan-out here — is served by the
-//! `doppler-fleet` worker pool: see `doppler_fleet::AssessmentService`,
-//! which records into this ledger.
+//! This module keeps those three counters. The batch execution itself is
+//! served by the `doppler-fleet` worker pool: its fleet report fills this
+//! ledger from month-tagged requests (`doppler_fleet::FleetRequest::with_month`).
 
 /// One month's adoption counters (a Table 1 row), extended with the
 /// drift-monitoring outcomes of continuous operation: how many deployed

@@ -16,8 +16,9 @@
 //! * [`assessment`] — adoption accounting: DMA receives hundreds of
 //!   assessment requests daily (Table 1); this module keeps the monthly
 //!   adoption counters. The batch fan-out itself is served by the
-//!   `doppler-fleet` worker pool (`doppler_fleet::AssessmentService`),
-//!   which records into the [`AdoptionLedger`] kept here.
+//!   `doppler-fleet` worker pool (`doppler_fleet::FleetAssessor`), whose
+//!   report fills the [`AdoptionLedger`] kept here from month-tagged
+//!   requests.
 
 pub mod assessment;
 pub mod json;

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use doppler_catalog::{CatalogKey, DeploymentType, FileLayout};
 use doppler_core::{
-    BackendSpec, ConfidenceConfig, DopplerEngine, EngineRegistry, EngineTemplate, Recommendation,
+    BackendSpec, ConfidenceConfig, EngineRegistry, EngineTemplate, Recommendation,
     RecommendationBackend, RegistryError, TrainingSet,
 };
 use doppler_telemetry::PerfHistory;
@@ -65,7 +65,8 @@ pub struct AssessmentResult {
 /// sharing it across fleets and services) bumps a reference count instead
 /// of copying a trained model and its catalog — and since the backend
 /// redesign the engine behind that `Arc` can be any
-/// [`RecommendationBackend`] (the heuristic [`DopplerEngine`], the learned
+/// [`RecommendationBackend`] (the heuristic
+/// [`DopplerEngine`](doppler_core::DopplerEngine), the learned
 /// `LearnedBackend`, or a third-party implementation). Resolve backends
 /// through an [`EngineRegistry`] with
 /// [`from_registry`](SkuRecommendationPipeline::from_registry) /
@@ -124,27 +125,6 @@ impl SkuRecommendationPipeline {
         &self.backend
     }
 
-    /// The engine in use as its concrete type.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline's backend is not the heuristic
-    /// [`DopplerEngine`] — trait-object pipelines should use
-    /// [`backend`](SkuRecommendationPipeline::backend).
-    #[deprecated(since = "0.1.0", note = "use `backend()`; pipelines are backend-agnostic now")]
-    pub fn engine(&self) -> &DopplerEngine {
-        self.backend
-            .as_any()
-            .downcast_ref::<DopplerEngine>()
-            .expect("pipeline backend is not the heuristic DopplerEngine; use backend()")
-    }
-
-    /// The shared backend handle.
-    #[deprecated(since = "0.1.0", note = "use `backend()`; it returns the same shared handle")]
-    pub fn shared_engine(&self) -> &Arc<dyn RecommendationBackend> {
-        &self.backend
-    }
-
     /// The deployment target this pipeline's backend was configured for —
     /// the routing key batch layers (e.g. `doppler-fleet`) shard on.
     pub fn deployment(&self) -> DeploymentType {
@@ -177,6 +157,7 @@ mod tests {
     use super::*;
     use doppler_catalog::{azure_paas_catalog, CatalogSpec};
     use doppler_core::engine::EngineConfig;
+    use doppler_core::DopplerEngine;
     use doppler_telemetry::{PerfDimension, TimeSeries};
 
     fn pipeline(deployment: DeploymentType) -> SkuRecommendationPipeline {
@@ -266,16 +247,6 @@ mod tests {
             a.assess(&request(vec![])).recommendation,
             b.assess(&request(vec![])).recommendation
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_accessors_keep_working_on_heuristic_pipelines() {
-        let p = pipeline(DeploymentType::SqlDb);
-        // `engine()` downcasts back to the concrete engine; `shared_engine`
-        // aliases `backend()`.
-        assert_eq!(p.engine().config().deployment, DeploymentType::SqlDb);
-        assert!(Arc::ptr_eq(p.shared_engine(), p.backend()));
     }
 
     #[test]

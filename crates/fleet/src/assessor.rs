@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use doppler_catalog::{CatalogKey, DeploymentType};
 use doppler_core::{
-    BackendSpec, DopplerEngine, EngineRegistry, EngineTemplate, RecommendationBackend, TrainingSet,
+    BackendSpec, EngineRegistry, EngineTemplate, RecommendationBackend, TrainingSet,
 };
 use doppler_dma::{AssessmentRequest, AssessmentResult, SkuRecommendationPipeline};
 use doppler_obs::{Histogram, ObsRegistry};
@@ -462,12 +462,6 @@ impl FleetAssessor {
         self.with_pipeline(Arc::new(SkuRecommendationPipeline::new(backend)))
     }
 
-    /// Add (or replace) the engine serving `engine.config().deployment`.
-    #[deprecated(since = "0.1.0", note = "use `with_backend`; it accepts any backend")]
-    pub fn with_engine(self, engine: DopplerEngine) -> FleetAssessor {
-        self.with_backend(engine)
-    }
-
     /// Add (or replace) a shared pipeline for its deployment target.
     pub fn with_pipeline(mut self, pipeline: Arc<SkuRecommendationPipeline>) -> FleetAssessor {
         self.engines.insert(pipeline);
@@ -581,7 +575,7 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use doppler_catalog::{azure_paas_catalog, CatalogSpec};
-    use doppler_core::EngineConfig;
+    use doppler_core::{DopplerEngine, EngineConfig};
     use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
 
     fn assessor(workers: usize) -> FleetAssessor {
@@ -680,6 +674,26 @@ mod tests {
         let out = assessor(4).assess(Vec::new());
         assert_eq!(out.report.fleet_size, 0);
         assert!(out.results.is_empty());
+    }
+
+    #[test]
+    fn month_tagged_fleet_counts_instances_databases_recommendations() {
+        let tagged = |i: usize, month: &str| {
+            let mut r = request(&format!("i{i}"), 0.5);
+            r.request.input.databases =
+                vec![("d1".into(), PerfHistory::new()), ("d2".into(), PerfHistory::new())];
+            r.with_month(month)
+        };
+        let fleet = (0..3).map(|i| tagged(i, "Oct-21")).chain((3..5).map(|i| tagged(i, "Nov-21")));
+        let ledger = assessor(2).assess(fleet).report.adoption;
+        let m = ledger.month("Oct-21").unwrap();
+        assert_eq!(m.unique_instances, 3);
+        assert_eq!(m.unique_databases, 6);
+        // Tiny workloads: every SKU is eligible, so recommendations exceed
+        // instances — the Table 1 pattern.
+        assert!(m.recommendations_generated > m.unique_instances);
+        assert_eq!(ledger.month("Nov-21").unwrap().unique_instances, 2);
+        assert_eq!(ledger.rows().map(|(month, _)| month).collect::<Vec<_>>(), ["Oct-21", "Nov-21"]);
     }
 
     #[test]
@@ -838,17 +852,6 @@ mod tests {
         let out = assessor.assess(vec![request("keyless", 0.5)]);
         assert_eq!(out.report.recommended, 1);
         assert_eq!(registry.stats().misses, 0, "fixed pipeline served it; nothing trained");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_engine_still_routes() {
-        let mi_engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlMi),
-        );
-        let assessor = assessor(2).with_engine(mi_engine);
-        assert!(assessor.pipeline_for(DeploymentType::SqlMi).is_some());
     }
 
     #[test]

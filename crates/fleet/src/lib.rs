@@ -17,8 +17,7 @@
 //! * [`service`] — the [`FleetService`] streaming front-end: a long-lived
 //!   worker pool accepting [`submit`](FleetService::submit)ted requests
 //!   continuously, resolving them through [`Ticket`] handles, and
-//!   publishing incremental [`FleetReport`] snapshots mid-run; also home to
-//!   the DMA-facing [`AssessmentService`] batch wrapper;
+//!   publishing incremental [`FleetReport`] snapshots mid-run;
 //! * [`report`] — the [`FleetReport`] aggregation layer: total monthly
 //!   cost, SKU-mix histogram, curve-shape and confidence distributions,
 //!   per-deployment breakdown, and the unplaceable/failure buckets, with a
@@ -135,8 +134,6 @@ pub use scheduler::{
     schedule_summary_from_json, schedule_summary_to_json, FleetScheduler, ScheduleMonthRow,
     ScheduleSummary, SimClock, SimMonth,
 };
-pub use service::{
-    AssessmentService, DriftTicket, FleetService, ServiceProgress, Ticket, TicketQueue,
-};
+pub use service::{DriftTicket, FleetService, ServiceProgress, Ticket, TicketQueue};
 pub use shard::ShardPlan;
 pub use source::{cloud_fleet, customer_request, onprem_fleet, onprem_request};

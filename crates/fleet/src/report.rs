@@ -18,9 +18,8 @@ use crate::assessor::FleetResult;
 
 /// Recommendation variants DMA would surface for one assessed instance:
 /// one per curve point at full score, at least one — the unit the paper's
-/// Table 1 counts as "recommendations generated". The single counting
-/// rule behind both the fleet report's adoption ledger and
-/// `AssessmentService::assess_and_record`.
+/// Table 1 counts as "recommendations generated". The counting rule
+/// behind the fleet report's adoption ledger.
 pub fn eligible_recommendations(recommendation: &Recommendation) -> usize {
     recommendation.curve.points().iter().filter(|p| p.score >= 1.0 - 1e-9).count().max(1)
 }
@@ -276,9 +275,9 @@ fn fold_month(dst: &mut MonthlyAdoption, src: &MonthlyAdoption) {
 /// [`merge`](FleetAggregator::merge)d per-shard aggregates bit-for-bit
 /// equal to a sequential fold.
 ///
-/// `Clone` exists so a long-lived service can publish point-in-time
-/// [`snapshot`](FleetAggregator::snapshot)s while results keep streaming
-/// in; attention lists are chunk-shared, so a clone is cheap even at 100k
+/// `Clone` exists so a long-lived service can copy an accumulator out from
+/// under its lock for a mid-run report while results keep streaming in;
+/// attention lists are chunk-shared, so a clone is cheap even at 100k
 /// accepted results.
 #[derive(Debug, Clone)]
 pub struct FleetAggregator {
@@ -327,8 +326,8 @@ impl FleetAggregator {
     /// Fold one result in. Feed order no longer affects the finished
     /// report — sums are exact and order-invariant, and attention lists and
     /// adoption months are keyed by the result's global submission index —
-    /// but the in-flight [`snapshot`](FleetAggregator::snapshot) contract
-    /// (a snapshot is the report of an exact submission prefix) still
+    /// but the in-flight [`finish`](FleetAggregator::finish) contract (a
+    /// mid-run report is the report of an exact submission prefix) still
     /// assumes the service feeds results in submission order.
     pub fn accept(&mut self, r: &FleetResult) {
         // One fold implementation: the by-result and by-digest entry points
@@ -450,7 +449,7 @@ impl FleetAggregator {
     /// sequentially: counts and [`ExactSum`] totals are exactly
     /// associative, and order-sensitive output (attention lists, adoption
     /// month order) is reconstructed from global submission indices at
-    /// [`finish_ref`](FleetAggregator::finish_ref) time.
+    /// [`finish`](FleetAggregator::finish) time.
     pub fn merge(&mut self, other: &FleetAggregator) {
         self.fleet_size += other.fleet_size;
         self.recommended += other.recommended;
@@ -504,29 +503,16 @@ impl FleetAggregator {
         self.fleet_size
     }
 
-    /// A point-in-time [`FleetReport`] over the results accepted so far,
-    /// without consuming the accumulator — the incremental view a dashboard
-    /// polls while a fleet run is still in flight. Because acceptance is in
-    /// submission order, a snapshot is always the report of an exact prefix
-    /// of the fleet, so two snapshots at the same prefix length are
-    /// bit-for-bit equal regardless of worker count or timing.
-    pub fn snapshot(&self) -> FleetReport {
-        self.finish_ref()
-    }
-
-    /// Finalize into the report; equivalent to
-    /// [`finish_ref`](FleetAggregator::finish_ref) for callers that own the
-    /// accumulator.
-    pub fn finish(self) -> FleetReport {
-        self.finish_ref()
-    }
-
-    /// Build the finished [`FleetReport`] by reference, without cloning the
-    /// accumulated maps first: histograms sort into their canonical orders,
-    /// attention lists into global submission order, and the exact sums
-    /// round once, here. Strings are materialized only for the report rows
-    /// actually emitted.
-    pub fn finish_ref(&self) -> FleetReport {
+    /// Build the [`FleetReport`] over the results accepted so far, by
+    /// reference and without cloning the accumulated maps first:
+    /// histograms sort into their canonical orders, attention lists into
+    /// global submission order, and the exact sums round once, here.
+    /// Strings are materialized only for the report rows actually emitted.
+    /// The accumulator stays usable, so this is also the incremental view a
+    /// dashboard polls mid-run: because acceptance is in submission order,
+    /// a mid-run report is always the report of an exact prefix of the
+    /// fleet, bit-for-bit equal regardless of worker count or timing.
+    pub fn finish(&self) -> FleetReport {
         let mut sku_mix: Vec<SkuMixRow> = self
             .sku_mix
             .iter()
@@ -1100,7 +1086,7 @@ mod tests {
             for part in &parts {
                 merged.merge(part);
             }
-            assert_eq!(merged.finish_ref(), sequential.finish_ref(), "shards={shards}");
+            assert_eq!(merged.finish(), sequential.finish(), "shards={shards}");
         }
     }
 
@@ -1119,7 +1105,7 @@ mod tests {
         bc.merge(&parts[2]);
         let mut right = parts[0].clone();
         right.merge(&bc);
-        assert_eq!(left.finish_ref(), right.finish_ref());
+        assert_eq!(left.finish(), right.finish());
     }
 
     #[test]
@@ -1129,7 +1115,7 @@ mod tests {
         for d in &digests[..30] {
             agg.accept_digest(d);
         }
-        let snap = agg.snapshot();
+        let snap = agg.finish();
         assert_eq!(snap.fleet_size, 30);
         for d in &digests[30..] {
             agg.accept_digest(d);

@@ -44,12 +44,6 @@
 //! reports bit-for-bit what the unsharded run reports. With the default
 //! single-shard plan the service *is* the unsharded service: same metric
 //! names, same thread names, same behavior.
-//!
-//! [`AssessmentService`] — the DMA batch API from the seed — lives here too
-//! as a thin wrapper: one deployment target, `Arc`-shared pipeline, each
-//! `assess_batch` call a submit-all/collect-all round trip through the same
-//! worker pool. The old atomic-counter thread fan-out it used to carry is
-//! gone; there is exactly one worker-pool implementation in the workspace.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,8 +51,6 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use doppler_catalog::DeploymentType;
-use doppler_dma::{AdoptionLedger, AssessmentRequest, AssessmentResult, SkuRecommendationPipeline};
 use doppler_obs::{Counter, Histogram, ObsRegistry, ObsSnapshot};
 
 use crate::assessor::{EngineSet, FleetAssessor, FleetConfig, FleetRequest, FleetResult};
@@ -793,148 +785,13 @@ impl Drop for FleetService {
     }
 }
 
-/// The DMA batch assessment service (§4, Table 1), now a thin wrapper over
-/// [`FleetService`]: one deployment target, the pipeline shared via `Arc`
-/// (no retraining), and the seed-visible `assess_batch` semantics — input
-/// order preserved, a panicking assessment propagates to the caller —
-/// provided by ticket round trips through the shared worker pool.
-pub struct AssessmentService {
-    service: FleetService,
-    deployment: DeploymentType,
-}
-
-impl AssessmentService {
-    /// A service over a pipeline with the given worker count (clamped to
-    /// at least 1).
-    pub fn new(pipeline: SkuRecommendationPipeline, workers: usize) -> AssessmentService {
-        AssessmentService::over(Arc::new(pipeline), FleetConfig::with_workers(workers))
-    }
-
-    /// A service over an already-shared pipeline — the warm-start path for
-    /// callers that run several services off one trained engine.
-    pub fn over(
-        pipeline: Arc<SkuRecommendationPipeline>,
-        config: FleetConfig,
-    ) -> AssessmentService {
-        let deployment = pipeline.deployment();
-        let service = FleetAssessor::from_pipeline(pipeline, config).into_service();
-        AssessmentService { service, deployment }
-    }
-
-    /// Process a batch of requests in parallel, preserving input order in
-    /// the output.
-    ///
-    /// Each request is cloned at submission: the seed API lends a slice,
-    /// but the long-lived worker pool needs owned tasks. Callers for whom
-    /// the telemetry copy matters should use
-    /// [`assess_batch_owned`](AssessmentService::assess_batch_owned),
-    /// which moves the requests instead.
-    pub fn assess_batch(&self, requests: &[AssessmentRequest]) -> Vec<AssessmentResult> {
-        self.run_batch(requests.iter().cloned())
-    }
-
-    /// The owned submission path: requests move straight into the worker
-    /// pool's queue with no telemetry copies — a multi-week history costs
-    /// one allocation for its whole service lifetime instead of one per
-    /// batch submission.
-    pub fn assess_batch_owned(
-        &self,
-        requests: impl IntoIterator<Item = AssessmentRequest>,
-    ) -> Vec<AssessmentResult> {
-        self.run_batch(requests.into_iter())
-    }
-
-    /// Process a batch and record it against a ledger month. Each assessed
-    /// instance contributes one recommendation per curve point scored at
-    /// 1.0 or, when none reach it, a single best-effort recommendation —
-    /// matching DMA's behaviour of surfacing every eligible target (the
-    /// counting rule shared with the fleet report's adoption ledger via
-    /// [`eligible_recommendations`](crate::report::eligible_recommendations)).
-    /// Counting reads this batch's own results, so concurrent batches on a
-    /// shared service never contaminate each other's ledgers.
-    pub fn assess_and_record(
-        &self,
-        month: &str,
-        requests: &[AssessmentRequest],
-        ledger: &mut AdoptionLedger,
-    ) -> Vec<AssessmentResult> {
-        let results = self.assess_batch(requests);
-        record_batch(month, &results, ledger);
-        results
-    }
-
-    /// Owned variant of
-    /// [`assess_and_record`](AssessmentService::assess_and_record).
-    pub fn assess_and_record_owned(
-        &self,
-        month: &str,
-        requests: impl IntoIterator<Item = AssessmentRequest>,
-        ledger: &mut AdoptionLedger,
-    ) -> Vec<AssessmentResult> {
-        let results = self.assess_batch_owned(requests);
-        record_batch(month, &results, ledger);
-        results
-    }
-
-    /// Submit-all/collect-all round trip through the shared worker pool;
-    /// the single implementation behind every batch entry point. One
-    /// channel serves the whole batch (a `Sender` clone per submission
-    /// instead of a channel pair each); submission order is restored by
-    /// sorting on the monotone submission index, so results come back in
-    /// input order whatever the worker interleaving was.
-    fn run_batch(
-        &self,
-        requests: impl Iterator<Item = AssessmentRequest>,
-    ) -> Vec<AssessmentResult> {
-        let (reply, rx) = mpsc::channel();
-        let mut submitted = 0usize;
-        for request in requests {
-            self.service
-                .submit_with_reply(FleetRequest::new(self.deployment, request), reply.clone())
-                .unwrap_or_else(|_| unreachable!("the wrapper never closes its own service"));
-            submitted += 1;
-        }
-        // Drop the batch's own sender so the receive loop ends exactly
-        // when the last worker delivers (workers drop their clones as
-        // they send).
-        drop(reply);
-        let mut results: Vec<FleetResult> = rx.into_iter().collect();
-        debug_assert_eq!(results.len(), submitted, "every submission delivers exactly once");
-        results.sort_by_key(|r| r.index);
-        let results = results
-            .into_iter()
-            .map(|result| match result.outcome {
-                Ok(result) => result,
-                // The old fan-out let a panicking assessment unwind into
-                // the caller; keep that contract rather than silently
-                // dropping the instance from the batch.
-                Err(e) => panic!("{}", e.message),
-            })
-            .collect();
-        // The wrapper never exposes the fleet report, so reset the
-        // aggregation each batch — a wrapper serving requests for months
-        // must not accumulate attention buckets forever.
-        let _ = self.service.drain_report();
-        results
-    }
-}
-
-fn record_batch(month: &str, results: &[AssessmentResult], ledger: &mut AdoptionLedger) {
-    for r in results {
-        ledger.record(
-            month,
-            r.databases_assessed,
-            crate::report::eligible_recommendations(&r.recommendation),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    use doppler_catalog::{azure_paas_catalog, CatalogSpec};
+    use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType};
     use doppler_core::{DopplerEngine, EngineConfig};
+    use doppler_dma::AssessmentRequest;
     use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
 
     fn service(workers: usize) -> FleetService {
@@ -1325,101 +1182,5 @@ mod tests {
         let rejected = service.submit_drift(probe).unwrap_err();
         assert_eq!(rejected.customer, "c-1");
         assert_eq!(service.shutdown().fleet_size, 0);
-    }
-
-    #[test]
-    fn assessment_service_preserves_batch_order() {
-        let engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlDb),
-        );
-        let svc = AssessmentService::new(SkuRecommendationPipeline::new(engine), 4);
-        let requests: Vec<AssessmentRequest> =
-            (0..16).map(|i| request(&format!("inst-{i}"), 0.5).request).collect();
-        let results = svc.assess_batch(&requests);
-        assert_eq!(results.len(), 16);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(r.instance_name, format!("inst-{i}"));
-        }
-        // Batches larger than the queue depth must not deadlock the
-        // submit-everything-then-collect pattern.
-        let big: Vec<AssessmentRequest> =
-            (0..64).map(|i| request(&format!("big-{i}"), 0.5).request).collect();
-        assert_eq!(svc.assess_batch(&big).len(), 64);
-    }
-
-    #[test]
-    fn owned_batch_path_matches_the_borrowed_one() {
-        let engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlDb),
-        );
-        let svc = AssessmentService::new(SkuRecommendationPipeline::new(engine), 3);
-        let requests: Vec<AssessmentRequest> =
-            (0..24).map(|i| request(&format!("o{i}"), 0.4 + (i % 5) as f64).request).collect();
-        let borrowed = svc.assess_batch(&requests);
-        let owned = svc.assess_batch_owned(requests);
-        assert_eq!(borrowed.len(), owned.len());
-        for (b, o) in borrowed.iter().zip(&owned) {
-            assert_eq!(b.instance_name, o.instance_name);
-            assert_eq!(b.recommendation, o.recommendation);
-        }
-    }
-
-    #[test]
-    fn owned_record_path_matches_the_borrowed_ledger() {
-        let engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlDb),
-        );
-        let svc = AssessmentService::new(SkuRecommendationPipeline::new(engine), 2);
-        let requests: Vec<AssessmentRequest> =
-            (0..6).map(|i| request(&format!("r{i}"), 0.5).request).collect();
-        let mut borrowed_ledger = AdoptionLedger::default();
-        svc.assess_and_record("Oct-21", &requests, &mut borrowed_ledger);
-        let mut owned_ledger = AdoptionLedger::default();
-        svc.assess_and_record_owned("Oct-21", requests, &mut owned_ledger);
-        assert_eq!(borrowed_ledger, owned_ledger);
-        assert_eq!(borrowed_ledger.month("Oct-21").unwrap().unique_instances, 6);
-    }
-
-    #[test]
-    fn assessment_service_empty_batch_is_fine() {
-        let engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlDb),
-        );
-        let svc = AssessmentService::new(SkuRecommendationPipeline::new(engine), 2);
-        assert!(svc.assess_batch(&[]).is_empty());
-    }
-
-    #[test]
-    fn assessment_service_ledger_counts_instances_databases_recommendations() {
-        let engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlDb),
-        );
-        let svc = AssessmentService::new(SkuRecommendationPipeline::new(engine), 2);
-        let requests: Vec<AssessmentRequest> = (0..3)
-            .map(|i| {
-                let mut r = request(&format!("i{i}"), 0.5).request;
-                // Two databases per instance, as the old dma test had.
-                r.input.databases =
-                    vec![("d1".into(), PerfHistory::new()), ("d2".into(), PerfHistory::new())];
-                r
-            })
-            .collect();
-        let mut ledger = AdoptionLedger::default();
-        svc.assess_and_record("Oct-21", &requests, &mut ledger);
-        let m = ledger.month("Oct-21").unwrap();
-        assert_eq!(m.unique_instances, 3);
-        assert_eq!(m.unique_databases, 6);
-        // Tiny workloads: every SKU is eligible, so recommendations exceed
-        // instances — the Table 1 pattern.
-        assert!(m.recommendations_generated > m.unique_instances);
-        svc.assess_and_record("Nov-21", &requests[..1], &mut ledger);
-        svc.assess_and_record("Nov-21", &requests[1..2], &mut ledger);
-        assert_eq!(ledger.month("Nov-21").unwrap().unique_instances, 2);
-        assert_eq!(ledger.rows().count(), 2);
     }
 }

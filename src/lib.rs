@@ -36,22 +36,13 @@
 
 pub use doppler_catalog as catalog;
 pub use doppler_core as engine;
+pub use doppler_dma as dma;
 pub use doppler_fleet as fleet;
 pub use doppler_obs as obs;
 pub use doppler_replay as replay;
 pub use doppler_stats as stats;
 pub use doppler_telemetry as telemetry;
 pub use doppler_workload as workload;
-
-/// Data Migration Assistant integration, plus the batch
-/// [`AssessmentService`](doppler_fleet::AssessmentService), which kept its
-/// seed path here when its worker fan-out was folded onto the
-/// `doppler-fleet` pool (dependency order puts the implementation in
-/// [`fleet`], since fleet builds on dma).
-pub mod dma {
-    pub use doppler_dma::*;
-    pub use doppler_fleet::AssessmentService;
-}
 
 /// The types most programs need, in one import.
 pub mod prelude {
@@ -72,12 +63,12 @@ pub mod prelude {
         AdoptionLedger, AssessmentRequest, AssessmentResult, SkuRecommendationPipeline,
     };
     pub use doppler_fleet::{
-        AbAssessment, AbFleet, AbSummary, AssessmentService, Backtest, BacktestCase,
-        BacktestReport, CatalogRollOutcome, DriftMonitor, DriftOutcome, DriftPass, DriftVerdict,
-        EngineRoute, FleetAssessment, FleetAssessor, FleetConfig, FleetDriftReport, FleetReport,
-        FleetRequest, FleetScheduler, FleetService, MonitoredCustomer, PromotionPolicy,
-        RolloutStage, RolloutTracker, ScheduleSummary, ServiceProgress, ShardPlan, SimClock,
-        SimMonth, Ticket, TicketQueue,
+        AbAssessment, AbFleet, AbSummary, Backtest, BacktestCase, BacktestReport,
+        CatalogRollOutcome, DriftMonitor, DriftOutcome, DriftPass, DriftVerdict, EngineRoute,
+        FleetAssessment, FleetAssessor, FleetConfig, FleetDriftReport, FleetReport, FleetRequest,
+        FleetScheduler, FleetService, MonitoredCustomer, PromotionPolicy, RolloutStage,
+        RolloutTracker, ScheduleSummary, ServiceProgress, ShardPlan, SimClock, SimMonth, Ticket,
+        TicketQueue,
     };
     pub use doppler_obs::{ObsRegistry, ObsSnapshot};
     pub use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};

@@ -1,13 +1,15 @@
 //! DMA pipeline integration: raw counters through preprocessing, the
-//! recommendation pipeline, reports, and the batch service.
+//! recommendation pipeline, reports, and batch assessment with adoption
+//! counting.
 
 use doppler::dma::preprocess::preprocess;
 use doppler::dma::{
-    render_text_report, AdoptionLedger, AssessmentRequest, AssessmentService, DatabaseTelemetry,
-    RawCounterSet, SkuRecommendationPipeline,
+    render_text_report, AssessmentRequest, DatabaseTelemetry, RawCounterSet,
+    SkuRecommendationPipeline,
 };
 use doppler::prelude::*;
 use doppler::telemetry::RawSample;
+use std::sync::Arc;
 
 fn raw_db(name: &str, cpu: f64, latency: f64, minutes: f64) -> DatabaseTelemetry {
     let mk = |level: f64| -> Vec<RawSample> {
@@ -95,11 +97,18 @@ fn batch_service_and_ledger_count_correctly() {
             confidence: None,
         })
         .collect();
-    let service = AssessmentService::new(pipeline(DeploymentType::SqlDb), 3);
-    let mut ledger = AdoptionLedger::default();
-    let results = service.assess_and_record("Oct-21", &requests, &mut ledger);
-    assert_eq!(results.len(), 6);
-    let m = ledger.month("Oct-21").unwrap();
+    let assessor = FleetAssessor::from_pipeline(
+        Arc::new(pipeline(DeploymentType::SqlDb)),
+        FleetConfig::with_workers(3),
+    );
+    let out = assessor.assess(
+        requests
+            .into_iter()
+            .map(|r| FleetRequest::new(DeploymentType::SqlDb, r).with_month("Oct-21")),
+    );
+    assert_eq!(out.results.len(), 6);
+    assert!(out.results.iter().all(|r| r.outcome.is_ok()));
+    let m = out.report.adoption.month("Oct-21").unwrap();
     assert_eq!(m.unique_instances, 6);
     assert_eq!(m.unique_databases, 6);
     assert!(m.recommendations_generated >= 6);

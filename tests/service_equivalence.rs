@@ -1,8 +1,9 @@
-//! Service/batch equivalence: the streaming `FleetService` front-end, the
-//! one-shot `FleetAssessor::assess`, and the DMA `assess_batch` wrapper are
-//! three entrances to the same worker pool — for the same cohort they must
-//! produce bit-for-bit identical reports, identical per-instance results,
-//! and identical `AdoptionLedger` entries, at every worker count.
+//! Service/assessor equivalence: the streaming `FleetService` front-end and
+//! the one-shot `FleetAssessor::assess` are two entrances to the same
+//! worker pool — for the same cohort they must produce bit-for-bit
+//! identical reports and per-instance results at every worker count, equal
+//! to the serial single-pipeline reference, and month-tagged requests must
+//! fill the report's `AdoptionLedger` exactly as the reference counts.
 //!
 //! CI runs this alongside `fleet_determinism` in the dedicated determinism
 //! job with `--test-threads=1`; the 1/4/8-worker sweep lives inside each
@@ -49,8 +50,8 @@ fn serial_reference(requests: &[AssessmentRequest]) -> Vec<AssessmentResult> {
     requests.iter().map(|r| pipeline.assess(r)).collect()
 }
 
-/// Record `results` against a ledger exactly the way
-/// `AssessmentService::assess_and_record` does.
+/// Record `results` against a ledger by the Table 1 counting rule: one
+/// recommendation per curve point scored 1.0, at least one per instance.
 fn reference_ledger(month: &str, results: &[AssessmentResult]) -> AdoptionLedger {
     let mut ledger = AdoptionLedger::default();
     for r in results {
@@ -127,20 +128,27 @@ fn streaming_service_and_one_shot_assessor_agree_across_worker_counts() {
     }
 }
 
+/// `requests` as a fleet whose every member carries the ledger `month`.
+fn month_tagged(requests: &[AssessmentRequest], month: &str) -> Vec<FleetRequest> {
+    requests
+        .iter()
+        .map(|r| FleetRequest::new(DeploymentType::SqlDb, r.clone()).with_month(month))
+        .collect()
+}
+
 #[test]
-fn batch_wrapper_matches_the_serial_reference_and_ledger() {
+fn month_tagged_assessor_matches_the_serial_reference_and_ledger() {
     let requests = cohort(&(0..32).map(|i| 0.4 + (i % 6) as f64).collect::<Vec<f64>>());
     let reference = serial_reference(&requests);
     let expected_ledger = reference_ledger("Oct-21", &reference);
     for workers in WORKER_SWEEP {
-        let service = AssessmentService::new(SkuRecommendationPipeline::new(engine()), workers);
-        let mut ledger = AdoptionLedger::default();
-        let results = service.assess_and_record("Oct-21", &requests, &mut ledger);
-        assert_eq!(results.len(), reference.len());
-        for (got, want) in results.iter().zip(&reference) {
-            assert_results_identical(got, want);
+        let out = FleetAssessor::new(engine(), FleetConfig::with_workers(workers))
+            .assess(month_tagged(&requests, "Oct-21"));
+        assert_eq!(out.results.len(), reference.len());
+        for (got, want) in out.results.iter().zip(&reference) {
+            assert_results_identical(got.outcome.as_ref().unwrap(), want);
         }
-        assert_eq!(ledger, expected_ledger, "ledger at {workers} workers");
+        assert_eq!(out.report.adoption, expected_ledger, "ledger at {workers} workers");
     }
 }
 
@@ -218,8 +226,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Any random cohort: streaming submission, the one-shot assessor, and
-    /// the DMA batch wrapper agree bit-for-bit — reports, results, ledger —
-    /// at 1, 4, and 8 workers.
+    /// the month-tagged assessor agree bit-for-bit with the serial
+    /// reference — reports, results, ledger — at 1, 4, and 8 workers.
     #[test]
     fn any_cohort_is_path_and_worker_count_invariant(
         cpus in prop::collection::vec(0.1..24.0f64, 1..24),
@@ -251,16 +259,15 @@ proptest! {
                 prop_assert_eq!(got.recommendation.monthly_cost, want.recommendation.monthly_cost);
             }
 
-            // Path 3: the DMA batch wrapper, with adoption recording.
-            let service =
-                AssessmentService::new(SkuRecommendationPipeline::new(engine()), workers);
-            let mut ledger = AdoptionLedger::default();
-            let results = service.assess_and_record(month, &requests, &mut ledger);
-            for (got, want) in results.iter().zip(&reference) {
+            // Path 3: the one-shot assessor with adoption recording.
+            let tagged = FleetAssessor::new(engine(), FleetConfig::with_workers(workers))
+                .assess(month_tagged(&requests, month));
+            for (got, want) in tagged.results.iter().zip(&reference) {
+                let got = got.outcome.as_ref().unwrap();
                 prop_assert_eq!(&got.recommendation.sku_id, &want.recommendation.sku_id);
                 prop_assert_eq!(&got.report, &want.report);
             }
-            prop_assert_eq!(&ledger, &expected_ledger);
+            prop_assert_eq!(&tagged.report.adoption, &expected_ledger);
         }
     }
 }

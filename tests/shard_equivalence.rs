@@ -259,7 +259,7 @@ proptest! {
         for p in &parts {
             left.merge(p);
         }
-        prop_assert_eq!(left.finish_ref(), sequential.finish_ref());
+        prop_assert_eq!(left.finish(), sequential.finish());
 
         // …and so does the opposite grouping: fold the tail first, then
         // merge the head into it last.
@@ -269,6 +269,6 @@ proptest! {
         }
         let mut right = parts.into_iter().next().unwrap_or_default();
         right.merge(&tail);
-        prop_assert_eq!(right.finish_ref(), sequential.finish_ref());
+        prop_assert_eq!(right.finish(), sequential.finish());
     }
 }
