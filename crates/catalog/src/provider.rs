@@ -359,17 +359,6 @@ impl InMemoryCatalogProvider {
         self.entries.insert(key, ResolvedCatalog::new(catalog, rates));
     }
 
-    /// Builder-style [`insert`](InMemoryCatalogProvider::insert).
-    pub fn with_catalog(
-        mut self,
-        key: CatalogKey,
-        catalog: Arc<Catalog>,
-        rates: BillingRates,
-    ) -> InMemoryCatalogProvider {
-        self.insert(key, catalog, rates);
-        self
-    }
-
     /// Generate and register a whole region at a price multiplier: the
     /// Azure PaaS universe of `spec` is expanded once with the scaled
     /// rates, shared across both deployment keys of the region.

@@ -8,11 +8,14 @@
 //!   up file → database → instance, and the static inputs (SKU catalog,
 //!   pricing) are attached;
 //! * [`pipeline`] — the **SKU Recommendation Pipeline**: runs the Doppler
-//!   engine over the preprocessed input and packages the result;
+//!   engine over the preprocessed input and returns the decision (an
+//!   [`AssessmentResult`]: database count plus recommendation);
 //! * [`report`] — the **Resource Use Module**: time-series and distribution
 //!   dashboards plus the price-performance curve, "so that customers can
 //!   understand why they received a specific SKU recommendation"; exports
-//!   to plain text and JSON;
+//!   to plain text and JSON. An assessment does not build it: a caller that
+//!   shows the dashboard calls [`ResourceUseReport::build`] on the
+//!   request's history and the result's recommendation;
 //! * [`assessment`] — adoption accounting: DMA receives hundreds of
 //!   assessment requests daily (Table 1); this module keeps the monthly
 //!   adoption counters. The batch fan-out itself is served by the

@@ -11,7 +11,6 @@ use doppler_core::{
 use doppler_telemetry::PerfHistory;
 
 use crate::preprocess::PreprocessedInstance;
-use crate::report::ResourceUseReport;
 
 /// One assessment request: an instance's preprocessed telemetry plus the
 /// customer's target choice.
@@ -48,14 +47,17 @@ impl AssessmentRequest {
     }
 }
 
-/// One completed assessment.
+/// One completed assessment: the decision and nothing else.
+///
+/// The instance name stays on the [`AssessmentRequest`]. The
+/// [`ResourceUseReport`](crate::ResourceUseReport) dashboard is built on
+/// demand from the request's history and this recommendation:
+/// `ResourceUseReport::build(&request.input.instance, &result.recommendation)`.
 #[derive(Debug, Clone)]
 pub struct AssessmentResult {
-    pub instance_name: String,
     /// Number of databases assessed within the instance.
     pub databases_assessed: usize,
     pub recommendation: Recommendation,
-    pub report: ResourceUseReport,
 }
 
 /// The pipeline: a recommendation backend plus the glue.
@@ -131,7 +133,9 @@ impl SkuRecommendationPipeline {
         self.backend.config().deployment
     }
 
-    /// Assess one instance.
+    /// Assess one instance and return its decision. No Resource Use
+    /// report is built here; callers that show the dashboard build it from
+    /// the request's history and the returned recommendation.
     pub fn assess(&self, request: &AssessmentRequest) -> AssessmentResult {
         let history: &PerfHistory = &request.input.instance;
         let layout = (self.backend.config().deployment == DeploymentType::SqlMi
@@ -142,19 +146,14 @@ impl SkuRecommendationPipeline {
             Some(cfg) => self.backend.recommend_with_confidence(history, layout.as_ref(), cfg),
             None => self.backend.recommend(history, layout.as_ref()),
         };
-        let report = ResourceUseReport::build(history, &recommendation);
-        AssessmentResult {
-            instance_name: request.instance_name.clone(),
-            databases_assessed: request.input.databases.len(),
-            recommendation,
-            report,
-        }
+        AssessmentResult { databases_assessed: request.input.databases.len(), recommendation }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ResourceUseReport;
     use doppler_catalog::{azure_paas_catalog, CatalogSpec};
     use doppler_core::engine::EngineConfig;
     use doppler_core::DopplerEngine;
@@ -215,8 +214,10 @@ mod tests {
 
     #[test]
     fn report_is_produced() {
-        let result = pipeline(DeploymentType::SqlDb).assess(&request(vec![]));
-        assert!(!result.report.dimension_summaries.is_empty());
+        let req = request(vec![]);
+        let result = pipeline(DeploymentType::SqlDb).assess(&req);
+        let report = ResourceUseReport::build(&req.input.instance, &result.recommendation);
+        assert!(!report.dimension_summaries.is_empty());
     }
 
     #[test]

@@ -113,8 +113,8 @@ pub struct FleetResult {
     /// sharded service this is the *global* submission index — gap-free
     /// across all shards, in submission order.
     pub index: usize,
-    /// Interned once per assessment; digests and monitors share it by
-    /// refcount instead of re-cloning the heap string per result.
+    /// Interned once at submission; the ticket, digests and monitors share
+    /// it by refcount instead of re-cloning the heap string per result.
     pub instance_name: Arc<str>,
     pub deployment: DeploymentType,
     /// The adoption-ledger month the request carried, if any.
@@ -193,12 +193,6 @@ impl EngineRoute {
     /// The same route with a training cohort.
     pub fn trained(mut self, training: TrainingSet) -> EngineRoute {
         self.training = training;
-        self
-    }
-
-    /// The same route with a different engine template.
-    pub fn with_template(mut self, template: EngineTemplate) -> EngineRoute {
-        self.template = template;
         self
     }
 
@@ -354,9 +348,13 @@ impl EngineSet {
     /// (or a provider) that panics must kill this request, not the worker
     /// — a dead worker would strand the in-order aggregation and, with
     /// one worker, deadlock the feeder on queue backpressure.
-    pub(crate) fn assess_one(&self, index: usize, task: FleetRequest) -> FleetResult {
+    pub(crate) fn assess_one(
+        &self,
+        index: usize,
+        instance_name: Arc<str>,
+        task: FleetRequest,
+    ) -> FleetResult {
         let FleetRequest { deployment, catalog_key, month, request, priority: _ } = task;
-        let instance_name: Arc<str> = Arc::from(request.instance_name.as_str());
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let resolved = {
                 let _span = self.obs.resolve.start();

@@ -24,7 +24,12 @@ use doppler_replay::{replay, ReplayOutcome};
 use doppler_telemetry::PerfHistory;
 use doppler_workload::CloudCustomer;
 
-use crate::assessor::{FleetAssessor, FleetRequest};
+use crate::assessor::{FleetAssessment, FleetAssessor, FleetRequest};
+
+/// p95-latency bound a pick must meet to fit (ms), §5.4.
+const LATENCY_LIMIT_MS: f64 = 15.0;
+/// Throttle-fraction bound a pick must meet to fit: 5 % of ticks.
+const THROTTLE_BUDGET: f64 = 0.05;
 
 /// One held-out customer: a demand history plus, optionally, the SKU the
 /// customer actually ran on (the §5 back-test label). When `ground_truth`
@@ -184,29 +189,37 @@ impl BacktestReport {
 }
 
 /// The back-test harness: two assessors over one catalog, with the fit
-/// bounds of §5.4.
+/// bounds of §5.4 (p95 latency within 15 ms, throttling within 5 % of
+/// ticks).
 pub struct Backtest {
     catalog: Catalog,
     candidate: FleetAssessor,
     reference: FleetAssessor,
     candidate_label: String,
     reference_label: String,
-    latency_limit_ms: f64,
-    throttle_budget: f64,
 }
 
 impl Backtest {
-    /// Build a harness replaying picks against `catalog`. Defaults: p95
-    /// latency limit 15 ms, throttle budget 5% of ticks.
+    /// Build a harness replaying picks against `catalog`.
+    ///
+    /// Panics if either assessor was built with
+    /// [`FleetConfig::keep_results`](crate::FleetConfig::keep_results)
+    /// off: the harness scores the per-instance picks, and such an
+    /// assessor returns none.
     pub fn new(catalog: Catalog, candidate: FleetAssessor, reference: FleetAssessor) -> Backtest {
+        for (side, assessor) in [("candidate", &candidate), ("reference", &reference)] {
+            assert!(
+                assessor.config().keep_results,
+                "Backtest::new: the {side} assessor must keep per-instance results \
+                 (FleetConfig::keep_results = true)"
+            );
+        }
         Backtest {
             catalog,
             candidate,
             reference,
             candidate_label: "candidate".into(),
             reference_label: "reference".into(),
-            latency_limit_ms: 15.0,
-            throttle_budget: 0.05,
         }
     }
 
@@ -221,18 +234,6 @@ impl Backtest {
         self
     }
 
-    /// Override the p95-latency fit bound (ms).
-    pub fn with_latency_limit(mut self, limit_ms: f64) -> Backtest {
-        self.latency_limit_ms = limit_ms;
-        self
-    }
-
-    /// Override the throttle-fraction fit bound.
-    pub fn with_throttle_budget(mut self, budget: f64) -> Backtest {
-        self.throttle_budget = budget;
-        self
-    }
-
     /// Score a pick by replaying `history` on it. `None` when there is no
     /// pick, the SKU is not in the replay catalog, or the history is
     /// empty.
@@ -243,8 +244,8 @@ impl Backtest {
         }
         let sku = self.catalog.get(&SkuId(sku_id.to_string()))?;
         let outcome: ReplayOutcome = replay(history, sku);
-        let fits = outcome.meets_latency(self.latency_limit_ms)
-            && outcome.throttle_fraction <= self.throttle_budget;
+        let fits =
+            outcome.meets_latency(LATENCY_LIMIT_MS) && outcome.throttle_fraction <= THROTTLE_BUDGET;
         Some(ReplayScore {
             sku_id: outcome.sku_id,
             monthly_cost: sku.monthly_cost(),
@@ -289,13 +290,13 @@ impl Backtest {
         let mut candidate_monthly_cost = 0.0f64;
         let mut reference_monthly_cost = 0.0f64;
 
+        // Both runs kept every result (checked in `new`), in submission
+        // order, so case `index` is result `index` on each side.
         for (index, case) in cases.iter().enumerate() {
-            let pick_of = |run: &crate::assessor::FleetAssessment| {
-                run.results
-                    .iter()
-                    .find(|r| r.index == index)
-                    .and_then(|r| r.outcome.as_ref().ok())
-                    .and_then(|a| a.recommendation.sku_id.clone())
+            let pick_of = |run: &FleetAssessment| {
+                let result = &run.results[index];
+                debug_assert_eq!(result.index, index);
+                result.outcome.as_ref().ok().and_then(|a| a.recommendation.sku_id.clone())
             };
             let candidate_pick = pick_of(&candidate_run);
             let reference_pick = case.ground_truth.clone().or_else(|| pick_of(&reference_run));
@@ -311,10 +312,8 @@ impl Backtest {
                 sku_agreements += usize::from(agreed);
                 candidate_fit += usize::from(a.fits);
                 reference_fit += usize::from(b.fits);
-                candidate_throttle_months +=
-                    usize::from(a.throttle_fraction > self.throttle_budget);
-                reference_throttle_months +=
-                    usize::from(b.throttle_fraction > self.throttle_budget);
+                candidate_throttle_months += usize::from(a.throttle_fraction > THROTTLE_BUDGET);
+                reference_throttle_months += usize::from(b.throttle_fraction > THROTTLE_BUDGET);
                 candidate_monthly_cost += a.monthly_cost;
                 reference_monthly_cost += b.monthly_cost;
             }
@@ -324,8 +323,8 @@ impl Backtest {
         BacktestReport {
             candidate_label: self.candidate_label.clone(),
             reference_label: self.reference_label.clone(),
-            latency_limit_ms: self.latency_limit_ms,
-            throttle_budget: self.throttle_budget,
+            latency_limit_ms: LATENCY_LIMIT_MS,
+            throttle_budget: THROTTLE_BUDGET,
             cases: rows,
             scored_pairs,
             sku_agreements,
@@ -458,13 +457,13 @@ mod tests {
             .with(PerfDimension::LogRate, TimeSeries::ten_minute(vec![0.4; 144]))
     }
 
-    fn assessor(workers: usize) -> FleetAssessor {
+    fn assessor(config: FleetConfig) -> FleetAssessor {
         FleetAssessor::new(
             DopplerEngine::untrained(
                 azure_paas_catalog(&CatalogSpec::default()),
                 EngineConfig::production(DeploymentType::SqlDb),
             ),
-            FleetConfig::with_workers(workers),
+            config,
         )
     }
 
@@ -481,8 +480,13 @@ mod tests {
     }
 
     fn harness() -> Backtest {
-        Backtest::new(azure_paas_catalog(&CatalogSpec::default()), assessor(2), assessor(2))
-            .with_labels("learned", "heuristic")
+        let config = FleetConfig::with_workers(2);
+        Backtest::new(
+            azure_paas_catalog(&CatalogSpec::default()),
+            assessor(config),
+            assessor(config),
+        )
+        .with_labels("learned", "heuristic")
     }
 
     #[test]
@@ -531,6 +535,18 @@ mod tests {
         assert_eq!(report.scored_pairs, 4);
         assert_eq!(report.reference_fit, 4);
         assert!(report.monthly_cost_delta() < 0.0, "candidate should be cheaper");
+    }
+
+    #[test]
+    #[should_panic(expected = "reference assessor must keep per-instance results")]
+    fn assessors_that_drop_results_are_rejected() {
+        let keeping = FleetConfig::with_workers(1);
+        let dropping = FleetConfig { keep_results: false, ..keeping };
+        Backtest::new(
+            azure_paas_catalog(&CatalogSpec::default()),
+            assessor(keeping),
+            assessor(dropping),
+        );
     }
 
     #[test]

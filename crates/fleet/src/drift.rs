@@ -84,9 +84,11 @@ pub struct DriftProbe {
     pub history: PerfHistory,
     /// First sample of the fresh window.
     pub change_point: usize,
-    /// Group tolerance for the curve selections (0.0 = zero-tolerance).
-    pub p_g: f64,
 }
+
+/// The group tolerance every drift check selects SKUs at: zero, the
+/// §5.2.3 study's setting.
+const DRIFT_TOLERANCE: f64 = 0.0;
 
 /// What one drift check concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -134,7 +136,7 @@ pub struct DriftOutcome {
 /// of a drift check. Panics and resolution failures become
 /// [`DriftVerdict::Inconclusive`] outcomes instead of killing the worker.
 pub(crate) fn evaluate_probe(engines: &EngineSet, index: usize, probe: DriftProbe) -> DriftOutcome {
-    let DriftProbe { customer, deployment, catalog_key, history, change_point, p_g } = probe;
+    let DriftProbe { customer, deployment, catalog_key, history, change_point } = probe;
     let region = catalog_key.as_ref().map(|k| k.region.clone()).unwrap_or_else(Region::global);
     let evaluated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         engines.resolve(deployment, &catalog_key).map(|pipeline| {
@@ -143,7 +145,7 @@ pub(crate) fn evaluate_probe(engines: &EngineSet, index: usize, probe: DriftProb
             // the customer's own region.
             let catalog = pipeline.backend().catalog();
             let skus = catalog.for_deployment(deployment);
-            detect_drift(&history, change_point, &skus, p_g)
+            detect_drift(&history, change_point, &skus, DRIFT_TOLERANCE)
         })
     }))
     .unwrap_or_else(|payload| {
@@ -590,7 +592,6 @@ pub struct DriftMonitor {
     /// Customer name → slot in `watched`, so registration and observation
     /// stay O(1) over fleet-sized cohorts.
     slots: HashMap<String, usize>,
-    p_g: f64,
     ledger: AdoptionLedger,
     /// Catalog rolls processed since the last pass; folded into the next
     /// [`FleetDriftReport::catalog_rolls`].
@@ -616,18 +617,10 @@ impl DriftMonitor {
             service,
             watched: Vec::new(),
             slots: HashMap::new(),
-            p_g: 0.0,
             ledger: AdoptionLedger::default(),
             rolls_since_tick: 0,
             roll_cursor: 0,
         }
-    }
-
-    /// Set the group tolerance the drift checks select SKUs at (default
-    /// 0.0 — zero-tolerance, the §5.2.3 study's setting).
-    pub fn with_tolerance(mut self, p_g: f64) -> DriftMonitor {
-        self.p_g = p_g;
-        self
     }
 
     /// The underlying service (submit ordinary assessment traffic here).
@@ -743,7 +736,6 @@ impl DriftMonitor {
             InFlight(usize, PerfHistory, DriftTicket),
             Immediate(DriftOutcome),
         }
-        let p_g = self.p_g;
         let mut pending = Vec::new();
         for (slot, w) in self.watched.iter_mut().enumerate() {
             let Some(fresh) = w.fresh.take() else { continue };
@@ -775,7 +767,6 @@ impl DriftMonitor {
                 catalog_key: w.customer.catalog_key.clone(),
                 history,
                 change_point: w.customer.baseline.len(),
-                p_g,
             };
             match self.service.submit_drift(probe) {
                 Ok(ticket) => pending.push(Pending::InFlight(slot, fresh, ticket)),

@@ -384,11 +384,6 @@ impl FleetScheduler {
         &self.clock
     }
 
-    /// Simulated months stepped so far.
-    pub fn months_run(&self) -> usize {
-        self.step
-    }
-
     /// The schedule trace accumulated so far.
     pub fn summary(&self) -> &ScheduleSummary {
         &self.summary

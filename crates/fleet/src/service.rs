@@ -51,7 +51,7 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use doppler_obs::{Counter, Histogram, ObsRegistry, ObsSnapshot};
+use doppler_obs::{Counter, Histogram, ObsRegistry};
 
 use crate::assessor::{EngineSet, FleetAssessor, FleetConfig, FleetRequest, FleetResult};
 use crate::drift::{DriftOutcome, DriftProbe};
@@ -78,6 +78,8 @@ enum Task {
         /// Gap-free index within the owning shard — what the shard's
         /// reorder buffer sequences on.
         local: usize,
+        /// Interned once at submission; the ticket and the result share it.
+        instance_name: Arc<str>,
         request: FleetRequest,
         reply: mpsc::Sender<FleetResult>,
         /// Submission instant, for the queue-wait stage histogram. `None`
@@ -264,11 +266,11 @@ fn worker_loop(shared: &ServiceShared, shard_index: usize, tasks: &Counter) {
         for task in batch.drain(..) {
             tasks.incr();
             match task {
-                Task::Assess { global, local, request, reply, enqueued } => {
+                Task::Assess { global, local, instance_name, request, reply, enqueued } => {
                     if let Some(enqueued) = enqueued {
                         shard.stages.queue_wait.record(enqueued.elapsed());
                     }
-                    let result = shared.engines.assess_one(global, request);
+                    let result = shared.engines.assess_one(global, instance_name, request);
                     {
                         let _span = shard.stages.aggregate.start();
                         lock_progress(shard).accept(local, &result);
@@ -303,7 +305,7 @@ fn worker_loop(shared: &ServiceShared, shard_index: usize, tasks: &Counter) {
 #[derive(Debug)]
 pub struct Ticket {
     index: usize,
-    instance_name: String,
+    instance_name: Arc<str>,
     rx: mpsc::Receiver<FleetResult>,
 }
 
@@ -539,8 +541,7 @@ impl FleetService {
     #[allow(clippy::result_large_err)]
     pub fn submit(&self, request: FleetRequest) -> Result<Ticket, FleetRequest> {
         let (reply, rx) = mpsc::channel();
-        let instance_name = request.request.instance_name.clone();
-        let index = self.submit_with_reply(request, reply)?;
+        let (index, instance_name) = self.enqueue(request, reply)?;
         Ok(Ticket { index, instance_name, rx })
     }
 
@@ -558,6 +559,18 @@ impl FleetService {
         request: FleetRequest,
         reply: mpsc::Sender<FleetResult>,
     ) -> Result<usize, FleetRequest> {
+        self.enqueue(request, reply).map(|(index, _)| index)
+    }
+
+    /// The body of both submit paths: allocate the indices, intern the
+    /// instance name, and push. Returns the global index and the interned
+    /// name the result will carry.
+    #[allow(clippy::result_large_err)]
+    fn enqueue(
+        &self,
+        request: FleetRequest,
+        reply: mpsc::Sender<FleetResult>,
+    ) -> Result<(usize, Arc<str>), FleetRequest> {
         let shard = self.shard_for(&request);
         let priority = request.priority;
         // Allocate both indices in one short critical section — the
@@ -573,12 +586,20 @@ impl FleetService {
             let global = self.shared.submitted_global.fetch_add(1, Ordering::Relaxed);
             (global, local)
         };
+        let instance_name: Arc<str> = Arc::from(request.request.instance_name.as_str());
         let enqueued = self.shared.obs.is_enabled().then(Instant::now);
-        let task = Task::Assess { global, local, request, reply, enqueued };
+        let task = Task::Assess {
+            global,
+            local,
+            instance_name: Arc::clone(&instance_name),
+            request,
+            reply,
+            enqueued,
+        };
         let pushed =
             if priority { shard.queue.push_priority(task) } else { shard.queue.push(task) };
         match pushed {
-            Ok(()) => Ok(global),
+            Ok(()) => Ok((global, instance_name)),
             Err(Task::Assess { request, .. }) => {
                 // The push lost to a concurrent close: tombstone the local
                 // index so in-order aggregation steps over it.
@@ -656,23 +677,10 @@ impl FleetService {
         &self.shared.plan
     }
 
-    /// A point-in-time [`ObsSnapshot`] of every metric recorded so far —
-    /// shorthand for `self.obs().snapshot()`. Render it with
-    /// [`ObsSnapshot::render`] or append it to a report via
-    /// [`FleetReport::render_with_ops`](crate::report::FleetReport::render_with_ops).
-    pub fn obs_snapshot(&self) -> ObsSnapshot {
-        self.shared.obs.snapshot()
-    }
-
     /// Items currently queued across both lanes of every shard (racy by
     /// nature; for dashboards).
     pub fn queue_len(&self) -> usize {
         self.shared.shards.iter().map(|s| s.queue.len()).sum()
-    }
-
-    /// Items currently waiting in the priority lanes across shards.
-    pub fn queue_priority_len(&self) -> usize {
-        self.shared.shards.iter().map(|s| s.queue.priority_len()).sum()
     }
 
     /// Current submission/completion counters. Each shard is read as one
@@ -1159,7 +1167,6 @@ mod tests {
             catalog_key: None,
             history,
             change_point: 48,
-            p_g: 0.0,
         };
         let mut ticket = service.submit_drift(probe.clone()).unwrap();
         assert_eq!(ticket.index(), 0);

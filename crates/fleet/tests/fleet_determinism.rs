@@ -43,9 +43,7 @@ fn thousand_instances_are_deterministic_across_worker_counts() {
         assert_eq!(a.index, b.index);
         assert_eq!(a.instance_name, b.instance_name);
         let (ra, rb) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
-        assert_eq!(ra.recommendation.sku_id, rb.recommendation.sku_id);
-        assert_eq!(ra.recommendation.monthly_cost, rb.recommendation.monthly_cost);
-        assert_eq!(ra.report, rb.report);
+        assert_eq!(ra.recommendation, rb.recommendation);
     }
 
     // Sanity on the aggregates themselves.

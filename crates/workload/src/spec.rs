@@ -114,12 +114,6 @@ impl DimensionProfile {
         self.trend_per_day = per_day;
         self
     }
-
-    /// Builder: set a saturation ceiling.
-    pub fn with_ceiling(mut self, ceiling: f64) -> DimensionProfile {
-        self.ceiling = Some(ceiling);
-        self
-    }
 }
 
 /// A complete workload: one profile per collected dimension plus the

@@ -9,7 +9,7 @@
 
 use doppler::dma::{
     preprocess::preprocess, render_text_report, AssessmentRequest, DatabaseTelemetry,
-    RawCounterSet, SkuRecommendationPipeline,
+    RawCounterSet, ResourceUseReport, SkuRecommendationPipeline,
 };
 use doppler::prelude::*;
 use doppler::stats::SeededRng;
@@ -88,13 +88,16 @@ fn main() {
 
     // --- Assess. ----------------------------------------------------------
     let pipeline = SkuRecommendationPipeline::new(engine);
-    let result = pipeline.assess(&AssessmentRequest {
+    let request = AssessmentRequest {
         instance_name: "onprem-sql-01".into(),
         input: preprocessed,
         confidence: Some(ConfidenceConfig { replicates: 25, window_samples: 3 * 144, seed: 5 }),
-    });
+    };
+    let result = pipeline.assess(&request);
 
-    println!("\n{}", render_text_report(&result.report));
+    // --- Explain: the Resource Use dashboard, built on demand. -------------
+    let report = ResourceUseReport::build(&request.input.instance, &result.recommendation);
+    println!("\n{}", render_text_report(&report));
     // The orders database's 1.3 ms latency requirement should steer the
     // instance toward Business Critical.
     if let Some(sku) = &result.recommendation.sku_id {

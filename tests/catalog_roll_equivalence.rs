@@ -178,7 +178,6 @@ fn assert_same_outcomes(
         assert_eq!(x.instance_name, y.instance_name, "{context}");
         let (rx, ry) = (x.outcome.as_ref().unwrap(), y.outcome.as_ref().unwrap());
         assert_eq!(rx.recommendation, ry.recommendation, "{context}: {}", x.instance_name);
-        assert_eq!(rx.report, ry.report, "{context}: {}", x.instance_name);
         assert_eq!(rx.databases_assessed, ry.databases_assessed, "{context}");
     }
 }

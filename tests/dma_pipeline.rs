@@ -4,7 +4,7 @@
 
 use doppler::dma::preprocess::preprocess;
 use doppler::dma::{
-    render_text_report, AssessmentRequest, DatabaseTelemetry, RawCounterSet,
+    render_text_report, AssessmentRequest, DatabaseTelemetry, RawCounterSet, ResourceUseReport,
     SkuRecommendationPipeline,
 };
 use doppler::prelude::*;
@@ -117,15 +117,17 @@ fn batch_service_and_ledger_count_correctly() {
 #[test]
 fn reports_render_and_serialize() {
     let minutes = 24.0 * 60.0;
-    let result = pipeline(DeploymentType::SqlDb).assess(&AssessmentRequest {
+    let request = AssessmentRequest {
         instance_name: "report".into(),
         input: preprocess(&[raw_db("x", 0.7, 6.0, minutes)], minutes),
         confidence: Some(ConfidenceConfig { replicates: 5, window_samples: 30, seed: 1 }),
-    });
-    let text = render_text_report(&result.report);
+    };
+    let result = pipeline(DeploymentType::SqlDb).assess(&request);
+    let report = ResourceUseReport::build(&request.input.instance, &result.recommendation);
+    let text = render_text_report(&report);
     assert!(text.contains("Recommended SKU"));
     assert!(text.contains("Confidence"));
-    let json = result.report.to_json();
+    let json = report.to_json();
     assert!(json.contains("curve_rows"));
     let parsed = doppler::dma::json::Json::parse(&json).unwrap();
     assert!(parsed.get("recommended_sku").and_then(|v| v.as_str()).is_some());

@@ -160,7 +160,6 @@ fn mixed_region_fleet_trains_once_per_key_and_matches_the_per_pipeline_path() {
             assert_eq!(a.month, b.month);
             let (ra, rb) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
             assert_eq!(ra.recommendation, rb.recommendation, "instance {}", a.instance_name);
-            assert_eq!(ra.report, rb.report);
         }
     }
 }

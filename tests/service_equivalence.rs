@@ -10,6 +10,7 @@
 //! test.
 
 use doppler::dma::preprocess::PreprocessedInstance;
+use doppler::dma::ResourceUseReport;
 use doppler::fleet::{FleetResult, ServiceProgress};
 use doppler::prelude::*;
 use proptest::prelude::*;
@@ -62,13 +63,12 @@ fn reference_ledger(month: &str, results: &[AssessmentResult]) -> AdoptionLedger
     ledger
 }
 
+/// The whole decision must match; the Resource Use report is a pure
+/// function of the request's history and this recommendation, so it
+/// matches too. Instance names are compared on the `FleetResult`s.
 fn assert_results_identical(a: &AssessmentResult, b: &AssessmentResult) {
-    assert_eq!(a.instance_name, b.instance_name);
     assert_eq!(a.databases_assessed, b.databases_assessed);
-    assert_eq!(a.recommendation.sku_id, b.recommendation.sku_id);
-    assert_eq!(a.recommendation.monthly_cost, b.recommendation.monthly_cost);
-    assert_eq!(a.recommendation.shape, b.recommendation.shape);
-    assert_eq!(a.report, b.report);
+    assert_eq!(a.recommendation, b.recommendation);
 }
 
 /// Stream a cohort through a `FleetService` one submission at a time with
@@ -128,6 +128,46 @@ fn streaming_service_and_one_shot_assessor_agree_across_worker_counts() {
     }
 }
 
+/// An assessment returns only its decision; the Resource Use report is
+/// built on demand from the request and the result. A result that came
+/// through the service must render the same report as `pipeline.assess`
+/// of the same request, for an MI request (file layout) and a
+/// confidence-on DB request.
+#[test]
+fn on_demand_reports_match_between_service_and_pipeline() {
+    let mi_engine = DopplerEngine::untrained(
+        azure_paas_catalog(&CatalogSpec::default()),
+        EngineConfig::production(DeploymentType::SqlMi),
+    );
+    let mut mi = request("mi-inst", 3.0, 2);
+    mi.input.file_sizes_gib = vec![120.0, 40.0, 8.0];
+    let mut db = request("db-inst", 1.5, 1);
+    db.confidence = Some(ConfidenceConfig { replicates: 8, window_samples: 48, seed: 3 });
+    let cases = [
+        (DeploymentType::SqlMi, mi, SkuRecommendationPipeline::new(mi_engine.clone())),
+        (DeploymentType::SqlDb, db, SkuRecommendationPipeline::new(engine())),
+    ];
+    let service = FleetAssessor::new(engine(), FleetConfig::with_workers(2))
+        .with_backend(mi_engine)
+        .into_service();
+    for (deployment, request, pipeline) in cases {
+        let ticket = service
+            .submit(FleetRequest::new(deployment, request.clone()))
+            .unwrap_or_else(|_| unreachable!("service is open"));
+        let served = ticket.recv().expect("assessed").outcome.expect("assessed");
+        let direct = pipeline.assess(&request);
+        match deployment {
+            DeploymentType::SqlMi => assert!(direct.recommendation.mi.is_some()),
+            DeploymentType::SqlDb => assert!(direct.recommendation.confidence.is_some()),
+        }
+        let report = |r: &AssessmentResult| {
+            ResourceUseReport::build(&request.input.instance, &r.recommendation).to_json()
+        };
+        assert_eq!(report(&served), report(&direct), "{deployment:?}");
+    }
+    service.shutdown();
+}
+
 /// `requests` as a fleet whose every member carries the ledger `month`.
 fn month_tagged(requests: &[AssessmentRequest], month: &str) -> Vec<FleetRequest> {
     requests
@@ -145,7 +185,8 @@ fn month_tagged_assessor_matches_the_serial_reference_and_ledger() {
         let out = FleetAssessor::new(engine(), FleetConfig::with_workers(workers))
             .assess(month_tagged(&requests, "Oct-21"));
         assert_eq!(out.results.len(), reference.len());
-        for (got, want) in out.results.iter().zip(&reference) {
+        for ((got, want), request) in out.results.iter().zip(&reference).zip(&requests) {
+            assert_eq!(*got.instance_name, *request.instance_name);
             assert_results_identical(got.outcome.as_ref().unwrap(), want);
         }
         assert_eq!(out.report.adoption, expected_ledger, "ledger at {workers} workers");
@@ -264,8 +305,7 @@ proptest! {
                 .assess(month_tagged(&requests, month));
             for (got, want) in tagged.results.iter().zip(&reference) {
                 let got = got.outcome.as_ref().unwrap();
-                prop_assert_eq!(&got.recommendation.sku_id, &want.recommendation.sku_id);
-                prop_assert_eq!(&got.report, &want.report);
+                prop_assert_eq!(&got.recommendation, &want.recommendation);
             }
             prop_assert_eq!(&tagged.report.adoption, &expected_ledger);
         }
