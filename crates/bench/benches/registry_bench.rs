@@ -1,5 +1,5 @@
 //! Engine-registry hot paths: cold resolution (one full training run),
-//! warm resolution (sharded read lock + `Arc` bump), and mixed-region
+//! warm resolution (map read lock + `Arc` bump), and mixed-region
 //! fleet throughput against the pre-registry baseline of retraining per
 //! run.
 //!
@@ -147,55 +147,6 @@ fn bench_mixed_region_fleet(c: &mut Criterion) {
     group.finish();
 }
 
-/// Eviction pressure: a capacity-8 LRU registry cycled over 64 hot keys —
-/// the pathological steady state where every resolution is a miss plus an
-/// eviction — against the same sweep warm (capacity ≥ key count). The gap
-/// is the price of undersizing the cache.
-fn bench_eviction_pressure(c: &mut Criterion) {
-    const HOT_KEYS: usize = 64;
-    const CAPACITY: usize = 8;
-    let provider = Arc::new((0..HOT_KEYS).fold(InMemoryCatalogProvider::new(), |p, i| {
-        p.with_region(
-            Region::new(format!("hot-{i}")),
-            CatalogVersion::INITIAL,
-            &CatalogSpec::default(),
-            1.0,
-        )
-    }));
-    let template = EngineTemplate::production();
-    let empty = TrainingSet::empty();
-    let key = |i: usize| {
-        CatalogKey::new(
-            DeploymentType::SqlDb,
-            Region::new(format!("hot-{i}")),
-            CatalogVersion::INITIAL,
-        )
-    };
-    let mut group = c.benchmark_group(format!("eviction_pressure_{HOT_KEYS}_keys"));
-    group.sample_size(10);
-
-    let thrashing = EngineRegistry::new(Arc::clone(&provider) as Arc<dyn CatalogProvider>)
-        .with_capacity(CAPACITY);
-    group.bench_function(format!("capacity_{CAPACITY}_thrash"), |b| {
-        b.iter(|| {
-            for i in 0..HOT_KEYS {
-                std::hint::black_box(thrashing.get_or_train(&key(i), &template, &empty).unwrap());
-            }
-        })
-    });
-
-    let roomy = EngineRegistry::new(Arc::clone(&provider) as Arc<dyn CatalogProvider>)
-        .with_capacity(HOT_KEYS);
-    group.bench_function(format!("capacity_{HOT_KEYS}_warm"), |b| {
-        b.iter(|| {
-            for i in 0..HOT_KEYS {
-                std::hint::black_box(roomy.get_or_train(&key(i), &template, &empty).unwrap());
-            }
-        })
-    });
-    group.finish();
-}
-
 /// Feed-roll latency: how long one `apply_feed` takes — re-price the
 /// region's catalog, fingerprint it, bump the version, log the roll — and
 /// the retire-then-retrain round trip a roll costs the registry.
@@ -237,11 +188,5 @@ fn bench_feed_roll(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_cold_vs_warm,
-    bench_mixed_region_fleet,
-    bench_eviction_pressure,
-    bench_feed_roll
-);
+criterion_group!(benches, bench_cold_vs_warm, bench_mixed_region_fleet, bench_feed_roll);
 criterion_main!(benches);

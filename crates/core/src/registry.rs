@@ -15,26 +15,25 @@
 //!   strategy, a different backend kind, one more training record — yields
 //!   a distinct engine, while identical inputs always share one
 //!   `Arc<dyn RecommendationBackend>`;
-//! * lookups go through a **sharded `RwLock` map**: warm resolutions take
-//!   one read lock on one shard, so a 16-worker fleet hammering
-//!   [`get_or_train`](EngineRegistry::get_or_train) on a warm key never
-//!   serializes;
+//! * lookups go through one `RwLock` map: warm resolutions share its read
+//!   lock, so a fleet of workers hammering
+//!   [`get_or_train`](EngineRegistry::get_or_train) on warm keys never
+//!   waits on a writer unless a training is being inserted or a version
+//!   retired;
 //! * training is **single-flight**: concurrent requesters of the same cold
 //!   key block on the one in-progress training run instead of duplicating
 //!   it — N workers racing a cold key cost exactly one training;
 //! * [`stats`](EngineRegistry::stats) exposes hit / miss / coalesced
 //!   counters, so "a mixed-region fleet run over K keys performs exactly K
 //!   trainings" is directly assertable;
-//! * the cache has a **lifecycle**: an optional LRU
-//!   [capacity](EngineRegistry::with_capacity) bounds how many trained
-//!   engines are held (least-recently-resolved engines are evicted as new
-//!   trainings land), and
+//! * the cache has one **lifecycle**: version retirement.
 //!   [`retire_version`](EngineRegistry::retire_version) /
 //!   [`retire_older_than`](EngineRegistry::retire_older_than) tombstone
-//!   keys a catalog roll has superseded — resolving a retired key returns
-//!   [`RegistryError::Retired`] instead of silently retraining a stale
-//!   catalog, and eviction / retirement counters sit beside the hit/miss
-//!   stats.
+//!   keys a catalog roll has superseded and drop their engines — resolving
+//!   a retired key returns [`RegistryError::Retired`] instead of silently
+//!   retraining a stale catalog, and a retirement counter sits beside the
+//!   hit/miss stats. Nothing else evicts a trained engine: the cache holds
+//!   one engine per live (key, backend, template, training set).
 //!
 //! # Example
 //!
@@ -59,7 +58,6 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
@@ -279,9 +277,6 @@ pub struct RegistryStats {
     /// Resolutions that failed (unknown catalog, a retired key, or a
     /// training panic observed either first-hand or while coalesced).
     pub failures: u64,
-    /// Engines dropped to stay within the LRU capacity, plus wholesale
-    /// [`clear`](EngineRegistry::clear)s.
-    pub evictions: u64,
     /// Engines dropped because their catalog key was retired.
     pub retirements: u64,
     /// Trained engines currently held.
@@ -353,17 +348,6 @@ impl Slot {
     }
 }
 
-type Shard = RwLock<HashMap<EngineKey, Arc<Slot>>>;
-
-/// LRU bookkeeping: a logical clock plus the last-resolved tick of every
-/// *ready* engine (in-flight trainings are not tracked — they become
-/// evictable only once published). Touched only when a capacity is set, so
-/// unbounded registries pay nothing for it on the warm path.
-struct LruState {
-    tick: u64,
-    last_used: HashMap<EngineKey, u64>,
-}
-
 /// Retirement tombstones: exact retired keys plus a monotone version
 /// floor. Read (briefly) on every resolution; written only on catalog
 /// rolls.
@@ -381,22 +365,16 @@ impl Lifecycle {
 }
 
 /// The fleet-wide trained-engine cache. See the [module docs](self) for
-/// the design; construct with [`new`](EngineRegistry::new) (16 shards) or
-/// [`with_shards`](EngineRegistry::with_shards), and share via `Arc` —
-/// every method takes `&self`.
+/// the design; construct with [`new`](EngineRegistry::new) and share via
+/// `Arc` — every method takes `&self`.
 pub struct EngineRegistry {
     provider: Arc<dyn CatalogProvider>,
-    shards: Box<[Shard]>,
-    /// LRU capacity over *ready* engines; `None` = unbounded (the
-    /// pre-lifecycle behaviour). Construction-time only.
-    capacity: Option<usize>,
-    lru: Mutex<LruState>,
+    slots: RwLock<HashMap<EngineKey, Arc<Slot>>>,
     lifecycle: RwLock<Lifecycle>,
     hits: AtomicU64,
     coalesced: AtomicU64,
     misses: AtomicU64,
     failures: AtomicU64,
-    evictions: AtomicU64,
     retirements: AtomicU64,
     obs: RegistryObs,
 }
@@ -417,34 +395,20 @@ struct RegistryObs {
     coalesced: Counter,
     misses: Counter,
     failures: Counter,
-    evictions: Counter,
     retirements: Counter,
 }
 
 impl EngineRegistry {
-    const DEFAULT_SHARDS: usize = 16;
-
-    /// A registry over a provider, with the default shard count.
+    /// An empty registry over a provider.
     pub fn new(provider: Arc<dyn CatalogProvider>) -> EngineRegistry {
-        EngineRegistry::with_shards(provider, Self::DEFAULT_SHARDS)
-    }
-
-    /// A registry with an explicit shard count (clamped to ≥ 1). More
-    /// shards = less write contention on cold bursts; warm reads already
-    /// share read locks.
-    pub fn with_shards(provider: Arc<dyn CatalogProvider>, shards: usize) -> EngineRegistry {
-        let shards = shards.max(1);
         EngineRegistry {
             provider,
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
-            capacity: None,
-            lru: Mutex::new(LruState { tick: 0, last_used: HashMap::new() }),
+            slots: RwLock::new(HashMap::new()),
             lifecycle: RwLock::new(Lifecycle::default()),
             hits: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             failures: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             retirements: AtomicU64::new(0),
             obs: RegistryObs::default(),
         }
@@ -462,25 +426,9 @@ impl EngineRegistry {
             coalesced: obs.counter("registry.coalesced"),
             misses: obs.counter("registry.misses"),
             failures: obs.counter("registry.failures"),
-            evictions: obs.counter("registry.evictions"),
             retirements: obs.counter("registry.retirements"),
         };
         self
-    }
-
-    /// Bound the cache to `capacity` trained engines (clamped to ≥ 1),
-    /// evicted least-recently-resolved-first as new trainings land. The
-    /// engine just resolved is never the one evicted, and in-flight `Arc`s
-    /// stay valid — eviction drops the cache's reference, not the
-    /// engine. Builder-style; set before sharing the registry.
-    pub fn with_capacity(mut self, capacity: usize) -> EngineRegistry {
-        self.capacity = Some(capacity.max(1));
-        self
-    }
-
-    /// The LRU capacity, when one is set.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// The catalog provider resolutions go through.
@@ -508,7 +456,7 @@ impl EngineRegistry {
     /// backend kinds trained on identical inputs occupy distinct slots and
     /// can never cross-serve (champion/challenger safety).
     ///
-    /// Warm path: one provider lookup, one shard read lock, one map get,
+    /// Warm path: one provider lookup, one map read lock, one map get,
     /// one `Arc` bump. Cold path: the calling thread trains (outside any
     /// lock) while concurrent requesters for the same key block on the
     /// slot; requesters for *other* keys proceed unhindered.
@@ -530,19 +478,17 @@ impl EngineRegistry {
                 self.obs.failures.incr();
                 RegistryError::UnknownCatalog(key.clone())
             })?;
-        let shard = &self.shards[self.shard_of(&engine_key)];
-
-        // Fast path: shared read lock on the shard.
+        // Fast path: shared read lock on the map.
         let existing =
-            shard.read().unwrap_or_else(PoisonError::into_inner).get(&engine_key).cloned();
+            self.slots.read().unwrap_or_else(PoisonError::into_inner).get(&engine_key).cloned();
         if let Some(slot) = existing {
-            return self.resolve_slot(key, &engine_key, &slot);
+            return self.resolve_slot(key, &slot);
         }
 
         // Slow path: take the write lock just long enough to insert-or-get
         // the slot; training itself happens with no lock held.
         let (slot, trainer) = {
-            let mut map = shard.write().unwrap_or_else(PoisonError::into_inner);
+            let mut map = self.slots.write().unwrap_or_else(PoisonError::into_inner);
             match map.get(&engine_key) {
                 Some(slot) => (Arc::clone(slot), false),
                 None => {
@@ -553,7 +499,7 @@ impl EngineRegistry {
             }
         };
         if !trainer {
-            return self.resolve_slot(key, &engine_key, &slot);
+            return self.resolve_slot(key, &slot);
         }
 
         let config = template.config_for(key.deployment, resolved.rates);
@@ -568,16 +514,12 @@ impl EngineRegistry {
                 slot.publish(SlotState::Ready(Arc::clone(&engine)));
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 self.obs.misses.incr();
-                // The newly published engine joins the LRU set; evict past
-                // the capacity, least-recently-resolved first (never this
-                // one — it was touched last).
-                self.admit_and_enforce(&engine_key);
                 Ok(engine)
             }
             Err(payload) => {
                 // Evict before notifying so no requester can coalesce onto
                 // a slot that will never become Ready.
-                shard.write().unwrap_or_else(PoisonError::into_inner).remove(&engine_key);
+                self.slots.write().unwrap_or_else(PoisonError::into_inner).remove(&engine_key);
                 slot.publish(SlotState::Failed);
                 self.failures.fetch_add(1, Ordering::Relaxed);
                 self.obs.failures.incr();
@@ -586,42 +528,10 @@ impl EngineRegistry {
         }
     }
 
-    /// The default-backend engine for `(key, template, training)` if it is
-    /// already trained — never blocks, never trains, and counts neither hit
-    /// nor miss.
-    pub fn get_if_ready(
-        &self,
-        key: &CatalogKey,
-        template: &EngineTemplate,
-        training: &TrainingSet,
-    ) -> Option<Arc<dyn RecommendationBackend>> {
-        self.get_if_ready_backend(key, template, training, &BackendSpec::Heuristic)
-    }
-
-    /// The backend for `(key, backend spec, template, training)` if it is
-    /// already trained — never blocks, never trains, and counts neither hit
-    /// nor miss.
-    pub fn get_if_ready_backend(
-        &self,
-        key: &CatalogKey,
-        template: &EngineTemplate,
-        training: &TrainingSet,
-        backend: &BackendSpec,
-    ) -> Option<Arc<dyn RecommendationBackend>> {
-        let (engine_key, _) = self.engine_key(key, template, training, backend)?;
-        let shard = &self.shards[self.shard_of(&engine_key)];
-        let slot =
-            shard.read().unwrap_or_else(PoisonError::into_inner).get(&engine_key).cloned()?;
-        slot.get_ready()
-    }
-
     /// Derive the cache identity of `(key, backend, template, training)`:
     /// resolve the provider and combine the catalog, backend, template, and
     /// training fingerprints. `None` when the provider has no catalog for
-    /// the key. The single implementation behind
-    /// [`get_or_train_backend`](EngineRegistry::get_or_train_backend) and
-    /// [`get_if_ready_backend`](EngineRegistry::get_if_ready_backend), so
-    /// the two can never disagree about what identifies an engine.
+    /// the key.
     fn engine_key(
         &self,
         key: &CatalogKey,
@@ -645,7 +555,6 @@ impl EngineRegistry {
             coalesced: self.coalesced.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
             retirements: self.retirements.load(Ordering::Relaxed),
             entries: self.len(),
         }
@@ -653,32 +562,11 @@ impl EngineRegistry {
 
     /// Trained engines currently held.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len()).sum()
+        self.slots.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drop every cached engine, returning how many trained engines were
-    /// evicted (they count into [`RegistryStats::evictions`]; in-flight
-    /// training slots are dropped from the cache too but count nothing —
-    /// no engine existed yet). **Counters are lifetime totals and are
-    /// preserved** — `hits + coalesced + misses + failures` keeps
-    /// equalling completed resolutions across clears. Retirement
-    /// tombstones survive too: `clear` is a cache flush, not an
-    /// un-retirement. In-flight `Arc`s stay valid.
-    pub fn clear(&self) -> usize {
-        let mut evicted = 0;
-        for shard in self.shards.iter() {
-            let mut map = shard.write().unwrap_or_else(PoisonError::into_inner);
-            evicted += map.values().filter(|slot| slot.get_ready().is_some()).count();
-            map.clear();
-        }
-        self.lock_lru().last_used.clear();
-        self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-        self.obs.evictions.add(evicted as u64);
-        evicted
     }
 
     /// Tombstone one exact [`CatalogKey`]: every engine trained for it is
@@ -708,7 +596,7 @@ impl EngineRegistry {
     }
 
     /// Whether resolutions of `key` are refused as retired.
-    pub fn is_retired(&self, key: &CatalogKey) -> bool {
+    fn is_retired(&self, key: &CatalogKey) -> bool {
         self.lifecycle.read().unwrap_or_else(PoisonError::into_inner).is_retired(key)
     }
 
@@ -718,100 +606,17 @@ impl EngineRegistry {
     /// coalesce onto a retired key) but count nothing — no engine existed
     /// yet. The shared sweep behind both retirement entry points.
     fn retire_matching(&self, matches: impl Fn(&CatalogKey) -> bool) -> usize {
-        let mut dropped = Vec::new();
         let mut engines = 0usize;
-        for shard in self.shards.iter() {
-            shard.write().unwrap_or_else(PoisonError::into_inner).retain(|k, slot| {
-                if matches(&k.catalog) {
-                    if slot.get_ready().is_some() {
-                        engines += 1;
-                    }
-                    dropped.push(k.clone());
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        let mut lru = self.lock_lru();
-        for k in &dropped {
-            lru.last_used.remove(k);
-        }
-        drop(lru);
+        self.slots.write().unwrap_or_else(PoisonError::into_inner).retain(|k, slot| {
+            let retire = matches(&k.catalog);
+            if retire && slot.get_ready().is_some() {
+                engines += 1;
+            }
+            !retire
+        });
         self.retirements.fetch_add(engines as u64, Ordering::Relaxed);
         self.obs.retirements.add(engines as u64);
         engines
-    }
-
-    fn lock_lru(&self) -> MutexGuard<'_, LruState> {
-        self.lru.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Refresh `engine_key`'s LRU recency on a warm resolution. Update
-    /// only, never insert: admission happens exactly once, at publish
-    /// ([`admit_and_enforce`](EngineRegistry::admit_and_enforce)), so a
-    /// hit racing an eviction or retirement can never resurrect a phantom
-    /// LRU entry for a key the cache no longer holds. No-op without a
-    /// capacity — unbounded registries never touch the LRU mutex.
-    fn touch(&self, engine_key: &EngineKey) {
-        if self.capacity.is_none() {
-            return;
-        }
-        let mut lru = self.lock_lru();
-        lru.tick += 1;
-        let tick = lru.tick;
-        if let Some(last) = lru.last_used.get_mut(engine_key) {
-            *last = tick;
-        }
-    }
-
-    /// Admit a freshly published engine to the LRU set and evict
-    /// least-recently-resolved engines until the set fits the capacity.
-    /// The whole pass holds the LRU lock (shard locks are taken inside it;
-    /// no path holds a shard lock while waiting on the LRU mutex, so the
-    /// ordering is acyclic), which keeps `last_used` and the shards in
-    /// step: a concurrent retirement that already swept this key simply
-    /// skips admission, and a victim some other thread already removed is
-    /// dropped from the LRU set without counting an eviction. `engine_key`
-    /// itself is never the victim, so a capacity-1 registry still serves
-    /// the key it just trained.
-    fn admit_and_enforce(&self, engine_key: &EngineKey) {
-        let Some(capacity) = self.capacity else { return };
-        let mut lru = self.lock_lru();
-        let still_cached = self.shards[self.shard_of(engine_key)]
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains_key(engine_key);
-        if !still_cached {
-            return;
-        }
-        lru.tick += 1;
-        let tick = lru.tick;
-        lru.last_used.insert(engine_key.clone(), tick);
-        while lru.last_used.len() > capacity {
-            let victim = lru
-                .last_used
-                .iter()
-                .filter(|(k, _)| *k != engine_key)
-                .min_by_key(|(_, &tick)| tick)
-                .map(|(k, _)| k.clone());
-            let Some(victim) = victim else { return };
-            lru.last_used.remove(&victim);
-            let removed = self.shards[self.shard_of(&victim)]
-                .write()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(&victim);
-            if removed.is_some() {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.obs.evictions.incr();
-            }
-        }
-    }
-
-    fn shard_of(&self, key: &EngineKey) -> usize {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() as usize) % self.shards.len()
     }
 
     /// Resolve through an existing slot, classifying the counter outcome:
@@ -821,20 +626,17 @@ impl EngineRegistry {
     fn resolve_slot(
         &self,
         key: &CatalogKey,
-        engine_key: &EngineKey,
         slot: &Slot,
     ) -> Result<Arc<dyn RecommendationBackend>, RegistryError> {
         if let Some(engine) = slot.get_ready() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.obs.hits.incr();
-            self.touch(engine_key);
             return Ok(engine);
         }
         match slot.wait() {
             Some(engine) => {
                 self.coalesced.fetch_add(1, Ordering::Relaxed);
                 self.obs.coalesced.incr();
-                self.touch(engine_key);
                 Ok(engine)
             }
             None => {
@@ -848,10 +650,7 @@ impl EngineRegistry {
 
 impl fmt::Debug for EngineRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EngineRegistry")
-            .field("shards", &self.shards.len())
-            .field("stats", &self.stats())
-            .finish()
+        f.debug_struct("EngineRegistry").field("stats", &self.stats()).finish()
     }
 }
 
@@ -1061,122 +860,6 @@ mod tests {
     }
 
     #[test]
-    fn get_if_ready_never_trains() {
-        let registry = registry();
-        let template = EngineTemplate::production();
-        let empty = TrainingSet::empty();
-        assert!(registry.get_if_ready(&db_key(), &template, &empty).is_none());
-        assert_eq!(registry.stats().misses, 0);
-        let trained = registry.get_or_train(&db_key(), &template, &empty).unwrap();
-        let peeked = registry.get_if_ready(&db_key(), &template, &empty).unwrap();
-        assert!(Arc::ptr_eq(&trained, &peeked));
-        let stats = registry.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 1), "peeks count nothing");
-    }
-
-    #[test]
-    fn clear_evicts_but_keeps_live_arcs_valid() {
-        let registry = registry();
-        let engine = registry
-            .get_or_train(&db_key(), &EngineTemplate::production(), &TrainingSet::empty())
-            .unwrap();
-        assert_eq!(registry.clear(), 1, "clear reports how many entries it evicted");
-        assert!(registry.is_empty());
-        // The evicted engine still serves.
-        assert!(engine.recommend(&record(0.4, 32).history, None).sku_id.is_some());
-        // Next resolution retrains; lifetime counters were preserved
-        // across the clear, and the flushed entry counts as an eviction.
-        registry
-            .get_or_train(&db_key(), &EngineTemplate::production(), &TrainingSet::empty())
-            .unwrap();
-        let stats = registry.stats();
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(registry.clear(), 1);
-        assert_eq!(registry.clear(), 0, "clearing an empty registry evicts nothing");
-        assert_eq!(registry.stats().evictions, 2);
-    }
-
-    /// A multi-region provider for the lifecycle tests: `region-0` …
-    /// `region-{n-1}`, list-priced, both deployments each.
-    fn regions(n: usize) -> InMemoryCatalogProvider {
-        (0..n).fold(InMemoryCatalogProvider::new(), |p, i| {
-            p.with_region(
-                Region::new(format!("region-{i}")),
-                CatalogVersion::INITIAL,
-                &CatalogSpec::default(),
-                1.0,
-            )
-        })
-    }
-
-    fn region_key(i: usize) -> CatalogKey {
-        CatalogKey::new(
-            DeploymentType::SqlDb,
-            Region::new(format!("region-{i}")),
-            CatalogVersion::INITIAL,
-        )
-    }
-
-    #[test]
-    fn lru_capacity_bounds_the_cache_and_counts_evictions() {
-        let registry = EngineRegistry::new(Arc::new(regions(6))).with_capacity(3);
-        assert_eq!(registry.capacity(), Some(3));
-        let template = EngineTemplate::production();
-        let empty = TrainingSet::empty();
-        for i in 0..6 {
-            registry.get_or_train(&region_key(i), &template, &empty).unwrap();
-            assert!(registry.len() <= 3, "after key {i}: {} entries", registry.len());
-        }
-        let stats = registry.stats();
-        assert_eq!(stats.misses, 6);
-        assert_eq!(stats.evictions, 3, "6 trainings into a 3-slot cache evict 3");
-        assert_eq!(stats.entries, 3);
-        // The three most recent keys survived; the three oldest are gone.
-        for i in 0..3 {
-            assert!(registry.get_if_ready(&region_key(i), &template, &empty).is_none(), "{i}");
-        }
-        for i in 3..6 {
-            assert!(registry.get_if_ready(&region_key(i), &template, &empty).is_some(), "{i}");
-        }
-    }
-
-    #[test]
-    fn lru_hits_refresh_recency() {
-        let registry = EngineRegistry::new(Arc::new(regions(3))).with_capacity(2);
-        let template = EngineTemplate::production();
-        let empty = TrainingSet::empty();
-        registry.get_or_train(&region_key(0), &template, &empty).unwrap();
-        registry.get_or_train(&region_key(1), &template, &empty).unwrap();
-        // Hitting key 0 makes key 1 the least recently resolved …
-        registry.get_or_train(&region_key(0), &template, &empty).unwrap();
-        // … so training key 2 evicts key 1, not key 0.
-        registry.get_or_train(&region_key(2), &template, &empty).unwrap();
-        assert!(registry.get_if_ready(&region_key(0), &template, &empty).is_some());
-        assert!(registry.get_if_ready(&region_key(1), &template, &empty).is_none());
-        assert!(registry.get_if_ready(&region_key(2), &template, &empty).is_some());
-        assert_eq!(registry.stats().evictions, 1);
-    }
-
-    #[test]
-    fn capacity_one_never_evicts_the_engine_just_resolved() {
-        let registry = EngineRegistry::new(Arc::new(regions(4))).with_capacity(1);
-        let template = EngineTemplate::production();
-        let empty = TrainingSet::empty();
-        for i in 0..4 {
-            registry.get_or_train(&region_key(i), &template, &empty).unwrap();
-            // The just-trained engine is protected from its own eviction
-            // pass — a capacity-1 cache still serves the key it trained.
-            assert!(
-                registry.get_if_ready(&region_key(i), &template, &empty).is_some(),
-                "key {i} evicted by its own resolution"
-            );
-            assert_eq!(registry.len(), 1);
-        }
-        assert_eq!(registry.stats().evictions, 3);
-    }
-
-    #[test]
     fn retired_keys_error_and_never_retrain() {
         let registry = registry();
         let template = EngineTemplate::production();
@@ -1193,19 +876,12 @@ mod tests {
         assert_eq!(stats.misses, 1, "retirement never triggers a retrain");
         assert_eq!(stats.retirements, 1);
         assert_eq!(stats.failures, 1, "the refused resolution counts as a failure");
-        assert_eq!(stats.evictions, 0, "retirement is not an LRU eviction");
         // In-flight Arcs keep serving.
         assert!(engine.recommend(&record(0.4, 32).history, None).sku_id.is_some());
         // Other keys are untouched.
         registry
             .get_or_train(&CatalogKey::production(DeploymentType::SqlMi), &template, &empty)
             .unwrap();
-        // Clearing the cache does not un-retire.
-        registry.clear();
-        assert!(matches!(
-            registry.get_or_train(&db_key(), &template, &empty),
-            Err(RegistryError::Retired(_))
-        ));
     }
 
     #[test]

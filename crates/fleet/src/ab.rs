@@ -132,7 +132,6 @@ pub struct AbFleet {
     challenger: FleetAssessor,
     champion_label: Option<String>,
     challenger_label: Option<String>,
-    adoption_threshold: f64,
 }
 
 impl AbFleet {
@@ -143,22 +142,7 @@ impl AbFleet {
     /// one registry between the sides is safe and costs one training per
     /// `(key, backend)`.
     pub fn new(champion: FleetAssessor, challenger: FleetAssessor) -> AbFleet {
-        AbFleet {
-            champion,
-            challenger,
-            champion_label: None,
-            challenger_label: None,
-            adoption_threshold: 0.0,
-        }
-    }
-
-    /// Only count a pair toward the adoption row when the challenger's
-    /// cheaper pick saves at least this much per month. The default (0.0)
-    /// counts every strictly-cheaper disagreement; a staged rollout sets a
-    /// materiality bar so trivial price differences don't drive promotion.
-    pub fn with_adoption_threshold(mut self, min_savings_per_pair: f64) -> AbFleet {
-        self.adoption_threshold = min_savings_per_pair;
-        self
+        AbFleet { champion, challenger, champion_label: None, challenger_label: None }
     }
 
     /// Override the side labels reported in the summary (defaults to each
@@ -243,7 +227,7 @@ impl AbFleet {
             if a_sku == b_sku {
                 sku_agreements += 1;
             } else if let (Some(a_cost), Some(b_cost)) = (a_rec.monthly_cost, b_rec.monthly_cost) {
-                if b_cost < a_cost && a_cost - b_cost >= self.adoption_threshold {
+                if b_cost < a_cost {
                     challenger_cheaper += 1;
                     projected_monthly_savings += a_cost - b_cost;
                 }
@@ -741,18 +725,5 @@ mod tests {
         assert_eq!(tracker.stage(), RolloutStage::Challenger);
         // The promotion month is retained for the audit trail.
         assert_eq!(tracker.promoted_month(), Some("m2"));
-    }
-
-    #[test]
-    fn adoption_threshold_filters_trivial_savings() {
-        let ab = AbFleet::new(
-            FleetAssessor::new(engine(), crate::FleetConfig::with_workers(2)),
-            FleetAssessor::new(learned(&training(), 0.0), crate::FleetConfig::with_workers(2)),
-        )
-        .with_adoption_threshold(f64::INFINITY);
-        let out = ab.assess(cohort(16));
-        let s = out.report.ab.as_ref().expect("summary");
-        assert_eq!(s.adoption.challenger_cheaper, 0, "no pair clears an infinite bar");
-        assert_eq!(s.adoption.projected_monthly_savings, 0.0);
     }
 }

@@ -51,8 +51,8 @@ pub struct FleetRequest {
     /// the one allocation.
     pub month: Option<Arc<str>>,
     /// Enter the service queue's priority lane: popped ahead of the
-    /// normal backlog (migration-deadline and drifted-customer work),
-    /// while aggregation stays in submission order.
+    /// normal backlog (migration-deadline and drifted-customer work); the
+    /// report does not depend on completion order.
     pub priority: bool,
     pub request: AssessmentRequest,
 }
@@ -79,7 +79,8 @@ impl FleetRequest {
 
     /// Route through the service queue's priority lane — the
     /// migration-deadline / drifted-customer fast path. Ordering jumps the
-    /// backlog; the report aggregate is unaffected (submission order).
+    /// backlog; the report aggregate is unaffected (it does not depend on
+    /// completion order).
     ///
     /// ```
     /// use doppler_catalog::DeploymentType;
@@ -346,7 +347,7 @@ impl EngineSet {
     /// resolution errors become `Err` outcomes instead of poisoning the
     /// worker. The catch covers resolution too: a registry training run
     /// (or a provider) that panics must kill this request, not the worker
-    /// — a dead worker would strand the in-order aggregation and, with
+    /// — a dead worker would drop its popped batch unanswered and, with
     /// one worker, deadlock the feeder on queue backpressure.
     pub(crate) fn assess_one(
         &self,
@@ -456,13 +457,8 @@ impl FleetAssessor {
     /// Add (or replace) the backend serving `backend.config().deployment`
     /// — lets one assessor serve a heterogeneous SqlDb + SqlMi fleet, or
     /// mix backend kinds across deployments.
-    pub fn with_backend(self, backend: impl RecommendationBackend + 'static) -> FleetAssessor {
-        self.with_pipeline(Arc::new(SkuRecommendationPipeline::new(backend)))
-    }
-
-    /// Add (or replace) a shared pipeline for its deployment target.
-    pub fn with_pipeline(mut self, pipeline: Arc<SkuRecommendationPipeline>) -> FleetAssessor {
-        self.engines.insert(pipeline);
+    pub fn with_backend(mut self, backend: impl RecommendationBackend + 'static) -> FleetAssessor {
+        self.engines.insert(Arc::new(SkuRecommendationPipeline::new(backend)));
         self
     }
 

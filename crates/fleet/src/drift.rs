@@ -62,7 +62,7 @@ use std::sync::Arc;
 
 use doppler_catalog::{CatalogKey, DeploymentType, RefreshableCatalogProvider, Region};
 use doppler_core::{detect_drift, ConfidenceConfig, DriftSeverity};
-use doppler_dma::{AdoptionLedger, AssessmentRequest};
+use doppler_dma::{AdoptionLedger, AssessmentRequest, AssessmentResult};
 use doppler_telemetry::PerfHistory;
 
 use crate::assessor::{AssessmentError, EngineSet, FleetAssessor, FleetRequest, FleetResult};
@@ -530,11 +530,34 @@ impl MonitoredCustomer {
             request.request.input.instance.clone(),
         );
         customer.catalog_key = request.catalog_key.clone();
-        customer.baseline_sku = assessed.recommendation.sku_id.clone();
-        customer.baseline_cost = assessed.recommendation.monthly_cost;
+        customer.adopt(assessed);
         customer.file_sizes_gib = request.request.input.file_sizes_gib.clone();
         customer.confidence = request.request.confidence;
         Some(customer)
+    }
+
+    /// The priority-lane, month-tagged re-assessment of this customer on
+    /// `history`, routed through its current catalog key with its original
+    /// file layout and confidence settings.
+    fn reassessment(&self, history: PerfHistory, month: &str) -> FleetRequest {
+        let request = AssessmentRequest::from_history(
+            self.name.clone(),
+            history,
+            self.file_sizes_gib.clone(),
+            self.confidence,
+        );
+        let fleet_request =
+            FleetRequest::new(self.deployment, request).with_month(month).with_priority();
+        match &self.catalog_key {
+            Some(key) => fleet_request.with_catalog_key(key.clone()),
+            None => fleet_request,
+        }
+    }
+
+    /// Roll the standing recommendation forward to an assessment's pick.
+    fn adopt(&mut self, assessed: &AssessmentResult) {
+        self.baseline_sku = assessed.recommendation.sku_id.clone();
+        self.baseline_cost = assessed.recommendation.monthly_cost;
     }
 }
 
@@ -819,18 +842,7 @@ impl DriftMonitor {
         requeue.sort_by_key(|&(_, _, severity)| std::cmp::Reverse(severity.bucket()));
         let mut tickets = Vec::new();
         for (slot, fresh, _severity) in requeue {
-            let c = &self.watched[slot].customer;
-            let request = AssessmentRequest::from_history(
-                c.name.clone(),
-                fresh.clone(),
-                c.file_sizes_gib.clone(),
-                c.confidence,
-            );
-            let mut fleet_request =
-                FleetRequest::new(c.deployment, request).with_month(month).with_priority();
-            if let Some(key) = &c.catalog_key {
-                fleet_request = fleet_request.with_catalog_key(key.clone());
-            }
+            let fleet_request = self.watched[slot].customer.reassessment(fresh.clone(), month);
             if let Ok(ticket) = self.service.submit(fleet_request) {
                 requeue_depth.add(1);
                 tickets.push((slot, fresh, ticket));
@@ -841,10 +853,9 @@ impl DriftMonitor {
             requeue_depth.add(-1);
             let Some(result) = ticket.recv() else { continue };
             if let Ok(assessed) = &result.outcome {
-                let w = &mut self.watched[slot];
-                w.customer.baseline = fresh;
-                w.customer.baseline_sku = assessed.recommendation.sku_id.clone();
-                w.customer.baseline_cost = assessed.recommendation.monthly_cost;
+                let customer = &mut self.watched[slot].customer;
+                customer.baseline = fresh;
+                customer.adopt(assessed);
             }
             reassessments.push(result);
         }
@@ -913,17 +924,7 @@ impl DriftMonitor {
                 continue;
             }
             w.customer.catalog_key = Some(new_key.clone());
-            let c = &w.customer;
-            let request = AssessmentRequest::from_history(
-                c.name.clone(),
-                c.baseline.clone(),
-                c.file_sizes_gib.clone(),
-                c.confidence,
-            );
-            let fleet_request = FleetRequest::new(c.deployment, request)
-                .with_catalog_key(new_key.clone())
-                .with_month(month)
-                .with_priority();
+            let fleet_request = w.customer.reassessment(w.customer.baseline.clone(), month);
             let submitted = match self.service.submit(fleet_request) {
                 Ok(ticket) => Submitted::InFlight(ticket),
                 Err(_) => Submitted::Refused,
@@ -952,11 +953,7 @@ impl DriftMonitor {
                 Submitted::Refused => failed("re-price refused: service closed"),
             };
             match &result.outcome {
-                Ok(assessed) => {
-                    let w = &mut self.watched[slot];
-                    w.customer.baseline_sku = assessed.recommendation.sku_id.clone();
-                    w.customer.baseline_cost = assessed.recommendation.monthly_cost;
-                }
+                Ok(assessed) => self.watched[slot].customer.adopt(assessed),
                 Err(_) => reprice_failures += 1,
             }
             repriced.push(result);

@@ -93,7 +93,9 @@
 //!     let result = ticket.recv().expect("assessed");
 //!     assert!(result.outcome.is_ok());
 //! }
-//! // `report_snapshot()` would render the same numbers mid-run.
+//! // Workers fold each result before resolving its ticket, so every
+//! // `report_snapshot()` from here on renders these same numbers; earlier
+//! // snapshots cover the results completed so far.
 //! let report = service.shutdown();
 //! assert_eq!(report.fleet_size, 10);
 //! ```

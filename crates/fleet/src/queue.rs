@@ -275,11 +275,6 @@ impl<T> BoundedQueue<T> {
         self.state.lock().expect("queue lock").len()
     }
 
-    /// Items currently waiting in the priority lane.
-    pub fn priority_len(&self) -> usize {
-        self.state.lock().expect("queue lock").priority.len()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -338,7 +333,6 @@ mod tests {
         q.push_priority("p2").unwrap();
         q.push("n3").unwrap();
         assert_eq!(q.len(), 5);
-        assert_eq!(q.priority_len(), 2);
         // Priority first (FIFO within the lane), then the normal backlog.
         assert_eq!(q.pop(), Some("p1"));
         assert_eq!(q.pop(), Some("p2"));

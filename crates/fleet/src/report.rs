@@ -70,15 +70,14 @@ pub struct FailureRow {
 }
 
 /// The slice of a [`FleetResult`] the aggregator actually reads — a few
-/// scalars and short strings, not the per-instance resource-use report and
-/// price-performance curve the full result carries. Reorder buffers hold
-/// digests so an out-of-order completion never deep-clones its result (the
-/// ticket keeps the full result for the submitter).
+/// scalars and short strings, not the price-performance curve the full
+/// result carries. Every fold goes through a digest, so one fold
+/// implementation serves whole results and pre-built digests alike.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultDigest {
-    /// Global submission index. The merge path sorts attention lists and
-    /// adoption months by it, so merged per-shard aggregates reproduce the
-    /// sequential submission order bit for bit.
+    /// Global submission index. The report sorts attention lists and
+    /// adoption months by it, so any fold order and any merge of per-shard
+    /// aggregates reproduce the sequential submission order bit for bit.
     pub index: usize,
     pub instance_name: Arc<str>,
     pub deployment: DeploymentType,
@@ -265,8 +264,8 @@ fn fold_month(dst: &mut MonthlyAdoption, src: &MonthlyAdoption) {
 }
 
 /// Streaming accumulator behind [`FleetReport`]: accepts results one at a
-/// time (in submission order) so the assessor can aggregate on the fly
-/// without buffering the whole fleet. State is O(distinct SKUs + attention
+/// time, in any order, so the service can aggregate each result as it
+/// completes without buffering the whole fleet. State is O(distinct SKUs + attention
 /// buckets), not O(fleet).
 ///
 /// Cost and confidence totals accumulate in
@@ -323,20 +322,18 @@ impl FleetAggregator {
         }
     }
 
-    /// Fold one result in. Feed order no longer affects the finished
-    /// report — sums are exact and order-invariant, and attention lists and
-    /// adoption months are keyed by the result's global submission index —
-    /// but the in-flight [`finish`](FleetAggregator::finish) contract (a
-    /// mid-run report is the report of an exact submission prefix) still
-    /// assumes the service feeds results in submission order.
+    /// Fold one result in, in any order: sums are exact and
+    /// order-invariant, and attention lists and adoption months are keyed
+    /// by the result's global submission index, so the finished report
+    /// depends only on the set of results accepted.
     pub fn accept(&mut self, r: &FleetResult) {
         // One fold implementation: the by-result and by-digest entry points
         // route through the same arithmetic so they cannot drift apart.
         self.accept_digest(&ResultDigest::of(r));
     }
 
-    /// Fold one digested result in; same ordering contract as
-    /// [`accept`](FleetAggregator::accept).
+    /// Fold one digested result in; like
+    /// [`accept`](FleetAggregator::accept), order does not matter.
     pub fn accept_digest(&mut self, r: &ResultDigest) {
         self.fleet_size += 1;
         let deployment_row = {
@@ -509,9 +506,8 @@ impl FleetAggregator {
     /// global submission order, and the exact sums round once, here.
     /// Strings are materialized only for the report rows actually emitted.
     /// The accumulator stays usable, so this is also the incremental view a
-    /// dashboard polls mid-run: because acceptance is in submission order,
-    /// a mid-run report is always the report of an exact prefix of the
-    /// fleet, bit-for-bit equal regardless of worker count or timing.
+    /// dashboard polls mid-run: the exact report of the results accepted so
+    /// far, whatever order they arrived in.
     pub fn finish(&self) -> FleetReport {
         let mut sku_mix: Vec<SkuMixRow> = self
             .sku_mix
@@ -593,10 +589,9 @@ impl FleetAggregator {
 }
 
 impl FleetReport {
-    /// Aggregate a result vector (must already be in submission order —
-    /// [`FleetAssessor::assess`](crate::FleetAssessor::assess) guarantees
-    /// it). Summation follows that order, so equal inputs produce
-    /// bit-for-bit equal reports regardless of how many workers ran.
+    /// Aggregate a result vector, in any order. Sums are exact, so equal
+    /// result sets produce bit-for-bit equal reports regardless of order or
+    /// of how many workers ran.
     pub fn from_results(results: &[FleetResult]) -> FleetReport {
         let mut agg = FleetAggregator::new();
         for r in results {

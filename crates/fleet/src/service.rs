@@ -13,10 +13,10 @@
 //! * a pool of long-lived worker threads pops from the shared
 //!   [`BoundedQueue`], routes each request through the per-deployment
 //!   engine set, and delivers the result to its ticket;
-//! * every completion is also folded — in submission order — into a
+//! * every completion is also folded, as it completes, into a
 //!   [`FleetAggregator`], so [`report_snapshot`](FleetService::report_snapshot)
-//!   yields a mid-run [`FleetReport`] a dashboard can render while results
-//!   are still streaming in;
+//!   yields a mid-run [`FleetReport`] over every result completed so far —
+//!   a view a dashboard can render while results are still streaming in;
 //! * [`shutdown`](FleetService::shutdown) (or `Drop`) closes the queues,
 //!   lets the workers drain every accepted request, and joins them —
 //!   dropping a service with in-flight tickets never deadlocks, and the
@@ -27,25 +27,25 @@
 //! The service scales out by *sharding*: a [`ShardPlan`] (set via
 //! [`FleetAssessor::with_shard_plan`]) partitions the fleet by catalog-key
 //! region into N independent shards, each with its own bounded queue,
-//! worker pool, and in-order aggregator. Shards share nothing on the hot
-//! path — no cross-shard lock is ever taken while assessing — so regional
-//! traffic bursts stay on their own queue and a noisy region cannot stall
-//! the rest of the fleet.
+//! worker pool, and aggregator. Shards share no lock on the hot path, so
+//! regional traffic bursts stay on their own queue and a noisy region
+//! cannot stall the rest of the fleet. Every shard records into the same
+//! `fleet.*` metric names; workers are numbered across the whole service
+//! (`fleet-worker-{n}`, n = shard × workers + i).
 //!
-//! Determinism survives the fan-out. Every submission takes one *global*
-//! index (submission order across the whole service — what
-//! [`FleetResult::index`] reports) and one *shard-local* index the shard's
-//! reorder buffer sequences on, both allocated atomically under the owning
-//! shard's progress lock. Each shard folds its completions in local
-//! submission order, and [`report_snapshot`](FleetService::report_snapshot) /
-//! [`shutdown`](FleetService::shutdown) merge the per-shard aggregates in
-//! shard-index order with [`FleetAggregator::merge`] — which is exact
-//! (superaccumulator cost totals) and order-insensitive, so a sharded run
-//! reports bit-for-bit what the unsharded run reports. With the default
-//! single-shard plan the service *is* the unsharded service: same metric
-//! names, same thread names, same behavior.
+//! Determinism survives the fan-out and any completion order. Every
+//! submission takes one service-wide index (what [`FleetResult::index`]
+//! reports). Workers fold each result into their shard's aggregator the
+//! moment it completes, and
+//! [`report_snapshot`](FleetService::report_snapshot) /
+//! [`shutdown`](FleetService::shutdown) merge the per-shard aggregates with
+//! [`FleetAggregator::merge`]. The aggregator's report does not depend on
+//! fold order: cost totals are exact superaccumulator sums, and attention
+//! lists and adoption months are ordered by submission index when the
+//! report is built. So a finished run reports bit-for-bit the same for any
+//! worker count and any plan.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -56,7 +56,7 @@ use doppler_obs::{Counter, Histogram, ObsRegistry};
 use crate::assessor::{EngineSet, FleetAssessor, FleetConfig, FleetRequest, FleetResult};
 use crate::drift::{DriftOutcome, DriftProbe};
 use crate::queue::BoundedQueue;
-use crate::report::{FleetAggregator, FleetReport, ResultDigest};
+use crate::report::{FleetAggregator, FleetReport};
 use crate::shard::ShardPlan;
 
 /// How many tasks a worker drains from its shard queue per lock
@@ -66,7 +66,7 @@ use crate::shard::ShardPlan;
 const POP_QUANTUM: usize = 8;
 
 /// One enqueued unit of work for a shard's pool: an assessment request
-/// (its submission indices, the routed request, and the channel its result
+/// (its submission index, the routed request, and the channel its result
 /// is delivered on) or a drift check (which stays out of the assessment
 /// aggregate — the [`DriftMonitor`](crate::drift::DriftMonitor) folds its
 /// own outcomes).
@@ -74,10 +74,7 @@ enum Task {
     Assess {
         /// Service-wide submission index — what [`FleetResult::index`]
         /// carries.
-        global: usize,
-        /// Gap-free index within the owning shard — what the shard's
-        /// reorder buffer sequences on.
-        local: usize,
+        index: usize,
         /// Interned once at submission; the ticket and the result share it.
         instance_name: Arc<str>,
         request: FleetRequest,
@@ -95,51 +92,37 @@ enum Task {
     },
 }
 
-/// One shard's write-aside instrumentation: per-stage latency histograms
-/// shared by that shard's workers. All handles are no-ops under a
-/// disabled registry.
+/// The service's write-aside instrumentation: per-stage latency
+/// histograms every worker of every shard records into. All handles are
+/// no-ops under a disabled registry.
 struct StageObs {
-    /// `{prefix}.stage.queue_wait` — submit → worker pop, assessments.
+    /// `fleet.stage.queue_wait` — submit → worker pop, assessments.
     queue_wait: Histogram,
-    /// `{prefix}.stage.aggregate` — folding one result into the in-order
+    /// `fleet.stage.aggregate` — folding one result into its shard's
     /// aggregate (includes the progress-lock wait).
     aggregate: Histogram,
-    /// `{prefix}.stage.drift_wait` — submit → worker pop, drift checks.
+    /// `fleet.stage.drift_wait` — submit → worker pop, drift checks.
     drift_wait: Histogram,
-    /// `{prefix}.stage.drift_probe` — evaluating one drift probe.
+    /// `fleet.stage.drift_probe` — evaluating one drift probe.
     drift_probe: Histogram,
 }
 
 impl StageObs {
-    fn registered(registry: &ObsRegistry, prefix: &str) -> StageObs {
+    fn registered(registry: &ObsRegistry) -> StageObs {
         StageObs {
-            queue_wait: registry.histogram(&format!("{prefix}.stage.queue_wait")),
-            aggregate: registry.histogram(&format!("{prefix}.stage.aggregate")),
-            drift_wait: registry.histogram(&format!("{prefix}.stage.drift_wait")),
-            drift_probe: registry.histogram(&format!("{prefix}.stage.drift_probe")),
+            queue_wait: registry.histogram("fleet.stage.queue_wait"),
+            aggregate: registry.histogram("fleet.stage.aggregate"),
+            drift_wait: registry.histogram("fleet.stage.drift_wait"),
+            drift_probe: registry.histogram("fleet.stage.drift_probe"),
         }
     }
 }
 
-/// The metric/thread name prefix for one shard. A single-shard service
-/// keeps the historical flat names (`fleet.queue`, `fleet.stage.*`,
-/// `fleet-worker-N`) so the default plan is observably identical to the
-/// pre-sharding service; multi-shard services label per shard.
-fn shard_prefix(shards: usize, shard: usize) -> String {
-    if shards == 1 {
-        "fleet".to_string()
-    } else {
-        format!("fleet.shard{shard}")
-    }
-}
-
-/// One independent shard: its queue, its reorder/aggregation state, and
-/// its stage histograms. Workers of shard `s` touch only `shards[s]` —
-/// nothing here is shared across shards.
+/// One independent shard: its queue and its aggregation state. Workers of
+/// shard `s` pop only from `shards[s]`.
 struct Shard {
     queue: BoundedQueue<Task>,
     progress: Mutex<Progress>,
-    stages: StageObs,
 }
 
 /// Everything the worker threads share with the front-end handle.
@@ -147,11 +130,10 @@ struct ServiceShared {
     shards: Vec<Shard>,
     engines: EngineSet,
     plan: ShardPlan,
-    /// Service-wide submission indices handed out so far. Incremented
-    /// under the owning shard's progress lock (never contended across
-    /// shards for longer than the atomic itself), so a single-threaded
-    /// submitter sees global indices in exact call order regardless of
-    /// the plan.
+    stages: StageObs,
+    /// Service-wide submission indices handed out so far, so a
+    /// single-threaded submitter sees indices in exact call order
+    /// regardless of the plan.
     submitted_global: AtomicUsize,
     /// Drift checks submitted so far — a separate sequence from the
     /// assessment submission indices, since drift work never enters the
@@ -160,92 +142,19 @@ struct ServiceShared {
     obs: ObsRegistry,
 }
 
-/// One shard's submission/completion tracking: allocates the shard-local
-/// indices, restores local submission order over the out-of-order
-/// completion stream, and folds each result into the shard's aggregator
-/// the moment it becomes in-order. Out-of-orderness is bounded by queue
-/// depth + worker count, so the reorder buffer stays small regardless of
-/// fleet size.
-///
-/// Everything lives under one mutex so [`FleetService::progress`] reads a
-/// consistent per-shard snapshot, and that mutex is never held across the
-/// queue's blocking backpressure wait — an allocated index whose push then
-/// loses to a concurrent close is recorded as a tombstone (`None` in
-/// `pending`) so the in-order cursor skips it instead of stalling forever.
+/// One shard's submission/completion tracking, under one mutex so
+/// [`FleetService::progress`] reads a consistent per-shard snapshot. The
+/// mutex is never held across the queue's blocking backpressure wait.
+#[derive(Default)]
 struct Progress {
-    /// Local indices handed out so far (the next submission gets this
-    /// value).
-    allocated: usize,
-    /// Allocated indices whose enqueue failed (service closed mid-submit).
-    abandoned: usize,
-    next: usize,
-    /// Early arrivals keyed by local index, digested down to the fields
-    /// the aggregator reads (the full result travels on the ticket instead
-    /// of being deep-cloned here); `None` marks an abandoned index.
-    pending: BTreeMap<usize, Option<ResultDigest>>,
+    /// Requests accepted into the shard's queue. Raised before the push
+    /// and lowered again if the push loses to a concurrent close, so a
+    /// completion is never counted ahead of its submission.
+    submitted: usize,
+    /// Every completed result, folded in as it completes; its
+    /// [`accepted`](FleetAggregator::accepted) count is the shard's
+    /// completed count.
     aggregator: FleetAggregator,
-    completed: usize,
-}
-
-impl Progress {
-    fn new() -> Progress {
-        Progress {
-            allocated: 0,
-            abandoned: 0,
-            next: 0,
-            pending: BTreeMap::new(),
-            aggregator: FleetAggregator::new(),
-            completed: 0,
-        }
-    }
-
-    fn allocate(&mut self) -> usize {
-        let index = self.allocated;
-        self.allocated += 1;
-        index
-    }
-
-    /// Requests actually accepted into the queue (allocations whose push
-    /// did not fail).
-    fn submitted(&self) -> usize {
-        self.allocated - self.abandoned
-    }
-
-    /// Fold `result` (completed under shard-local index `local`) in.
-    /// In-order results fold immediately; early arrivals are buffered — as
-    /// digests, not full-result clones — until the gap before them fills.
-    fn accept(&mut self, local: usize, result: &FleetResult) {
-        self.completed += 1;
-        if local == self.next {
-            self.aggregator.accept(result);
-            self.next += 1;
-            self.drain_ready();
-        } else {
-            debug_assert!(local > self.next, "each submission index completes once");
-            self.pending.insert(local, Some(ResultDigest::of(result)));
-        }
-    }
-
-    /// Mark an allocated index as never-enqueued so in-order aggregation
-    /// steps over it.
-    fn abandon(&mut self, index: usize) {
-        self.abandoned += 1;
-        if index == self.next {
-            self.next += 1;
-            self.drain_ready();
-        } else {
-            self.pending.insert(index, None);
-        }
-    }
-
-    fn drain_ready(&mut self) {
-        while let Some(entry) = self.pending.remove(&self.next) {
-            if let Some(digest) = entry {
-                self.aggregator.accept_digest(&digest);
-            }
-            self.next += 1;
-        }
-    }
 }
 
 fn lock_progress(shard: &Shard) -> std::sync::MutexGuard<'_, Progress> {
@@ -261,19 +170,20 @@ fn lock_progress(shard: &Shard) -> std::sync::MutexGuard<'_, Progress> {
 /// nothing.
 fn worker_loop(shared: &ServiceShared, shard_index: usize, tasks: &Counter) {
     let shard = &shared.shards[shard_index];
+    let stages = &shared.stages;
     let mut batch = Vec::with_capacity(POP_QUANTUM);
     while shard.queue.pop_many(POP_QUANTUM, &mut batch) > 0 {
         for task in batch.drain(..) {
             tasks.incr();
             match task {
-                Task::Assess { global, local, instance_name, request, reply, enqueued } => {
+                Task::Assess { index, instance_name, request, reply, enqueued } => {
                     if let Some(enqueued) = enqueued {
-                        shard.stages.queue_wait.record(enqueued.elapsed());
+                        stages.queue_wait.record(enqueued.elapsed());
                     }
-                    let result = shared.engines.assess_one(global, instance_name, request);
+                    let result = shared.engines.assess_one(index, instance_name, request);
                     {
-                        let _span = shard.stages.aggregate.start();
-                        lock_progress(shard).accept(local, &result);
+                        let _span = stages.aggregate.start();
+                        lock_progress(shard).aggregator.accept(&result);
                     }
                     // The submitter may have dropped its ticket; that just
                     // means nobody is listening, not that the work failed.
@@ -281,12 +191,12 @@ fn worker_loop(shared: &ServiceShared, shard_index: usize, tasks: &Counter) {
                 }
                 Task::Drift { index, probe, reply, enqueued } => {
                     if let Some(enqueued) = enqueued {
-                        shard.stages.drift_wait.record(enqueued.elapsed());
+                        stages.drift_wait.record(enqueued.elapsed());
                     }
                     // Drift checks bypass the Progress fold entirely: they
-                    // are not assessments, so they must not perturb the
-                    // in-order assessment aggregate (or its determinism).
-                    let _span = shard.stages.drift_probe.start();
+                    // are not assessments, so they stay out of the
+                    // assessment aggregate.
+                    let _span = stages.drift_probe.start();
                     let outcome = crate::drift::evaluate_probe(&shared.engines, index, probe);
                     drop(_span);
                     let _ = reply.send(outcome);
@@ -433,21 +343,16 @@ impl TicketQueue {
     }
 }
 
-/// Point-in-time counters for a running service: `submitted`, `completed`,
-/// and `aggregated`. All fields are read under one lock, so they are
-/// mutually consistent (`completed` never exceeds `submitted`, `aggregated`
-/// never exceeds `completed`); workers keep completing the moment the lock
-/// is released, of course.
+/// Point-in-time counters for a running service. Each shard's pair is
+/// read under that shard's lock, so `completed` never exceeds `submitted`;
+/// workers keep completing the moment the lock is released, of course.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceProgress {
     /// Requests accepted by [`FleetService::submit`] so far.
     pub submitted: usize,
-    /// Requests fully assessed so far.
+    /// Requests fully assessed — and folded into the snapshot aggregate —
+    /// so far.
     pub completed: usize,
-    /// Completed results already folded into the snapshot aggregate (the
-    /// in-submission-order prefix; trails `completed` by at most the
-    /// out-of-order window).
-    pub aggregated: usize,
 }
 
 impl ServiceProgress {
@@ -478,24 +383,19 @@ impl FleetService {
         obs: ObsRegistry,
     ) -> FleetService {
         let nshards = plan.shards();
+        // The shards' queues share the `fleet.queue.*` series; the depth
+        // gauges move by add and subtract, so they still drain to zero.
         let shards = (0..nshards)
-            .map(|s| {
-                let prefix = shard_prefix(nshards, s);
-                Shard {
-                    queue: BoundedQueue::instrumented(
-                        config.queue_depth,
-                        &obs,
-                        &format!("{prefix}.queue"),
-                    ),
-                    progress: Mutex::new(Progress::new()),
-                    stages: StageObs::registered(&obs, &prefix),
-                }
+            .map(|_| Shard {
+                queue: BoundedQueue::instrumented(config.queue_depth, &obs, "fleet.queue"),
+                progress: Mutex::new(Progress::default()),
             })
             .collect();
         let shared = Arc::new(ServiceShared {
             shards,
             engines,
             plan,
+            stages: StageObs::registered(&obs),
             submitted_global: AtomicUsize::new(0),
             drift_submitted: AtomicUsize::new(0),
             obs,
@@ -503,19 +403,14 @@ impl FleetService {
         // Each shard gets its own pool of `config.workers` threads —
         // worker/queue sizing is per shard, so a plan with more shards
         // scales the pool out.
-        let workers = (0..nshards)
-            .flat_map(|s| (0..config.workers.max(1)).map(move |i| (s, i)))
-            .map(|(s, i)| {
+        let per_shard = config.workers.max(1);
+        let workers = (0..nshards * per_shard)
+            .map(|n| {
                 let shared = Arc::clone(&shared);
-                let (counter_name, thread_name) = if nshards == 1 {
-                    (format!("fleet.worker.{i}.tasks"), format!("fleet-worker-{i}"))
-                } else {
-                    (format!("fleet.shard{s}.worker.{i}.tasks"), format!("fleet-s{s}-worker-{i}"))
-                };
-                let tasks = shared.obs.counter(&counter_name);
+                let tasks = shared.obs.counter(&format!("fleet.worker.{n}.tasks"));
                 std::thread::Builder::new()
-                    .name(thread_name)
-                    .spawn(move || worker_loop(&shared, s, &tasks))
+                    .name(format!("fleet-worker-{n}"))
+                    .spawn(move || worker_loop(&shared, n / per_shard, &tasks))
                     .expect("spawn fleet worker")
             })
             .collect();
@@ -531,8 +426,8 @@ impl FleetService {
     /// Enqueue one request, blocking while its shard's bounded queue is at
     /// capacity (backpressure, not unbounded buffering). Requests flagged
     /// [`FleetRequest::with_priority`] enter the queue's priority lane and
-    /// are popped ahead of the normal backlog — their *aggregation* still
-    /// happens in submission order, so reports stay deterministic. Returns
+    /// are popped ahead of the normal backlog; the report does not depend
+    /// on completion order, so it stays deterministic. Returns
     /// the request back as `Err` if the service has been
     /// [`close`](FleetService::close)d.
     // The Err variant is deliberately the rejected request itself — same
@@ -562,9 +457,9 @@ impl FleetService {
         self.enqueue(request, reply).map(|(index, _)| index)
     }
 
-    /// The body of both submit paths: allocate the indices, intern the
-    /// instance name, and push. Returns the global index and the interned
-    /// name the result will carry.
+    /// The body of both submit paths: count the submission, take its
+    /// index, intern the instance name, and push. Returns the index and the
+    /// interned name the result will carry.
     #[allow(clippy::result_large_err)]
     fn enqueue(
         &self,
@@ -573,24 +468,16 @@ impl FleetService {
     ) -> Result<(usize, Arc<str>), FleetRequest> {
         let shard = self.shard_for(&request);
         let priority = request.priority;
-        // Allocate both indices in one short critical section — the
-        // progress lock must not be held across the queue's backpressure
-        // wait, or every dashboard poll would stall with the feeder.
-        // Taking the global index *under the shard lock* keeps the pair
-        // atomic: no other submission to this shard can interleave between
-        // them, so local order always agrees with global order within a
-        // shard (what sharded ≡ unsharded equivalence rests on).
-        let (global, local) = {
-            let mut progress = lock_progress(shard);
-            let local = progress.allocate();
-            let global = self.shared.submitted_global.fetch_add(1, Ordering::Relaxed);
-            (global, local)
-        };
+        // Count the submission before the push (without holding the lock
+        // across the queue's backpressure wait, which would stall every
+        // dashboard poll with the feeder), so no worker can complete it
+        // before it is counted.
+        lock_progress(shard).submitted += 1;
+        let index = self.shared.submitted_global.fetch_add(1, Ordering::Relaxed);
         let instance_name: Arc<str> = Arc::from(request.request.instance_name.as_str());
         let enqueued = self.shared.obs.is_enabled().then(Instant::now);
         let task = Task::Assess {
-            global,
-            local,
+            index,
             instance_name: Arc::clone(&instance_name),
             request,
             reply,
@@ -599,11 +486,10 @@ impl FleetService {
         let pushed =
             if priority { shard.queue.push_priority(task) } else { shard.queue.push(task) };
         match pushed {
-            Ok(()) => Ok((global, instance_name)),
+            Ok(()) => Ok((index, instance_name)),
             Err(Task::Assess { request, .. }) => {
-                // The push lost to a concurrent close: tombstone the local
-                // index so in-order aggregation steps over it.
-                lock_progress(shard).abandon(local);
+                // The push lost to a concurrent close: uncount it.
+                lock_progress(shard).submitted -= 1;
                 Err(request)
             }
             Err(Task::Drift { .. }) => unreachable!("an assess push returns an assess task"),
@@ -684,27 +570,22 @@ impl FleetService {
     }
 
     /// Current submission/completion counters. Each shard is read as one
-    /// consistent snapshot under its lock and the shards are summed in
-    /// index order; with the default single-shard plan the whole read is
-    /// one consistent snapshot, exactly as before.
+    /// consistent snapshot under its lock and the shards are summed.
     pub fn progress(&self) -> ServiceProgress {
-        let mut total = ServiceProgress { submitted: 0, completed: 0, aggregated: 0 };
+        let mut total = ServiceProgress { submitted: 0, completed: 0 };
         for shard in &self.shared.shards {
             let progress = lock_progress(shard);
-            total.submitted += progress.submitted();
-            total.completed += progress.completed;
-            total.aggregated += progress.aggregator.accepted();
+            total.submitted += progress.submitted;
+            total.completed += progress.aggregator.accepted();
         }
         total
     }
 
-    /// A mid-run [`FleetReport`] over every completion that is part of
-    /// each shard's contiguous submission-order prefix, merged across
-    /// shards in shard-index order — the incremental dashboard view. Once
-    /// the service is drained this is the final report; mid-run (single
-    /// shard) it is always the exact report of the first
-    /// [`ServiceProgress::aggregated`] submissions, so rendering it never
-    /// shows a worker-count-dependent aggregate.
+    /// A mid-run [`FleetReport`] over every result completed so far,
+    /// merged across shards — the incremental dashboard view. Once the
+    /// service is drained this is the final report. Mid-run it covers the
+    /// set of completed results, whichever they are; it never shrinks
+    /// between polls.
     ///
     /// Cost note: each per-shard clone under its lock is O(shard count +
     /// live attention rows), *not* O(results aggregated) — the
@@ -720,23 +601,6 @@ impl FleetService {
             // merge and finish outside it: workers delivering results
             // contend on this same mutex.
             let aggregator = lock_progress(shard).aggregator.clone();
-            merged.merge(&aggregator);
-        }
-        merged.finish()
-    }
-
-    /// Finish and return the report of everything aggregated since the last
-    /// drain (or service start), resetting every shard's accumulator — the
-    /// billing-period rollover for continuous operation. Without periodic
-    /// drains a service that runs forever grows its attention buckets (one
-    /// row per failure, one name per unplaceable instance) forever;
-    /// draining bounds the state to one period. Subsequent
-    /// [`report_snapshot`](FleetService::report_snapshot)s and
-    /// [`ServiceProgress::aggregated`] cover the new period only.
-    pub fn drain_report(&self) -> FleetReport {
-        let mut merged = FleetAggregator::new();
-        for shard in &self.shared.shards {
-            let aggregator = std::mem::take(&mut lock_progress(shard).aggregator);
             merged.merge(&aggregator);
         }
         merged.finish()
@@ -758,18 +622,14 @@ impl FleetService {
     }
 
     /// Close, drain every accepted request, join the workers, and return
-    /// the final aggregate report (of the current period, if
-    /// [`drain_report`](FleetService::drain_report) was used), merged
-    /// across shards in shard-index order.
+    /// the final aggregate report, merged across shards.
     pub fn shutdown(mut self) -> FleetReport {
         self.join_workers();
         // Workers are joined: nothing else reads the aggregators, so
         // consume them instead of cloning.
         let mut merged = FleetAggregator::new();
         for shard in &self.shared.shards {
-            let mut progress = lock_progress(shard);
-            debug_assert!(progress.pending.is_empty(), "drained services have no reorder gap");
-            let aggregator = std::mem::take(&mut progress.aggregator);
+            let aggregator = std::mem::take(&mut lock_progress(shard).aggregator);
             merged.merge(&aggregator);
         }
         merged.finish()
@@ -862,10 +722,7 @@ mod tests {
     #[test]
     fn progress_counters_track_the_run() {
         let service = service(2);
-        assert_eq!(
-            service.progress(),
-            ServiceProgress { submitted: 0, completed: 0, aggregated: 0 }
-        );
+        assert_eq!(service.progress(), ServiceProgress { submitted: 0, completed: 0 });
         let tickets = service.submit_all((0..8).map(|i| request(&format!("p{i}"), 0.5))).unwrap();
         assert_eq!(service.progress().submitted, 8);
         for t in tickets {
@@ -874,9 +731,6 @@ mod tests {
         let progress = service.progress();
         assert_eq!(progress.completed, 8);
         assert_eq!(progress.in_flight(), 0);
-        // Aggregation trails completion by at most the reorder window; by
-        // the time every ticket resolved, the prefix must have caught up
-        // eventually — shutdown proves it.
         assert_eq!(service.shutdown().fleet_size, 8);
     }
 
@@ -893,29 +747,11 @@ mod tests {
     }
 
     #[test]
-    fn drain_report_rolls_the_period_over() {
-        let service = service(2);
-        for t in service.submit_all((0..6).map(|i| request(&format!("p1-{i}"), 0.5))).unwrap() {
-            t.recv().unwrap();
-        }
-        // Workers fold before delivering, so once every ticket resolved the
-        // first period is fully aggregated.
-        let first = service.drain_report();
-        assert_eq!(first.fleet_size, 6);
-        for t in service.submit_all((0..4).map(|i| request(&format!("p2-{i}"), 0.5))).unwrap() {
-            t.recv().unwrap();
-        }
-        let second = service.shutdown();
-        assert_eq!(second.fleet_size, 4, "the drained period does not leak into the next");
-    }
-
-    #[test]
     fn rejected_submissions_do_not_stall_aggregation() {
         let service = service(1);
         let tickets = service.submit_all((0..8).map(|i| request(&format!("r{i}"), 0.5))).unwrap();
         service.close();
         // Rejected while earlier submissions may still be in flight: the
-        // tombstoned index must not wedge the in-order cursor, and the
         // consistent progress snapshot must not count it.
         assert!(service.submit(request("late", 0.5)).is_err());
         for ticket in tickets {
@@ -1079,9 +915,9 @@ mod tests {
         // before any of the normal backlog submitted ahead of them.
         let served = provider.served.lock().unwrap().clone();
         assert_eq!(served, vec!["gate", "p0", "p1", "n0", "n1", "n2"]);
-        // Tickets still resolve with their own results, and the in-order
-        // aggregate was unaffected (fleet_size/failed above); per-ticket
-        // results keep their submission identity.
+        // Tickets still resolve with their own results, and the aggregate
+        // was unaffected (fleet_size/failed above); per-ticket results keep
+        // their submission identity.
         for (ticket, region) in tickets.into_iter().zip(["n0", "n1", "n2", "p0", "p1"]) {
             assert_eq!(&*ticket.recv().unwrap().instance_name, region);
         }
@@ -1179,10 +1015,7 @@ mod tests {
         };
         assert_eq!(outcome.verdict, DriftVerdict::Drifted);
         // Drift work is invisible to the assessment aggregate.
-        assert_eq!(
-            service.progress(),
-            ServiceProgress { submitted: 0, completed: 0, aggregated: 0 }
-        );
+        assert_eq!(service.progress(), ServiceProgress { submitted: 0, completed: 0 });
         assert_eq!(service.report_snapshot().fleet_size, 0);
         // A closed service hands the probe back, like submit does.
         service.close();

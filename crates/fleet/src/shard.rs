@@ -16,14 +16,11 @@ use doppler_catalog::Region;
 
 /// How a sharded [`FleetService`](crate::FleetService) partitions work.
 ///
-/// The default routing hashes the region label (FNV-1a) across
-/// [`shards`](ShardPlan::shards); individual regions can be pinned to a
-/// specific shard for locality or isolation (a noisy region on its own
-/// queue cannot starve the rest of the fleet).
+/// Routing hashes the region label (FNV-1a) across
+/// [`shards`](ShardPlan::shards).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     shards: usize,
-    pinned: Vec<(Region, usize)>,
 }
 
 impl Default for ShardPlan {
@@ -41,17 +38,7 @@ impl ShardPlan {
     /// `shards` shards (clamped to at least 1), routed by hashing each
     /// request's region label.
     pub fn by_region(shards: usize) -> ShardPlan {
-        ShardPlan { shards: shards.max(1), pinned: Vec::new() }
-    }
-
-    /// Pin every request for `region` to `shard`, overriding the hash
-    /// route (and any earlier pin for the same region). Panics if `shard`
-    /// is out of range.
-    pub fn with_pinned_region(mut self, region: Region, shard: usize) -> ShardPlan {
-        assert!(shard < self.shards, "shard {shard} out of range (plan has {})", self.shards);
-        self.pinned.retain(|(r, _)| *r != region);
-        self.pinned.push((region, shard));
-        self
+        ShardPlan { shards: shards.max(1) }
     }
 
     /// Number of shards in the plan.
@@ -68,9 +55,6 @@ impl ShardPlan {
         }
         let global = Region::global();
         let region = region.unwrap_or(&global);
-        if let Some((_, shard)) = self.pinned.iter().find(|(r, _)| r == region) {
-            return *shard;
-        }
         fnv1a(region.as_str().as_bytes()) as usize % self.shards
     }
 }
@@ -130,21 +114,5 @@ mod tests {
             seen[plan.shard_of(Some(&Region::new(format!("region-{i}"))))] = true;
         }
         assert!(seen.iter().all(|&s| s), "64 regions over 4 shards must hit every shard");
-    }
-
-    #[test]
-    fn pins_override_the_hash_route() {
-        let west = Region::new("westeurope");
-        let plan = ShardPlan::by_region(4).with_pinned_region(west.clone(), 3);
-        assert_eq!(plan.shard_of(Some(&west)), 3);
-        // Re-pinning replaces the earlier pin.
-        let plan = plan.with_pinned_region(west.clone(), 1);
-        assert_eq!(plan.shard_of(Some(&west)), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_pin_panics() {
-        let _ = ShardPlan::by_region(2).with_pinned_region(Region::new("westeurope"), 2);
     }
 }

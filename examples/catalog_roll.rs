@@ -123,8 +123,8 @@ fn main() {
     println!("\n{}", pass.report.render());
     let stats = registry.stats();
     println!(
-        "registry: {} trainings, {} hits, {} retired engine(s), {} eviction(s), {} live entries",
-        stats.misses, stats.hits, stats.retirements, stats.evictions, stats.entries
+        "registry: {} trainings, {} hits, {} retired engine(s), {} live entries",
+        stats.misses, stats.hits, stats.retirements, stats.entries
     );
     let ledger = monitor.ledger();
     let nov = ledger.month("Nov-22").expect("roll recorded");

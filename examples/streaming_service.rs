@@ -67,20 +67,20 @@ fn main() {
             resolved += 1;
         }
         // 3. Mid-run dashboard: poll the snapshot a few times as the run
-        //    progresses. The snapshot is always the exact report of the
-        //    first `aggregated` submissions — never a half-updated view.
+        //    progresses. The snapshot is the exact report of the
+        //    `completed` results — never a half-updated view.
         let progress = service.progress();
-        if progress.aggregated >= next_progress_mark * (db_size + mi_size) / 4 {
+        if progress.completed >= next_progress_mark * (db_size + mi_size) / 4 {
             next_progress_mark += 1;
             let snapshot = service.report_snapshot();
             let stats = registry.stats();
             println!(
-                "[{:>6.2?}] submitted {:>4}  in flight {:>3}  aggregated {:>4}  queue {:>3}  \
+                "[{:>6.2?}] submitted {:>4}  in flight {:>3}  completed {:>4}  queue {:>3}  \
                  trained {:>2}  warm {:>4}  ${:>10.2}/mo so far",
                 start.elapsed(),
                 progress.submitted,
                 progress.in_flight(),
-                progress.aggregated,
+                progress.completed,
                 service.queue_len(),
                 stats.misses,
                 stats.hits + stats.coalesced,

@@ -96,7 +96,7 @@ fn stage_span_counts_match_service_progress_and_gauges_drain() {
         let progress = service.progress();
         assert_eq!(
             progress,
-            ServiceProgress { submitted: 40, completed: 40, aggregated: 40 },
+            ServiceProgress { submitted: 40, completed: 40 },
             "at {workers} workers"
         );
         let report = service.shutdown();

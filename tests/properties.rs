@@ -269,8 +269,7 @@ proptest! {
     }
 
     #[test]
-    fn lru_registry_respects_capacity_and_retirement_under_arbitrary_ops(
-        capacity in 1usize..5,
+    fn registry_retirement_holds_under_arbitrary_ops(
         ops in prop::collection::vec((0usize..6, 0u8..8), 1..40),
     ) {
         use std::collections::HashSet;
@@ -285,13 +284,14 @@ proptest! {
                 1.0,
             )
         });
-        let registry = EngineRegistry::new(Arc::new(provider)).with_capacity(capacity);
+        let registry = EngineRegistry::new(Arc::new(provider));
         let template = EngineTemplate::production();
         let empty = TrainingSet::empty();
         let key = |i: usize| {
             CatalogKey::new(DeploymentType::SqlDb, Region::new(format!("r{i}")), CatalogVersion::INITIAL)
         };
         let mut retired: HashSet<usize> = HashSet::new();
+        let mut cached: HashSet<usize> = HashSet::new();
         let total_ops = ops.len() as u64;
         let mut misses_before;
         for (i, action) in ops {
@@ -300,17 +300,16 @@ proptest! {
             if retire {
                 registry.retire_version(&key(i));
                 retired.insert(i);
+                cached.remove(&i);
             }
             misses_before = registry.stats().misses;
             match registry.get_or_train(&key(i), &template, &empty) {
                 Ok(_) => {
                     prop_assert!(!retired.contains(&i), "retired key r{i} resolved");
-                    // The entry resolved this generation is never the one
-                    // evicted by its own resolution.
-                    prop_assert!(
-                        registry.get_if_ready(&key(i), &template, &empty).is_some(),
-                        "r{i} evicted by its own resolution"
-                    );
+                    // A live key that was already cached resolves warm.
+                    let trained = registry.stats().misses - misses_before;
+                    prop_assert_eq!(trained, u64::from(!cached.contains(&i)), "r{} retrained", i);
+                    cached.insert(i);
                 }
                 Err(RegistryError::Retired(_)) => {
                     prop_assert!(retired.contains(&i), "live key r{i} refused as retired");
@@ -321,11 +320,8 @@ proptest! {
                 }
                 Err(e) => prop_assert!(false, "unexpected error: {e}"),
             }
-            // The LRU bound holds after every operation.
-            prop_assert!(
-                registry.len() <= capacity,
-                "{} entries exceed capacity {capacity}", registry.len()
-            );
+            // Retirement is the only way an engine leaves the cache.
+            prop_assert_eq!(registry.len(), cached.len());
         }
         let stats = registry.stats();
         prop_assert_eq!(stats.entries, registry.len());

@@ -95,14 +95,7 @@ fn stream_through_service(
         results.push(result);
     }
     let progress = service.progress();
-    assert_eq!(
-        progress,
-        ServiceProgress {
-            submitted: requests.len(),
-            completed: requests.len(),
-            aggregated: requests.len()
-        }
-    );
+    assert_eq!(progress, ServiceProgress { submitted: requests.len(), completed: requests.len() });
     (results, service.shutdown())
 }
 

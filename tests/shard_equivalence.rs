@@ -3,14 +3,15 @@
 //! streamed through every (shards × workers) combination must produce the
 //! identical `FleetReport` (including its adoption ledger), identical
 //! per-instance results in identical global submission order, and
-//! conserved observability spans (per-shard stage histograms sum to the
-//! cohort size, every lane gauge drains to zero).
+//! conserved observability spans (the shared `fleet.*` stage histograms
+//! count the cohort once, both lane gauges drain to zero).
 //!
-//! The aggregator-level law behind that guarantee is property-tested
+//! The aggregator-level laws behind that guarantee are property-tested
 //! below: `FleetAggregator::merge` agrees with the sequential
-//! `accept_digest` fold for arbitrary digest interleavings, and is
+//! `accept_digest` fold for arbitrary digest interleavings and is
 //! associative, so any shard partition merged in any grouping reports the
-//! same thing.
+//! same thing; and folding the digests in any order finishes to the same
+//! report, so workers may fold results as they complete.
 //!
 //! CI runs this in the determinism job with `--test-threads=1` and
 //! `SHARD_COHORT=10000`; the default cohort stays small for local runs.
@@ -138,10 +139,11 @@ fn sharded_runs_match_the_unsharded_run_bit_for_bit() {
     }
 }
 
-/// Observability conservation under sharding: per-shard stage histograms
-/// sum to the cohort size, per-shard worker counters partition it, and
-/// every per-shard lane gauge drains to zero — no span is lost or double
-/// counted by the fan-out, batched popping included.
+/// Observability conservation under sharding: every shard records into
+/// the same `fleet.*` names, so each stage histogram counts the cohort
+/// once, the service-wide worker counters partition it, and both lane
+/// gauges drain to zero — no span is lost or double counted by the
+/// fan-out, batched popping included.
 #[test]
 fn sharded_obs_spans_conserve_and_gauges_drain() {
     let fleet = cohort(cohort_size().min(240), &regions());
@@ -153,37 +155,24 @@ fn sharded_obs_spans_conserve_and_gauges_drain() {
         assert_eq!(results.len(), fleet.len());
         assert_eq!(report.fleet_size, fleet.len());
         let snapshot = obs.snapshot();
-        let prefix =
-            |s: usize| if shards == 1 { "fleet".to_string() } else { format!("fleet.shard{s}") };
 
-        for stage in ["stage.queue_wait", "stage.aggregate", "queue.pop_wait"] {
-            let total: u64 = (0..shards)
-                .map(|s| {
-                    snapshot.histogram(&format!("{}.{stage}", prefix(s))).map_or(0, |h| h.count)
-                })
-                .sum();
-            assert_eq!(total, fleet.len() as u64, "{stage} at {shards} shards");
+        for stage in ["fleet.stage.queue_wait", "fleet.stage.aggregate", "fleet.queue.pop_wait"] {
+            assert_eq!(
+                snapshot.histogram(stage).map(|h| h.count),
+                Some(fleet.len() as u64),
+                "{stage} at {shards} shards"
+            );
         }
-        let worker_tasks: u64 = (0..shards)
-            .flat_map(|s| (0..workers).map(move |i| (s, i)))
-            .map(|(s, i)| {
-                let name = if shards == 1 {
-                    format!("fleet.worker.{i}.tasks")
-                } else {
-                    format!("fleet.shard{s}.worker.{i}.tasks")
-                };
-                snapshot.counter(&name).unwrap_or(0)
-            })
+        let worker_tasks: u64 = (0..shards * workers)
+            .map(|n| snapshot.counter(&format!("fleet.worker.{n}.tasks")).unwrap_or(0))
             .sum();
         assert_eq!(worker_tasks, fleet.len() as u64, "worker tasks at {shards} shards");
-        for s in 0..shards {
-            for lane in ["normal", "priority"] {
-                assert_eq!(
-                    snapshot.gauge(&format!("{}.queue.depth.{lane}", prefix(s))),
-                    Some(0),
-                    "lane {lane} at shard {s}/{shards}"
-                );
-            }
+        for lane in ["normal", "priority"] {
+            assert_eq!(
+                snapshot.gauge(&format!("fleet.queue.depth.{lane}")),
+                Some(0),
+                "lane {lane} at {shards} shards"
+            );
         }
         // The engine-set stages stay global: one resolve/assess span per
         // assessment regardless of the plan.
@@ -229,7 +218,8 @@ proptest! {
     /// For arbitrary digest streams and arbitrary shard assignments,
     /// folding per shard then merging reports exactly what the sequential
     /// fold reports — and the merge is associative, so the grouping of the
-    /// merges doesn't matter either.
+    /// merges doesn't matter either. Folding the same digests into one
+    /// aggregator in a permuted order reports the same thing too.
     #[test]
     fn merge_agrees_with_the_sequential_fold_and_is_associative(
         spec in proptest::collection::vec((0u8..5, 0u8..4, 0u8..3, 0u8..2), 0..120),
@@ -270,5 +260,15 @@ proptest! {
         let mut right = parts.into_iter().next().unwrap_or_default();
         right.merge(&tail);
         prop_assert_eq!(right.finish(), sequential.finish());
+
+        // Completion order: a salted permutation (a salted sort key, so
+        // every salt gives a different shuffle) folded into one aggregator.
+        let mut permuted: Vec<&ResultDigest> = digests.iter().collect();
+        permuted.sort_by_key(|d| (d.index.wrapping_mul(2_654_435_761) ^ salt.wrapping_mul(40_503)) % 1_000_003);
+        let mut shuffled = FleetAggregator::new();
+        for d in permuted {
+            shuffled.accept_digest(d);
+        }
+        prop_assert_eq!(shuffled.finish(), sequential.finish());
     }
 }
