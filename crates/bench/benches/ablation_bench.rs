@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the estimation choices the engine makes:
 //!
 //! * joint vs independence-approximated throttling probability (why Eq. 1
 //!   is estimated jointly on time-aligned samples),

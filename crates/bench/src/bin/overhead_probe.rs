@@ -1,10 +1,9 @@
 //! Paired observability-overhead probe: the authoritative check that
 //! instrumentation stays within a few percent of the no-op path.
 //!
-//! The `obs_bench` criterion rows measure `instrumentation/noop` and
-//! `instrumentation/enabled` in separate windows, minutes apart on a busy
-//! CI container — run-to-run drift there (±10 % and more) swamps the
-//! effect being measured. This probe interleaves the two modes
+//! Measuring the no-op and enabled paths in separate windows, minutes
+//! apart on a busy CI container, lets run-to-run drift (±10 % and more)
+//! swamp the effect being measured. This probe interleaves the two modes
 //! round-robin and compares medians, so machine drift hits both sides
 //! equally:
 //!

@@ -18,14 +18,14 @@
 //! Env knobs: `STREAM_CUSTOMERS` (overrides the cohort size),
 //! `FLEET_WORKERS` (default 2, per shard), `SHARD_SWEEP` (default
 //! `1,2,4`), `RSS_BUDGET_MB` (default 4096; exits non-zero past it),
-//! `STREAM_JSON_LOG` (append JSON-lines rows for the bench trajectory).
+//! `STREAM_JSON_LOG` (append JSON-lines rows to a file).
 //!
-//! Row schema (one JSON object per line, `BENCH_pr8.json` trajectory):
+//! Row schema (one JSON object per line):
 //! `{"label":"stream_1m_customers/shards/4","customers":1000000,
 //!   "elapsed_s":..,"throughput_per_s":..,"ns_per_iter":..,
 //!   "iters_per_sec":..,"vm_hwm_mib":..}`
-//! (`ns_per_iter`/`iters_per_sec` are per-customer, matching the criterion
-//! rows in the rest of the file.)
+//! (`ns_per_iter`/`iters_per_sec` are per-customer, matching the vendored
+//! criterion's JSON-lines rows.)
 
 use std::io::Write as _;
 use std::sync::Arc;

@@ -1,6 +1,7 @@
 //! One reproduction function per table and figure of the paper's
 //! evaluation. Each returns the formatted rows/series the paper reports;
-//! EXPERIMENTS.md records the paper-vs-measured comparison.
+//! `crates/bench/golden/<id>.txt` pins each runner's output at a reduced
+//! scale, and `reproduce golden` regenerates those files.
 
 pub mod figures;
 pub mod sections;

@@ -272,21 +272,6 @@ mod tests {
         assert_eq!(t.lines().count(), 2 + 4);
     }
 
-    /// Table 1 at a reduced scale, byte for byte.
-    #[test]
-    fn table1_golden_at_cohort_8_seed_20() {
-        let t = table1(&ExperimentScale { cohort: 8, seed: 20 });
-        assert_eq!(
-            t,
-            "Table 1 — DMA adoption (simulated request stream)\n\
-             Month    Unique instances  Unique databases  Recommendations\n\
-             Oct-21                  5                73              140\n\
-             Nov-21                  5                81              138\n\
-             Dec-21                  5                82              126\n\
-             Jan-22                  5                84              138\n"
-        );
-    }
-
     #[test]
     fn bits_to_group_is_consistent_with_table3_rows() {
         assert_eq!(bits_to_group(&[true, true, true]), 0b111);

@@ -75,13 +75,6 @@ impl Catalog {
     ) -> Option<&Sku> {
         self.sorted_by_price(deployment).into_iter().find(|s| s.caps.dominates(requirement))
     }
-
-    /// Add a SKU (used by tests and the replay harness to splice in the
-    /// Table 6 machines).
-    pub fn with_extra(mut self, sku: Sku) -> Catalog {
-        self.skus.push(sku);
-        Catalog::new(self.skus)
-    }
 }
 
 impl FromIterator<Sku> for Catalog {
@@ -176,12 +169,13 @@ mod tests {
     fn with_extra_keeps_sorted_order_and_len() {
         let c = catalog();
         let before = c.len();
-        let extra = c.get(&SkuId("DB_GP_2".into())).unwrap().clone();
-        let mut extra = extra;
+        let mut extra = c.get(&SkuId("DB_GP_2".into())).unwrap().clone();
         extra.id = SkuId("DB_GP_custom".into());
-        let c2 = c.with_extra(extra);
+        let c2: Catalog = c.iter().cloned().chain([extra]).collect();
         assert_eq!(c2.len(), before + 1);
         assert!(c2.get(&SkuId("DB_GP_custom".into())).is_some());
+        let keys: Vec<_> = c2.iter().map(|s| (s.deployment, s.tier, s.caps.vcores)).collect();
+        assert!(keys.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -840,16 +840,11 @@ mod tests {
         let pricier = CatalogSpec { rates: spec().rates.scaled(1.01), ..spec() };
         assert_ne!(a.fingerprint(), azure_paas_catalog(&pricier).fingerprint());
 
-        let extra = a.clone().with_extra(
-            b.iter()
-                .next()
-                .cloned()
-                .map(|mut s| {
-                    s.id = crate::sku::SkuId("DB_GP_custom".into());
-                    s
-                })
-                .unwrap(),
-        );
+        let custom = crate::sku::Sku {
+            id: crate::sku::SkuId("DB_GP_custom".into()),
+            ..b.iter().next().unwrap().clone()
+        };
+        let extra: Catalog = a.iter().cloned().chain([custom]).collect();
         assert_ne!(a.fingerprint(), extra.fingerprint());
     }
 
@@ -1104,10 +1099,12 @@ mod tests {
     #[test]
     fn swap_publishes_a_new_catalog_at_the_next_version() {
         let provider = refreshable();
-        let bigger = azure_paas_catalog(&spec()).with_extra(crate::sku::Sku {
+        let base = azure_paas_catalog(&spec());
+        let custom = crate::sku::Sku {
             id: crate::sku::SkuId("DB_GP_custom".into()),
-            ..azure_paas_catalog(&spec()).iter().next().unwrap().clone()
-        });
+            ..base.iter().next().unwrap().clone()
+        };
+        let bigger: Catalog = base.iter().cloned().chain([custom]).collect();
         let roll = provider
             .swap(DeploymentType::SqlDb, &Region::global(), Arc::new(bigger), spec().rates)
             .unwrap();

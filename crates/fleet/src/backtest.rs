@@ -126,16 +126,6 @@ impl BacktestReport {
         (self.scored_pairs > 0).then(|| self.sku_agreements as f64 / self.scored_pairs as f64)
     }
 
-    /// Fraction of scored pairs where the candidate's pick fits.
-    pub fn candidate_fit_rate(&self) -> Option<f64> {
-        (self.scored_pairs > 0).then(|| self.candidate_fit as f64 / self.scored_pairs as f64)
-    }
-
-    /// Fraction of scored pairs where the reference's pick fits.
-    pub fn reference_fit_rate(&self) -> Option<f64> {
-        (self.scored_pairs > 0).then(|| self.reference_fit as f64 / self.scored_pairs as f64)
-    }
-
     /// Candidate cost minus reference cost over the scored pairs —
     /// negative means the candidate is cheaper.
     pub fn monthly_cost_delta(&self) -> f64 {

@@ -504,12 +504,6 @@ impl MonitoredCustomer {
         self
     }
 
-    /// Keep computing the §3.4 confidence score on re-assessments.
-    pub fn with_confidence(mut self, confidence: ConfidenceConfig) -> MonitoredCustomer {
-        self.confidence = Some(confidence);
-        self
-    }
-
     /// The region drift checks are priced in.
     pub fn region(&self) -> Region {
         self.catalog_key.as_ref().map(|k| k.region.clone()).unwrap_or_else(Region::global)
@@ -1194,10 +1188,9 @@ mod tests {
     fn reassessments_keep_the_customers_confidence_settings() {
         use doppler_core::ConfidenceConfig;
         let mut monitor = monitor(2);
-        monitor.watch(
-            MonitoredCustomer::new("conf", DeploymentType::SqlDb, window(0.5, 96))
-                .with_confidence(ConfidenceConfig { replicates: 8, window_samples: 48, seed: 7 }),
-        );
+        let mut customer = MonitoredCustomer::new("conf", DeploymentType::SqlDb, window(0.5, 96));
+        customer.confidence = Some(ConfidenceConfig { replicates: 8, window_samples: 48, seed: 7 });
+        monitor.watch(customer);
         monitor.observe("conf", window(7.0, 96));
         let pass = monitor.tick("Oct-22");
         assert_eq!(pass.reassessments.len(), 1);

@@ -76,12 +76,6 @@ impl BootstrapWindows {
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty()
     }
-
-    /// Materialize one replicate of a data slice.
-    pub fn extract<'a>(&self, replicate: usize, data: &'a [f64]) -> &'a [f64] {
-        let r = &self.windows[replicate];
-        &data[r.start.min(data.len())..r.end.min(data.len())]
-    }
 }
 
 #[cfg(test)]
@@ -127,18 +121,6 @@ mod tests {
         let max_start = b.windows().iter().map(|w| w.start).max().unwrap();
         assert!(min_start < 100);
         assert!(max_start > 850);
-    }
-
-    #[test]
-    fn extract_returns_the_right_slice() {
-        let data: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let b = BootstrapWindows::generate(100, 5, 20, 11);
-        for r in 0..b.len() {
-            let w = &b.windows()[r];
-            let slice = b.extract(r, &data);
-            assert_eq!(slice.len(), 5);
-            assert_eq!(slice[0], w.start as f64);
-        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every stochastic routine in this workspace (workload generation,
 //! population sampling, bootstrapping, k-means initialization) threads an
 //! explicit seed so experiments are reproducible run-to-run — the property
-//! EXPERIMENTS.md depends on.
+//! the committed goldens under `crates/bench/golden/` depend on.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -76,12 +76,6 @@ impl TimeSeries {
         }
     }
 
-    /// Number of samples in a wall-clock duration at this interval,
-    /// rounding down but never below 1.
-    pub fn samples_per_hours(&self, hours: f64) -> usize {
-        ((hours * 60.0 / self.interval_minutes as f64) as usize).max(1)
-    }
-
     /// Element-wise sum of two aligned series (used by roll-up). Panics on
     /// interval or length mismatch.
     pub fn add(&self, other: &TimeSeries) -> TimeSeries {
@@ -90,17 +84,6 @@ impl TimeSeries {
         TimeSeries {
             interval_minutes: self.interval_minutes,
             values: self.values.iter().zip(other.values.iter()).map(|(a, b)| a + b).collect(),
-        }
-    }
-
-    /// Element-wise max of two aligned series (used to roll up latency:
-    /// the instance must meet the worst requirement among its databases).
-    pub fn max_with(&self, other: &TimeSeries) -> TimeSeries {
-        assert_eq!(self.interval_minutes, other.interval_minutes, "interval mismatch");
-        assert_eq!(self.values.len(), other.values.len(), "length mismatch");
-        TimeSeries {
-            interval_minutes: self.interval_minutes,
-            values: self.values.iter().zip(other.values.iter()).map(|(a, b)| a.max(*b)).collect(),
         }
     }
 }
@@ -148,25 +131,10 @@ mod tests {
     }
 
     #[test]
-    fn samples_per_hours_converts() {
-        let s = TimeSeries::ten_minute(vec![0.0; 10]);
-        assert_eq!(s.samples_per_hours(1.0), 6);
-        assert_eq!(s.samples_per_hours(24.0), 144);
-        assert_eq!(s.samples_per_hours(0.01), 1); // floor, but at least one
-    }
-
-    #[test]
     fn add_sums_elementwise() {
         let a = TimeSeries::ten_minute(vec![1.0, 2.0]);
         let b = TimeSeries::ten_minute(vec![10.0, 20.0]);
         assert_eq!(a.add(&b).values(), &[11.0, 22.0]);
-    }
-
-    #[test]
-    fn max_with_takes_elementwise_max() {
-        let a = TimeSeries::ten_minute(vec![1.0, 20.0]);
-        let b = TimeSeries::ten_minute(vec![10.0, 2.0]);
-        assert_eq!(a.max_with(&b).values(), &[10.0, 20.0]);
     }
 
     #[test]

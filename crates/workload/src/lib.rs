@@ -4,8 +4,9 @@
 //! histories of 9,295 SQL MI and 7,041 SQL DB customers (§5), 257 on-prem
 //! SQL servers, and a synthesis tool that reconstructs workloads from
 //! benchmark fragments (§5.4). None of that data can ship with a
-//! reproduction, so this crate builds the closest synthetic equivalents —
-//! the substitutions are catalogued in DESIGN.md §2:
+//! reproduction, so this crate builds the closest synthetic equivalents
+//! (the README's "Reproduction harness" section says how the experiments
+//! use them):
 //!
 //! * [`spec`] / [`mod@generate`] — a parametric trace generator producing the
 //!   statistical features Doppler actually consumes: baselines, diurnal

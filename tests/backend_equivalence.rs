@@ -2,19 +2,16 @@
 //! champion/challenger harness must be as reproducible as the heuristic
 //! path they ride on.
 //!
-//! CI runs this in the dedicated determinism job with `--test-threads=1`;
-//! the 1/4/8-worker sweep lives inside each test.
+//! CI runs this with the other determinism suites in one `--test-threads=1`
+//! step; `common::sweep` checks every run at 1, 4 and 8 workers.
 
+mod common;
+
+use common::{catalog, engine, labelled_training, outcomes, sweep};
 use doppler::dma::preprocess::PreprocessedInstance;
 use doppler::fleet::ab_summary_from_json;
 use doppler::prelude::*;
 use proptest::prelude::*;
-
-const WORKER_SWEEP: [usize; 3] = [1, 4, 8];
-
-fn catalog() -> Catalog {
-    azure_paas_catalog(&CatalogSpec::default())
-}
 
 fn config() -> EngineConfig {
     EngineConfig::production(DeploymentType::SqlDb)
@@ -29,16 +26,7 @@ fn history(cpu: f64, mem: f64) -> PerfHistory {
 }
 
 fn training(n: usize) -> Vec<TrainingRecord> {
-    (0..n)
-        .map(|i| {
-            let cpu = 0.2 + (i % 10) as f64 * 0.6;
-            TrainingRecord {
-                history: history(cpu, 1.0 + cpu),
-                chosen_sku: SkuId(if cpu > 3.0 { "DB_GP_8".into() } else { "DB_GP_2".into() }),
-                file_layout: None,
-            }
-        })
-        .collect()
+    labelled_training(n, |cpu| history(cpu, 1.0 + cpu))
 }
 
 fn learned_backend(floor: f64, records: &[TrainingRecord]) -> LearnedBackend {
@@ -70,29 +58,21 @@ fn cohort(n: usize) -> Vec<FleetRequest> {
 }
 
 /// A trained learned backend yields the same fleet report — and the same
-/// per-instance SKUs — at 1, 4, and 8 workers.
+/// per-instance results — at 1, 4, and 8 workers.
 #[test]
 fn learned_backend_fleets_are_deterministic_across_worker_counts() {
     let records = training(24);
     let fleet = cohort(96);
-    let baseline = FleetAssessor::new(learned_backend(0.0, &records), FleetConfig::with_workers(1))
-        .assess(fleet.clone());
-    assert!(baseline.report.recommended > 0);
-
-    for workers in WORKER_SWEEP {
+    let observe = |workers| {
         let run =
             FleetAssessor::new(learned_backend(0.0, &records), FleetConfig::with_workers(workers))
                 .assess(fleet.clone());
-        assert_eq!(run.report, baseline.report, "learned report at {workers} workers");
-        assert_eq!(run.report.render(), baseline.report.render());
-        for (got, want) in run.results.iter().zip(&baseline.results) {
-            let got = got.outcome.as_ref().unwrap();
-            let want = want.outcome.as_ref().unwrap();
-            assert_eq!(got.recommendation.sku_id, want.recommendation.sku_id);
-            assert_eq!(got.recommendation.monthly_cost, want.recommendation.monthly_cost);
-            assert_eq!(got.recommendation.confidence, want.recommendation.confidence);
-        }
-    }
+        (run.report.render(), run.report, outcomes(&run.results))
+    };
+    let baseline = observe(1);
+    assert!(baseline.1.recommended > 0);
+    assert_eq!(baseline.1.failed, 0);
+    sweep("learned report, rendering and results", &baseline, observe);
 }
 
 /// The acceptance scenario: a ≥1k-instance cohort through a shared
@@ -106,9 +86,7 @@ fn thousand_instance_ab_fleet_is_deterministic_and_trains_once_per_backend() {
     let fleet = cohort(1024);
     let key = CatalogKey::production(DeploymentType::SqlDb);
     let training_set = TrainingSet::new(training(32));
-    let mut reports = Vec::new();
-
-    for workers in WORKER_SWEEP {
+    let run = |workers| {
         let registry =
             Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
         let route = || EngineRoute::production(key.clone()).trained(training_set.clone());
@@ -140,10 +118,9 @@ fn thousand_instance_ab_fleet_is_deterministic_and_trains_once_per_backend() {
         let parsed = doppler::dma::json::Json::parse(&json.render_pretty()).unwrap();
         assert_eq!(ab_summary_from_json(&parsed).as_ref(), Some(ab));
 
-        reports.push(outcome.report);
-    }
-    assert_eq!(reports[0], reports[1], "1 vs 4 workers");
-    assert_eq!(reports[1], reports[2], "4 vs 8 workers");
+        outcome.report
+    };
+    sweep("A/B report", &run(1), run);
 }
 
 proptest! {
@@ -161,7 +138,7 @@ proptest! {
     ) {
         let records = training(corpus);
         let floored = learned_backend(2.0, &records);
-        let heuristic = DopplerEngine::untrained(catalog(), config());
+        let heuristic = engine();
         let workload = history(cpu, mem);
 
         let learned_rec = floored.recommend(&workload, None);

@@ -1,17 +1,14 @@
 //! Backtest determinism suite: a replayed back-test must be bit-for-bit
 //! identical at any worker count — report, rendering, and JSON export.
 //!
-//! CI runs this in the dedicated determinism job with `--test-threads=1`;
-//! the 1/4/8-worker sweep lives inside each test.
+//! CI runs this with the other determinism suites in one `--test-threads=1`
+//! step; `common::sweep` checks every run at 1, 4 and 8 workers.
 
+mod common;
+
+use common::{catalog, engine, labelled_training, sweep};
 use doppler::fleet::{backtest_report_from_json, backtest_report_to_json, BacktestCase};
 use doppler::prelude::*;
-
-const WORKER_SWEEP: [usize; 3] = [1, 4, 8];
-
-fn catalog() -> Catalog {
-    azure_paas_catalog(&CatalogSpec::default())
-}
 
 fn history(cpu: f64, iops: f64) -> PerfHistory {
     PerfHistory::new()
@@ -19,19 +16,6 @@ fn history(cpu: f64, iops: f64) -> PerfHistory {
         .with(PerfDimension::Memory, TimeSeries::ten_minute(vec![1.5 + cpu; 144]))
         .with(PerfDimension::Iops, TimeSeries::ten_minute(vec![iops; 144]))
         .with(PerfDimension::LogRate, TimeSeries::ten_minute(vec![0.5; 144]))
-}
-
-fn training(n: usize) -> Vec<TrainingRecord> {
-    (0..n)
-        .map(|i| {
-            let cpu = 0.2 + (i % 10) as f64 * 0.6;
-            TrainingRecord {
-                history: history(cpu, cpu * 180.0),
-                chosen_sku: SkuId(if cpu > 3.0 { "DB_GP_8".into() } else { "DB_GP_2".into() }),
-                file_layout: None,
-            }
-        })
-        .collect()
 }
 
 fn cases(n: usize) -> Vec<BacktestCase> {
@@ -53,14 +37,12 @@ fn harness(workers: usize) -> Backtest {
         catalog(),
         EngineConfig::production(DeploymentType::SqlDb),
         LearnedConfig::default(),
-        &training(24),
+        &labelled_training(24, |cpu| history(cpu, cpu * 180.0)),
     );
-    let heuristic =
-        DopplerEngine::untrained(catalog(), EngineConfig::production(DeploymentType::SqlDb));
     Backtest::new(
         catalog(),
         FleetAssessor::new(learned, FleetConfig::with_workers(workers)),
-        FleetAssessor::new(heuristic, FleetConfig::with_workers(workers)),
+        FleetAssessor::new(engine(), FleetConfig::with_workers(workers)),
     )
     .with_labels("learned", "heuristic")
 }
@@ -68,24 +50,23 @@ fn harness(workers: usize) -> Backtest {
 #[test]
 fn backtest_reports_are_bit_for_bit_identical_across_worker_counts() {
     let cohort = cases(24);
-    let reports: Vec<BacktestReport> =
-        WORKER_SWEEP.iter().map(|&w| harness(w).run(&cohort)).collect();
-    assert_eq!(reports[0], reports[1], "1 vs 4 workers");
-    assert_eq!(reports[1], reports[2], "4 vs 8 workers");
-    assert_eq!(reports[0].render(), reports[2].render(), "rendering is a pure function");
-    assert!(reports[0].scored_pairs > 0, "the sweep actually scored something");
+    let report = |workers| harness(workers).run(&cohort);
+    let baseline = report(1);
+    assert!(baseline.scored_pairs > 0, "the sweep actually scored something");
+    // Rendering is a pure function of the report.
+    sweep("report and rendering", &(baseline.render(), baseline), |w| {
+        let run = report(w);
+        (run.render(), run)
+    });
 }
 
 #[test]
 fn backtest_json_export_is_identical_and_lossless_across_worker_counts() {
     let cohort = cases(16);
-    let exports: Vec<String> = WORKER_SWEEP
-        .iter()
-        .map(|&w| backtest_report_to_json(&harness(w).run(&cohort)).render_pretty())
-        .collect();
-    assert_eq!(exports[0], exports[1]);
-    assert_eq!(exports[1], exports[2]);
-    let parsed = doppler::dma::json::Json::parse(&exports[0]).expect("valid JSON");
+    let export = |workers| backtest_report_to_json(&harness(workers).run(&cohort)).render_pretty();
+    let baseline = export(1);
+    sweep("JSON export", &baseline, export);
+    let parsed = doppler::dma::json::Json::parse(&baseline).expect("valid JSON");
     let report = backtest_report_from_json(&parsed).expect("structurally sound");
     assert_eq!(report, harness(1).run(&cohort), "round trip equals a fresh run");
 }

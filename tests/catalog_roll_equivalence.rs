@@ -17,12 +17,15 @@
 //! Runs single-threaded in the CI determinism job so the service worker
 //! pool is the only concurrency in play.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{decisions, flat_window, region_of, sweep, REGIONS};
+use doppler::fleet::FleetResult;
 use doppler::prelude::*;
 
 const COHORT: usize = 1_000;
-const REGIONS: [(&str, f64); 3] = [("global", 1.0), ("westeurope", 1.08), ("eastasia", 1.12)];
 const ROLLED_REGION: &str = "westeurope";
 /// The price feed under test: a 7 % cut in West Europe.
 const FEED: PriceFeed = PriceFeed::Multiplier(0.93);
@@ -31,16 +34,8 @@ const FEED: PriceFeed = PriceFeed::Multiplier(0.93);
 /// three regions, then (for the fresh-at-v2 reference) apply the same
 /// feed — so prices at each version are bit-for-bit comparable across
 /// providers.
-fn provider() -> Arc<RefreshableCatalogProvider> {
-    let inner = REGIONS.iter().fold(InMemoryCatalogProvider::new(), |p, &(region, multiplier)| {
-        p.with_region(
-            Region::new(region),
-            CatalogVersion::INITIAL,
-            &CatalogSpec::default(),
-            multiplier,
-        )
-    });
-    Arc::new(RefreshableCatalogProvider::new(Arc::new(inner)))
+fn refreshable() -> Arc<RefreshableCatalogProvider> {
+    Arc::new(RefreshableCatalogProvider::new(Arc::new(common::provider())))
 }
 
 fn key_for(region: &str, version: CatalogVersion) -> CatalogKey {
@@ -50,12 +45,10 @@ fn key_for(region: &str, version: CatalogVersion) -> CatalogKey {
 /// Customer `i`: region round-robin, a steady workload whose scale varies
 /// by customer so the cohort spreads across SKU rungs.
 fn cohort_request(i: usize, version_in_rolled: CatalogVersion) -> FleetRequest {
-    let (region, _) = REGIONS[i % REGIONS.len()];
+    let region = region_of(i);
     let version = if region == ROLLED_REGION { version_in_rolled } else { CatalogVersion::INITIAL };
     let cpu = 0.3 + 0.45 * ((i / REGIONS.len()) % 16) as f64;
-    let history = PerfHistory::new()
-        .with(PerfDimension::Cpu, TimeSeries::ten_minute(vec![cpu; 96]))
-        .with(PerfDimension::IoLatency, TimeSeries::ten_minute(vec![6.0; 96]));
+    let history = flat_window(cpu, 96);
     FleetRequest::new(
         DeploymentType::SqlDb,
         AssessmentRequest::from_history(format!("cust-{i:04}"), history, vec![], None),
@@ -76,13 +69,13 @@ fn monitor_over(
 
 /// The reference: a provider that already rolled, a fresh registry, a
 /// fresh monitor — the rolled region's customers assessed directly at v2.
-fn fresh_at_v2(workers: usize) -> Vec<doppler::fleet::FleetResult> {
-    let provider = provider();
+fn fresh_at_v2(workers: usize) -> Vec<FleetResult> {
+    let provider = refreshable();
     let rolls = provider.apply_feed(&Region::new(ROLLED_REGION), FEED).unwrap();
     assert!(!rolls.is_empty());
     let (_registry, monitor) = monitor_over(&provider, workers);
     let fleet: Vec<FleetRequest> = (0..COHORT)
-        .filter(|i| REGIONS[i % REGIONS.len()].0 == ROLLED_REGION)
+        .filter(|&i| region_of(i) == ROLLED_REGION)
         .map(|i| cohort_request(i, CatalogVersion(2)))
         .collect();
     let mut tickets = Vec::new();
@@ -93,16 +86,16 @@ fn fresh_at_v2(workers: usize) -> Vec<doppler::fleet::FleetResult> {
 }
 
 struct RolledRun {
-    repriced: Vec<doppler::fleet::FleetResult>,
-    untouched_before: Vec<doppler::fleet::FleetResult>,
-    untouched_after: Vec<doppler::fleet::FleetResult>,
+    repriced: Vec<FleetResult>,
+    untouched_before: Vec<FleetResult>,
+    untouched_after: Vec<FleetResult>,
 }
 
 /// The upgrade path: assess everything at v1, watch it, feed + roll one
 /// region, then re-check the untouched regions through the same (still
 /// warm) service.
 fn rolled_run(workers: usize) -> RolledRun {
-    let provider = provider();
+    let provider = refreshable();
     let (registry, mut monitor) = monitor_over(&provider, workers);
 
     // 1. Assess the whole cohort at v1 and register it with the monitor.
@@ -112,7 +105,7 @@ fn rolled_run(workers: usize) -> RolledRun {
     for request in &fleet {
         tickets.push(monitor.service().submit(request.clone()).expect("open service"));
     }
-    let results: Vec<doppler::fleet::FleetResult> =
+    let results: Vec<FleetResult> =
         tickets.into_iter().map(|t| t.recv().expect("assessed")).collect();
     for (request, result) in fleet.iter().zip(&results) {
         assert!(result.outcome.is_ok(), "{}", result.instance_name);
@@ -145,7 +138,7 @@ fn rolled_run(workers: usize) -> RolledRun {
     let mut untouched_before = Vec::new();
     let mut untouched_tickets = Vec::new();
     for (i, result) in results.iter().enumerate() {
-        if REGIONS[i % REGIONS.len()].0 == ROLLED_REGION {
+        if region_of(i) == ROLLED_REGION {
             continue;
         }
         untouched_before.push(result.clone());
@@ -167,74 +160,35 @@ fn rolled_run(workers: usize) -> RolledRun {
     RolledRun { repriced: outcome.repriced, untouched_before, untouched_after }
 }
 
-fn assert_same_outcomes(
-    a: &[doppler::fleet::FleetResult],
-    b: &[doppler::fleet::FleetResult],
-    context: &str,
-) {
-    assert_eq!(a.len(), b.len(), "{context}");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.instance_name, y.instance_name, "{context}");
-        let (rx, ry) = (x.outcome.as_ref().unwrap(), y.outcome.as_ref().unwrap());
-        assert_eq!(rx.recommendation, ry.recommendation, "{context}: {}", x.instance_name);
-        assert_eq!(rx.databases_assessed, ry.databases_assessed, "{context}");
-    }
-}
-
 #[test]
 fn rolled_region_matches_a_fresh_fleet_at_v2_and_untouched_regions_hold() {
-    let mut baseline: Option<RolledRun> = None;
-    for workers in [1usize, 4, 8] {
+    let members = (0..COHORT).filter(|&i| region_of(i) == ROLLED_REGION).count();
+    let observe = |run: &RolledRun| (decisions(&run.repriced), decisions(&run.untouched_after));
+    // The whole story is worker-count invariant.
+    sweep("repriced and untouched results", &observe(&rolled_run(1)), |workers| {
         let run = rolled_run(workers);
-        let reference = fresh_at_v2(workers);
-
-        // The upgrade path equals the cold start at v2, bit for bit.
-        assert_same_outcomes(
-            &run.repriced,
-            &reference,
-            &format!("rolled-vs-fresh workers={workers}"),
-        );
-        // Every re-priced recommendation actually moved with the feed: the
-        // SKU held (the workload did not change) and the bill shrank.
-        let expect_members =
-            (0..COHORT).filter(|i| REGIONS[i % REGIONS.len()].0 == ROLLED_REGION).count();
-        assert_eq!(run.repriced.len(), expect_members);
-
+        // The upgrade path equals the cold start at v2, bit for bit, and
+        // re-prices every member of the rolled region.
+        let fresh = decisions(&fresh_at_v2(workers));
+        assert_eq!(decisions(&run.repriced), fresh, "rolled vs fresh at {workers} workers");
+        assert_eq!(run.repriced.len(), members);
         // Untouched regions: byte-identical to their v1 results.
-        assert_same_outcomes(
-            &run.untouched_before,
-            &run.untouched_after,
-            &format!("untouched workers={workers}"),
-        );
-
-        // And the whole story is worker-count invariant.
-        if let Some(base) = &baseline {
-            assert_same_outcomes(
-                &base.repriced,
-                &run.repriced,
-                &format!("repriced determinism workers={workers}"),
-            );
-            assert_same_outcomes(
-                &base.untouched_after,
-                &run.untouched_after,
-                &format!("untouched determinism workers={workers}"),
-            );
-        } else {
-            baseline = Some(run);
-        }
-    }
+        let before = decisions(&run.untouched_before);
+        assert_eq!(before, decisions(&run.untouched_after), "untouched at {workers} workers");
+        observe(&run)
+    });
 }
 
 #[test]
 fn repriced_bills_scale_by_exactly_the_feed_multiplier() {
     let run = rolled_run(2);
-    let provider = provider();
+    let provider = refreshable();
     let (_registry, monitor) = monitor_over(&provider, 2);
     // The same customers assessed at v1 on a fresh stack: the rolled
     // recommendations keep the SKU and scale the monthly bill by the feed.
-    let v1: Vec<doppler::fleet::FleetResult> = {
+    let v1: Vec<FleetResult> = {
         let fleet: Vec<FleetRequest> = (0..COHORT)
-            .filter(|i| REGIONS[i % REGIONS.len()].0 == ROLLED_REGION)
+            .filter(|&i| region_of(i) == ROLLED_REGION)
             .map(|i| cohort_request(i, CatalogVersion::INITIAL))
             .collect();
         let tickets: Vec<_> =

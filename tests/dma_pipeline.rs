@@ -2,6 +2,9 @@
 //! recommendation pipeline, reports, and batch assessment with adoption
 //! counting.
 
+mod common;
+
+use common::{catalog, engine};
 use doppler::dma::preprocess::preprocess;
 use doppler::dma::{
     render_text_report, AssessmentRequest, DatabaseTelemetry, RawCounterSet, ResourceUseReport,
@@ -30,7 +33,7 @@ fn raw_db(name: &str, cpu: f64, latency: f64, minutes: f64) -> DatabaseTelemetry
 
 fn pipeline(deployment: DeploymentType) -> SkuRecommendationPipeline {
     SkuRecommendationPipeline::new(DopplerEngine::untrained(
-        azure_paas_catalog(&CatalogSpec::default()),
+        catalog(),
         EngineConfig::production(deployment),
     ))
 }
@@ -42,11 +45,7 @@ fn preprocess_and_assess_matches_direct_engine_call() {
     let pre = preprocess(&dbs, minutes);
 
     // Direct engine call on the rolled-up instance history.
-    let engine = DopplerEngine::untrained(
-        azure_paas_catalog(&CatalogSpec::default()),
-        EngineConfig::production(DeploymentType::SqlDb),
-    );
-    let direct = engine.recommend(&pre.instance, None);
+    let direct = engine().recommend(&pre.instance, None);
 
     // Pipeline call.
     let result = pipeline(DeploymentType::SqlDb).assess(&AssessmentRequest {

@@ -14,26 +14,17 @@
 //! Runs single-threaded in the CI determinism job so the service worker
 //! pool is the only concurrency in play.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{outcomes, provider, region_of, sweep, REGIONS};
 use doppler::fleet::{DriftVerdict, MonitoredCustomer};
 use doppler::prelude::*;
 use doppler::workload::DriftDirection;
 
 const COHORT: usize = 1_000;
-const REGIONS: [(&str, f64); 3] = [("global", 1.0), ("westeurope", 1.08), ("eastasia", 1.12)];
 const DRIFTING_REGION: &str = "westeurope";
-
-fn provider() -> InMemoryCatalogProvider {
-    REGIONS.iter().fold(InMemoryCatalogProvider::new(), |p, &(region, multiplier)| {
-        p.with_region(
-            Region::new(region),
-            CatalogVersion::INITIAL,
-            &CatalogSpec::default(),
-            multiplier,
-        )
-    })
-}
 
 /// Customer `i` of the cohort: its region (round-robin), catalog key
 /// (global customers stay keyless — the default-route path), and its
@@ -41,7 +32,7 @@ fn provider() -> InMemoryCatalogProvider {
 /// customers get a grown, latency-critical fresh window; the others get a
 /// control window drawn from the same distribution as their baseline.
 fn cohort_member(i: usize) -> (MonitoredCustomer, PerfHistory) {
-    let (region, _) = REGIONS[i % REGIONS.len()];
+    let region = region_of(i);
     let drifts = region == DRIFTING_REGION;
     let spec = DriftSpec {
         direction: DriftDirection::Grow,
@@ -153,7 +144,7 @@ fn monitor_pass_matches_serial_detect_drift_with_regional_attribution() {
     };
     for &(label, _) in &REGIONS {
         let row = per_region(label);
-        let members = (0..COHORT).filter(|i| REGIONS[i % REGIONS.len()].0 == label).count();
+        let members = (0..COHORT).filter(|&i| region_of(i) == label).count();
         assert_eq!(row.checked, members, "{label}");
         if label == DRIFTING_REGION {
             assert_eq!(row.drifted, members, "{label}: all injected customers drift");
@@ -185,16 +176,8 @@ fn monitor_pass_matches_serial_detect_drift_with_regional_attribution() {
 
 #[test]
 fn monitor_pass_is_bit_for_bit_deterministic_across_worker_counts() {
-    let baseline = run_pass(1);
-    for workers in [4usize, 8] {
-        let pass = run_pass(workers);
-        assert_eq!(pass.report, baseline.report, "workers={workers}");
-        assert_eq!(pass.outcomes, baseline.outcomes, "workers={workers}");
-        assert_eq!(pass.reassessments.len(), baseline.reassessments.len());
-        for (a, b) in pass.reassessments.iter().zip(&baseline.reassessments) {
-            assert_eq!(a.instance_name, b.instance_name);
-            let (ra, rb) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
-            assert_eq!(ra.recommendation, rb.recommendation, "{}", a.instance_name);
-        }
-    }
+    let observe = |pass: DriftPass| (pass.report, pass.outcomes, outcomes(&pass.reassessments));
+    let baseline = observe(run_pass(1));
+    assert!(baseline.2.iter().all(|r| r.recommendation.is_some()), "re-assessments succeed");
+    sweep("report, outcomes and re-assessments", &baseline, |w| observe(run_pass(w)));
 }

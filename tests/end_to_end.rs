@@ -1,12 +1,11 @@
 //! End-to-end integration: population → training → recommendation, across
 //! every crate boundary.
 
+mod common;
+
+use common::catalog;
 use doppler::prelude::*;
 use doppler::workload::ShapeClass;
-
-fn catalog() -> Catalog {
-    azure_paas_catalog(&CatalogSpec::default())
-}
 
 fn train_db(n: usize, seed: u64) -> (DopplerEngine, Vec<doppler::workload::CloudCustomer>) {
     let cat = catalog();
@@ -30,8 +29,7 @@ fn train_db(n: usize, seed: u64) -> (DopplerEngine, Vec<doppler::workload::Cloud
 #[test]
 fn trained_engine_beats_untrained_on_backtest() {
     let (engine, customers) = train_db(80, 5);
-    let untrained =
-        DopplerEngine::untrained(catalog(), EngineConfig::production(DeploymentType::SqlDb));
+    let untrained = common::engine();
     let mut trained_hits = 0;
     let mut untrained_hits = 0;
     let mut scored = 0;

@@ -2,49 +2,32 @@
 //! population must produce bit-for-bit identical output no matter how many
 //! worker threads share the engine.
 
-use doppler_catalog::{azure_paas_catalog, Catalog, CatalogSpec, DeploymentType};
-use doppler_core::{DopplerEngine, EngineConfig};
-use doppler_fleet::{cloud_fleet, FleetAssessment, FleetAssessor, FleetConfig, FleetRequest};
-use doppler_workload::PopulationSpec;
+mod common;
 
-fn catalog() -> Catalog {
-    azure_paas_catalog(&CatalogSpec::default())
-}
-
-fn thousand_instance_fleet(catalog: &Catalog) -> Vec<FleetRequest> {
-    let spec = PopulationSpec { days: 1.0, ..PopulationSpec::sql_db(1000, 20_26) };
-    cloud_fleet(&spec, catalog, None).collect()
-}
+use common::{catalog, engine, outcomes, sweep};
+use doppler::fleet::cloud_fleet;
+use doppler::prelude::*;
 
 fn assess_with(workers: usize, fleet: Vec<FleetRequest>) -> FleetAssessment {
-    let engine =
-        DopplerEngine::untrained(catalog(), EngineConfig::production(DeploymentType::SqlDb));
-    FleetAssessor::new(engine, FleetConfig::with_workers(workers)).assess(fleet)
+    FleetAssessor::new(engine(), FleetConfig::with_workers(workers)).assess(fleet)
 }
 
 #[test]
 fn thousand_instances_are_deterministic_across_worker_counts() {
-    let catalog = catalog();
-    let fleet = thousand_instance_fleet(&catalog);
+    let spec = PopulationSpec { days: 1.0, ..PopulationSpec::sql_db(1000, 20_26) };
+    let fleet: Vec<FleetRequest> = cloud_fleet(&spec, &catalog(), None).collect();
     assert_eq!(fleet.len(), 1000);
-
-    let single = assess_with(1, fleet.clone());
-    let four = assess_with(4, fleet.clone());
-    let eight = assess_with(8, fleet);
 
     // The aggregate report is PartialEq over every field — counts, f64
     // cost sums, histograms, bucket lists — so this is the bit-for-bit
-    // equality the subsystem promises.
-    assert_eq!(single.report, four.report);
-    assert_eq!(single.report, eight.report);
-
-    // Per-instance streams agree too, in submission order.
-    for (a, b) in single.results.iter().zip(&eight.results) {
-        assert_eq!(a.index, b.index);
-        assert_eq!(a.instance_name, b.instance_name);
-        let (ra, rb) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
-        assert_eq!(ra.recommendation, rb.recommendation);
-    }
+    // equality the subsystem promises. Per-instance streams agree too, in
+    // submission order.
+    let single = assess_with(1, fleet.clone());
+    let oracle = (single.report.clone(), outcomes(&single.results));
+    sweep("report and per-instance results", &oracle, |workers| {
+        let run = assess_with(workers, fleet.clone());
+        (run.report, outcomes(&run.results))
+    });
 
     // Sanity on the aggregates themselves.
     let report = &single.report;
@@ -70,9 +53,7 @@ fn thousand_instances_are_deterministic_across_worker_counts() {
 fn streaming_and_materialized_fleets_agree() {
     let catalog = catalog();
     let spec = PopulationSpec { days: 1.0, ..PopulationSpec::sql_db(100, 7) };
-    let engine =
-        DopplerEngine::untrained(catalog.clone(), EngineConfig::production(DeploymentType::SqlDb));
-    let assessor = FleetAssessor::new(engine, FleetConfig::with_workers(4));
+    let assessor = FleetAssessor::new(engine(), FleetConfig::with_workers(4));
 
     // Once through the lazy iterator (bounded-queue backpressure path)…
     let streamed = assessor.assess(cloud_fleet(&spec, &catalog, None));

@@ -6,45 +6,21 @@
 //! losslessly through `dma::json` — the validation CI runs against the
 //! exported artifact.
 //!
-//! CI runs this in the determinism job with `--test-threads=1`; the
-//! 1/4/8-worker sweep lives inside each test.
+//! CI runs this with the other determinism suites in one `--test-threads=1`
+//! step; `common::sweep` checks every run at 1, 4 and 8 workers.
 
+mod common;
+
+use common::{engine, flat_request, sweep, WORKER_SWEEP};
 use doppler::dma::json::Json;
-use doppler::dma::preprocess::PreprocessedInstance;
 use doppler::dma::{obs_snapshot_from_json, obs_snapshot_to_json};
 use doppler::prelude::*;
-
-const WORKER_SWEEP: [usize; 3] = [1, 4, 8];
-
-fn engine() -> DopplerEngine {
-    DopplerEngine::untrained(
-        azure_paas_catalog(&CatalogSpec::default()),
-        EngineConfig::production(DeploymentType::SqlDb),
-    )
-}
 
 fn cohort(size: usize) -> Vec<FleetRequest> {
     (0..size)
         .map(|i| {
-            let cpu = 0.3 + (i % 9) as f64 * 0.7;
-            let history = PerfHistory::new()
-                .with(PerfDimension::Cpu, TimeSeries::ten_minute(vec![cpu; 96]))
-                .with(PerfDimension::IoLatency, TimeSeries::ten_minute(vec![6.0; 96]));
-            FleetRequest::new(
-                DeploymentType::SqlDb,
-                AssessmentRequest {
-                    instance_name: format!("inst-{i}"),
-                    input: PreprocessedInstance {
-                        instance: history,
-                        databases: (0..1 + i % 4)
-                            .map(|d| (format!("inst-{i}/db{d}"), PerfHistory::new()))
-                            .collect(),
-                        file_sizes_gib: vec![],
-                    },
-                    confidence: None,
-                },
-            )
-            .with_month("Oct-22")
+            let request = flat_request(&format!("inst-{i}"), 0.3 + (i % 9) as f64 * 0.7, 1 + i % 4);
+            FleetRequest::new(DeploymentType::SqlDb, request).with_month("Oct-22")
         })
         .collect()
 }
@@ -55,26 +31,19 @@ fn cohort(size: usize) -> Vec<FleetRequest> {
 #[test]
 fn obs_on_and_obs_off_reports_are_bit_for_bit_identical() {
     let fleet = cohort(48);
-    let baseline =
-        FleetAssessor::new(engine(), FleetConfig::with_workers(1)).assess(fleet.clone()).report;
-    for workers in WORKER_SWEEP {
-        let off =
-            FleetAssessor::new(engine(), FleetConfig::with_workers(workers)).assess(fleet.clone());
+    let assessor = |workers| FleetAssessor::new(engine(), FleetConfig::with_workers(workers));
+    let baseline = assessor(1).assess(fleet.clone()).report;
+    sweep("obs-on report and rendering", &(baseline.render(), baseline.clone()), |workers| {
+        let off = assessor(workers).assess(fleet.clone()).report;
         let obs = ObsRegistry::enabled();
-        let on = FleetAssessor::new(engine(), FleetConfig::with_workers(workers))
-            .with_obs(&obs)
-            .assess(fleet.clone());
-        assert_eq!(on.report, off.report, "obs-on vs obs-off at {workers} workers");
-        assert_eq!(on.report, baseline, "obs-on vs 1-worker baseline at {workers} workers");
-        assert_eq!(
-            on.report.render(),
-            off.report.render(),
-            "rendered report bytes at {workers} workers"
-        );
+        let on = assessor(workers).with_obs(&obs).assess(fleet.clone()).report;
+        assert_eq!(on, off, "obs-on vs obs-off at {workers} workers");
+        assert_eq!(on.render(), off.render(), "rendered report bytes at {workers} workers");
         // The instrumentation did actually observe the run it rode on.
         let snapshot = obs.snapshot();
         assert_eq!(snapshot.histogram("fleet.stage.assess").map(|h| h.count), Some(48));
-    }
+        (on.render(), on)
+    });
 }
 
 /// Per-stage span counts conserve against the service's own progress

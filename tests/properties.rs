@@ -1,8 +1,11 @@
 //! Cross-crate property tests: generated workloads driven through the
 //! whole stack must uphold the system invariants.
 
+mod common;
+
 use std::collections::VecDeque;
 
+use common::{catalog, engine};
 use doppler::fleet::{BoundedQueue, DriftOutcome, FleetDriftReport, MonitoredCustomer};
 use doppler::prelude::*;
 use doppler::replay::replay;
@@ -61,11 +64,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let history = doppler::workload::generate(&arch.spec(scale, 2.0), seed);
-        let engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlDb),
-        );
-        let rec = engine.recommend(&history, None);
+        let rec = engine().recommend(&history, None);
         prop_assert!(rec.sku_id.is_some());
         prop_assert!(!rec.curve.is_empty());
         let score = rec.score.unwrap();
@@ -79,7 +78,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let history = doppler::workload::generate(&arch.spec(scale, 1.0), seed);
-        let cat = azure_paas_catalog(&CatalogSpec::default());
+        let cat = catalog();
         let skus = cat.for_deployment(DeploymentType::SqlDb);
         let curve = doppler::engine::PricePerformanceCurve::generate(&history, &skus);
         for w in curve.points().windows(2) {
@@ -146,7 +145,7 @@ proptest! {
         n in 1usize..12,
         seed in 0u64..50,
     ) {
-        let cat = azure_paas_catalog(&CatalogSpec::default());
+        let cat = catalog();
         let spec = PopulationSpec { days: 1.0, ..PopulationSpec::sql_db(n, seed) };
         for c in spec.customers(&cat) {
             prop_assert!(cat.get(&c.chosen_sku).is_some());
@@ -393,12 +392,8 @@ proptest! {
         // the same distribution as its baseline (magnitude 1.0 — no
         // injected drift), at sizes that sit comfortably inside a SKU
         // rung. No seed may produce a drifted verdict.
-        let engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlDb),
-        );
         let mut monitor = DriftMonitor::new(FleetAssessor::new(
-            engine,
+            engine(),
             FleetConfig::with_workers(1 + (seed % 3) as usize),
         ));
         for i in 0..n {

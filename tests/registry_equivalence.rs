@@ -8,46 +8,30 @@
 //!    to the per-pipeline training path (each engine trained directly,
 //!    requests assessed serially in submission order), at 1, 4, and 8
 //!    workers alike, and
-//! 3. make warm resolution dramatically cheaper than cold training (the
-//!    `registry_bench` bench quantifies this; here a coarse ≥ 10× guard
-//!    keeps the property from regressing silently).
+//! 3. make warm resolution dramatically cheaper than cold training (a
+//!    coarse ≥ 10× guard keeps the property from regressing silently;
+//!    `perfbench`'s `fleet_lifecycle` workload reports the registry's
+//!    training time and hit ratio).
+
+mod common;
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use common::{catalog, outcomes, provider, sweep, training_records, REGIONS};
 use doppler::fleet::cloud_fleet;
 use doppler::fleet::FleetResult;
 use doppler::prelude::*;
-
-/// The three regions of the scenario; `global` is priced at list,
-/// `westeurope` 8 % above it.
-fn provider() -> InMemoryCatalogProvider {
-    InMemoryCatalogProvider::production().with_region(
-        Region::new("westeurope"),
-        CatalogVersion::INITIAL,
-        &CatalogSpec::default(),
-        1.08,
-    )
-}
 
 /// A small migrated cohort per deployment, used as the shared training
 /// set — non-trivial training makes the warm/cold gap observable and the
 /// determinism claim meaningful.
 fn training_set(deployment: DeploymentType) -> TrainingSet {
-    let catalog = azure_paas_catalog(&CatalogSpec::default());
     let spec = match deployment {
-        DeploymentType::SqlDb => PopulationSpec { days: 1.0, ..PopulationSpec::sql_db(8, 909) },
-        DeploymentType::SqlMi => PopulationSpec { days: 1.0, ..PopulationSpec::sql_mi(8, 909) },
+        DeploymentType::SqlDb => PopulationSpec::sql_db(8, 909),
+        DeploymentType::SqlMi => PopulationSpec::sql_mi(8, 909),
     };
-    let records: Vec<TrainingRecord> = spec
-        .stream_customers(&catalog)
-        .map(|c| TrainingRecord {
-            history: c.history,
-            chosen_sku: c.chosen_sku,
-            file_layout: c.file_layout,
-        })
-        .collect();
-    TrainingSet::new(records)
+    TrainingSet::new(training_records(&PopulationSpec { days: 1.0, ..spec }))
 }
 
 /// The mixed fleet: an untagged SQL DB cohort (default key `DB@global`),
@@ -55,7 +39,7 @@ fn training_set(deployment: DeploymentType) -> TrainingSet {
 /// distinct catalog keys in one run, with month tags exercising the
 /// adoption ledger.
 fn mixed_fleet() -> Vec<FleetRequest> {
-    let catalog = azure_paas_catalog(&CatalogSpec::default());
+    let catalog = catalog();
     let db = PopulationSpec { days: 1.0, ..PopulationSpec::sql_db(24, 41) };
     let west = PopulationSpec { days: 1.0, ..PopulationSpec::sql_db(24, 42) }
         .in_region(Region::new("westeurope"));
@@ -87,7 +71,8 @@ fn registry_assessor(workers: usize) -> (Arc<EngineRegistry>, FleetAssessor) {
 /// order.
 fn reference_results(fleet: &[FleetRequest]) -> Vec<FleetResult> {
     let train_for = |key: &CatalogKey| -> SkuRecommendationPipeline {
-        let multiplier = if key.region == Region::new("westeurope") { 1.08 } else { 1.0 };
+        let (_, multiplier) =
+            REGIONS.into_iter().find(|(r, _)| key.region == Region::new(*r)).expect("known region");
         let rates = CatalogSpec::default().rates.scaled(multiplier);
         let spec = CatalogSpec { rates, ..CatalogSpec::default() };
         let config = EngineConfig { rates, ..EngineConfig::production(key.deployment) };
@@ -132,7 +117,10 @@ fn mixed_region_fleet_trains_once_per_key_and_matches_the_per_pipeline_path() {
     let reference_report = FleetReport::from_results(&reference);
     assert_eq!(reference_report.failed, 0, "{:?}", reference_report.failures);
 
-    for workers in [1usize, 4, 8] {
+    // Bit-for-bit equality with the per-pipeline path: the aggregate
+    // report (PartialEq over counts, f64 cost sums, histograms, and the
+    // adoption ledger) and every per-instance result.
+    sweep("report and results", &(reference_report, outcomes(&reference)), |workers| {
         let (registry, assessor) = registry_assessor(workers);
         let out = assessor.assess(fleet.clone());
 
@@ -148,20 +136,8 @@ fn mixed_region_fleet_trains_once_per_key_and_matches_the_per_pipeline_path() {
             "every request resolved through the registry (workers={workers})"
         );
         assert_eq!(registry.len(), 3);
-
-        // Bit-for-bit equality with the per-pipeline path: the aggregate
-        // report (PartialEq over counts, f64 cost sums, histograms, and
-        // the adoption ledger) and every per-instance recommendation.
-        assert_eq!(out.report, reference_report, "workers={workers}");
-        assert_eq!(out.results.len(), reference.len());
-        for (a, b) in out.results.iter().zip(&reference) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.instance_name, b.instance_name);
-            assert_eq!(a.month, b.month);
-            let (ra, rb) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
-            assert_eq!(ra.recommendation, rb.recommendation, "instance {}", a.instance_name);
-        }
-    }
+        (out.report, outcomes(&out.results))
+    });
 }
 
 #[test]

@@ -17,24 +17,19 @@
 //! Runs single-threaded in the CI determinism job so the service worker
 //! pool is the only concurrency in play.
 
+mod common;
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use doppler::fleet::FleetResult;
+use common::{flat_window, outcomes, region_of, sweep, Outcome, REGIONS};
 use doppler::prelude::*;
 
 const COHORT: usize = 24;
 const MONTHS: usize = 8;
-const REGIONS: [(&str, f64); 3] = [("global", 1.0), ("westeurope", 1.08), ("eastasia", 1.12)];
 const IDLE_TTL: usize = 3;
 const VERSION_WINDOW: u32 = 1;
 const SHARDS: usize = 2;
-
-fn window(cpu: f64) -> PerfHistory {
-    PerfHistory::new()
-        .with(PerfDimension::Cpu, TimeSeries::ten_minute(vec![cpu; 48]))
-        .with(PerfDimension::IoLatency, TimeSeries::ten_minute(vec![6.0; 48]))
-}
 
 fn base_cpu(i: usize) -> f64 {
     0.4 + 0.5 * ((i / REGIONS.len()) % 8) as f64
@@ -61,15 +56,14 @@ fn onboardings(m: usize) -> Vec<MonitoredCustomer> {
     (0..COHORT)
         .filter(|&i| onboard_month(i) == m)
         .map(|i| {
-            let (region, _) = REGIONS[i % REGIONS.len()];
             MonitoredCustomer::new(
                 format!("cust-{i:04}"),
                 DeploymentType::SqlDb,
-                window(base_cpu(i)),
+                flat_window(base_cpu(i), 48),
             )
             .with_catalog_key(CatalogKey::new(
                 DeploymentType::SqlDb,
-                Region::new(region),
+                Region::new(region_of(i)),
                 CatalogVersion::INITIAL,
             ))
         })
@@ -83,7 +77,7 @@ fn telemetry(m: usize) -> Vec<(String, PerfHistory)> {
         .map(|i| {
             let base = base_cpu(i);
             let cpu = if drifts(i) && m >= onboard_month(i) + 4 { base * 3.0 + 2.0 } else { base };
-            (format!("cust-{i:04}"), window(cpu))
+            (format!("cust-{i:04}"), flat_window(cpu, 48))
         })
         .collect()
 }
@@ -101,14 +95,7 @@ fn feeds(m: usize) -> Vec<(Region, PriceFeed)> {
 fn build_monitor(
     workers: usize,
 ) -> (DriftMonitor, Arc<RefreshableCatalogProvider>, Arc<EngineRegistry>) {
-    let inner = REGIONS.iter().fold(InMemoryCatalogProvider::new(), |p, &(region, multiplier)| {
-        p.with_region(
-            Region::new(region),
-            CatalogVersion::INITIAL,
-            &CatalogSpec::default(),
-            multiplier,
-        )
-    });
+    let inner = common::provider();
     let provider = Arc::new(RefreshableCatalogProvider::new(Arc::new(inner)));
     let registry = Arc::new(EngineRegistry::new(Arc::clone(&provider) as Arc<dyn CatalogProvider>));
     let assessor =
@@ -118,33 +105,13 @@ fn build_monitor(
     (DriftMonitor::new(assessor), provider, registry)
 }
 
-/// A comparable projection of one [`FleetResult`] ([`FleetResult`] itself
-/// carries no `PartialEq`): name, ledger month, and the full
-/// recommendation or the typed error message.
-#[derive(Debug, PartialEq)]
-struct ResultDigest {
-    name: String,
-    month: Option<String>,
-    recommendation: Option<Recommendation>,
-    error: Option<String>,
-}
-
-fn digest(result: &FleetResult) -> ResultDigest {
-    ResultDigest {
-        name: result.instance_name.to_string(),
-        month: result.month.as_deref().map(str::to_string),
-        recommendation: result.outcome.as_ref().ok().map(|r| r.recommendation.clone()),
-        error: result.outcome.as_ref().err().map(|e| e.message.clone()),
-    }
-}
-
 #[derive(Debug, PartialEq)]
 struct RollDigest {
     old_key: String,
     new_key: String,
     retired_engines: usize,
     reprice_failures: usize,
-    repriced: Vec<ResultDigest>,
+    repriced: Vec<Outcome>,
 }
 
 /// Everything one simulated month did, in comparable form.
@@ -154,7 +121,7 @@ struct MonthDigest {
     rolls: Vec<RollDigest>,
     report: FleetDriftReport,
     outcomes: Vec<DriftOutcome>,
-    reassessed: Vec<ResultDigest>,
+    reassessed: Vec<Outcome>,
     retired_customers: Vec<String>,
     retired_engines: usize,
 }
@@ -165,10 +132,11 @@ fn roll_digest(outcome: &CatalogRollOutcome) -> RollDigest {
         new_key: outcome.new_key.to_string(),
         retired_engines: outcome.retired_engines,
         reprice_failures: outcome.reprice_failures,
-        repriced: outcome.repriced.iter().map(digest).collect(),
+        repriced: outcomes(&outcome.repriced),
     }
 }
 
+#[derive(Debug, PartialEq)]
 struct Run {
     months: Vec<MonthDigest>,
     ledger: AdoptionLedger,
@@ -206,7 +174,7 @@ fn scheduled(workers: usize, chunks: &[usize]) -> Run {
                 rolls: month.rolls.iter().map(roll_digest).collect(),
                 report: month.pass.report,
                 outcomes: month.pass.outcomes,
-                reassessed: month.pass.reassessments.iter().map(digest).collect(),
+                reassessed: outcomes(&month.pass.reassessments),
                 retired_customers: month.retired_customers,
                 retired_engines: month.retired_engines,
             });
@@ -282,7 +250,7 @@ fn hand_cranked(workers: usize) -> Run {
             rolls,
             report: pass.report,
             outcomes: pass.outcomes,
-            reassessed: pass.reassessments.iter().map(digest).collect(),
+            reassessed: outcomes(&pass.reassessments),
             retired_customers,
             retired_engines,
         });
@@ -293,15 +261,6 @@ fn hand_cranked(workers: usize) -> Run {
     let report = monitor.shutdown();
     assert_eq!(report.schedule, None, "no scheduler, no trace");
     Run { months, ledger, report, summary: None }
-}
-
-fn assert_same_run(a: &Run, b: &Run, context: &str) {
-    assert_eq!(a.months.len(), b.months.len(), "{context}");
-    for (x, y) in a.months.iter().zip(&b.months) {
-        assert_eq!(x, y, "{context}: month {}", x.label);
-    }
-    assert_eq!(a.ledger, b.ledger, "{context}: ledger");
-    assert_eq!(a.report, b.report, "{context}: final report");
 }
 
 /// The scenario is only a regression guard if it actually exercises the
@@ -321,30 +280,26 @@ fn assert_scenario_is_live(run: &Run, context: &str) {
 
 #[test]
 fn scheduled_runs_are_worker_count_invariant() {
+    // Every month digest, the ledger, the final report and the schedule
+    // trace.
     let baseline = scheduled(1, &[MONTHS]);
     assert_scenario_is_live(&baseline, "workers=1");
-    for workers in [4usize, 8] {
-        let run = scheduled(workers, &[MONTHS]);
-        assert_same_run(&baseline, &run, &format!("workers 1 vs {workers}"));
-        assert_eq!(baseline.summary, run.summary, "schedule trace, workers 1 vs {workers}");
-    }
+    sweep("scheduled run", &baseline, |workers| scheduled(workers, &[MONTHS]));
 }
 
 #[test]
 fn scheduled_equals_the_operator_cranked_sequence() {
-    for workers in [1usize, 4, 8] {
-        let sim = scheduled(workers, &[MONTHS]);
-        let hand = hand_cranked(workers);
-        assert_same_run(&sim, &hand, &format!("scheduled vs hand-cranked, workers={workers}"));
-    }
+    let hand = hand_cranked(1);
+    sweep("scheduled vs hand-cranked run", &hand, |workers| {
+        assert_eq!(hand_cranked(workers), hand, "hand-cranked at {workers} workers");
+        Run { summary: None, ..scheduled(workers, &[MONTHS]) }
+    });
 }
 
 #[test]
 fn paused_and_resumed_runs_are_indistinguishable() {
     let straight = scheduled(4, &[MONTHS]);
     for chunks in [&[3usize, 3, 2][..], &[1; MONTHS][..]] {
-        let paused = scheduled(4, chunks);
-        assert_same_run(&straight, &paused, &format!("pauses at {chunks:?}"));
-        assert_eq!(straight.summary, paused.summary, "schedule trace, pauses at {chunks:?}");
+        assert_eq!(scheduled(4, chunks), straight, "pauses at {chunks:?}");
     }
 }

@@ -16,15 +16,14 @@
 //! CI runs this in the determinism job with `--test-threads=1` and
 //! `SHARD_COHORT=10000`; the default cohort stays small for local runs.
 
+mod common;
+
 use std::sync::Arc;
 
-use doppler::dma::preprocess::PreprocessedInstance;
-use doppler::fleet::{DigestOutcome, FleetAggregator, FleetResult, ResultDigest};
+use common::{flat_request, outcomes, provider_over, stream, sweep, SHARD_SWEEP};
+use doppler::fleet::{DigestOutcome, FleetAggregator, ResultDigest};
 use doppler::prelude::*;
 use proptest::prelude::*;
-
-const WORKER_SWEEP: [usize; 3] = [1, 4, 8];
-const SHARD_SWEEP: [usize; 3] = [1, 2, 4];
 
 fn cohort_size() -> usize {
     std::env::var("SHARD_COHORT").ok().and_then(|v| v.parse().ok()).unwrap_or(400)
@@ -34,33 +33,13 @@ fn regions() -> Vec<Region> {
     (0..7).map(|i| Region::new(format!("region-{i}"))).collect()
 }
 
-fn provider(regions: &[Region]) -> InMemoryCatalogProvider {
-    regions.iter().fold(InMemoryCatalogProvider::production(), |p, r| {
-        p.with_region(r.clone(), CatalogVersion::INITIAL, &CatalogSpec::default(), 1.0)
-    })
-}
-
 /// A mixed-region cohort: most requests pinned across seven regional
 /// catalogs, every ninth keyless (routing as the global region), all
 /// month-tagged so the adoption ledger is exercised too.
 fn cohort(size: usize, regions: &[Region]) -> Vec<FleetRequest> {
     (0..size)
         .map(|i| {
-            let cpu = 0.3 + (i % 9) as f64 * 0.7;
-            let history = PerfHistory::new()
-                .with(PerfDimension::Cpu, TimeSeries::ten_minute(vec![cpu; 96]))
-                .with(PerfDimension::IoLatency, TimeSeries::ten_minute(vec![6.0; 96]));
-            let request = AssessmentRequest {
-                instance_name: format!("inst-{i}"),
-                input: PreprocessedInstance {
-                    instance: history,
-                    databases: (0..1 + i % 3)
-                        .map(|d| (format!("inst-{i}/db{d}"), PerfHistory::new()))
-                        .collect(),
-                    file_sizes_gib: vec![],
-                },
-                confidence: None,
-            };
+            let request = flat_request(&format!("inst-{i}"), 0.3 + (i % 9) as f64 * 0.7, 1 + i % 3);
             let mut r = FleetRequest::new(DeploymentType::SqlDb, request)
                 .with_month(["Oct-21", "Nov-21", "Dec-21"][i % 3]);
             if i % 9 != 0 {
@@ -77,7 +56,8 @@ fn cohort(size: usize, regions: &[Region]) -> Vec<FleetRequest> {
 }
 
 fn build_service(shards: usize, workers: usize, obs: Option<&ObsRegistry>) -> FleetService {
-    let registry = Arc::new(EngineRegistry::new(Arc::new(provider(&regions()))));
+    let regions = regions().into_iter().chain([Region::global()]).map(|r| (r, 1.0));
+    let registry = Arc::new(EngineRegistry::new(Arc::new(provider_over(regions))));
     let config = FleetConfig { workers, queue_depth: workers * 4, keep_results: true };
     let mut assessor = FleetAssessor::over_registry(registry, config)
         .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)))
@@ -88,54 +68,24 @@ fn build_service(shards: usize, workers: usize, obs: Option<&ObsRegistry>) -> Fl
     assessor.into_service()
 }
 
-/// Stream the cohort through, collect every ticket, and return the results
-/// sorted by global index plus the final report.
-fn run(service: FleetService, fleet: &[FleetRequest]) -> (Vec<FleetResult>, FleetReport) {
-    let mut queue = TicketQueue::new();
-    let mut results = Vec::new();
-    for r in fleet {
-        queue.push(service.submit(r.clone()).unwrap_or_else(|_| unreachable!("open service")));
-        while let Some(result) = queue.try_next() {
-            results.push(result);
-        }
-    }
-    while let Some(result) = queue.next_blocking() {
-        results.push(result);
-    }
-    results.sort_by_key(|r| r.index);
-    let report = service.shutdown();
-    (results, report)
-}
-
 #[test]
 fn sharded_runs_match_the_unsharded_run_bit_for_bit() {
     let fleet = cohort(cohort_size(), &regions());
-    let (base_results, base_report) = run(build_service(1, 1, None), &fleet);
+    let (base_results, base_report) = stream(build_service(1, 1, None), &fleet);
     assert_eq!(base_report.fleet_size, fleet.len());
     assert!(base_report.failed == 0, "{:?}", base_report.failures);
 
+    // Reports (cost totals, SKU mix, histograms, attention lists,
+    // adoption ledger) are bit-for-bit identical, and so is every
+    // per-instance result, in global submission order.
+    let oracle = (base_report, outcomes(&base_results));
     for shards in SHARD_SWEEP {
-        for workers in WORKER_SWEEP {
+        sweep(&format!("report and results at {shards} shards"), &oracle, |workers| {
             let service = build_service(shards, workers, None);
             assert_eq!(service.shard_count(), shards);
-            let (results, report) = run(service, &fleet);
-            let tag = format!("{shards} shards x {workers} workers");
-            // Reports (cost totals, SKU mix, histograms, attention lists,
-            // adoption ledger) are bit-for-bit identical…
-            assert_eq!(report, base_report, "report at {tag}");
-            assert_eq!(report.adoption, base_report.adoption, "ledger at {tag}");
-            // …and so is every per-instance result, in global submission
-            // order.
-            assert_eq!(results.len(), base_results.len(), "result count at {tag}");
-            for (got, want) in results.iter().zip(&base_results) {
-                assert_eq!(got.index, want.index, "{tag}");
-                assert_eq!(got.instance_name, want.instance_name, "{tag}");
-                let (g, w) = (got.outcome.as_ref().unwrap(), want.outcome.as_ref().unwrap());
-                assert_eq!(g.recommendation.sku_id, w.recommendation.sku_id, "{tag}");
-                assert_eq!(g.recommendation.monthly_cost, w.recommendation.monthly_cost, "{tag}");
-                assert_eq!(g.recommendation.shape, w.recommendation.shape, "{tag}");
-            }
-        }
+            let (results, report) = stream(service, &fleet);
+            (report, outcomes(&results))
+        });
     }
 }
 
@@ -151,7 +101,7 @@ fn sharded_obs_spans_conserve_and_gauges_drain() {
         let workers = 2;
         let obs = ObsRegistry::enabled();
         let service = build_service(shards, workers, Some(&obs));
-        let (results, report) = run(service, &fleet);
+        let (results, report) = stream(service, &fleet);
         assert_eq!(results.len(), fleet.len());
         assert_eq!(report.fleet_size, fleet.len());
         let snapshot = obs.snapshot();
