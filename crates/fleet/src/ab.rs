@@ -550,28 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn ab_assessment_is_deterministic_across_worker_counts() {
-        let reports: Vec<FleetReport> = [1usize, 4, 8]
-            .into_iter()
-            .map(|workers| {
-                let ab = AbFleet::new(
-                    FleetAssessor::new(engine(), crate::FleetConfig::with_workers(workers)),
-                    FleetAssessor::new(
-                        learned(&training(), 0.0),
-                        crate::FleetConfig::with_workers(workers),
-                    ),
-                );
-                ab.assess(cohort(48)).report
-            })
-            .collect();
-        assert_eq!(reports[0], reports[1]);
-        assert_eq!(reports[1], reports[2]);
-        assert_eq!(reports[0].render(), reports[2].render());
-        let s = reports[0].ab.as_ref().expect("summary");
-        assert_eq!(s.challenger.backend, "learned");
-    }
-
-    #[test]
     fn shared_registry_trains_once_per_backend_and_key() {
         use doppler_catalog::{CatalogKey, InMemoryCatalogProvider};
         use doppler_core::{EngineRegistry, TrainingSet};

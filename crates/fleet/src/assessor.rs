@@ -603,22 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_does_not_change_the_assessment() {
-        let fleet: Vec<FleetRequest> =
-            (0..48).map(|i| request(&format!("i{i}"), 0.3 + i as f64 * 0.5)).collect();
-        let a = assessor(1).assess(fleet.clone());
-        let b = assessor(7).assess(fleet);
-        assert_eq!(a.report, b.report);
-        let skus = |out: &FleetAssessment| -> Vec<Option<String>> {
-            out.results
-                .iter()
-                .map(|r| r.outcome.as_ref().unwrap().recommendation.sku_id.clone())
-                .collect()
-        };
-        assert_eq!(skus(&a), skus(&b));
-    }
-
-    #[test]
     fn unroutable_deployments_land_in_the_failure_bucket() {
         let mut fleet = vec![request("ok", 0.5)];
         let mut mi = request("mi-stranded", 0.5);

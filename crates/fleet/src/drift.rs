@@ -1255,55 +1255,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_monitor_pass_matches_the_unsharded_pass() {
-        use doppler_catalog::Region;
-        // Re-queues route through `FleetService::submit`, so a sharded
-        // monitor sends each drifted customer to its region's own shard —
-        // and the pass (report, outcomes, re-assessments) must still be
-        // bit-for-bit what a single-shard monitor produces.
-        let run = |shards: usize| {
-            let provider = (0..3).fold(InMemoryCatalogProvider::production(), |p, i| {
-                p.with_region(
-                    Region::new(format!("region-{i}")),
-                    CatalogVersion::INITIAL,
-                    &CatalogSpec::default(),
-                    1.0,
-                )
-            });
-            let registry = Arc::new(EngineRegistry::new(Arc::new(provider)));
-            let assessor = FleetAssessor::over_registry(registry, FleetConfig::with_workers(2))
-                .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)))
-                .with_shard_plan(crate::shard::ShardPlan::by_region(shards));
-            let mut monitor = DriftMonitor::new(assessor);
-            for i in 0..6 {
-                let key = CatalogKey::production(DeploymentType::SqlDb)
-                    .in_region(Region::new(format!("region-{}", i % 3)));
-                monitor.watch(
-                    MonitoredCustomer::new(format!("c{i}"), DeploymentType::SqlDb, window(0.5, 96))
-                        .with_catalog_key(key),
-                );
-                monitor.observe(&format!("c{i}"), window(if i % 2 == 0 { 7.0 } else { 0.5 }, 96));
-            }
-            monitor.tick("Jun-22")
-        };
-        let unsharded = run(1);
-        assert_eq!(unsharded.report.drifted, 3);
-        assert_eq!(unsharded.reassessments.len(), 3);
-        for shards in [2, 3] {
-            let sharded = run(shards);
-            assert_eq!(sharded.report, unsharded.report, "report at {shards} shards");
-            assert_eq!(sharded.outcomes, unsharded.outcomes, "outcomes at {shards} shards");
-            assert_eq!(sharded.reassessments.len(), unsharded.reassessments.len());
-            for (s, u) in sharded.reassessments.iter().zip(&unsharded.reassessments) {
-                assert_eq!(s.instance_name, u.instance_name, "{shards} shards");
-                let (sr, ur) = (s.outcome.as_ref().unwrap(), u.outcome.as_ref().unwrap());
-                assert_eq!(sr.recommendation.sku_id, ur.recommendation.sku_id);
-                assert_eq!(sr.recommendation.monthly_cost, ur.recommendation.monthly_cost);
-            }
-        }
-    }
-
-    #[test]
     fn watch_assessment_seeds_the_monitor_from_a_fleet_run() {
         let engine = DopplerEngine::untrained(
             azure_paas_catalog(&CatalogSpec::default()),
@@ -1625,25 +1576,5 @@ mod tests {
         // Re-watching a retired name registers fresh, at the end.
         monitor.watch(MonitoredCustomer::new("b", DeploymentType::SqlDb, window(0.5, 48)));
         assert_eq!(monitor.watched_names().collect::<Vec<_>>(), ["a", "c", "b"]);
-    }
-
-    #[test]
-    fn monitor_pass_is_worker_count_invariant() {
-        let run = |workers: usize| {
-            let mut m = monitor(workers);
-            for i in 0..12 {
-                m.watch(MonitoredCustomer::new(
-                    format!("c{i}"),
-                    DeploymentType::SqlDb,
-                    window(0.4 + 0.05 * i as f64, 48),
-                ));
-                m.observe(&format!("c{i}"), window(if i % 4 == 0 { 6.5 } else { 0.5 }, 48));
-            }
-            let pass = m.tick("Jun-22");
-            (pass.report, pass.outcomes)
-        };
-        let baseline = run(1);
-        assert_eq!(run(4), baseline);
-        assert_eq!(run(8), baseline);
     }
 }

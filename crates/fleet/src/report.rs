@@ -1065,45 +1065,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_shard_aggregates_match_the_sequential_fold() {
-        let digests = synthetic_digests(4000); // > CHUNK so sealed chunks merge
-        let mut sequential = FleetAggregator::new();
-        for d in &digests {
-            sequential.accept_digest(d);
-        }
-        for shards in [2, 3, 4] {
-            let mut parts: Vec<FleetAggregator> =
-                (0..shards).map(|_| FleetAggregator::new()).collect();
-            for d in &digests {
-                parts[d.index % shards].accept_digest(d);
-            }
-            let mut merged = FleetAggregator::new();
-            for part in &parts {
-                merged.merge(part);
-            }
-            assert_eq!(merged.finish(), sequential.finish(), "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn merge_grouping_does_not_change_the_report() {
-        let digests = synthetic_digests(300);
-        let mut parts: Vec<FleetAggregator> = (0..3).map(|_| FleetAggregator::new()).collect();
-        for d in &digests {
-            parts[d.index % 3].accept_digest(d);
-        }
-        // ((a ⊕ b) ⊕ c) vs (a ⊕ (b ⊕ c)).
-        let mut left = parts[0].clone();
-        left.merge(&parts[1]);
-        left.merge(&parts[2]);
-        let mut bc = parts[1].clone();
-        bc.merge(&parts[2]);
-        let mut right = parts[0].clone();
-        right.merge(&bc);
-        assert_eq!(left.finish(), right.finish());
-    }
-
-    #[test]
     fn snapshot_matches_finish_and_leaves_the_aggregator_usable() {
         let digests = synthetic_digests(50);
         let mut agg = FleetAggregator::new();

@@ -959,29 +959,6 @@ mod tests {
     }
 
     #[test]
-    fn paused_runs_equal_straight_runs() {
-        let run = |pauses: &[usize]| {
-            let mut sim = simple_scheduler(2);
-            for i in 0..6 {
-                sim.onboard_at(
-                    i % 2,
-                    MonitoredCustomer::new(format!("c{i}"), DeploymentType::SqlDb, window(0.5, 48)),
-                );
-                sim.telemetry_at(2 + i % 3, format!("c{i}"), window(7.0, 48));
-            }
-            for &chunk in pauses {
-                sim.run(chunk);
-            }
-            let summary = sim.summary().clone();
-            let ledger = sim.monitor().ledger().clone();
-            (summary, ledger)
-        };
-        let straight = run(&[6]);
-        assert_eq!(run(&[3, 3]), straight);
-        assert_eq!(run(&[1, 2, 2, 1]), straight);
-    }
-
-    #[test]
     fn summary_rides_the_final_report_and_round_trips_json() {
         let mut sim = simple_scheduler(2);
         sim.onboard_at(0, MonitoredCustomer::new("c", DeploymentType::SqlDb, window(0.5, 96)));

@@ -924,70 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_service_matches_the_single_shard_report() {
-        use doppler_catalog::{CatalogKey, CatalogVersion, InMemoryCatalogProvider, Region};
-        use doppler_core::EngineRegistry;
-
-        use crate::assessor::EngineRoute;
-
-        let regions: Vec<String> = (0..6).map(|i| format!("region-{i}")).collect();
-        let build = |shards: usize| {
-            let provider = regions.iter().fold(InMemoryCatalogProvider::new(), |p, r| {
-                p.with_region(
-                    Region::new(r.clone()),
-                    CatalogVersion::INITIAL,
-                    &CatalogSpec::default(),
-                    1.0,
-                )
-            });
-            let registry = Arc::new(EngineRegistry::new(Arc::new(provider) as _));
-            let config = FleetConfig { workers: 2, queue_depth: 8, keep_results: true };
-            FleetAssessor::over_registry(registry, config)
-                .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)))
-                .with_shard_plan(ShardPlan::by_region(shards))
-                .into_service()
-        };
-        let run = |service: FleetService| {
-            let tickets: Vec<Ticket> = (0..24)
-                .map(|i| {
-                    let region = &regions[i % regions.len()];
-                    let key = CatalogKey::new(
-                        DeploymentType::SqlDb,
-                        Region::new(region.clone()),
-                        CatalogVersion::INITIAL,
-                    );
-                    let r = request(&format!("inst-{i}"), 0.3 + (i % 7) as f64);
-                    service.submit(r.with_catalog_key(key)).unwrap()
-                })
-                .collect();
-            // Global indices are allocated in submission order no matter
-            // which shard each request routed to.
-            for (i, t) in tickets.iter().enumerate() {
-                assert_eq!(t.index(), i);
-            }
-            let mut results: Vec<FleetResult> =
-                tickets.into_iter().map(|t| t.recv().unwrap()).collect();
-            results.sort_by_key(|r| r.index);
-            (results, service.shutdown())
-        };
-        let single = build(1);
-        assert_eq!(single.shard_count(), 1);
-        let (base_results, base_report) = run(single);
-        for shards in [2, 4] {
-            let service = build(shards);
-            assert_eq!(service.shard_count(), shards);
-            let (results, report) = run(service);
-            assert_eq!(report, base_report, "{shards} shards must report what 1 shard reports");
-            assert_eq!(results.len(), base_results.len());
-            for (a, b) in results.iter().zip(&base_results) {
-                assert_eq!(a.index, b.index);
-                assert_eq!(a.instance_name, b.instance_name);
-                assert_eq!(a.outcome.is_ok(), b.outcome.is_ok());
-            }
-        }
-    }
-
-    #[test]
     fn drift_probes_ride_the_pool_without_entering_the_aggregate() {
         use crate::drift::{DriftProbe, DriftVerdict};
         let service = service(2);

@@ -12,7 +12,7 @@
 //! identical to unsharded ones, which only holds if the same request
 //! always lands on the same shard.
 
-use doppler_catalog::Region;
+use doppler_catalog::{Fingerprint, Region};
 
 /// How a sharded [`FleetService`](crate::FleetService) partitions work.
 ///
@@ -55,19 +55,13 @@ impl ShardPlan {
         }
         let global = Region::global();
         let region = region.unwrap_or(&global);
-        fnv1a(region.as_str().as_bytes()) as usize % self.shards
+        // FNV-1a over the raw label bytes (not `write_str`, which would
+        // length-prefix them): stable across runs and platforms, unlike
+        // `DefaultHasher`, whose keys are randomized per process.
+        let mut hash = Fingerprint::new();
+        hash.write_bytes(region.as_str().as_bytes());
+        hash.finish() as usize % self.shards
     }
-}
-
-/// FNV-1a over the region label: stable across runs and platforms (unlike
-/// `DefaultHasher`, whose keys are randomized per process).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

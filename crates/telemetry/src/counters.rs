@@ -90,9 +90,10 @@ impl PerfHistory {
     }
 
     /// Insert (or replace) a dimension's series. Panics if the new series
-    /// is misaligned with the ones already present.
+    /// is misaligned with the other dimensions already present; the series
+    /// it replaces does not count.
     pub fn insert(&mut self, dim: PerfDimension, series: TimeSeries) {
-        if let Some(existing) = self.series.values().next() {
+        if let Some(existing) = self.series.iter().find(|(d, _)| **d != dim).map(|(_, s)| s) {
             assert_eq!(existing.len(), series.len(), "misaligned series for {dim}");
             assert_eq!(
                 existing.interval_minutes(),
@@ -191,6 +192,21 @@ mod tests {
     #[should_panic(expected = "misaligned")]
     fn misaligned_series_rejected() {
         history().with(PerfDimension::Iops, TimeSeries::ten_minute(vec![1.0]));
+    }
+
+    #[test]
+    fn replacing_the_only_series_may_change_its_length() {
+        let h = PerfHistory::new()
+            .with(PerfDimension::Cpu, TimeSeries::ten_minute(vec![1.0; 4]))
+            .with(PerfDimension::Cpu, TimeSeries::ten_minute(vec![2.0; 2]));
+        assert_eq!(h.values(PerfDimension::Cpu), Some(&[2.0, 2.0][..]));
+        assert_eq!(h.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "misaligned")]
+    fn replacing_a_series_must_still_align_with_the_others() {
+        history().with(PerfDimension::Cpu, TimeSeries::ten_minute(vec![1.0]));
     }
 
     #[test]

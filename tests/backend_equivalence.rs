@@ -3,11 +3,11 @@
 //! path they ride on.
 //!
 //! CI runs this with the other determinism suites in one `--test-threads=1`
-//! step; `common::sweep` checks every run at 1, 4 and 8 workers.
+//! step; `common::sweep` checks every run under each `common::CONFIGS` row.
 
 mod common;
 
-use common::{catalog, engine, labelled_training, outcomes, sweep};
+use common::{catalog, engine, labelled_training, outcomes, sweep, Config};
 use doppler::dma::preprocess::PreprocessedInstance;
 use doppler::fleet::ab_summary_from_json;
 use doppler::prelude::*;
@@ -58,18 +58,16 @@ fn cohort(n: usize) -> Vec<FleetRequest> {
 }
 
 /// A trained learned backend yields the same fleet report — and the same
-/// per-instance results — at 1, 4, and 8 workers.
+/// per-instance results — under every deployment.
 #[test]
 fn learned_backend_fleets_are_deterministic_across_worker_counts() {
     let records = training(24);
     let fleet = cohort(96);
-    let observe = |workers| {
-        let run =
-            FleetAssessor::new(learned_backend(0.0, &records), FleetConfig::with_workers(workers))
-                .assess(fleet.clone());
+    let observe = |config: Config| {
+        let run = config.assessor(learned_backend(0.0, &records)).assess(fleet.clone());
         (run.report.render(), run.report, outcomes(&run.results))
     };
-    let baseline = observe(1);
+    let baseline = observe(Config::SERIAL);
     assert!(baseline.1.recommended > 0);
     assert_eq!(baseline.1.failed, 0);
     sweep("learned report, rendering and results", &baseline, observe);
@@ -78,7 +76,8 @@ fn learned_backend_fleets_are_deterministic_across_worker_counts() {
 /// The acceptance scenario: a ≥1k-instance cohort through a shared
 /// registry, heuristic champion vs learned challenger. One training per
 /// `(key, backend)`, side-by-side columns in the report, and the whole
-/// A/B outcome bit-for-bit stable across worker counts.
+/// A/B outcome — report and rendering — bit-for-bit stable across
+/// deployments.
 #[test]
 fn thousand_instance_ab_fleet_is_deterministic_and_trains_once_per_backend() {
     use std::sync::Arc;
@@ -86,22 +85,18 @@ fn thousand_instance_ab_fleet_is_deterministic_and_trains_once_per_backend() {
     let fleet = cohort(1024);
     let key = CatalogKey::production(DeploymentType::SqlDb);
     let training_set = TrainingSet::new(training(32));
-    let run = |workers| {
+    let run = |config: Config| {
         let registry =
             Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
         let route = || EngineRoute::production(key.clone()).trained(training_set.clone());
-        let champion =
-            FleetAssessor::over_registry(Arc::clone(&registry), FleetConfig::with_workers(workers))
-                .with_route(route());
-        let challenger =
-            FleetAssessor::over_registry(Arc::clone(&registry), FleetConfig::with_workers(workers))
-                .with_route(
-                    route().with_backend_spec(BackendSpec::Learned(LearnedConfig::default())),
-                );
+        let champion = config.over_registry(Arc::clone(&registry)).with_route(route());
+        let challenger = config
+            .over_registry(Arc::clone(&registry))
+            .with_route(route().with_backend_spec(BackendSpec::Learned(LearnedConfig::default())));
 
         let outcome = AbFleet::new(champion, challenger).assess(fleet.clone());
         let stats = registry.stats();
-        assert_eq!(stats.misses, 2, "one training per (key, backend) at {workers} workers");
+        assert_eq!(stats.misses, 2, "one training per (key, backend) under {config:?}");
         assert_eq!(stats.failures, 0);
 
         let ab = outcome.report.ab.as_ref().expect("A/B summary attached");
@@ -113,14 +108,14 @@ fn thousand_instance_ab_fleet_is_deterministic_and_trains_once_per_backend() {
         assert!(rendered.contains("Champion/challenger"));
         assert!(rendered.contains("SKU agreement"));
 
-        // The JSON export round-trips losslessly at every worker count.
+        // The JSON export round-trips losslessly under every deployment.
         let json = doppler::fleet::ab_summary_to_json(ab);
         let parsed = doppler::dma::json::Json::parse(&json.render_pretty()).unwrap();
         assert_eq!(ab_summary_from_json(&parsed).as_ref(), Some(ab));
 
-        outcome.report
+        (rendered, outcome.report)
     };
-    sweep("A/B report", &run(1), run);
+    sweep("A/B report and rendering", &run(Config::SERIAL), run);
 }
 
 proptest! {

@@ -1,12 +1,12 @@
 //! Backtest determinism suite: a replayed back-test must be bit-for-bit
-//! identical at any worker count — report, rendering, and JSON export.
+//! identical under any deployment — report, rendering, and JSON export.
 //!
 //! CI runs this with the other determinism suites in one `--test-threads=1`
-//! step; `common::sweep` checks every run at 1, 4 and 8 workers.
+//! step; `common::sweep` checks every run under each `common::CONFIGS` row.
 
 mod common;
 
-use common::{catalog, engine, labelled_training, sweep};
+use common::{catalog, engine, labelled_training, sweep, Config};
 use doppler::fleet::{backtest_report_from_json, backtest_report_to_json, BacktestCase};
 use doppler::prelude::*;
 
@@ -32,30 +32,26 @@ fn cases(n: usize) -> Vec<BacktestCase> {
         .collect()
 }
 
-fn harness(workers: usize) -> Backtest {
+fn harness(config: Config) -> Backtest {
     let learned = LearnedBackend::train(
         catalog(),
         EngineConfig::production(DeploymentType::SqlDb),
         LearnedConfig::default(),
         &labelled_training(24, |cpu| history(cpu, cpu * 180.0)),
     );
-    Backtest::new(
-        catalog(),
-        FleetAssessor::new(learned, FleetConfig::with_workers(workers)),
-        FleetAssessor::new(engine(), FleetConfig::with_workers(workers)),
-    )
-    .with_labels("learned", "heuristic")
+    Backtest::new(catalog(), config.assessor(learned), config.assessor(engine()))
+        .with_labels("learned", "heuristic")
 }
 
 #[test]
 fn backtest_reports_are_bit_for_bit_identical_across_worker_counts() {
     let cohort = cases(24);
-    let report = |workers| harness(workers).run(&cohort);
-    let baseline = report(1);
+    let report = |config| harness(config).run(&cohort);
+    let baseline = report(Config::SERIAL);
     assert!(baseline.scored_pairs > 0, "the sweep actually scored something");
     // Rendering is a pure function of the report.
-    sweep("report and rendering", &(baseline.render(), baseline), |w| {
-        let run = report(w);
+    sweep("report and rendering", &(baseline.render(), baseline), |config| {
+        let run = report(config);
         (run.render(), run)
     });
 }
@@ -63,18 +59,18 @@ fn backtest_reports_are_bit_for_bit_identical_across_worker_counts() {
 #[test]
 fn backtest_json_export_is_identical_and_lossless_across_worker_counts() {
     let cohort = cases(16);
-    let export = |workers| backtest_report_to_json(&harness(workers).run(&cohort)).render_pretty();
-    let baseline = export(1);
+    let export = |config| backtest_report_to_json(&harness(config).run(&cohort)).render_pretty();
+    let baseline = export(Config::SERIAL);
     sweep("JSON export", &baseline, export);
     let parsed = doppler::dma::json::Json::parse(&baseline).expect("valid JSON");
     let report = backtest_report_from_json(&parsed).expect("structurally sound");
-    assert_eq!(report, harness(1).run(&cohort), "round trip equals a fresh run");
+    assert_eq!(report, harness(Config::SERIAL).run(&cohort), "round trip equals a fresh run");
 }
 
 #[test]
 fn repeated_runs_of_one_harness_are_stable() {
     let cohort = cases(12);
-    let harness = harness(4);
+    let harness = harness(Config { workers: 4, ..Config::SERIAL });
     let first = harness.run(&cohort);
     let second = harness.run(&cohort);
     assert_eq!(first, second, "a harness is reusable without state leakage");

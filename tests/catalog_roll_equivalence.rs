@@ -11,8 +11,8 @@
 //! 3. show the lifecycle in the registry's counters: **exactly one new
 //!    training** for the rolled key, **retirement — not retraining — of
 //!    the old one** (resolving it returns the typed `Retired` error), and
-//! 4. hold all of the above at 1, 4, and 8 workers, bit-for-bit across
-//!    worker counts.
+//! 4. hold all of the above under every deployment in `common::CONFIGS`,
+//!    bit-for-bit across them.
 //!
 //! Runs single-threaded in the CI determinism job so the service worker
 //! pool is the only concurrency in play.
@@ -21,7 +21,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{decisions, flat_window, region_of, sweep, REGIONS};
+use common::{decisions, flat_window, region_of, sweep, Config, REGIONS};
 use doppler::fleet::FleetResult;
 use doppler::prelude::*;
 
@@ -58,22 +58,22 @@ fn cohort_request(i: usize, version_in_rolled: CatalogVersion) -> FleetRequest {
 
 fn monitor_over(
     provider: &Arc<RefreshableCatalogProvider>,
-    workers: usize,
+    config: Config,
 ) -> (Arc<EngineRegistry>, DriftMonitor) {
     let registry = Arc::new(EngineRegistry::new(Arc::clone(provider) as Arc<dyn CatalogProvider>));
-    let assessor =
-        FleetAssessor::over_registry(Arc::clone(&registry), FleetConfig::with_workers(workers))
-            .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)));
+    let assessor = config
+        .over_registry(Arc::clone(&registry))
+        .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)));
     (registry, DriftMonitor::new(assessor))
 }
 
 /// The reference: a provider that already rolled, a fresh registry, a
 /// fresh monitor — the rolled region's customers assessed directly at v2.
-fn fresh_at_v2(workers: usize) -> Vec<FleetResult> {
+fn fresh_at_v2(config: Config) -> Vec<FleetResult> {
     let provider = refreshable();
     let rolls = provider.apply_feed(&Region::new(ROLLED_REGION), FEED).unwrap();
     assert!(!rolls.is_empty());
-    let (_registry, monitor) = monitor_over(&provider, workers);
+    let (_registry, monitor) = monitor_over(&provider, config);
     let fleet: Vec<FleetRequest> = (0..COHORT)
         .filter(|&i| region_of(i) == ROLLED_REGION)
         .map(|i| cohort_request(i, CatalogVersion(2)))
@@ -94,9 +94,9 @@ struct RolledRun {
 /// The upgrade path: assess everything at v1, watch it, feed + roll one
 /// region, then re-check the untouched regions through the same (still
 /// warm) service.
-fn rolled_run(workers: usize) -> RolledRun {
+fn rolled_run(config: Config) -> RolledRun {
     let provider = refreshable();
-    let (registry, mut monitor) = monitor_over(&provider, workers);
+    let (registry, mut monitor) = monitor_over(&provider, config);
 
     // 1. Assess the whole cohort at v1 and register it with the monitor.
     let fleet: Vec<FleetRequest> =
@@ -112,7 +112,7 @@ fn rolled_run(workers: usize) -> RolledRun {
         assert!(monitor.watch_assessment(request, result));
     }
     let stats = registry.stats();
-    assert_eq!(stats.misses, 3, "one training per region at v1 (workers={workers})");
+    assert_eq!(stats.misses, 3, "one training per region at v1 ({config:?})");
 
     // 2. The feed lands; the region rolls; the monitor processes it.
     let rolls = provider.apply_feed(&Region::new(ROLLED_REGION), FEED).unwrap();
@@ -120,13 +120,13 @@ fn rolled_run(workers: usize) -> RolledRun {
     let roll = rolls.iter().find(|r| r.old_key == old_key).expect("DB key rolled");
     assert_eq!(roll.new_key, key_for(ROLLED_REGION, CatalogVersion(2)));
     let outcome = monitor.on_catalog_roll("Roll-22", &roll.old_key, &roll.new_key);
-    assert_eq!(outcome.retired_engines, 1, "workers={workers}");
+    assert_eq!(outcome.retired_engines, 1, "{config:?}");
 
     // 3. Counter story: exactly one new training (the rolled key), the old
     //    key retired — resolving it errors instead of retraining.
     let stats = registry.stats();
-    assert_eq!(stats.misses, 4, "exactly one new training for the roll (workers={workers})");
-    assert_eq!(stats.retirements, 1, "workers={workers}");
+    assert_eq!(stats.misses, 4, "exactly one new training for the roll ({config:?})");
+    assert_eq!(stats.retirements, 1, "{config:?}");
     assert!(matches!(
         registry.get_or_train(&old_key, &EngineTemplate::production(), &TrainingSet::empty()),
         Err(RegistryError::Retired(_))
@@ -154,7 +154,7 @@ fn rolled_run(workers: usize) -> RolledRun {
     assert_eq!(
         registry.stats().misses,
         4,
-        "re-checking untouched regions resolves warm (workers={workers})"
+        "re-checking untouched regions resolves warm ({config:?})"
     );
 
     RolledRun { repriced: outcome.repriced, untouched_before, untouched_after }
@@ -164,26 +164,27 @@ fn rolled_run(workers: usize) -> RolledRun {
 fn rolled_region_matches_a_fresh_fleet_at_v2_and_untouched_regions_hold() {
     let members = (0..COHORT).filter(|&i| region_of(i) == ROLLED_REGION).count();
     let observe = |run: &RolledRun| (decisions(&run.repriced), decisions(&run.untouched_after));
-    // The whole story is worker-count invariant.
-    sweep("repriced and untouched results", &observe(&rolled_run(1)), |workers| {
-        let run = rolled_run(workers);
+    // The whole story is deployment invariant.
+    sweep("repriced and untouched results", &observe(&rolled_run(Config::SERIAL)), |config| {
+        let run = rolled_run(config);
         // The upgrade path equals the cold start at v2, bit for bit, and
         // re-prices every member of the rolled region.
-        let fresh = decisions(&fresh_at_v2(workers));
-        assert_eq!(decisions(&run.repriced), fresh, "rolled vs fresh at {workers} workers");
+        let fresh = decisions(&fresh_at_v2(config));
+        assert_eq!(decisions(&run.repriced), fresh, "rolled vs fresh under {config:?}");
         assert_eq!(run.repriced.len(), members);
         // Untouched regions: byte-identical to their v1 results.
         let before = decisions(&run.untouched_before);
-        assert_eq!(before, decisions(&run.untouched_after), "untouched at {workers} workers");
+        assert_eq!(before, decisions(&run.untouched_after), "untouched under {config:?}");
         observe(&run)
     });
 }
 
 #[test]
 fn repriced_bills_scale_by_exactly_the_feed_multiplier() {
-    let run = rolled_run(2);
+    let config = Config { workers: 2, ..Config::SERIAL };
+    let run = rolled_run(config);
     let provider = refreshable();
-    let (_registry, monitor) = monitor_over(&provider, 2);
+    let (_registry, monitor) = monitor_over(&provider, config);
     // The same customers assessed at v1 on a fresh stack: the rolled
     // recommendations keep the SKU and scale the monthly bill by the feed.
     let v1: Vec<FleetResult> = {

@@ -1,8 +1,8 @@
 //! Fixtures shared by the integration suites, each defined once: the
-//! worker and shard sweeps, the three-region catalog provider, the flat
-//! ten-minute telemetry window, the production catalog and untrained SQL
-//! DB engine, the training-record builders, and [`sweep`], which checks a
-//! run at every worker count against the suite's serial oracle.
+//! deployment table [`CONFIGS`] and [`sweep`], which checks a scenario under
+//! every row against the suite's serial oracle; the three-region catalog
+//! provider; the flat ten-minute telemetry window; the production catalog
+//! and untrained SQL DB engine; and the training-record builders.
 //!
 //! A suite pulls in what it needs with `mod common;`.
 
@@ -10,16 +10,81 @@
 #![allow(dead_code)]
 
 use std::fmt::Debug;
+use std::sync::Arc;
 
 use doppler::dma::preprocess::PreprocessedInstance;
 use doppler::fleet::{FleetResult, ServiceProgress};
 use doppler::prelude::*;
 
-/// The worker counts every determinism suite sweeps.
-pub const WORKER_SWEEP: [usize; 3] = [1, 4, 8];
+/// One deployment of the fleet service: the workers each shard runs, the
+/// shards a region-keyed [`ShardPlan`] splits the service into, and
+/// whether instrumentation records into a live [`ObsRegistry`]. No
+/// business output may depend on any of the three.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Config {
+    pub workers: usize,
+    pub shards: usize,
+    pub obs: bool,
+}
 
-/// The shard counts the sharded suites sweep.
-pub const SHARD_SWEEP: [usize; 3] = [1, 2, 4];
+/// The deployments every determinism suite runs its scenario under.
+/// Together the rows cover workers 1/4/8, shards 1/2/4, and obs off and
+/// on; the first row is [`Config::SERIAL`].
+pub const CONFIGS: [Config; 3] = [
+    Config { workers: 1, shards: 1, obs: false },
+    Config { workers: 4, shards: 4, obs: true },
+    Config { workers: 8, shards: 2, obs: false },
+];
+
+impl Config {
+    /// One worker, one shard, obs off: the deployment oracles run under.
+    pub const SERIAL: Config = CONFIGS[0];
+
+    /// `workers` threads per shard, four queued tasks per worker.
+    pub fn fleet_config(self) -> FleetConfig {
+        FleetConfig::with_workers(self.workers)
+    }
+
+    /// `assessor` deployed under this config: split by region into
+    /// `shards` shards, and recording into a fresh enabled registry when
+    /// `obs` is on.
+    pub fn apply(self, assessor: FleetAssessor) -> FleetAssessor {
+        let assessor = assessor.with_shard_plan(ShardPlan::by_region(self.shards));
+        if self.obs {
+            assessor.with_obs(&ObsRegistry::enabled())
+        } else {
+            assessor
+        }
+    }
+
+    /// A fixed-backend assessor under this config.
+    pub fn assessor(self, backend: impl RecommendationBackend + 'static) -> FleetAssessor {
+        self.apply(FleetAssessor::new(backend, self.fleet_config()))
+    }
+
+    /// A registry-resolving assessor under this config.
+    pub fn over_registry(self, registry: Arc<EngineRegistry>) -> FleetAssessor {
+        self.apply(FleetAssessor::over_registry(registry, self.fleet_config()))
+    }
+}
+
+/// Run `run` under every [`CONFIGS`] row and assert each output equals
+/// `oracle`; a failure names `what` and the config.
+pub fn sweep<T: PartialEq + Debug>(what: &str, oracle: &T, run: impl FnMut(Config) -> T) {
+    sweep_over(CONFIGS, what, oracle, run);
+}
+
+/// [`sweep`] over an explicit list of configs.
+pub fn sweep_over<T: PartialEq + Debug>(
+    configs: impl IntoIterator<Item = Config>,
+    what: &str,
+    oracle: &T,
+    mut run: impl FnMut(Config) -> T,
+) {
+    for config in configs {
+        assert_eq!(run(config), *oracle, "{what} under {config:?}");
+    }
+}
 
 /// The multi-region scenario: `(region, price multiplier)` at v1.
 pub const REGIONS: [(&str, f64); 3] = [("global", 1.0), ("westeurope", 1.08), ("eastasia", 1.12)];
@@ -103,23 +168,19 @@ pub fn labelled_training(n: usize, history: impl Fn(f64) -> PerfHistory) -> Vec<
         .collect()
 }
 
-/// Run `run` at every worker count of [`WORKER_SWEEP`] and assert each
-/// output equals `oracle`; a failure names `what` and the worker count.
-pub fn sweep<T: PartialEq + Debug>(what: &str, oracle: &T, mut run: impl FnMut(usize) -> T) {
-    for workers in WORKER_SWEEP {
-        assert_eq!(run(workers), *oracle, "{what} at {workers} workers");
-    }
-}
-
 /// Stream `fleet` through `service` one submission at a time, draining
 /// finished results between submissions (the continuous-operation shape),
 /// then close, drain and shut down. Returns the results in submission
-/// order and the final report, after checking every submission completed.
+/// order and the final report, after checking every ticket carried its
+/// submission position (whichever shard served it) and every submission
+/// completed.
 pub fn stream(service: FleetService, fleet: &[FleetRequest]) -> (Vec<FleetResult>, FleetReport) {
     let mut tickets = TicketQueue::new();
     let mut results = Vec::new();
-    for request in fleet {
-        tickets.push(service.submit(request.clone()).unwrap_or_else(|_| unreachable!("open")));
+    for (i, request) in fleet.iter().enumerate() {
+        let ticket = service.submit(request.clone()).unwrap_or_else(|_| unreachable!("open"));
+        assert_eq!(ticket.index(), i, "ticket index is the submission position");
+        tickets.push(ticket);
         while let Some(result) = tickets.try_next() {
             results.push(result);
         }

@@ -8,8 +8,9 @@
 //! 2. attribute every drifted customer to the region the drift was
 //!    injected into (and nothing to the control regions), and
 //! 3. be **bit-for-bit deterministic** — the same `FleetDriftReport`,
-//!    outcome vector, and priority-lane re-assessments at 1, 4, and 8
-//!    workers.
+//!    outcome vector, and priority-lane re-assessments (SKU and cost
+//!    included) under every deployment in `common::CONFIGS`, sharded
+//!    monitors re-queueing each drifted customer on its region's shard.
 //!
 //! Runs single-threaded in the CI determinism job so the service worker
 //! pool is the only concurrency in play.
@@ -18,7 +19,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{outcomes, provider, region_of, sweep, REGIONS};
+use common::{outcomes, provider, region_of, sweep, Config, REGIONS};
 use doppler::fleet::{DriftVerdict, MonitoredCustomer};
 use doppler::prelude::*;
 use doppler::workload::DriftDirection;
@@ -53,15 +54,16 @@ fn cohort_member(i: usize) -> (MonitoredCustomer, PerfHistory) {
     (customer, scenario.after())
 }
 
-fn monitor(workers: usize) -> DriftMonitor {
+fn monitor(config: Config) -> DriftMonitor {
     let registry = Arc::new(EngineRegistry::new(Arc::new(provider())));
-    let assessor = FleetAssessor::over_registry(registry, FleetConfig::with_workers(workers))
+    let assessor = config
+        .over_registry(registry)
         .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)));
     DriftMonitor::new(assessor)
 }
 
-fn run_pass(workers: usize) -> DriftPass {
-    let mut monitor = monitor(workers);
+fn run_pass(config: Config) -> DriftPass {
+    let mut monitor = monitor(config);
     for i in 0..COHORT {
         let (customer, fresh) = cohort_member(i);
         let name = customer.name.clone();
@@ -109,7 +111,7 @@ fn serial_verdicts() -> Vec<SerialVerdict> {
 
 #[test]
 fn monitor_pass_matches_serial_detect_drift_with_regional_attribution() {
-    let pass = run_pass(4);
+    let pass = run_pass(Config { workers: 4, ..Config::SERIAL });
     let reference = serial_verdicts();
     assert_eq!(pass.outcomes.len(), COHORT);
     assert_eq!(reference.len(), COHORT);
@@ -177,7 +179,7 @@ fn monitor_pass_matches_serial_detect_drift_with_regional_attribution() {
 #[test]
 fn monitor_pass_is_bit_for_bit_deterministic_across_worker_counts() {
     let observe = |pass: DriftPass| (pass.report, pass.outcomes, outcomes(&pass.reassessments));
-    let baseline = observe(run_pass(1));
+    let baseline = observe(run_pass(Config::SERIAL));
     assert!(baseline.2.iter().all(|r| r.recommendation.is_some()), "re-assessments succeed");
-    sweep("report, outcomes and re-assessments", &baseline, |w| observe(run_pass(w)));
+    sweep("report, outcomes and re-assessments", &baseline, |config| observe(run_pass(config)));
 }

@@ -1,16 +1,12 @@
 //! Fleet-scale determinism: assessing the same 1,000-instance synthetic
-//! population must produce bit-for-bit identical output no matter how many
-//! worker threads share the engine.
+//! population must produce bit-for-bit identical output under every
+//! deployment in `common::CONFIGS`: worker count, shard plan, and obs.
 
 mod common;
 
-use common::{catalog, engine, outcomes, sweep};
+use common::{catalog, engine, outcomes, sweep, Config};
 use doppler::fleet::cloud_fleet;
 use doppler::prelude::*;
-
-fn assess_with(workers: usize, fleet: Vec<FleetRequest>) -> FleetAssessment {
-    FleetAssessor::new(engine(), FleetConfig::with_workers(workers)).assess(fleet)
-}
 
 #[test]
 fn thousand_instances_are_deterministic_across_worker_counts() {
@@ -22,10 +18,10 @@ fn thousand_instances_are_deterministic_across_worker_counts() {
     // cost sums, histograms, bucket lists — so this is the bit-for-bit
     // equality the subsystem promises. Per-instance streams agree too, in
     // submission order.
-    let single = assess_with(1, fleet.clone());
+    let single = Config::SERIAL.assessor(engine()).assess(fleet.clone());
     let oracle = (single.report.clone(), outcomes(&single.results));
-    sweep("report and per-instance results", &oracle, |workers| {
-        let run = assess_with(workers, fleet.clone());
+    sweep("report and per-instance results", &oracle, |config| {
+        let run = config.assessor(engine()).assess(fleet.clone());
         (run.report, outcomes(&run.results))
     });
 
@@ -53,11 +49,17 @@ fn thousand_instances_are_deterministic_across_worker_counts() {
 fn streaming_and_materialized_fleets_agree() {
     let catalog = catalog();
     let spec = PopulationSpec { days: 1.0, ..PopulationSpec::sql_db(100, 7) };
-    let assessor = FleetAssessor::new(engine(), FleetConfig::with_workers(4));
-
     // Once through the lazy iterator (bounded-queue backpressure path)…
-    let streamed = assessor.assess(cloud_fleet(&spec, &catalog, None));
+    let streamed = |config: Config| {
+        config.assessor(engine()).assess(cloud_fleet(&spec, &catalog, None)).report
+    };
     // …and once through a pre-collected vector.
-    let materialized = assessor.assess(cloud_fleet(&spec, &catalog, None).collect::<Vec<_>>());
-    assert_eq!(streamed.report, materialized.report);
+    let materialized = |config: Config| {
+        let fleet: Vec<FleetRequest> = cloud_fleet(&spec, &catalog, None).collect();
+        config.assessor(engine()).assess(fleet).report
+    };
+    let oracle = streamed(Config::SERIAL);
+    sweep("streamed and materialized reports", &(oracle.clone(), oracle), |config| {
+        (streamed(config), materialized(config))
+    });
 }

@@ -1,17 +1,17 @@
 //! Observability contract tests: instrumentation is write-aside, so an
 //! obs-enabled run must produce the bit-for-bit identical `FleetReport` an
-//! uninstrumented run does at every worker count; the metrics themselves
-//! must conserve (per-stage span counts equal the `ServiceProgress`
-//! totals, lane gauges drain to zero); and the JSON export must round-trip
-//! losslessly through `dma::json` — the validation CI runs against the
-//! exported artifact.
+//! uninstrumented run does; the metrics themselves must conserve
+//! (per-stage span counts equal the `ServiceProgress` totals, lane gauges
+//! drain to zero); and the JSON export must round-trip losslessly through
+//! `dma::json` — the validation CI runs against the exported artifact.
 //!
 //! CI runs this with the other determinism suites in one `--test-threads=1`
-//! step; `common::sweep` checks every run at 1, 4 and 8 workers.
+//! step; `common::sweep` checks every run under each `common::CONFIGS` row,
+//! which turns obs both off and on.
 
 mod common;
 
-use common::{engine, flat_request, sweep, WORKER_SWEEP};
+use common::{engine, flat_request, stream, sweep, Config, CONFIGS};
 use doppler::dma::json::Json;
 use doppler::dma::{obs_snapshot_from_json, obs_snapshot_to_json};
 use doppler::prelude::*;
@@ -26,48 +26,40 @@ fn cohort(size: usize) -> Vec<FleetRequest> {
 }
 
 /// Turning instrumentation on changes no business output: the reports —
-/// and their rendered dashboards — are byte-identical to an obs-off run
-/// at 1, 4, and 8 workers.
+/// and their rendered dashboards — are byte-identical to the obs-off
+/// serial run under every deployment, obs-on rows included.
 #[test]
 fn obs_on_and_obs_off_reports_are_bit_for_bit_identical() {
     let fleet = cohort(48);
-    let assessor = |workers| FleetAssessor::new(engine(), FleetConfig::with_workers(workers));
-    let baseline = assessor(1).assess(fleet.clone()).report;
-    sweep("obs-on report and rendering", &(baseline.render(), baseline.clone()), |workers| {
-        let off = assessor(workers).assess(fleet.clone()).report;
-        let obs = ObsRegistry::enabled();
-        let on = assessor(workers).with_obs(&obs).assess(fleet.clone()).report;
-        assert_eq!(on, off, "obs-on vs obs-off at {workers} workers");
-        assert_eq!(on.render(), off.render(), "rendered report bytes at {workers} workers");
-        // The instrumentation did actually observe the run it rode on.
-        let snapshot = obs.snapshot();
-        assert_eq!(snapshot.histogram("fleet.stage.assess").map(|h| h.count), Some(48));
-        (on.render(), on)
-    });
+    let observe = |config: Config| {
+        let service = config.assessor(engine()).into_service();
+        let obs = service.obs().clone();
+        let (_, report) = stream(service, &fleet);
+        // The instrumentation observed the run it rode on, exactly when on.
+        let spans = obs.snapshot().histogram("fleet.stage.assess").map(|h| h.count);
+        assert_eq!(spans, config.obs.then_some(48), "assess spans under {config:?}");
+        (report.render(), report)
+    };
+    sweep("report and rendering", &observe(Config::SERIAL), observe);
 }
 
 /// Per-stage span counts conserve against the service's own progress
 /// accounting: every completed task was timed exactly once per stage, the
 /// per-worker task counters partition the total, and the lane-depth
-/// gauges drain back to zero by shutdown.
+/// gauges drain back to zero by shutdown — under every deployment's
+/// workers and shards, with obs on.
 #[test]
 fn stage_span_counts_match_service_progress_and_gauges_drain() {
     let fleet = cohort(40);
-    for workers in WORKER_SWEEP {
+    for config in CONFIGS {
         let obs = ObsRegistry::enabled();
-        let service = FleetAssessor::new(engine(), FleetConfig::with_workers(workers))
-            .with_obs(&obs)
-            .into_service();
+        let service = config.assessor(engine()).with_obs(&obs).into_service();
         let tickets = service.submit_all(fleet.iter().cloned()).expect("open service");
         for ticket in tickets {
             ticket.recv().expect("assessed");
         }
         let progress = service.progress();
-        assert_eq!(
-            progress,
-            ServiceProgress { submitted: 40, completed: 40 },
-            "at {workers} workers"
-        );
+        assert_eq!(progress, ServiceProgress { submitted: 40, completed: 40 }, "{config:?}");
         let report = service.shutdown();
         let snapshot = obs.snapshot();
 
@@ -79,18 +71,18 @@ fn stage_span_counts_match_service_progress_and_gauges_drain() {
             "fleet.stage.aggregate",
         ] {
             let counted = snapshot.histogram(stage).map(|h| h.count);
-            assert_eq!(counted, Some(progress.completed as u64), "{stage} at {workers} workers");
+            assert_eq!(counted, Some(progress.completed as u64), "{stage} under {config:?}");
         }
         // The per-worker task counters partition the completed total.
-        let worker_tasks: u64 = (0..workers)
+        let worker_tasks: u64 = (0..config.shards * config.workers)
             .map(|i| snapshot.counter(&format!("fleet.worker.{i}.tasks")).unwrap_or(0))
             .sum();
-        assert_eq!(worker_tasks, progress.completed as u64, "worker tasks at {workers} workers");
+        assert_eq!(worker_tasks, progress.completed as u64, "worker tasks under {config:?}");
         // Both queue lanes drained before shutdown returned.
-        assert_eq!(snapshot.gauge("fleet.queue.depth.normal"), Some(0));
-        assert_eq!(snapshot.gauge("fleet.queue.depth.priority"), Some(0));
+        assert_eq!(snapshot.gauge("fleet.queue.depth.normal"), Some(0), "{config:?}");
+        assert_eq!(snapshot.gauge("fleet.queue.depth.priority"), Some(0), "{config:?}");
         // And the run still aggregated the whole fleet.
-        assert_eq!(report.fleet_size, 40);
+        assert_eq!(report.fleet_size, 40, "{config:?}");
     }
 }
 
@@ -101,8 +93,8 @@ fn stage_span_counts_match_service_progress_and_gauges_drain() {
 fn render_with_ops_appends_without_touching_the_report() {
     let fleet = cohort(12);
     let obs = ObsRegistry::enabled();
-    let assessment =
-        FleetAssessor::new(engine(), FleetConfig::with_workers(2)).with_obs(&obs).assess(fleet);
+    let config = Config { workers: 2, ..Config::SERIAL };
+    let assessment = config.assessor(engine()).with_obs(&obs).assess(fleet);
     let plain = assessment.report.render();
     let with_ops = assessment.report.render_with_ops(&obs.snapshot());
     assert!(with_ops.starts_with(&plain), "report prefix must be untouched");
@@ -120,8 +112,8 @@ fn render_with_ops_appends_without_touching_the_report() {
 #[test]
 fn exported_snapshot_round_trips_through_dma_json() {
     let obs = ObsRegistry::enabled();
-    let service =
-        FleetAssessor::new(engine(), FleetConfig::with_workers(2)).with_obs(&obs).into_service();
+    let config = Config { workers: 2, ..Config::SERIAL };
+    let service = config.assessor(engine()).with_obs(&obs).into_service();
     let tickets = service.submit_all(cohort(16)).expect("open service");
     for ticket in tickets {
         ticket.recv().expect("assessed");

@@ -6,8 +6,8 @@
 //!    hit/miss counters,
 //! 2. produce reports and per-instance results **bit-for-bit identical**
 //!    to the per-pipeline training path (each engine trained directly,
-//!    requests assessed serially in submission order), at 1, 4, and 8
-//!    workers alike, and
+//!    requests assessed serially in submission order), under every
+//!    deployment in `common::CONFIGS` alike, and
 //! 3. make warm resolution dramatically cheaper than cold training (a
 //!    coarse ≥ 10× guard keeps the property from regressing silently;
 //!    `perfbench`'s `fleet_lifecycle` workload reports the registry's
@@ -18,7 +18,7 @@ mod common;
 use std::sync::Arc;
 use std::time::Instant;
 
-use common::{catalog, outcomes, provider, sweep, training_records, REGIONS};
+use common::{catalog, outcomes, provider, sweep, training_records, Config, REGIONS};
 use doppler::fleet::cloud_fleet;
 use doppler::fleet::FleetResult;
 use doppler::prelude::*;
@@ -51,18 +51,18 @@ fn mixed_fleet() -> Vec<FleetRequest> {
         .collect()
 }
 
-fn registry_assessor(workers: usize) -> (Arc<EngineRegistry>, FleetAssessor) {
+fn registry_assessor(config: Config) -> (Arc<EngineRegistry>, FleetAssessor) {
     let registry = Arc::new(EngineRegistry::new(Arc::new(provider())));
-    let assessor =
-        FleetAssessor::over_registry(Arc::clone(&registry), FleetConfig::with_workers(workers))
-            .with_route(
-                EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb))
-                    .trained(training_set(DeploymentType::SqlDb)),
-            )
-            .with_route(
-                EngineRoute::production(CatalogKey::production(DeploymentType::SqlMi))
-                    .trained(training_set(DeploymentType::SqlMi)),
-            );
+    let assessor = config
+        .over_registry(Arc::clone(&registry))
+        .with_route(
+            EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb))
+                .trained(training_set(DeploymentType::SqlDb)),
+        )
+        .with_route(
+            EngineRoute::production(CatalogKey::production(DeploymentType::SqlMi))
+                .trained(training_set(DeploymentType::SqlMi)),
+        );
     (registry, assessor)
 }
 
@@ -120,20 +120,20 @@ fn mixed_region_fleet_trains_once_per_key_and_matches_the_per_pipeline_path() {
     // Bit-for-bit equality with the per-pipeline path: the aggregate
     // report (PartialEq over counts, f64 cost sums, histograms, and the
     // adoption ledger) and every per-instance result.
-    sweep("report and results", &(reference_report, outcomes(&reference)), |workers| {
-        let (registry, assessor) = registry_assessor(workers);
+    sweep("report and results", &(reference_report, outcomes(&reference)), |config| {
+        let (registry, assessor) = registry_assessor(config);
         let out = assessor.assess(fleet.clone());
 
         // Exactly K = 3 distinct keys were touched: DB@global#v1,
         // DB@westeurope#v1, MI@global#v1 — and exactly 3 trainings ran,
-        // no matter how many workers raced the cold keys.
+        // no matter how many workers and shards raced the cold keys.
         let stats = registry.stats();
-        assert_eq!(stats.misses, 3, "workers={workers}: {stats:?}");
+        assert_eq!(stats.misses, 3, "{config:?}: {stats:?}");
         assert_eq!(stats.failures, 0);
         assert_eq!(
             stats.hits + stats.coalesced + stats.misses,
             64,
-            "every request resolved through the registry (workers={workers})"
+            "every request resolved through the registry ({config:?})"
         );
         assert_eq!(registry.len(), 3);
         (out.report, outcomes(&out.results))
@@ -142,7 +142,7 @@ fn mixed_region_fleet_trains_once_per_key_and_matches_the_per_pipeline_path() {
 
 #[test]
 fn adoption_ledger_reproduces_from_the_single_fleet_run() {
-    let (_registry, assessor) = registry_assessor(4);
+    let (_registry, assessor) = registry_assessor(Config { workers: 4, ..Config::SERIAL });
     let out = assessor.assess(mixed_fleet());
     let oct = out.report.adoption.month("Oct-21").expect("tagged cohort");
     let nov = out.report.adoption.month("Nov-21").expect("tagged cohorts");

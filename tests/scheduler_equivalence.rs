@@ -6,13 +6,14 @@
 //! `RefreshableCatalogProvider` API in the documented six-step month
 //! order:
 //!
-//! 1. scheduled runs agree with themselves at 1, 4, and 8 workers —
-//!    every month digest, the schedule summary, the adoption ledger, and
-//!    the final report;
-//! 2. a scheduled run equals the operator-cranked sequence at each
-//!    worker count — the scheduler adds no behavior, only a calendar;
+//! 1. scheduled runs agree with themselves under every deployment in
+//!    `common::CONFIGS` — every month digest, the schedule summary, the
+//!    adoption ledger, and the final report;
+//! 2. a scheduled run equals the operator-cranked sequence under each
+//!    deployment — the scheduler adds no behavior, only a calendar;
 //! 3. a run paused and resumed mid-simulation (`run(3)+run(3)+run(2)`,
-//!    or month by month) is indistinguishable from a straight `run(8)`.
+//!    or month by month) is indistinguishable from a straight `run(8)`,
+//!    under each deployment.
 //!
 //! Runs single-threaded in the CI determinism job so the service worker
 //! pool is the only concurrency in play.
@@ -22,14 +23,13 @@ mod common;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use common::{flat_window, outcomes, region_of, sweep, Outcome, REGIONS};
+use common::{flat_window, outcomes, region_of, sweep, Config, Outcome, REGIONS};
 use doppler::prelude::*;
 
 const COHORT: usize = 24;
 const MONTHS: usize = 8;
 const IDLE_TTL: usize = 3;
 const VERSION_WINDOW: u32 = 1;
-const SHARDS: usize = 2;
 
 fn base_cpu(i: usize) -> f64 {
     0.4 + 0.5 * ((i / REGIONS.len()) % 8) as f64
@@ -93,15 +93,14 @@ fn feeds(m: usize) -> Vec<(Region, PriceFeed)> {
 }
 
 fn build_monitor(
-    workers: usize,
+    config: Config,
 ) -> (DriftMonitor, Arc<RefreshableCatalogProvider>, Arc<EngineRegistry>) {
     let inner = common::provider();
     let provider = Arc::new(RefreshableCatalogProvider::new(Arc::new(inner)));
     let registry = Arc::new(EngineRegistry::new(Arc::clone(&provider) as Arc<dyn CatalogProvider>));
-    let assessor =
-        FleetAssessor::over_registry(Arc::clone(&registry), FleetConfig::with_workers(workers))
-            .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)))
-            .with_shard_plan(ShardPlan::by_region(SHARDS));
+    let assessor = config
+        .over_registry(Arc::clone(&registry))
+        .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)));
     (DriftMonitor::new(assessor), provider, registry)
 }
 
@@ -148,8 +147,8 @@ struct Run {
 
 /// The scheduled run, stepped in `chunks` (which must sum to [`MONTHS`])
 /// to exercise pause/resume.
-fn scheduled(workers: usize, chunks: &[usize]) -> Run {
-    let (monitor, provider, _registry) = build_monitor(workers);
+fn scheduled(config: Config, chunks: &[usize]) -> Run {
+    let (monitor, provider, _registry) = build_monitor(config);
     let mut sim = FleetScheduler::new(monitor, SimClock::starting(2022, 1))
         .with_provider(Arc::clone(&provider))
         .with_idle_ttl(IDLE_TTL)
@@ -191,8 +190,8 @@ fn scheduled(workers: usize, chunks: &[usize]) -> Run {
 /// The reference: the same calendar cranked by hand through the public
 /// API, in the six-step order the scheduler module documents — watch,
 /// observe, feed, change-log cursor dispatch, tick, TTL retirement.
-fn hand_cranked(workers: usize) -> Run {
-    let (mut monitor, provider, registry) = build_monitor(workers);
+fn hand_cranked(config: Config) -> Run {
+    let (mut monitor, provider, registry) = build_monitor(config);
     let mut clock = SimClock::starting(2022, 1);
     let mut cursor = 0usize;
     let mut frontier = 0u32;
@@ -282,24 +281,24 @@ fn assert_scenario_is_live(run: &Run, context: &str) {
 fn scheduled_runs_are_worker_count_invariant() {
     // Every month digest, the ledger, the final report and the schedule
     // trace.
-    let baseline = scheduled(1, &[MONTHS]);
-    assert_scenario_is_live(&baseline, "workers=1");
-    sweep("scheduled run", &baseline, |workers| scheduled(workers, &[MONTHS]));
+    let baseline = scheduled(Config::SERIAL, &[MONTHS]);
+    assert_scenario_is_live(&baseline, "serial");
+    sweep("scheduled run", &baseline, |config| scheduled(config, &[MONTHS]));
 }
 
 #[test]
 fn scheduled_equals_the_operator_cranked_sequence() {
-    let hand = hand_cranked(1);
-    sweep("scheduled vs hand-cranked run", &hand, |workers| {
-        assert_eq!(hand_cranked(workers), hand, "hand-cranked at {workers} workers");
-        Run { summary: None, ..scheduled(workers, &[MONTHS]) }
+    let hand = hand_cranked(Config::SERIAL);
+    sweep("scheduled vs hand-cranked run", &hand, |config| {
+        assert_eq!(hand_cranked(config), hand, "hand-cranked under {config:?}");
+        Run { summary: None, ..scheduled(config, &[MONTHS]) }
     });
 }
 
 #[test]
 fn paused_and_resumed_runs_are_indistinguishable() {
-    let straight = scheduled(4, &[MONTHS]);
+    let straight = scheduled(Config::SERIAL, &[MONTHS]);
     for chunks in [&[3usize, 3, 2][..], &[1; MONTHS][..]] {
-        assert_eq!(scheduled(4, chunks), straight, "pauses at {chunks:?}");
+        sweep(&format!("run paused at {chunks:?}"), &straight, |config| scheduled(config, chunks));
     }
 }

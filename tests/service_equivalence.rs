@@ -1,16 +1,17 @@
 //! Service/assessor equivalence: the streaming `FleetService` front-end and
 //! the one-shot `FleetAssessor::assess` are two entrances to the same
 //! worker pool — for the same cohort they must produce bit-for-bit
-//! identical reports and per-instance results at every worker count, equal
-//! to the serial single-pipeline reference, and month-tagged requests must
-//! fill the report's `AdoptionLedger` exactly as the reference counts.
+//! identical reports and per-instance results under every deployment,
+//! equal to the serial single-pipeline reference, and month-tagged
+//! requests must fill the report's `AdoptionLedger` exactly as the
+//! reference counts.
 //!
 //! CI runs this with the other determinism suites in one `--test-threads=1`
-//! step; `common::sweep` checks every run at 1, 4 and 8 workers.
+//! step; `common::sweep` checks every run under each `common::CONFIGS` row.
 
 mod common;
 
-use common::{catalog, decision, decisions, engine, flat_request, outcomes, stream, sweep};
+use common::{catalog, decision, decisions, engine, flat_request, outcomes, stream, sweep, Config};
 use doppler::dma::ResourceUseReport;
 use doppler::fleet::FleetResult;
 use doppler::prelude::*;
@@ -41,32 +42,32 @@ fn reference_ledger(month: &str, results: &[AssessmentResult]) -> AdoptionLedger
     ledger
 }
 
-fn one_shot(workers: usize, fleet: Vec<FleetRequest>) -> FleetAssessment {
-    FleetAssessor::new(engine(), FleetConfig::with_workers(workers)).assess(fleet)
+fn one_shot(config: Config, fleet: Vec<FleetRequest>) -> FleetAssessment {
+    config.assessor(engine()).assess(fleet)
 }
 
 fn sql_db_fleet(requests: &[AssessmentRequest]) -> Vec<FleetRequest> {
     requests.iter().map(|r| FleetRequest::new(DeploymentType::SqlDb, r.clone())).collect()
 }
 
-/// The cohort streamed through a `FleetService` at `workers`.
+/// The cohort streamed through a `FleetService` under `config`.
 fn stream_through_service(
-    workers: usize,
+    config: Config,
     fleet: &[FleetRequest],
 ) -> (Vec<FleetResult>, FleetReport) {
-    stream(FleetAssessor::new(engine(), FleetConfig::with_workers(workers)).into_service(), fleet)
+    stream(config.assessor(engine()).into_service(), fleet)
 }
 
 #[test]
 fn streaming_service_and_one_shot_assessor_agree_across_worker_counts() {
     let requests = cohort(&(0..48).map(|i| 0.3 + (i % 9) as f64 * 0.7).collect::<Vec<f64>>());
     let fleet = sql_db_fleet(&requests);
-    let baseline = one_shot(1, fleet.clone());
+    let baseline = one_shot(Config::SERIAL, fleet.clone());
     assert_eq!(baseline.report.failed, 0);
-    sweep("one-shot report", &baseline.report, |w| one_shot(w, fleet.clone()).report);
+    sweep("one-shot report", &baseline.report, |config| one_shot(config, fleet.clone()).report);
     let oracle = (baseline.report.clone(), outcomes(&baseline.results));
-    sweep("streamed report and results", &oracle, |w| {
-        let (streamed, report) = stream_through_service(w, &fleet);
+    sweep("streamed report and results", &oracle, |config| {
+        let (streamed, report) = stream_through_service(config, &fleet);
         (report, outcomes(&streamed))
     });
 }
@@ -79,34 +80,44 @@ fn streaming_service_and_one_shot_assessor_agree_across_worker_counts() {
 #[test]
 fn on_demand_reports_match_between_service_and_pipeline() {
     let mi_engine =
-        DopplerEngine::untrained(catalog(), EngineConfig::production(DeploymentType::SqlMi));
+        || DopplerEngine::untrained(catalog(), EngineConfig::production(DeploymentType::SqlMi));
     let mut mi = flat_request("mi-inst", 3.0, 2);
     mi.input.file_sizes_gib = vec![120.0, 40.0, 8.0];
     let mut db = flat_request("db-inst", 1.5, 1);
     db.confidence = Some(ConfidenceConfig { replicates: 8, window_samples: 48, seed: 3 });
-    let cases = [
-        (DeploymentType::SqlMi, mi, SkuRecommendationPipeline::new(mi_engine.clone())),
-        (DeploymentType::SqlDb, db, SkuRecommendationPipeline::new(engine())),
-    ];
-    let service = FleetAssessor::new(engine(), FleetConfig::with_workers(2))
-        .with_backend(mi_engine)
-        .into_service();
-    for (deployment, request, pipeline) in cases {
-        let ticket = service
-            .submit(FleetRequest::new(deployment, request.clone()))
-            .unwrap_or_else(|_| unreachable!("service is open"));
-        let served = ticket.recv().expect("assessed").outcome.expect("assessed");
-        let direct = pipeline.assess(&request);
-        match deployment {
-            DeploymentType::SqlMi => assert!(direct.recommendation.mi.is_some()),
-            DeploymentType::SqlDb => assert!(direct.recommendation.confidence.is_some()),
-        }
-        let report = |r: &AssessmentResult| {
-            ResourceUseReport::build(&request.input.instance, &r.recommendation).to_json()
-        };
-        assert_eq!(report(&served), report(&direct), "{deployment:?}");
-    }
-    service.shutdown();
+    let cases = [(DeploymentType::SqlMi, mi), (DeploymentType::SqlDb, db)];
+    let report = |request: &AssessmentRequest, r: &AssessmentResult| {
+        ResourceUseReport::build(&request.input.instance, &r.recommendation).to_json()
+    };
+    let direct: Vec<_> = cases
+        .iter()
+        .map(|(deployment, request)| {
+            let engine = match deployment {
+                DeploymentType::SqlMi => mi_engine(),
+                DeploymentType::SqlDb => engine(),
+            };
+            let direct = SkuRecommendationPipeline::new(engine).assess(request);
+            match deployment {
+                DeploymentType::SqlMi => assert!(direct.recommendation.mi.is_some()),
+                DeploymentType::SqlDb => assert!(direct.recommendation.confidence.is_some()),
+            }
+            report(request, &direct)
+        })
+        .collect();
+    sweep("served Resource Use reports", &direct, |config| {
+        let service = config.assessor(engine()).with_backend(mi_engine()).into_service();
+        let served = cases
+            .iter()
+            .map(|(deployment, request)| {
+                let ticket = service
+                    .submit(FleetRequest::new(*deployment, request.clone()))
+                    .unwrap_or_else(|_| unreachable!("service is open"));
+                report(request, &ticket.recv().expect("assessed").outcome.expect("assessed"))
+            })
+            .collect::<Vec<_>>();
+        service.shutdown();
+        served
+    });
 }
 
 /// `requests` as a fleet whose every member carries the ledger `month`.
@@ -127,8 +138,8 @@ fn month_tagged_assessor_matches_the_serial_reference_and_ledger() {
     // The whole decision must match; the Resource Use report is a pure
     // function of the request's history and this recommendation, so it
     // matches too.
-    sweep("decisions and ledger", &oracle, |w| {
-        let out = one_shot(w, month_tagged(&requests, "Oct-21"));
+    sweep("decisions and ledger", &oracle, |config| {
+        let out = one_shot(config, month_tagged(&requests, "Oct-21"));
         (decisions(&out.results), out.report.adoption)
     });
 }
@@ -139,54 +150,53 @@ fn month_tagged_assessor_matches_the_serial_reference_and_ledger() {
 /// (`SkuRecommendationPipeline::from_shared`), or resolved through the
 /// registry as a `BackendSpec::Heuristic` — and a `LearnedBackend` with an
 /// empty exemplar corpus is contractually pure fallback, so it must match
-/// all of them too. At every worker count, per-instance results included.
+/// all of them too. Under every deployment, per-instance results included.
 #[test]
 fn backend_paths_are_bit_for_bit_equivalent_across_worker_counts() {
     use std::sync::Arc;
 
     let requests = cohort(&(0..40).map(|i| 0.25 + (i % 8) as f64 * 0.8).collect::<Vec<f64>>());
     let fleet = sql_db_fleet(&requests);
-    let baseline = one_shot(1, fleet.clone());
+    let baseline = one_shot(Config::SERIAL, fleet.clone());
     assert_eq!(baseline.report.failed, 0);
     let oracle = (baseline.report.clone(), outcomes(&baseline.results));
     let observe = |run: FleetAssessment| (run.report, outcomes(&run.results));
 
     // Path 1: concrete engine handed to the assessor.
-    sweep("concrete", &oracle, |w| observe(one_shot(w, fleet.clone())));
+    sweep("concrete", &oracle, |config| observe(one_shot(config, fleet.clone())));
 
     // Path 2: the same engine behind an explicit trait-object handle.
-    sweep("trait object", &oracle, |w| {
+    sweep("trait object", &oracle, |config| {
         let shared: Arc<dyn RecommendationBackend> = Arc::new(engine());
         let pipeline = Arc::new(SkuRecommendationPipeline::from_shared(shared));
-        observe(
-            FleetAssessor::from_pipeline(pipeline, FleetConfig::with_workers(w))
-                .assess(fleet.clone()),
-        )
+        let assessor = FleetAssessor::from_pipeline(pipeline, config.fleet_config());
+        observe(config.apply(assessor).assess(fleet.clone()))
     });
 
     // Path 3: registry-resolved heuristic backend.
-    sweep("registry", &oracle, |w| {
+    sweep("registry", &oracle, |config| {
         let registry =
             Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
-        let run = FleetAssessor::over_registry(Arc::clone(&registry), FleetConfig::with_workers(w))
+        let run = config
+            .over_registry(Arc::clone(&registry))
             .with_route(
                 EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb))
                     .trained(TrainingSet::empty()),
             )
             .assess(fleet.clone());
-        assert_eq!(registry.stats().misses, 1, "registry trainings at {w} workers");
+        assert_eq!(registry.stats().misses, 1, "registry trainings under {config:?}");
         observe(run)
     });
 
     // Path 4: the learned backend with an empty corpus is pure fallback.
-    sweep("empty-corpus learned", &oracle, |w| {
+    sweep("empty-corpus learned", &oracle, |config| {
         let learned = LearnedBackend::train(
             catalog(),
             EngineConfig::production(DeploymentType::SqlDb),
             LearnedConfig::default(),
             &[],
         );
-        observe(FleetAssessor::new(learned, FleetConfig::with_workers(w)).assess(fleet.clone()))
+        observe(config.assessor(learned).assess(fleet.clone()))
     });
 }
 
@@ -195,7 +205,7 @@ proptest! {
 
     /// Any random cohort: streaming submission, the one-shot assessor, and
     /// the month-tagged assessor agree bit-for-bit with the serial
-    /// reference — reports, results, ledger — at 1, 4, and 8 workers.
+    /// reference — reports, results, ledger — under every deployment.
     #[test]
     fn any_cohort_is_path_and_worker_count_invariant(
         cpus in prop::collection::vec(0.1..24.0f64, 1..24),
@@ -206,10 +216,10 @@ proptest! {
         let reference = serial_reference(&requests);
         let expected_ledger = reference_ledger(month, &reference);
         let fleet = sql_db_fleet(&requests);
-        let baseline = one_shot(1, fleet.clone());
+        let baseline = one_shot(Config::SERIAL, fleet.clone());
 
         // Path 1: the one-shot assessor.
-        sweep("one-shot report", &baseline.report, |w| one_shot(w, fleet.clone()).report);
+        sweep("one-shot report", &baseline.report, |config| one_shot(config, fleet.clone()).report);
 
         // Path 2: streaming submission through the service.
         let recommendations: Vec<Recommendation> =
@@ -217,14 +227,14 @@ proptest! {
         let recommendations_of = |results: &[FleetResult]| -> Vec<Recommendation> {
             results.iter().map(|r| r.outcome.as_ref().unwrap().recommendation.clone()).collect()
         };
-        sweep("streamed report and results", &(baseline.report.clone(), recommendations.clone()), |w| {
-            let (streamed, report) = stream_through_service(w, &fleet);
+        sweep("streamed report and results", &(baseline.report.clone(), recommendations.clone()), |config| {
+            let (streamed, report) = stream_through_service(config, &fleet);
             (report, recommendations_of(&streamed))
         });
 
         // Path 3: the one-shot assessor with adoption recording.
-        sweep("tagged results and ledger", &(recommendations, expected_ledger), |w| {
-            let tagged = one_shot(w, month_tagged(&requests, month));
+        sweep("tagged results and ledger", &(recommendations, expected_ledger), |config| {
+            let tagged = one_shot(config, month_tagged(&requests, month));
             (recommendations_of(&tagged.results), tagged.report.adoption)
         });
     }

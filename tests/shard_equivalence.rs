@@ -1,10 +1,11 @@
 //! Shard equivalence: a sharded `FleetService` must be bit-for-bit
 //! indistinguishable from the unsharded one. A mixed-region cohort
-//! streamed through every (shards × workers) combination must produce the
-//! identical `FleetReport` (including its adoption ledger), identical
-//! per-instance results in identical global submission order, and
-//! conserved observability spans (the shared `fleet.*` stage histograms
-//! count the cohort once, both lane gauges drain to zero).
+//! streamed through every pairing of a `common::CONFIGS` worker count with
+//! a `CONFIGS` shard count must produce the identical `FleetReport`
+//! (including its adoption ledger), identical per-instance results in
+//! identical global submission order, and conserved observability spans
+//! (the shared `fleet.*` stage histograms count the cohort once, both lane
+//! gauges drain to zero).
 //!
 //! The aggregator-level laws behind that guarantee are property-tested
 //! below: `FleetAggregator::merge` agrees with the sequential
@@ -20,7 +21,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{flat_request, outcomes, provider_over, stream, sweep, SHARD_SWEEP};
+use common::{flat_request, outcomes, provider_over, stream, sweep_over, Config, CONFIGS};
 use doppler::fleet::{DigestOutcome, FleetAggregator, ResultDigest};
 use doppler::prelude::*;
 use proptest::prelude::*;
@@ -55,23 +56,24 @@ fn cohort(size: usize, regions: &[Region]) -> Vec<FleetRequest> {
         .collect()
 }
 
-fn build_service(shards: usize, workers: usize, obs: Option<&ObsRegistry>) -> FleetService {
+fn assessor(config: Config) -> FleetAssessor {
     let regions = regions().into_iter().chain([Region::global()]).map(|r| (r, 1.0));
     let registry = Arc::new(EngineRegistry::new(Arc::new(provider_over(regions))));
-    let config = FleetConfig { workers, queue_depth: workers * 4, keep_results: true };
-    let mut assessor = FleetAssessor::over_registry(registry, config)
+    config
+        .over_registry(registry)
         .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)))
-        .with_shard_plan(ShardPlan::by_region(shards));
-    if let Some(obs) = obs {
-        assessor = assessor.with_obs(obs);
-    }
-    assessor.into_service()
+}
+
+/// Every `CONFIGS` worker count paired with every `CONFIGS` shard count
+/// (obs as that shard row sets it): the full 3 × 3 product.
+fn product() -> impl Iterator<Item = Config> {
+    CONFIGS.into_iter().flat_map(|w| CONFIGS.map(|s| Config { workers: w.workers, ..s }))
 }
 
 #[test]
 fn sharded_runs_match_the_unsharded_run_bit_for_bit() {
     let fleet = cohort(cohort_size(), &regions());
-    let (base_results, base_report) = stream(build_service(1, 1, None), &fleet);
+    let (base_results, base_report) = stream(assessor(Config::SERIAL).into_service(), &fleet);
     assert_eq!(base_report.fleet_size, fleet.len());
     assert!(base_report.failed == 0, "{:?}", base_report.failures);
 
@@ -79,14 +81,12 @@ fn sharded_runs_match_the_unsharded_run_bit_for_bit() {
     // adoption ledger) are bit-for-bit identical, and so is every
     // per-instance result, in global submission order.
     let oracle = (base_report, outcomes(&base_results));
-    for shards in SHARD_SWEEP {
-        sweep(&format!("report and results at {shards} shards"), &oracle, |workers| {
-            let service = build_service(shards, workers, None);
-            assert_eq!(service.shard_count(), shards);
-            let (results, report) = stream(service, &fleet);
-            (report, outcomes(&results))
-        });
-    }
+    sweep_over(product(), "report and results", &oracle, |config| {
+        let service = assessor(config).into_service();
+        assert_eq!(service.shard_count(), config.shards);
+        let (results, report) = stream(service, &fleet);
+        (report, outcomes(&results))
+    });
 }
 
 /// Observability conservation under sharding: every shard records into
@@ -97,31 +97,29 @@ fn sharded_runs_match_the_unsharded_run_bit_for_bit() {
 #[test]
 fn sharded_obs_spans_conserve_and_gauges_drain() {
     let fleet = cohort(cohort_size().min(240), &regions());
-    for shards in SHARD_SWEEP {
-        let workers = 2;
+    for config in CONFIGS {
         let obs = ObsRegistry::enabled();
-        let service = build_service(shards, workers, Some(&obs));
-        let (results, report) = stream(service, &fleet);
-        assert_eq!(results.len(), fleet.len());
-        assert_eq!(report.fleet_size, fleet.len());
+        let (results, report) = stream(assessor(config).with_obs(&obs).into_service(), &fleet);
+        assert_eq!(results.len(), fleet.len(), "{config:?}");
+        assert_eq!(report.fleet_size, fleet.len(), "{config:?}");
         let snapshot = obs.snapshot();
 
         for stage in ["fleet.stage.queue_wait", "fleet.stage.aggregate", "fleet.queue.pop_wait"] {
             assert_eq!(
                 snapshot.histogram(stage).map(|h| h.count),
                 Some(fleet.len() as u64),
-                "{stage} at {shards} shards"
+                "{stage} under {config:?}"
             );
         }
-        let worker_tasks: u64 = (0..shards * workers)
+        let worker_tasks: u64 = (0..config.shards * config.workers)
             .map(|n| snapshot.counter(&format!("fleet.worker.{n}.tasks")).unwrap_or(0))
             .sum();
-        assert_eq!(worker_tasks, fleet.len() as u64, "worker tasks at {shards} shards");
+        assert_eq!(worker_tasks, fleet.len() as u64, "worker tasks under {config:?}");
         for lane in ["normal", "priority"] {
             assert_eq!(
                 snapshot.gauge(&format!("fleet.queue.depth.{lane}")),
                 Some(0),
-                "lane {lane} at {shards} shards"
+                "lane {lane} under {config:?}"
             );
         }
         // The engine-set stages stay global: one resolve/assess span per
@@ -129,7 +127,7 @@ fn sharded_obs_spans_conserve_and_gauges_drain() {
         assert_eq!(
             snapshot.histogram("fleet.stage.assess").map(|h| h.count),
             Some(fleet.len() as u64),
-            "assess spans at {shards} shards"
+            "assess spans under {config:?}"
         );
     }
 }
