@@ -1,10 +1,12 @@
 //! Confidence-score benchmarks: the §3.4 bootstrap re-runs the full
-//! pipeline per replicate, so its cost scales linearly in replicates and
-//! window length.
+//! pipeline per replicate. The heuristic engine scores each window's curve
+//! from prefix counts built once, so the per-window cost is re-profiling
+//! and selection; the MI row also re-runs Step 1 (storage tiers) on every
+//! window of a bursty-IO history.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType};
-use doppler_core::{ConfidenceConfig, DopplerEngine, EngineConfig, RecommendationBackend};
+use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType, FileLayout};
+use doppler_core::{ConfidenceConfig, DopplerEngine, EngineConfig};
 use doppler_workload::{generate, WorkloadArchetype};
 
 fn bench_confidence(c: &mut Criterion) {
@@ -30,6 +32,22 @@ fn bench_confidence(c: &mut Criterion) {
             },
         );
     }
+
+    let mi_engine = DopplerEngine::untrained(
+        azure_paas_catalog(&CatalogSpec::default()),
+        EngineConfig::production(DeploymentType::SqlMi),
+    );
+    let mi_history = generate(&WorkloadArchetype::BurstyIo.spec(8.0, 14.0), 5);
+    let layout = FileLayout::from_sizes(&[100.0, 300.0]);
+    group.bench_function(BenchmarkId::new("mi_layout", 30), |b| {
+        b.iter(|| {
+            mi_engine.recommend_with_confidence(
+                std::hint::black_box(&mi_history),
+                Some(&layout),
+                &ConfidenceConfig { replicates: 30, window_samples: 7 * 144, seed: 1 },
+            )
+        })
+    });
     group.finish();
 }
 

@@ -14,6 +14,15 @@
 //! at `GOLDEN_SCALE` (whatever `--cohort`/`--seed` say). The unit test
 //! below compares each runner's output with its file byte for byte, so a
 //! change that moves a golden must say which rows moved and why.
+//!
+//! `golden/full_scale.txt` pins `all` at the default scale, minus the
+//! `completed in` timing lines; the release CI job diffs against it. It
+//! is rewritten with
+//!
+//! ```text
+//! cargo run -p doppler-bench --release --bin reproduce -- all \
+//!   | grep -v '^([a-z0-9_]* completed in [0-9.]*s)$' > crates/bench/golden/full_scale.txt
+//! ```
 
 use std::path::{Path, PathBuf};
 

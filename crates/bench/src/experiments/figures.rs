@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use doppler_catalog::{DeploymentType, SkuId};
 use doppler_core::{
     detect_drift, ConfidenceConfig, CurveHeuristic, CurveShape, DopplerEngine, EngineConfig,
-    PricePerformanceCurve, RecommendationBackend, TrainingRecord,
+    PricePerformanceCurve, TrainingRecord,
 };
 use doppler_replay::replay;
 use doppler_stats::{Ecdf, SeededRng, Summary};

@@ -124,6 +124,17 @@ impl RecommendationBackend for DopplerEngine {
         DopplerEngine::recommend(self, history, layout)
     }
 
+    /// Equal to the provided method to the bit, but every window's curve
+    /// comes from prefix counts built once per history.
+    fn recommend_with_confidence(
+        &self,
+        history: &PerfHistory,
+        layout: Option<&FileLayout>,
+        confidence: &ConfidenceConfig,
+    ) -> Recommendation {
+        DopplerEngine::recommend_with_confidence(self, history, layout, confidence)
+    }
+
     fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new();
         fp.write_str("heuristic");

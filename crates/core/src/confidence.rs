@@ -11,6 +11,8 @@
 //! durations, which point-resampling would destroy); Figure 10 sweeps the
 //! window length and shows confidence saturating once windows pass a week.
 
+use std::ops::Range;
+
 use doppler_stats::BootstrapWindows;
 use doppler_telemetry::PerfHistory;
 
@@ -44,18 +46,24 @@ pub fn confidence_score(
     config: &ConfidenceConfig,
     mut recommend: impl FnMut(&PerfHistory) -> Option<String>,
 ) -> f64 {
-    let n = history.len();
+    bootstrap_agreement(history.len(), config, |window| {
+        recommend(&history.window(window.start, window.end)).as_deref() == Some(original)
+    })
+}
+
+/// The bootstrap behind [`confidence_score`], over sample ranges: the
+/// fraction of `config`'s windows of an `n`-sample history on which
+/// `agrees` holds. Returns 0.0 when `n` or the replicate count is 0.
+pub(crate) fn bootstrap_agreement(
+    n: usize,
+    config: &ConfidenceConfig,
+    mut agrees: impl FnMut(Range<usize>) -> bool,
+) -> f64 {
     if n == 0 || config.replicates == 0 {
         return 0.0;
     }
     let plan = BootstrapWindows::generate(n, config.window_samples, config.replicates, config.seed);
-    let mut agree = 0usize;
-    for window in plan.windows() {
-        let replica = history.window(window.start, window.end);
-        if recommend(&replica).as_deref() == Some(original) {
-            agree += 1;
-        }
-    }
+    let agree = plan.windows().iter().filter(|&window| agrees(window.clone())).count();
     agree as f64 / config.replicates as f64
 }
 

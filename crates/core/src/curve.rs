@@ -7,11 +7,19 @@
 //! expensive and less performant": the displayed score is the running
 //! maximum over cheaper SKUs (a cheaper dominating SKU always exists, so
 //! showing the raw dip would only invite a strictly worse choice).
+//!
+//! [`PricePerformanceCurve::generate`] scores every SKU from one set of
+//! [`ExceedanceMasks`] rather than one Eq. 1 walk per SKU: per dimension,
+//! the SKUs a sample throttles are a prefix of the capacity order
+//! (descending for the inverted latency dimension), and a sample's
+//! multi-word bitset is the OR of those prefixes. The per-SKU counts, and
+//! so the scores, are bit-identical to
+//! [`throttling_probability`](crate::throttling::throttling_probability).
 
-use doppler_catalog::Sku;
+use doppler_catalog::{ResourceCaps, Sku};
 use doppler_telemetry::PerfHistory;
 
-use crate::throttling::throttling_probability;
+use crate::throttling::{throttled_fraction, ExceedanceMasks};
 
 /// One SKU's position on a price-performance curve.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -47,11 +55,24 @@ impl PricePerformanceCurve {
     /// Build the curve for a workload over candidate SKUs, using each SKU's
     /// own capacities and compute price.
     pub fn generate(history: &PerfHistory, skus: &[&Sku]) -> PricePerformanceCurve {
+        let caps: Vec<ResourceCaps> = skus.iter().map(|sku| sku.caps).collect();
+        let counts = ExceedanceMasks::new(history, &caps).counts(0..history.len());
+        PricePerformanceCurve::from_counts(skus, &counts, history.len())
+    }
+
+    /// Build the curve from each SKU's throttled-sample count out of `n`
+    /// samples (`counts[i]` belongs to `skus[i]`), at each SKU's own
+    /// compute price.
+    pub(crate) fn from_counts(skus: &[&Sku], counts: &[u32], n: usize) -> PricePerformanceCurve {
         let scored = skus
             .iter()
-            .map(|sku| {
-                let p = throttling_probability(history, &sku.caps);
-                (sku.id.to_string(), sku.monthly_cost(), 1.0 - p)
+            .zip(counts)
+            .map(|(sku, &count)| {
+                (
+                    sku.id.to_string(),
+                    sku.monthly_cost(),
+                    1.0 - throttled_fraction(count as usize, n),
+                )
             })
             .collect();
         PricePerformanceCurve::from_scored(scored)

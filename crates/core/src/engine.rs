@@ -1,16 +1,31 @@
 //! The [`DopplerEngine`] façade: train on migrated customers, recommend for
 //! new ones (Figure 3's full loop).
+//!
+//! [`DopplerEngine::recommend_with_confidence`] runs the §3.4 bootstrap
+//! without rebuilding a curve per window. Eq. 1 only counts samples, so
+//! the history's [`ExceedanceMasks`] (per dimension, the SKUs a sample
+//! throttles are a prefix of the capacity order, descending for inverted
+//! latency; a sample's `ceil(S / 64)`-word bitset ORs those prefixes) are
+//! built once, and their [`PrefixCounts`] give any window's per-SKU
+//! counts in O(SKUs). Each window still re-profiles, re-assigns its group
+//! and, for MI, re-runs Step 1, whose IOPS limit moves with the window's
+//! peak. The confidence is bit-identical to the provided
+//! [`RecommendationBackend::recommend_with_confidence`](crate::RecommendationBackend::recommend_with_confidence),
+//! which re-runs [`DopplerEngine::recommend`] on every window.
 
-use doppler_catalog::{BillingRates, Catalog, DeploymentType, FileLayout, SkuId, StorageTier};
+use std::ops::Range;
+
+use doppler_catalog::{BillingRates, Catalog, DeploymentType, FileLayout, Sku, SkuId, StorageTier};
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
+use crate::confidence::{bootstrap_agreement, ConfidenceConfig};
 use crate::curve::{CurveShape, PricePerformanceCurve};
 use crate::explain::{explain, Explanation};
 use crate::grouping::{FittedGrouping, GroupingStrategy};
 use crate::matching::GroupModel;
-use crate::mi::{mi_curve, MiAssessment};
+use crate::mi::{MiAssessment, MiKernel};
 use crate::profile::NegotiabilityStrategy;
-use crate::throttling::ThrottleBreakdown;
+use crate::throttling::{ExceedanceMasks, PrefixCounts, ThrottleBreakdown};
 
 /// Engine configuration: which deployment is being assessed and how the
 /// Customer Profiler summarizes and groups.
@@ -175,29 +190,57 @@ impl DopplerEngine {
         history: &PerfHistory,
         layout: Option<&FileLayout>,
     ) -> (PricePerformanceCurve, Option<MiAssessment>) {
-        match (self.config.deployment, layout) {
-            (DeploymentType::SqlMi, Some(layout)) => {
-                match mi_curve(history, layout, &self.catalog, &self.config.rates) {
-                    Some(a) => (a.curve.clone(), Some(a)),
-                    // No MI placement exists (file too large): empty curve.
-                    None => (PricePerformanceCurve::from_scored(vec![]), None),
-                }
-            }
-            _ => {
-                let skus = self.catalog.for_deployment(self.config.deployment);
-                (PricePerformanceCurve::generate(history, &skus), None)
-            }
-        }
+        let kernel = CurveKernel::new(self, history, layout);
+        let n = history.len();
+        kernel.curve(0..n, kernel.masks().counts(0..n))
     }
 
     /// Profile, group, and recommend.
     pub fn recommend(&self, history: &PerfHistory, layout: Option<&FileLayout>) -> Recommendation {
+        let (curve, mi) = self.curve_for(history, layout);
+        self.recommend_on(history, curve, mi)
+    }
+
+    /// [`recommend`](Self::recommend) with the §3.4 bootstrap confidence
+    /// attached, scoring every window from one set of prefix counts (see
+    /// the module docs). Windows compare only the selected SKU, so they
+    /// skip the breakdown and explanation.
+    pub fn recommend_with_confidence(
+        &self,
+        history: &PerfHistory,
+        layout: Option<&FileLayout>,
+        confidence: &ConfidenceConfig,
+    ) -> Recommendation {
+        let kernel = CurveKernel::new(self, history, layout);
+        let prefix = PrefixCounts::new(kernel.masks());
+        let n = history.len();
+        let (curve, mi) = kernel.curve(0..n, prefix.counts(0..n));
+        let mut rec = self.recommend_on(history, curve, mi);
+        if let Some(original) = rec.sku_id.as_deref() {
+            let dims = self.dims();
+            rec.confidence = Some(bootstrap_agreement(n, confidence, |range| {
+                let window = history.window(range.start, range.end);
+                let (weights, bits) = self.config.negotiability.profile(&window, dims);
+                let group = self.grouping.assign(&weights, &bits);
+                let (curve, _) = kernel.curve(range.clone(), prefix.counts(range));
+                self.model.select(group, &curve).is_some_and(|p| p.sku_id == original)
+            }));
+        }
+        rec
+    }
+
+    /// Profile, group and select on an already built curve.
+    fn recommend_on(
+        &self,
+        history: &PerfHistory,
+        curve: PricePerformanceCurve,
+        mi: Option<MiAssessment>,
+    ) -> Recommendation {
         let dims = self.dims();
         let (weights, bits) = self.config.negotiability.profile(history, dims);
         let group = self.grouping.assign(&weights, &bits);
         let preferred_p = self.model.preferred_p(group);
 
-        let (curve, mi) = self.curve_for(history, layout);
         let shape = curve.classify();
         let point = self.model.select(group, &curve).cloned();
 
@@ -245,10 +288,65 @@ impl DopplerEngine {
     }
 }
 
+/// Eq. 1's exceedance masks for one history over the SKUs
+/// [`DopplerEngine::curve_for`] scores: the deployment's catalog, or for
+/// MI with a layout, the instances that hold its data.
+enum CurveKernel<'a> {
+    Plain { skus: Vec<&'a Sku>, masks: ExceedanceMasks },
+    Mi(MiKernel<'a>),
+}
+
+impl<'a> CurveKernel<'a> {
+    fn new(
+        engine: &'a DopplerEngine,
+        history: &'a PerfHistory,
+        layout: Option<&'a FileLayout>,
+    ) -> CurveKernel<'a> {
+        match (engine.config.deployment, layout) {
+            (DeploymentType::SqlMi, Some(layout)) => CurveKernel::Mi(MiKernel::new(
+                history,
+                layout,
+                &engine.catalog,
+                &engine.config.rates,
+            )),
+            _ => {
+                let skus = engine.catalog.for_deployment(engine.config.deployment);
+                let caps: Vec<_> = skus.iter().map(|sku| sku.caps).collect();
+                CurveKernel::Plain { masks: ExceedanceMasks::new(history, &caps), skus }
+            }
+        }
+    }
+
+    fn masks(&self) -> &ExceedanceMasks {
+        match self {
+            CurveKernel::Plain { masks, .. } => masks,
+            CurveKernel::Mi(kernel) => kernel.masks(),
+        }
+    }
+
+    /// `curve_for` on the samples in `range`, given the masks' per-SKU
+    /// throttled counts over that range.
+    fn curve(
+        &self,
+        range: Range<usize>,
+        counts: Vec<u32>,
+    ) -> (PricePerformanceCurve, Option<MiAssessment>) {
+        match self {
+            CurveKernel::Plain { skus, .. } => {
+                (PricePerformanceCurve::from_counts(skus, &counts, range.len()), None)
+            }
+            CurveKernel::Mi(kernel) => match kernel.assess(range, counts) {
+                Some(a) => (a.curve.clone(), Some(a)),
+                // No MI placement exists (file too large): empty curve.
+                None => (PricePerformanceCurve::from_scored(vec![]), None),
+            },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::RecommendationBackend;
     use crate::confidence::ConfidenceConfig;
     use doppler_catalog::{azure_paas_catalog, CatalogSpec};
     use doppler_telemetry::TimeSeries;

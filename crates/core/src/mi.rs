@@ -14,15 +14,24 @@
 //! * **Step 2** — build the instance-level price-performance curve with the
 //!   storage-derived IOPS limit substituted into every GP SKU, and the
 //!   premium-disk rent added to GP monthly costs.
+//!
+//! Step 2 runs on the [`ExceedanceMasks`] kernel. Every GP SKU shares the
+//! Step-1 IOPS limit, which moves with the history (a bootstrap window's
+//! IOPS peak can change the tiers). So the masks are built once with GP
+//! IOPS unbounded, and the samples whose demand passes the window's limit
+//! are added to the GP counts afterwards. The counts are the ones Eq. 1
+//! gives with the limit substituted into each GP SKU's capacities.
+
+use std::ops::Range;
 
 use doppler_catalog::{
-    BillingRates, Catalog, DeploymentType, FileLayout, ServiceTier, TierAssignment,
+    BillingRates, Catalog, DeploymentType, FileLayout, ServiceTier, Sku, TierAssignment,
 };
 use doppler_stats::descriptive::max;
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
 use crate::curve::PricePerformanceCurve;
-use crate::throttling::throttling_probability;
+use crate::throttling::{add_bits, throttled_fraction, ExceedanceMasks};
 
 /// The §3.2 Step-1 satisfaction fraction ("chosen based on file layout
 /// analysis of current on-cloud Azure SQL MI resources").
@@ -50,46 +59,117 @@ pub fn mi_curve(
     catalog: &Catalog,
     rates: &BillingRates,
 ) -> Option<MiAssessment> {
-    // Step 1: storage tiers from size (100 %) and IO demand (95 %).
-    let iops_demand = history.values(PerfDimension::Iops).and_then(max).unwrap_or(0.0);
-    let throughput_demand = iops_demand / 128.0; // 8 KB pages
-    let (storage, satisfied) = layout.assign_tiers_for_demand(
-        iops_demand,
-        throughput_demand,
-        IOPS_SATISFACTION_FRACTION,
-    )?;
-    let restricted_to_bc = !satisfied;
-    let gp_iops_limit = storage.total_iops();
+    let kernel = MiKernel::new(history, layout, catalog, rates);
+    let n = history.len();
+    kernel.assess(0..n, kernel.masks().counts(0..n))
+}
 
-    // Step 2: instance-level curve with layout-adjusted GP capacities.
-    let total_data = layout.total_gib();
-    let mut scored = Vec::new();
-    for sku in catalog.for_deployment(DeploymentType::SqlMi) {
-        if restricted_to_bc && sku.tier == ServiceTier::GeneralPurpose {
-            continue;
+/// One history's MI assessment, ready to run on any window of it.
+pub(crate) struct MiKernel<'a> {
+    layout: &'a FileLayout,
+    rates: &'a BillingRates,
+    /// MI SKUs whose instance can hold the layout's data, in catalog order.
+    candidates: Vec<&'a Sku>,
+    /// Bitset of the General Purpose candidates.
+    gp: Vec<u64>,
+    /// The history's IOPS series, when collected.
+    iops: Option<&'a [f64]>,
+    /// Masks over `candidates`, with every GP candidate's IOPS unbounded.
+    masks: ExceedanceMasks,
+}
+
+impl<'a> MiKernel<'a> {
+    /// Build the masks of `history` over the MI SKUs that fit `layout`.
+    pub(crate) fn new(
+        history: &'a PerfHistory,
+        layout: &'a FileLayout,
+        catalog: &'a Catalog,
+        rates: &'a BillingRates,
+    ) -> MiKernel<'a> {
+        let total_data = layout.total_gib();
+        let candidates: Vec<&Sku> = catalog
+            .for_deployment(DeploymentType::SqlMi)
+            .into_iter()
+            .filter(|sku| sku.caps.max_data_gb >= total_data)
+            .collect();
+        let mut gp = vec![0u64; candidates.len().div_ceil(64).max(1)];
+        let caps: Vec<_> = candidates
+            .iter()
+            .enumerate()
+            .map(|(s, sku)| {
+                let mut caps = sku.caps;
+                if sku.tier == ServiceTier::GeneralPurpose {
+                    gp[s / 64] |= 1 << (s % 64);
+                    caps.iops = f64::INFINITY;
+                }
+                caps
+            })
+            .collect();
+        MiKernel {
+            layout,
+            rates,
+            masks: ExceedanceMasks::new(history, &caps),
+            candidates,
+            gp,
+            iops: history.values(PerfDimension::Iops),
         }
-        if sku.caps.max_data_gb < total_data {
-            continue; // the instance cannot hold the data at all
-        }
-        let mut caps = sku.caps;
-        let monthly = match sku.tier {
-            ServiceTier::GeneralPurpose => {
-                caps.iops = gp_iops_limit;
-                caps.throughput_mbps = storage.total_throughput_mibps();
-                rates.monthly_with_storage(sku, &storage)
-            }
-            // BC uses local SSD: SKU-constant IO, no premium-disk rent.
-            ServiceTier::BusinessCritical => sku.monthly_cost(),
-        };
-        let p = throttling_probability(history, &caps);
-        scored.push((sku.id.to_string(), monthly, 1.0 - p));
     }
-    Some(MiAssessment {
-        storage,
-        restricted_to_bc,
-        curve: PricePerformanceCurve::from_scored(scored),
-        gp_iops_limit,
-    })
+
+    /// The masks Step 2 counts from (GP IOPS unbounded).
+    pub(crate) fn masks(&self) -> &ExceedanceMasks {
+        &self.masks
+    }
+
+    /// Run Steps 1 and 2 on the samples in `range`, given the masks'
+    /// per-candidate counts over that range.
+    pub(crate) fn assess(&self, range: Range<usize>, mut counts: Vec<u32>) -> Option<MiAssessment> {
+        // Step 1: storage tiers from size (100 %) and IO demand (95 %).
+        let iops = self.iops.map_or(&[][..], |v| &v[range.clone()]);
+        let iops_demand = max(iops).unwrap_or(0.0);
+        let throughput_demand = iops_demand / 128.0; // 8 KB pages
+        let (storage, satisfied) = self.layout.assign_tiers_for_demand(
+            iops_demand,
+            throughput_demand,
+            IOPS_SATISFACTION_FRACTION,
+        )?;
+        let restricted_to_bc = !satisfied;
+        let gp_iops_limit = storage.total_iops();
+
+        // Step 2: a GP SKU also throttles wherever demand passes the
+        // storage-derived IOPS limit and no other dimension already did.
+        if !restricted_to_bc {
+            let mut extra = vec![0u64; self.gp.len()];
+            for (t, &v) in range.clone().zip(iops) {
+                if v > gp_iops_limit {
+                    for ((e, g), m) in extra.iter_mut().zip(&self.gp).zip(self.masks.sample(t)) {
+                        *e = g & !m;
+                    }
+                    add_bits(&mut counts, &extra);
+                }
+            }
+        }
+        let scored = self
+            .candidates
+            .iter()
+            .zip(counts)
+            .filter(|(sku, _)| !(restricted_to_bc && sku.tier == ServiceTier::GeneralPurpose))
+            .map(|(sku, count)| {
+                let monthly = match sku.tier {
+                    ServiceTier::GeneralPurpose => self.rates.monthly_with_storage(sku, &storage),
+                    // BC uses local SSD: SKU-constant IO, no premium-disk rent.
+                    ServiceTier::BusinessCritical => sku.monthly_cost(),
+                };
+                let score = 1.0 - throttled_fraction(count as usize, range.len());
+                (sku.id.to_string(), monthly, score)
+            })
+            .collect();
+        Some(MiAssessment {
+            storage,
+            restricted_to_bc,
+            curve: PricePerformanceCurve::from_scored(scored),
+            gp_iops_limit,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -19,21 +19,36 @@
 //! this performance dimension relative to an upper bound". Concretely, a
 //! sample throttles on latency when the workload *requires* a latency
 //! tighter than the SKU's minimum achievable one.
+//!
+//! [`throttling_probability`] scores one SKU by walking every sample and
+//! dimension. A curve scores every SKU of a catalog on the same samples,
+//! so [`ExceedanceMasks`] does that work once for all of them. Sort one
+//! dimension's SKU capacities ascending (descending for the inverted
+//! latency dimension): the SKUs a sample throttles on that dimension are
+//! then a *prefix* of the order, found with one binary search. Each prefix
+//! has a precomputed bitset of `ceil(S / 64)` words for `S` SKUs, and the
+//! OR of a sample's prefix bitsets over its dimensions is the set of SKUs
+//! that sample throttles. Counting set bits gives each SKU's throttled
+//! samples, and [`PrefixCounts`] keeps those counts cumulatively, so a
+//! bootstrap window's counts cost O(S). The counts are the same integers
+//! the scalar walk produces, divided the same way by [`throttled_fraction`],
+//! so every score is bit-identical to [`throttling_probability`].
+
+use std::ops::Range;
 
 use doppler_catalog::ResourceCaps;
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
-/// The capacity a SKU exposes for one dimension, or `None` when the
-/// dimension is unconstrained by that SKU (e.g. log rate is not assessed
-/// for MI).
-fn capacity(caps: &ResourceCaps, dim: PerfDimension) -> Option<f64> {
+/// The capacity a SKU exposes for one dimension. Every dimension is
+/// assessed for every deployment; MI histories carry log rate too.
+fn capacity(caps: &ResourceCaps, dim: PerfDimension) -> f64 {
     match dim {
-        PerfDimension::Cpu => Some(caps.vcores),
-        PerfDimension::Memory => Some(caps.memory_gb),
-        PerfDimension::Iops => Some(caps.iops),
-        PerfDimension::IoLatency => Some(caps.min_io_latency_ms),
-        PerfDimension::LogRate => Some(caps.log_rate_mbps),
-        PerfDimension::Storage => Some(caps.max_data_gb),
+        PerfDimension::Cpu => caps.vcores,
+        PerfDimension::Memory => caps.memory_gb,
+        PerfDimension::Iops => caps.iops,
+        PerfDimension::IoLatency => caps.min_io_latency_ms,
+        PerfDimension::LogRate => caps.log_rate_mbps,
+        PerfDimension::Storage => caps.max_data_gb,
     }
 }
 
@@ -48,20 +63,27 @@ fn exceeds(dim: PerfDimension, demand: f64, cap: f64) -> bool {
     }
 }
 
+/// `count` throttled samples out of `n` as a probability; 0 when `n` is 0
+/// (no evidence of demand).
+pub fn throttled_fraction(count: usize, n: usize) -> f64 {
+    if n == 0 {
+        0.0
+    } else {
+        count as f64 / n as f64
+    }
+}
+
 /// Joint throttling probability of Eq. 1: the fraction of time samples at
 /// which at least one collected dimension exceeds the SKU's capacity.
 ///
 /// An empty history throttles with probability 0 (no evidence of demand).
+/// This is the one-SKU scalar form; [`ExceedanceMasks`] computes the same
+/// counts for a whole SKU list at once.
 pub fn throttling_probability(history: &PerfHistory, caps: &ResourceCaps) -> f64 {
     let n = history.len();
-    if n == 0 {
-        return 0.0;
-    }
     // Collect (dim, values, cap) triples once to keep the hot loop tight.
-    let dims: Vec<(PerfDimension, &[f64], f64)> = history
-        .iter()
-        .filter_map(|(dim, series)| capacity(caps, dim).map(|cap| (dim, series.values(), cap)))
-        .collect();
+    let dims: Vec<(PerfDimension, &[f64], f64)> =
+        history.iter().map(|(dim, series)| (dim, series.values(), capacity(caps, dim))).collect();
     let mut throttled = 0usize;
     for t in 0..n {
         for &(dim, values, cap) in &dims {
@@ -71,7 +93,139 @@ pub fn throttling_probability(history: &PerfHistory, caps: &ResourceCaps) -> f64
             }
         }
     }
-    throttled as f64 / n as f64
+    throttled_fraction(throttled, n)
+}
+
+/// For every sample of one history, the set of SKUs (from a caller-ordered
+/// capacity list) that the sample throttles: bit `s` of sample `t`'s mask
+/// is set when SKU `s` throttles at `t`, exactly when
+/// [`throttling_probability`] would count that sample against it.
+#[derive(Debug, Clone)]
+pub struct ExceedanceMasks {
+    skus: usize,
+    /// `u64` words per sample: `ceil(skus / 64)`, at least 1.
+    words: usize,
+    /// Sample-major masks, `words` per sample.
+    bits: Vec<u64>,
+}
+
+impl ExceedanceMasks {
+    /// Build the masks of `history` against `caps`, one entry per SKU.
+    pub fn new(history: &PerfHistory, caps: &[ResourceCaps]) -> ExceedanceMasks {
+        let skus = caps.len();
+        assert!(u32::try_from(history.len()).is_ok(), "too many samples for u32 counts");
+        let words = skus.div_ceil(64).max(1);
+        let mut bits = vec![0u64; history.len() * words];
+        let mut order: Vec<usize> = (0..skus).collect();
+        let mut levels: Vec<f64> = Vec::with_capacity(skus);
+        let mut prefix = vec![0u64; (skus + 1) * words];
+        for (dim, series) in history.iter() {
+            // Order the SKUs so that the ones a demand exceeds come first:
+            // ascending capacity, or descending for inverted latency. A NaN
+            // capacity is never exceeded, so it sorts last either way.
+            let inverted = dim.inverted();
+            let cap = |s: usize| capacity(&caps[s], dim);
+            order.sort_by(|&a, &b| {
+                let (a, b) = if inverted { (cap(b), cap(a)) } else { (cap(a), cap(b)) };
+                a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(&b))
+            });
+            // One level per distinct capacity; prefix[k] is the bitset of
+            // every SKU at the first k levels.
+            levels.clear();
+            for &s in &order {
+                let c = cap(s);
+                if levels.last() != Some(&c) {
+                    levels.push(c);
+                    let k = levels.len() - 1;
+                    let (done, next) = prefix.split_at_mut((k + 1) * words);
+                    next[..words].copy_from_slice(&done[k * words..]);
+                }
+                let k = levels.len();
+                prefix[k * words + s / 64] |= 1 << (s % 64);
+            }
+            for (mask, &v) in bits.chunks_exact_mut(words).zip(series.values()) {
+                let k = if inverted {
+                    levels.partition_point(|&c| c > v)
+                } else {
+                    levels.partition_point(|&c| c < v)
+                };
+                for (m, p) in mask.iter_mut().zip(&prefix[k * words..(k + 1) * words]) {
+                    *m |= p;
+                }
+            }
+        }
+        ExceedanceMasks { skus, words, bits }
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.bits.len() / self.words
+    }
+
+    /// True when the history had no samples.
+    pub fn is_empty(&self) -> bool {
+        self.bits.is_empty()
+    }
+
+    /// The throttled-SKU bitset of sample `t`.
+    pub(crate) fn sample(&self, t: usize) -> &[u64] {
+        &self.bits[t * self.words..(t + 1) * self.words]
+    }
+
+    /// Per-SKU throttled-sample counts over the sample range `range`.
+    pub fn counts(&self, range: Range<usize>) -> Vec<u32> {
+        let mut counts = vec![0u32; self.skus];
+        for mask in
+            self.bits[range.start * self.words..range.end * self.words].chunks_exact(self.words)
+        {
+            add_bits(&mut counts, mask);
+        }
+        counts
+    }
+}
+
+/// Add 1 to `counts[s]` for every bit `s` set in `mask`.
+#[inline]
+pub(crate) fn add_bits(counts: &mut [u32], mask: &[u64]) {
+    for (w, &word) in mask.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            counts[w * 64 + word.trailing_zeros() as usize] += 1;
+            word &= word - 1;
+        }
+    }
+}
+
+/// Cumulative per-SKU throttled-sample counts: row `t` holds the counts
+/// over samples `0..t`, so any contiguous window's counts are one row
+/// difference. Costs `(samples + 1) × SKUs` `u32`s (about 226 KB for two
+/// weeks of 10-minute samples against 28 SKUs).
+#[derive(Debug, Clone)]
+pub struct PrefixCounts {
+    skus: usize,
+    rows: Vec<u32>,
+}
+
+impl PrefixCounts {
+    /// Accumulate the counts of every prefix of `masks`.
+    pub fn new(masks: &ExceedanceMasks) -> PrefixCounts {
+        let skus = masks.skus;
+        let mut rows = vec![0u32; (masks.len() + 1) * skus];
+        for t in 0..masks.len() {
+            let (done, next) = rows.split_at_mut((t + 1) * skus);
+            let next = &mut next[..skus];
+            next.copy_from_slice(&done[t * skus..]);
+            add_bits(next, masks.sample(t));
+        }
+        PrefixCounts { skus, rows }
+    }
+
+    /// Per-SKU throttled-sample counts over the sample range `range`.
+    pub fn counts(&self, range: Range<usize>) -> Vec<u32> {
+        let lo = &self.rows[range.start * self.skus..][..self.skus];
+        let hi = &self.rows[range.end * self.skus..][..self.skus];
+        hi.iter().zip(lo).map(|(h, l)| h - l).collect()
+    }
 }
 
 /// Per-dimension exceedance fractions plus the joint probability; feeds the
@@ -91,9 +245,9 @@ impl ThrottleBreakdown {
         let n = history.len();
         let mut per_dimension = Vec::new();
         for (dim, series) in history.iter() {
-            let Some(cap) = capacity(caps, dim) else { continue };
+            let cap = capacity(caps, dim);
             let count = series.values().iter().filter(|&&v| exceeds(dim, v, cap)).count();
-            per_dimension.push((dim, if n == 0 { 0.0 } else { count as f64 / n as f64 }));
+            per_dimension.push((dim, throttled_fraction(count, n)));
         }
         ThrottleBreakdown { per_dimension, joint: throttling_probability(history, caps) }
     }

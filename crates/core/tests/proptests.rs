@@ -1,8 +1,20 @@
 //! Property-based tests for the engine's invariants.
 
-use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType, ResourceCaps};
+use std::ops::Range;
+use std::sync::OnceLock;
+
+use doppler_catalog::{
+    azure_paas_catalog, Catalog, CatalogSpec, DeploymentType, FileLayout, ResourceCaps,
+    ServiceTier, SkuId,
+};
 use doppler_core::matching::{select_for_p, select_with_slack};
-use doppler_core::{throttling_probability, BaselineStrategy, PricePerformanceCurve};
+use doppler_core::throttling::{throttled_fraction, ExceedanceMasks, PrefixCounts};
+use doppler_core::{
+    confidence_score, mi_curve, throttling_probability, BaselineStrategy, ConfidenceConfig,
+    DopplerEngine, EngineConfig, PricePerformanceCurve, Recommendation, RecommendationBackend,
+    TrainingRecord,
+};
+use doppler_stats::BootstrapWindows;
 use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
 use proptest::prelude::*;
 
@@ -128,4 +140,317 @@ proptest! {
             }
         }
     }
+}
+
+/// SplitMix64: the kernel properties draw their shapes (dimension subset,
+/// SKU count, ties) from one seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Mostly a coarse grid shared by demands and capacities, so demand
+    /// lands exactly on a cap (and caps repeat) often; sometimes off-grid.
+    fn level(&mut self) -> f64 {
+        if self.below(4) == 0 {
+            self.unit() * 12.0
+        } else {
+            self.below(25) as f64 * 0.5
+        }
+    }
+}
+
+/// A history over a random subset of the six dimensions (possibly none,
+/// possibly zero samples) and a SKU list of 0 to 150 capacity sets.
+fn kernel_case(seed: u64) -> (PerfHistory, Vec<ResourceCaps>) {
+    let mut rng = Rng(seed);
+    let n = rng.below(160);
+    let dims = rng.next();
+    let mut history = PerfHistory::new();
+    for (i, &dim) in PerfDimension::ALL.iter().enumerate() {
+        if dims >> i & 1 == 1 {
+            history.insert(dim, TimeSeries::ten_minute((0..n).map(|_| rng.level()).collect()));
+        }
+    }
+    let skus = [0, 1, 3, 28, 63, 64, 65, 150][rng.below(8)];
+    let caps = (0..skus)
+        .map(|_| ResourceCaps {
+            vcores: rng.level(),
+            memory_gb: rng.level(),
+            max_data_gb: rng.level(),
+            iops: rng.level(),
+            log_rate_mbps: rng.level(),
+            min_io_latency_ms: rng.level(),
+            throughput_mbps: rng.level(),
+        })
+        .collect();
+    (history, caps)
+}
+
+fn assert_counts_match(history: &PerfHistory, caps: &[ResourceCaps], counts: &[u32], what: &str) {
+    assert_eq!(counts.len(), caps.len());
+    for (s, (caps, &count)) in caps.iter().zip(counts).enumerate() {
+        let kernel = throttled_fraction(count as usize, history.len());
+        let scalar = throttling_probability(history, caps);
+        assert_eq!(kernel.to_bits(), scalar.to_bits(), "{what}: SKU {s}: {kernel} vs {scalar}");
+    }
+}
+
+/// The Eq. 1 oracle for a confidence run: the provided trait method, which
+/// re-runs the engine's own `recommend` on every window.
+fn oracle(
+    engine: &DopplerEngine,
+    history: &PerfHistory,
+    layout: Option<&FileLayout>,
+    config: &ConfidenceConfig,
+) -> Recommendation {
+    let mut rec = engine.recommend(history, layout);
+    if let Some(original) = rec.sku_id.clone() {
+        rec.confidence = Some(confidence_score(history, &original, config, |window| {
+            engine.recommend(window, layout).sku_id
+        }));
+    }
+    rec
+}
+
+fn assert_confidence_matches(
+    engine: &DopplerEngine,
+    history: &PerfHistory,
+    layout: Option<&FileLayout>,
+    config: &ConfidenceConfig,
+) {
+    let want = oracle(engine, history, layout, config);
+    let got = engine.recommend_with_confidence(history, layout, config);
+    let via_trait =
+        RecommendationBackend::recommend_with_confidence(engine, history, layout, config);
+    assert_eq!(got.confidence.map(f64::to_bits), want.confidence.map(f64::to_bits));
+    assert_eq!(got, want);
+    assert_eq!(via_trait, want);
+}
+
+/// A 10-minute workload with two regimes (so short windows disagree) and
+/// IOPS bursts whose height varies along the history, so windows see
+/// different peaks.
+fn workload(rng: &mut Rng, n: usize) -> PerfHistory {
+    let cut = rng.below(n);
+    let cpu_base = [0.5 + 4.0 * rng.unit(), 0.5 + 12.0 * rng.unit()];
+    let spike_rate = 0.02 + 0.1 * rng.unit();
+    let mem = 2.0 + 60.0 * rng.unit();
+    let iops_base = 50.0 + 1500.0 * rng.unit();
+    let burst_peak = 300.0 + 16_000.0 * rng.unit();
+    let latency = if rng.below(3) == 0 { 1.1 + 0.5 * rng.unit() } else { 5.0 + 2.0 * rng.unit() };
+    let log_rate = 1.0 + 40.0 * rng.unit();
+    let storage = 10.0 + 400.0 * rng.unit();
+    let mut series = |f: &mut dyn FnMut(&mut Rng, usize) -> f64| {
+        TimeSeries::ten_minute((0..n).map(|t| f(rng, t)).collect())
+    };
+    let cpu = series(&mut |r, t| {
+        let base = cpu_base[usize::from(t >= cut)];
+        if r.unit() < spike_rate {
+            base * (2.0 + 4.0 * r.unit())
+        } else {
+            base * (0.8 + 0.4 * r.unit())
+        }
+    });
+    let memory = series(&mut |r, _| mem * (0.9 + 0.2 * r.unit()));
+    let iops = series(&mut |r, t| {
+        if r.unit() < 0.03 {
+            burst_peak * (t + 1) as f64 / n as f64 * (0.5 + r.unit())
+        } else {
+            iops_base * (0.7 + 0.6 * r.unit())
+        }
+    });
+    let io_latency = series(&mut |r, _| latency * (0.95 + 0.1 * r.unit()));
+    let log = series(&mut |r, _| log_rate * (0.5 + r.unit()));
+    let data = series(&mut |_, _| storage);
+    PerfHistory::new()
+        .with(PerfDimension::Cpu, cpu)
+        .with(PerfDimension::Memory, memory)
+        .with(PerfDimension::Iops, iops)
+        .with(PerfDimension::IoLatency, io_latency)
+        .with(PerfDimension::LogRate, log)
+        .with(PerfDimension::Storage, data)
+}
+
+/// Half the time, snap IOPS demand onto storage-tier limits and their
+/// sums, so samples land exactly on a GP instance's IOPS limit.
+fn maybe_tie_iops(rng: &mut Rng, history: PerfHistory) -> PerfHistory {
+    const LIMITS: [f64; 8] = [150.0, 500.0, 1000.0, 2300.0, 2800.0, 5000.0, 7500.0, 12500.0];
+    if rng.below(2) == 0 {
+        return history;
+    }
+    let top = 1 + rng.below(LIMITS.len());
+    let iops = (0..history.len()).map(|_| LIMITS[rng.below(top)]).collect();
+    history.with(PerfDimension::Iops, TimeSeries::ten_minute(iops))
+}
+
+fn random_layout(rng: &mut Rng) -> FileLayout {
+    let files = 1 + rng.below(3);
+    FileLayout::from_sizes(&(0..files).map(|_| 20.0 + 700.0 * rng.unit()).collect::<Vec<_>>())
+}
+
+/// Engines trained on random picks, so groups carry varied tolerances.
+fn engine(deployment: DeploymentType) -> &'static DopplerEngine {
+    static ENGINES: OnceLock<[DopplerEngine; 2]> = OnceLock::new();
+    let engines = ENGINES.get_or_init(|| {
+        let catalog = azure_paas_catalog(&CatalogSpec::default());
+        let train = |deployment: DeploymentType, seed: u64| {
+            let skus: Vec<SkuId> =
+                catalog.for_deployment(deployment).iter().map(|s| s.id.clone()).collect();
+            let mut rng = Rng(seed);
+            let records: Vec<TrainingRecord> = (0..16)
+                .map(|_| TrainingRecord {
+                    history: workload(&mut rng, 288),
+                    chosen_sku: skus[rng.below(skus.len())].clone(),
+                    file_layout: (deployment == DeploymentType::SqlMi)
+                        .then(|| random_layout(&mut rng)),
+                })
+                .collect();
+            DopplerEngine::train(catalog.clone(), EngineConfig::production(deployment), &records)
+        };
+        [train(DeploymentType::SqlDb, 11), train(DeploymentType::SqlMi, 12)]
+    });
+    &engines[usize::from(deployment == DeploymentType::SqlMi)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn exceedance_kernel_matches_the_scalar_probability(seed in 0u64..u64::MAX) {
+        let (history, caps) = kernel_case(seed);
+        let n = history.len();
+        let masks = ExceedanceMasks::new(&history, &caps);
+        prop_assert_eq!(masks.len(), n);
+        assert_counts_match(&history, &caps, &masks.counts(0..n), "whole history");
+
+        let prefix = PrefixCounts::new(&masks);
+        let mut rng = Rng(seed ^ 0xA5A5);
+        // The whole history, one sample, and arbitrary (possibly empty) spans.
+        let mut windows: Vec<Range<usize>> = Vec::new();
+        windows.push(0..n);
+        if n > 0 {
+            let t = rng.below(n);
+            windows.push(t..t + 1);
+            for _ in 0..6 {
+                let (a, b) = (rng.below(n + 1), rng.below(n + 1));
+                windows.push(a.min(b)..a.max(b));
+            }
+        }
+        for range in windows {
+            let window = history.window(range.start, range.end);
+            let what = format!("window {range:?} of {n}");
+            assert_counts_match(&window, &caps, &prefix.counts(range.clone()), &what);
+            assert_counts_match(&window, &caps, &masks.counts(range), &what);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn db_confidence_matches_the_per_window_pipeline(seed in 0u64..u64::MAX) {
+        let mut rng = Rng(seed);
+        let n = 150 + rng.below(500);
+        let history = workload(&mut rng, n);
+        let config = ConfidenceConfig {
+            replicates: 1 + rng.below(20),
+            window_samples: 1 + rng.below(history.len() + 50),
+            seed,
+        };
+        assert_confidence_matches(engine(DeploymentType::SqlDb), &history, None, &config);
+    }
+
+    #[test]
+    fn mi_confidence_matches_the_per_window_pipeline(seed in 0u64..u64::MAX) {
+        let mut rng = Rng(seed);
+        let n = 150 + rng.below(500);
+        let history = workload(&mut rng, n);
+        let history = maybe_tie_iops(&mut rng, history);
+        let layout = random_layout(&mut rng);
+        let config = ConfidenceConfig {
+            replicates: 1 + rng.below(20),
+            window_samples: 1 + rng.below(history.len() + 50),
+            seed,
+        };
+        let engine = engine(DeploymentType::SqlMi);
+        assert_confidence_matches(engine, &history, Some(&layout), &config);
+        // Without a layout the MI engine scores the plain catalog curve.
+        assert_confidence_matches(engine, &history, None, &config);
+    }
+
+    #[test]
+    fn mi_curve_matches_the_scalar_probability(seed in 0u64..u64::MAX) {
+        // Step 2 equals Eq. 1 with the Step-1 IOPS limit substituted into
+        // every GP SKU.
+        let mut rng = Rng(seed);
+        let n = 1 + rng.below(400);
+        let history = workload(&mut rng, n);
+        let history = maybe_tie_iops(&mut rng, history);
+        let layout = random_layout(&mut rng);
+        let catalog = engine(DeploymentType::SqlMi).catalog();
+        let rates = Default::default();
+        let a = mi_curve(&history, &layout, catalog, &rates).expect("files fit a premium disk");
+        for point in a.curve.points() {
+            let sku = catalog.get(&SkuId(point.sku_id.clone())).expect("catalog SKU");
+            let mut caps = sku.caps;
+            if sku.tier == ServiceTier::GeneralPurpose {
+                caps.iops = a.gp_iops_limit;
+            }
+            let scalar = 1.0 - throttling_probability(&history, &caps);
+            prop_assert_eq!(point.raw_score.to_bits(), scalar.to_bits(), "{}", point.sku_id);
+        }
+    }
+}
+
+/// The MI property above only proves something if windows really move the
+/// Step-1 result: here the bootstrap windows of one history land on
+/// several GP IOPS limits, and a BC-only restriction, and the fast path
+/// still matches the oracle.
+#[test]
+fn mi_windows_move_the_storage_tiers() {
+    let engine = engine(DeploymentType::SqlMi);
+    let catalog: &Catalog = engine.catalog();
+    let n = 2016;
+    let iops: Vec<f64> = (0..n)
+        .map(|t| match t % 144 {
+            0 => [400.0, 2_000.0, 4_500.0, 7_000.0, 11_000.0, 20_000.0][(t / 144) % 6],
+            _ => 150.0,
+        })
+        .collect();
+    let history = PerfHistory::new()
+        .with(PerfDimension::Cpu, TimeSeries::ten_minute(vec![3.0; n]))
+        .with(PerfDimension::Memory, TimeSeries::ten_minute(vec![12.0; n]))
+        .with(PerfDimension::Iops, TimeSeries::ten_minute(iops))
+        .with(PerfDimension::IoLatency, TimeSeries::ten_minute(vec![6.0; n]));
+    let layout = FileLayout::from_sizes(&[100.0]);
+    let config = ConfidenceConfig { replicates: 30, window_samples: 300, seed: 4 };
+    let mut limits = Vec::new();
+    let mut restricted = false;
+    for w in BootstrapWindows::generate(n, 300, 30, 4).windows() {
+        let window = history.window(w.start, w.end);
+        let a = mi_curve(&window, &layout, catalog, &Default::default()).unwrap();
+        restricted |= a.restricted_to_bc;
+        if !limits.contains(&a.gp_iops_limit) {
+            limits.push(a.gp_iops_limit);
+        }
+    }
+    assert!(limits.len() >= 3, "windows hit only GP IOPS limits {limits:?}");
+    assert!(restricted, "no window was restricted to Business Critical");
+    assert_confidence_matches(engine, &history, Some(&layout), &config);
 }
