@@ -4,7 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use doppler_core::NegotiabilityStrategy;
-use doppler_stats::{hierarchical_cluster, kmeans, KMeansConfig, Linkage, SeededRng};
+use doppler_stats::{
+    hierarchical_cluster, kmeans, loess_smooth, stl_decompose, KMeansConfig, Linkage, SeededRng,
+    StlConfig,
+};
 use doppler_telemetry::PerfDimension;
 use doppler_workload::{generate, WorkloadArchetype};
 
@@ -25,6 +28,27 @@ fn bench_summarizers(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// STL's kernels at the STL summarizer's exact shapes: a 14-day, 10-minute
+/// CPU series (2,016 samples), its trend loess pass (span 0.25, q = 504),
+/// and the whole decomposition at daily period 144.
+fn bench_stl(c: &mut Criterion) {
+    let history = generate(&WorkloadArchetype::SpikyCpu.spec(8.0, 14.0), 3);
+    let cpu = history.values(PerfDimension::Cpu).expect("generated histories carry CPU");
+    assert_eq!(cpu.len(), 2016, "14 days of 10-minute samples");
+    let config = StlConfig::default();
+    let mut loess = c.benchmark_group("loess_smooth");
+    loess.bench_function("trend_n2016_q504", |b| {
+        b.iter(|| loess_smooth(std::hint::black_box(cpu), config.trend_span))
+    });
+    loess.finish();
+    let mut stl = c.benchmark_group("stl_decompose");
+    stl.sample_size(10);
+    stl.bench_function("14d_p144", |b| {
+        b.iter(|| stl_decompose(std::hint::black_box(cpu), &config))
+    });
+    stl.finish();
 }
 
 fn bench_grouping(c: &mut Criterion) {
@@ -54,5 +78,5 @@ fn bench_grouping(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_summarizers, bench_grouping);
+criterion_group!(benches, bench_summarizers, bench_stl, bench_grouping);
 criterion_main!(benches);

@@ -63,18 +63,37 @@ impl StlDecomposition {
     }
 }
 
-/// Centered moving average with window `w` (edges use the available points).
+/// Outputs summed together in [`moving_average`]'s full-width windows.
+const LANES: usize = 4;
+
+/// Centered moving average over the `2 * (w / 2) + 1` points around each
+/// position (edges use the available points).
+///
+/// Full-width windows are summed four at a time in lockstep; every window
+/// is still summed left to right from `-0.0`, as `Iterator::sum` does, so
+/// the output is bit-identical to summing each window on its own.
 fn moving_average(xs: &[f64], w: usize) -> Vec<f64> {
     let n = xs.len();
-    let w = w.max(1);
-    let half = w / 2;
-    (0..n)
-        .map(|i| {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half + 1).min(n);
-            xs[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
-        })
-        .collect()
+    let half = w.max(1) / 2;
+    let average = |i: usize| {
+        let lo = i.saturating_sub(half);
+        let hi = (i + half + 1).min(n);
+        xs[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
+    };
+    let mut out: Vec<f64> = (0..half.min(n)).map(average).collect();
+    let width = 2 * half + 1;
+    for block in xs.windows(width + LANES - 1).step_by(LANES) {
+        let mut sums = [-0.0; LANES];
+        for x in block.windows(LANES) {
+            for (s, x) in sums.iter_mut().zip(x) {
+                *s += x;
+            }
+        }
+        out.extend(sums.map(|s| s / width as f64));
+    }
+    let tail = out.len()..n;
+    out.extend(tail.map(average));
+    out
 }
 
 /// Decompose an evenly spaced series.
@@ -91,6 +110,8 @@ pub fn stl_decompose(series: &[f64], config: &StlConfig) -> Option<StlDecomposit
 
     let mut trend = vec![0.0; n];
     let mut seasonal = vec![0.0; n];
+    // One phase's cycle-subseries, reused across phases and iterations.
+    let mut sub = Vec::with_capacity(n.div_ceil(p));
 
     for _ in 0..config.inner_iterations.max(1) {
         // 1. Detrend.
@@ -100,17 +121,18 @@ pub fn stl_decompose(series: &[f64], config: &StlConfig) -> Option<StlDecomposit
         //    the season across cycles, then re-interleave.
         let mut cyc = vec![0.0; n];
         for phase in 0..p {
-            let idx: Vec<usize> = (phase..n).step_by(p).collect();
-            let sub: Vec<f64> = idx.iter().map(|&i| detrended[i]).collect();
+            sub.clear();
+            sub.extend(detrended[phase..].iter().step_by(p));
             let smoothed = loess_smooth(&sub, config.seasonal_span);
-            for (k, &i) in idx.iter().enumerate() {
-                cyc[i] = smoothed[k];
+            for (c, s) in cyc[phase..].iter_mut().step_by(p).zip(smoothed) {
+                *c = s;
             }
         }
 
         // 3. Low-pass the preliminary seasonal so slow drift stays in the
-        //    trend: two passes of a period-length moving average plus a
-        //    3-point pass (the STL paper's 3×p×p filter, collapsed).
+        //    trend: two passes of a moving average over 2·⌊p/2⌋ + 1 points
+        //    (145 for p = 144; one more than a period when p is even) plus
+        //    a 3-point pass (the STL paper's 3×p×p filter, collapsed).
         let low = moving_average(&moving_average(&moving_average(&cyc, p), p), 3);
         for i in 0..n {
             seasonal[i] = cyc[i] - low[i];
@@ -201,6 +223,38 @@ mod tests {
     fn constant_series_fully_explained() {
         let d = stl_decompose(&[5.0; 300], &config(24)).unwrap();
         assert_eq!(d.variance_explained(), 1.0);
+    }
+
+    /// One window at a time, the order the lockstep sums must reproduce.
+    fn moving_average_reference(xs: &[f64], w: usize) -> Vec<f64> {
+        let n = xs.len();
+        let w = w.max(1);
+        let half = w / 2;
+        (0..n)
+            .map(|i| {
+                let lo = i.saturating_sub(half);
+                let hi = (i + half + 1).min(n);
+                xs[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
+            })
+            .collect()
+    }
+
+    #[test]
+    fn moving_average_matches_reference_bit_for_bit() {
+        let noise: Vec<f64> = (0..300)
+            .map(|i| ((i * 2_654_435_761_usize) % 10_007) as f64 * 1e3 - 5e6 + 0.1 * i as f64)
+            .collect();
+        let zeros = [-0.0; 40];
+        for xs in [&noise[..], &noise[..7], &noise[..1], &[], &zeros[..]] {
+            for w in [0, 1, 2, 3, 4, 5, 8, 13, 144, 145, 299, 300, 301, 1000] {
+                let fast = moving_average(xs, w);
+                let slow = moving_average_reference(xs, w);
+                assert_eq!(fast.len(), slow.len());
+                for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "n = {}, w = {w}, output {i}", xs.len());
+                }
+            }
+        }
     }
 
     #[test]
