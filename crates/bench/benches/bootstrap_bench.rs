@@ -1,13 +1,15 @@
 //! Confidence-score benchmarks: the §3.4 bootstrap re-runs the full
-//! pipeline per replicate. The heuristic engine scores each window's curve
-//! from prefix counts built once, so the per-window cost is re-profiling
-//! and selection; the MI row also re-runs Step 1 (storage tiers) on every
-//! window of a bursty-IO history.
+//! pipeline per replicate. The heuristic engine scores each window's SKUs
+//! from prefix counts built once, so the per-window cost is profiling the
+//! window's sample range and selecting from its cost-ordered scores; the
+//! MI row also re-runs Step 1 (storage tiers) and builds a curve on every
+//! window of a bursty-IO history. `db_14d` is the DMA user's request: a
+//! trained production engine and a 14-day SQL DB cohort history.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType, FileLayout};
-use doppler_core::{ConfidenceConfig, DopplerEngine, EngineConfig};
-use doppler_workload::{generate, WorkloadArchetype};
+use doppler_core::{ConfidenceConfig, DopplerEngine, EngineConfig, TrainingRecord};
+use doppler_workload::{generate, PopulationSpec, WorkloadArchetype};
 
 fn bench_confidence(c: &mut Criterion) {
     let engine = DopplerEngine::untrained(
@@ -45,6 +47,32 @@ fn bench_confidence(c: &mut Criterion) {
                 std::hint::black_box(&mi_history),
                 Some(&layout),
                 &ConfidenceConfig { replicates: 30, window_samples: 7 * 144, seed: 1 },
+            )
+        })
+    });
+
+    // The production engine trained on a migrated cohort, scoring another
+    // cohort's customer with the default 30 one-week windows.
+    let catalog = azure_paas_catalog(&CatalogSpec::default());
+    let records: Vec<TrainingRecord> = PopulationSpec::sql_db(200, 3)
+        .customers(&catalog)
+        .into_iter()
+        .filter(|c| !c.over_provisioned)
+        .map(|c| TrainingRecord { history: c.history, chosen_sku: c.chosen_sku, file_layout: None })
+        .collect();
+    let db_engine = DopplerEngine::train(
+        catalog.clone(),
+        EngineConfig::production(DeploymentType::SqlDb),
+        &records,
+    );
+    let db_history = PopulationSpec::sql_db(1, 4).customer(0, &catalog).history;
+    assert_eq!(db_history.len(), 2016, "14 days of 10-minute samples");
+    group.bench_function("db_14d", |b| {
+        b.iter(|| {
+            db_engine.recommend_with_confidence(
+                std::hint::black_box(&db_history),
+                None,
+                &ConfidenceConfig::default(),
             )
         })
     });

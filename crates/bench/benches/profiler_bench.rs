@@ -28,6 +28,15 @@ fn bench_summarizers(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // One confidence window's profile: a week of samples (1,008) over the
+    // four SQL DB dimensions, read in place from the 14-day history.
+    let production = NegotiabilityStrategy::production();
+    let mut thresholding = c.benchmark_group("thresholding");
+    thresholding.bench_function("window_1008x4", |b| {
+        b.iter(|| production.profile_range(std::hint::black_box(&history), &dims, 504..1512))
+    });
+    thresholding.finish();
 }
 
 /// STL's kernels at the STL summarizer's exact shapes: a 14-day, 10-minute

@@ -8,11 +8,12 @@
 //! the counterfactual throttling the customer would suffer by keeping the
 //! old SKU (the Figure 11 customer would see > 40 %).
 
-use doppler_catalog::Sku;
+use doppler_catalog::{ResourceCaps, Sku};
 use doppler_telemetry::PerfHistory;
 
 use crate::curve::{PricePerfPoint, PricePerformanceCurve};
 use crate::matching::select_for_p;
+use crate::throttling::ExceedanceMasks;
 
 /// How urgently a detected SKU change needs acting on, graded by the
 /// throttling the customer suffers while they stay put. A fleet monitor
@@ -122,18 +123,26 @@ impl DriftReport {
     }
 }
 
-/// Split `history` at sample `change_point`, generate both curves over
-/// `skus`, and select on each with the group tolerance `p_g` (pass 0.0 for
-/// a zero-tolerance selection).
+/// Split `history` at sample `change_point` (clamped to its length),
+/// generate both curves over `skus`, and select on each with the group
+/// tolerance `p_g` (pass 0.0 for a zero-tolerance selection).
+///
+/// Both curves count from one set of [`ExceedanceMasks`] over the whole
+/// history, so neither half is copied: the curves equal
+/// [`PricePerformanceCurve::generate`] on the two halves of
+/// [`doppler_telemetry::split_at`].
 pub fn detect_drift(
     history: &PerfHistory,
     change_point: usize,
     skus: &[&Sku],
     p_g: f64,
 ) -> DriftReport {
-    let (before, after) = doppler_telemetry::split_at(history, change_point);
-    let before_curve = PricePerformanceCurve::generate(&before, skus);
-    let after_curve = PricePerformanceCurve::generate(&after, skus);
+    let n = history.len();
+    let cp = change_point.min(n);
+    let caps: Vec<ResourceCaps> = skus.iter().map(|sku| sku.caps).collect();
+    let masks = ExceedanceMasks::new(history, &caps);
+    let before_curve = PricePerformanceCurve::from_counts(skus, &masks.counts(0..cp), cp);
+    let after_curve = PricePerformanceCurve::from_counts(skus, &masks.counts(cp..n), n - cp);
     let before_sku = select_for_p(&before_curve, p_g).map(|p| p.sku_id.clone());
     let after_sku = select_for_p(&after_curve, p_g).map(|p| p.sku_id.clone());
     let throttle_if_unchanged = before_sku

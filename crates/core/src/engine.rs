@@ -7,11 +7,24 @@
 //! throttles are a prefix of the capacity order, descending for inverted
 //! latency; a sample's `ceil(S / 64)`-word bitset ORs those prefixes) are
 //! built once, and their [`PrefixCounts`] give any window's per-SKU
-//! counts in O(SKUs). Each window still re-profiles, re-assigns its group
-//! and, for MI, re-runs Step 1, whose IOPS limit moves with the window's
-//! peak. The confidence is bit-identical to the provided
+//! counts in O(SKUs). Nothing is copied per window. What a window still
+//! costs:
+//!
+//! * **Profile.** [`NegotiabilityStrategy::profile_range`] reads the
+//!   window's sample range of the customer's own series. The thresholding
+//!   statistics of up to four dimensions run in lockstep lanes, three
+//!   passes over the range.
+//! * **Group and select.** The group is re-assigned from the window's
+//!   profile. A plain-catalog kernel sorts its SKUs by (cost, id) once per
+//!   customer, so a window fills its envelope scores in that order and runs
+//!   one selection pass over them: no curve, no `String` ids, no sort.
+//! * **MI Step 1.** An MI window also re-runs Step 1, whose IOPS limit
+//!   moves with the window's peak, and builds its curve, because Step 1
+//!   moves the GP costs.
+//!
+//! The confidence is bit-identical to the provided
 //! [`RecommendationBackend::recommend_with_confidence`](crate::RecommendationBackend::recommend_with_confidence),
-//! which re-runs [`DopplerEngine::recommend`] on every window.
+//! which re-runs [`DopplerEngine::recommend`] on a copy of every window.
 
 use std::ops::Range;
 
@@ -25,7 +38,7 @@ use crate::grouping::{FittedGrouping, GroupingStrategy};
 use crate::matching::GroupModel;
 use crate::mi::{MiAssessment, MiKernel};
 use crate::profile::NegotiabilityStrategy;
-use crate::throttling::{ExceedanceMasks, PrefixCounts, ThrottleBreakdown};
+use crate::throttling::{throttled_fraction, ExceedanceMasks, PrefixCounts, ThrottleBreakdown};
 
 /// Engine configuration: which deployment is being assessed and how the
 /// Customer Profiler summarizes and groups.
@@ -202,9 +215,9 @@ impl DopplerEngine {
     }
 
     /// [`recommend`](Self::recommend) with the §3.4 bootstrap confidence
-    /// attached, scoring every window from one set of prefix counts (see
-    /// the module docs). Windows compare only the selected SKU, so they
-    /// skip the breakdown and explanation.
+    /// attached, scoring every window from one set of prefix counts and
+    /// profiling it in place (see the module docs). Windows compare only
+    /// the selected SKU, so they skip the breakdown and explanation.
     pub fn recommend_with_confidence(
         &self,
         history: &PerfHistory,
@@ -219,11 +232,11 @@ impl DopplerEngine {
         if let Some(original) = rec.sku_id.as_deref() {
             let dims = self.dims();
             rec.confidence = Some(bootstrap_agreement(n, confidence, |range| {
-                let window = history.window(range.start, range.end);
-                let (weights, bits) = self.config.negotiability.profile(&window, dims);
+                let (weights, bits) =
+                    self.config.negotiability.profile_range(history, dims, range.clone());
                 let group = self.grouping.assign(&weights, &bits);
-                let (curve, _) = kernel.curve(range.clone(), prefix.counts(range));
-                self.model.select(group, &curve).is_some_and(|p| p.sku_id == original)
+                let counts = prefix.counts(range.clone());
+                kernel.window_selects(&self.model, group, range, counts, original)
             }));
         }
         rec
@@ -292,7 +305,12 @@ impl DopplerEngine {
 /// [`DopplerEngine::curve_for`] scores: the deployment's catalog, or for
 /// MI with a layout, the instances that hold its data.
 enum CurveKernel<'a> {
-    Plain { skus: Vec<&'a Sku>, masks: ExceedanceMasks },
+    Plain {
+        skus: Vec<&'a Sku>,
+        /// Indices into `skus` in the curve's (monthly cost, id) order.
+        by_cost: Vec<usize>,
+        masks: ExceedanceMasks,
+    },
     Mi(MiKernel<'a>),
 }
 
@@ -312,7 +330,15 @@ impl<'a> CurveKernel<'a> {
             _ => {
                 let skus = engine.catalog.for_deployment(engine.config.deployment);
                 let caps: Vec<_> = skus.iter().map(|sku| sku.caps).collect();
-                CurveKernel::Plain { masks: ExceedanceMasks::new(history, &caps), skus }
+                let costs: Vec<f64> = skus.iter().map(|sku| sku.monthly_cost()).collect();
+                let mut by_cost: Vec<usize> = (0..skus.len()).collect();
+                by_cost.sort_by(|&a, &b| {
+                    costs[a]
+                        .partial_cmp(&costs[b])
+                        .expect("finite costs")
+                        .then_with(|| skus[a].id.0.cmp(&skus[b].id.0))
+                });
+                CurveKernel::Plain { masks: ExceedanceMasks::new(history, &caps), by_cost, skus }
             }
         }
     }
@@ -340,6 +366,37 @@ impl<'a> CurveKernel<'a> {
                 // No MI placement exists (file too large): empty curve.
                 None => (PricePerformanceCurve::from_scored(vec![]), None),
             },
+        }
+    }
+
+    /// Whether `model` selects the SKU `original` for `group` on the
+    /// samples in `range`, given the masks' per-SKU counts over that range:
+    /// `model.select(group, &self.curve(range, counts).0)` reads `original`.
+    /// A plain kernel scores its SKUs in cost order and selects from those
+    /// scores directly, building no curve. An MI window still builds one,
+    /// because Step 1 moves its GP costs.
+    fn window_selects(
+        &self,
+        model: &GroupModel,
+        group: usize,
+        range: Range<usize>,
+        counts: Vec<u32>,
+        original: &str,
+    ) -> bool {
+        match self {
+            CurveKernel::Plain { skus, by_cost, .. } => {
+                let n = range.len();
+                // The curve's monotone envelope, cheapest SKU first.
+                let scores = by_cost.iter().scan(0.0_f64, |envelope, &s| {
+                    *envelope = envelope.max(1.0 - throttled_fraction(counts[s] as usize, n));
+                    Some((s, *envelope))
+                });
+                model.select_scored(group, scores).is_some_and(|s| skus[s].id.0 == original)
+            }
+            CurveKernel::Mi(_) => {
+                let (curve, _) = self.curve(range, counts);
+                model.select(group, &curve).is_some_and(|p| p.sku_id == original)
+            }
         }
     }
 }

@@ -171,8 +171,17 @@ impl GroupModel {
         group: usize,
         curve: &'c PricePerformanceCurve,
     ) -> Option<&'c PricePerfPoint> {
-        let p_g = self.preferred_p(group);
-        select_with_slack(curve, p_g, self.slack(group))
+        self.select_scored(group, curve.points().iter().map(|point| (point, point.score)))
+    }
+
+    /// [`select`](Self::select) over `(item, score)` pairs in ascending
+    /// cost order instead of a built curve.
+    pub(crate) fn select_scored<T>(
+        &self,
+        group: usize,
+        points: impl Iterator<Item = (T, f64)> + Clone,
+    ) -> Option<T> {
+        select_scored(points, self.preferred_p(group), self.slack(group))
     }
 }
 
@@ -190,28 +199,41 @@ pub fn select_with_slack(
     p_g: f64,
     slack: f64,
 ) -> Option<&PricePerfPoint> {
+    select_scored(curve.points().iter().map(|point| (point, point.score)), p_g, slack)
+}
+
+/// The rule behind [`select_with_slack`], over `(item, score)` pairs in
+/// ascending cost order (a curve's points, or the engine's per-window SKU
+/// scores): returns the item of the selected pair.
+pub(crate) fn select_scored<T>(
+    points: impl Iterator<Item = (T, f64)> + Clone,
+    p_g: f64,
+    slack: f64,
+) -> Option<T> {
     const EPS: f64 = 1e-9;
-    let mut best: Option<(&PricePerfPoint, f64)> = None;
-    for point in curve.points() {
-        let p = 1.0 - point.score;
+    let mut best: Option<(T, f64)> = None;
+    for (item, score) in points.clone() {
+        let p = 1.0 - score;
         if p <= p_g + slack + EPS {
             let diff = (p - p_g).abs();
             // Strict improvement only: cost order makes earlier = cheaper
             // win ties.
-            if best.is_none_or(|(_, d)| diff < d - EPS) {
-                best = Some((point, diff));
+            if best.as_ref().is_none_or(|&(_, d)| diff < d - EPS) {
+                best = Some((item, diff));
             }
         }
     }
-    if let Some((point, _)) = best {
-        return Some(point);
+    if let Some((item, _)) = best {
+        return Some(item);
     }
     // Constraint infeasible: fall back to the most performant point. The
     // comparator treats equal scores as `Greater` so `max_by` keeps the
     // first (cheapest) maximal point instead of its default last-wins.
-    curve.points().iter().max_by(|a, b| {
-        a.score.partial_cmp(&b.score).expect("finite scores").then(std::cmp::Ordering::Greater)
-    })
+    points
+        .max_by(|a, b| {
+            a.1.partial_cmp(&b.1).expect("finite scores").then(std::cmp::Ordering::Greater)
+        })
+        .map(|(item, _)| item)
 }
 
 #[cfg(test)]

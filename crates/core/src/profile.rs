@@ -8,9 +8,12 @@
 //! the thresholding algorithm "for its transparent interpretation and high
 //! performance".
 
+use std::ops::Range;
+
+use doppler_stats::spike::LANES;
 use doppler_stats::{
     max_scaled_auc, minmax_scaled_auc, outlier_fraction, spike_dwell_fraction, stl_decompose,
-    StlConfig,
+    SpikeProfile, StlConfig,
 };
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
@@ -85,56 +88,106 @@ impl NegotiabilityStrategy {
     /// emit one, the combined strategy two — and the boolean bit. Each
     /// strategy's statistic is computed once and feeds both.
     pub fn dimension_profile(&self, values: &[f64]) -> (Vec<f64>, bool) {
+        let mut weights = Vec::with_capacity(self.weights_per_dimension());
+        let dwell = self.thresholds().then(|| spike_dwell_fraction(values));
+        let bit = self.push_dimension(values, dwell, &mut weights);
+        (weights, bit)
+    }
+
+    /// Append one present dimension's weight(s) to `weights` and return its
+    /// bit. `dwell` is the dimension's [`spike_dwell_fraction`], measured
+    /// by the caller when [`thresholds`](Self::thresholds).
+    fn push_dimension(&self, values: &[f64], dwell: Option<f64>, weights: &mut Vec<f64>) -> bool {
+        let dwell = || dwell.expect("thresholding strategies are handed the dwell fraction");
         match *self {
             NegotiabilityStrategy::Thresholding { rho } => {
-                let dwell = spike_dwell_fraction(values);
-                (vec![1.0 - dwell], dwell < rho)
+                let dwell = dwell();
+                weights.push(1.0 - dwell);
+                dwell < rho
             }
             NegotiabilityStrategy::MinMaxScalerAuc { cut } => {
                 let auc = minmax_scaled_auc(values);
-                (vec![auc], auc > cut)
+                weights.push(auc);
+                auc > cut
             }
             NegotiabilityStrategy::MaxScalerAuc { cut } => {
                 let auc = max_scaled_auc(values);
-                (vec![auc], auc > cut)
+                weights.push(auc);
+                auc > cut
             }
             NegotiabilityStrategy::OutlierPercentage { cut } => {
                 let fraction = outlier_fraction(values, 3.0);
                 // Outlier fractions live near 0; stretch them so clustering
                 // sees the contrast (3σ outliers cap out around a few %).
-                (vec![(fraction * 25.0).min(1.0)], fraction > cut)
+                weights.push((fraction * 25.0).min(1.0));
+                fraction > cut
             }
             NegotiabilityStrategy::StlVarianceDecomposition { period, cut } => {
                 let explained = stl_decompose(values, &StlConfig { period, ..Default::default() })
                     .map(|d| d.variance_explained())
                     // Short series: fall back to "unstructured".
                     .unwrap_or(0.0);
-                (vec![1.0 - explained], explained < cut)
+                weights.push(1.0 - explained);
+                explained < cut
             }
             NegotiabilityStrategy::MinMaxAucWithThresholding { rho, .. } => {
-                let dwell = spike_dwell_fraction(values);
-                (vec![minmax_scaled_auc(values), 1.0 - dwell], dwell < rho)
+                let dwell = dwell();
+                weights.extend([minmax_scaled_auc(values), 1.0 - dwell]);
+                dwell < rho
             }
         }
+    }
+
+    /// Whether the strategy reads the thresholding dwell fraction.
+    fn thresholds(&self) -> bool {
+        matches!(
+            self,
+            NegotiabilityStrategy::Thresholding { .. }
+                | NegotiabilityStrategy::MinMaxAucWithThresholding { .. }
+        )
     }
 
     /// Weight and bit vectors across the profiled dimensions: Eq. 2's
     /// `w_CPU, w_RAM, …` and the `<0,0,1,1>`-style bits of §5.2.1. Missing
     /// dimensions read as non-negotiable (weight 0, bit false) — absence of
-    /// evidence is not permission to throttle.
+    /// evidence is not permission to throttle. The
+    /// [`profile_range`](Self::profile_range) of the whole history.
     pub fn profile(&self, history: &PerfHistory, dims: &[PerfDimension]) -> (Vec<f64>, Vec<bool>) {
+        self.profile_range(history, dims, 0..history.len())
+    }
+
+    /// [`profile`](Self::profile) of the samples in `range` alone: equal,
+    /// bit for bit, to profiling `history.window(range.start, range.end)`,
+    /// but it reads the range in place, copies nothing and skips the
+    /// unprofiled dimensions. The §3.4 confidence bootstrap profiles each
+    /// window this way. Panics when `range` runs past the history.
+    ///
+    /// The thresholding dwell fractions of up to [`LANES`] dimensions are
+    /// measured together by [`SpikeProfile::measure_lanes`], which keeps
+    /// every dimension's sums in their own lane.
+    pub fn profile_range(
+        &self,
+        history: &PerfHistory,
+        dims: &[PerfDimension],
+        range: Range<usize>,
+    ) -> (Vec<f64>, Vec<bool>) {
         let mut weights = Vec::with_capacity(dims.len() * self.weights_per_dimension());
         let mut bits = Vec::with_capacity(dims.len());
-        for &dim in dims {
-            match history.values(dim) {
-                Some(values) => {
-                    let (w, bit) = self.dimension_profile(values);
-                    weights.extend(w);
-                    bits.push(bit);
-                }
-                None => {
-                    weights.extend(std::iter::repeat_n(0.0, self.weights_per_dimension()));
-                    bits.push(false);
+        for chunk in dims.chunks(LANES) {
+            let series: [Option<&[f64]>; LANES] = std::array::from_fn(|l| {
+                let values = history.values(*chunk.get(l)?)?;
+                Some(&values[range.clone()])
+            });
+            let dwell = self.thresholds().then(|| dwell_lanes(series));
+            for (l, values) in series[..chunk.len()].iter().enumerate() {
+                match values {
+                    Some(values) => {
+                        bits.push(self.push_dimension(values, dwell.map(|d| d[l]), &mut weights))
+                    }
+                    None => {
+                        weights.extend(std::iter::repeat_n(0.0, self.weights_per_dimension()));
+                        bits.push(false);
+                    }
                 }
             }
         }
@@ -159,6 +212,16 @@ impl NegotiabilityStrategy {
             _ => 1,
         }
     }
+}
+
+/// The [`spike_dwell_fraction`] of every present series, measured in one
+/// lockstep call: an absent lane borrows a present series and is ignored.
+fn dwell_lanes(series: [Option<&[f64]>; LANES]) -> [f64; LANES] {
+    let Some(&present) = series.iter().flatten().next() else {
+        return [1.0; LANES];
+    };
+    let lanes = series.map(|s| s.unwrap_or(present));
+    SpikeProfile::measure_lanes(lanes).map_or([1.0; LANES], |lanes| lanes.map(|p| p.dwell_fraction))
 }
 
 #[cfg(test)]

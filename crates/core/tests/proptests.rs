@@ -5,14 +5,15 @@ use std::sync::OnceLock;
 
 use doppler_catalog::{
     azure_paas_catalog, Catalog, CatalogSpec, DeploymentType, FileLayout, ResourceCaps,
-    ServiceTier, SkuId,
+    ServiceTier, Sku, SkuId,
 };
+use doppler_core::engine::profiled_dimensions;
 use doppler_core::matching::{select_for_p, select_with_slack};
 use doppler_core::throttling::{throttled_fraction, ExceedanceMasks, PrefixCounts};
 use doppler_core::{
-    confidence_score, mi_curve, throttling_probability, BaselineStrategy, ConfidenceConfig,
-    DopplerEngine, EngineConfig, PricePerformanceCurve, Recommendation, RecommendationBackend,
-    TrainingRecord,
+    confidence_score, detect_drift, mi_curve, throttling_probability, BaselineStrategy,
+    ConfidenceConfig, DopplerEngine, DriftReport, EngineConfig, NegotiabilityStrategy,
+    PricePerformanceCurve, Recommendation, RecommendationBackend, TrainingRecord,
 };
 use doppler_stats::BootstrapWindows;
 use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
@@ -246,7 +247,7 @@ fn assert_confidence_matches(
 /// IOPS bursts whose height varies along the history, so windows see
 /// different peaks.
 fn workload(rng: &mut Rng, n: usize) -> PerfHistory {
-    let cut = rng.below(n);
+    let cut = rng.below(n.max(1));
     let cpu_base = [0.5 + 4.0 * rng.unit(), 0.5 + 12.0 * rng.unit()];
     let spike_rate = 0.02 + 0.1 * rng.unit();
     let mem = 2.0 + 60.0 * rng.unit();
@@ -453,4 +454,137 @@ fn mi_windows_move_the_storage_tiers() {
     assert!(limits.len() >= 3, "windows hit only GP IOPS limits {limits:?}");
     assert!(restricted, "no window was restricted to Business Critical");
     assert_confidence_matches(engine, &history, Some(&layout), &config);
+}
+
+/// The drift probe as it was first written: copy both halves with
+/// `split_at` and generate each curve from scratch.
+fn drift_oracle(
+    history: &PerfHistory,
+    change_point: usize,
+    skus: &[&Sku],
+    p_g: f64,
+) -> DriftReport {
+    let (before, after) = doppler_telemetry::split_at(history, change_point);
+    let before_curve = PricePerformanceCurve::generate(&before, skus);
+    let after_curve = PricePerformanceCurve::generate(&after, skus);
+    let before_sku = select_for_p(&before_curve, p_g).map(|p| p.sku_id.clone());
+    let after_sku = select_for_p(&after_curve, p_g).map(|p| p.sku_id.clone());
+    let throttle_if_unchanged = before_sku
+        .as_ref()
+        .and_then(|id| after_curve.point_for(id))
+        .map(|p| 1.0 - p.raw_score)
+        .unwrap_or(0.0);
+    DriftReport {
+        changed: before_sku != after_sku,
+        before_curve,
+        after_curve,
+        before_sku,
+        after_sku,
+        throttle_if_unchanged,
+    }
+}
+
+/// Sample ranges of an `n`-sample history: empty ones (at the start, the
+/// end and inside), one sample, the whole history, and random spans.
+fn ranges(rng: &mut Rng, n: usize) -> Vec<Range<usize>> {
+    let mut ranges = vec![0..0, n..n, 0..n];
+    if n > 0 {
+        let t = rng.below(n);
+        ranges.extend([t..t, t..t + 1]);
+        for _ in 0..3 {
+            let (a, b) = (rng.below(n + 1), rng.below(n + 1));
+            ranges.push(a.min(b)..a.max(b));
+        }
+    }
+    ranges
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn drift_masks_match_the_split_histories(seed in 0u64..u64::MAX) {
+        let mut rng = Rng(seed);
+        let n = rng.below(400);
+        let history = if rng.below(8) == 0 {
+            kernel_case(seed).0
+        } else {
+            let history = workload(&mut rng, n);
+            maybe_tie_iops(&mut rng, history)
+        };
+        let deployment = [DeploymentType::SqlDb, DeploymentType::SqlMi][rng.below(2)];
+        let catalog = engine(deployment).catalog();
+        let skus = catalog.for_deployment(deployment);
+        let skus = &skus[..rng.below(skus.len() + 1)];
+        let len = history.len();
+        // Change points inside, on both ends, and past the end (clamped).
+        let change_point = [0, len, len + 1 + rng.below(50), rng.below(len + 1)][rng.below(4)];
+        let p_g = [0.0, 0.01, 0.2 * rng.unit()][rng.below(3)];
+        let got = detect_drift(&history, change_point, skus, p_g);
+        let want = drift_oracle(&history, change_point, skus, p_g);
+        prop_assert_eq!(got, want);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Profiling a sample range in place equals profiling a copied window,
+    /// and profiling that window one dimension at a time, weight for
+    /// weight (`to_bits`) and bit for bit. It covers every Table 4
+    /// strategy, over the MI, DB and full dimension lists (so the lockstep
+    /// profiler runs a short lane group), with dimensions missing.
+    #[test]
+    fn range_profile_matches_the_copied_window(seed in 0u64..u64::MAX) {
+        let mut rng = Rng(seed);
+        // Long enough, at times, for STL's two daily seasons.
+        let n = [rng.below(12), rng.below(160), 288 + rng.below(200)][rng.below(3)];
+        let mut history = workload(&mut rng, n);
+        if rng.below(3) == 0 {
+            history = maybe_tie_iops(&mut rng, history);
+        }
+        // Drop up to two dimensions, profiled ones included.
+        for _ in 0..rng.below(3) {
+            let dim = PerfDimension::ALL[rng.below(6)];
+            let mut kept = PerfHistory::new();
+            for (d, series) in history.iter().filter(|&(d, _)| d != dim) {
+                kept.insert(d, series.clone());
+            }
+            history = kept;
+        }
+        let len = history.len();
+        let dim_lists: [&[PerfDimension]; 3] = [
+            profiled_dimensions(DeploymentType::SqlMi),
+            profiled_dimensions(DeploymentType::SqlDb),
+            &PerfDimension::ALL,
+        ];
+        for range in ranges(&mut rng, len) {
+            let window = history.window(range.start, range.end);
+            for (name, strategy) in NegotiabilityStrategy::table4_lineup() {
+                for dims in dim_lists {
+                    let what = format!("{name}, {} dims, range {range:?} of {len}", dims.len());
+                    let got = strategy.profile_range(&history, dims, range.clone());
+                    // The copied window, and the same window one dimension
+                    // at a time (the one-lane kernel).
+                    let mut one_by_one = (Vec::new(), Vec::new());
+                    for &dim in dims {
+                        let (w, bit) = match window.values(dim) {
+                            Some(values) => strategy.dimension_profile(values),
+                            None => (vec![0.0; strategy.weights_per_dimension()], false),
+                        };
+                        one_by_one.0.extend(w);
+                        one_by_one.1.push(bit);
+                    }
+                    for want in [strategy.profile(&window, dims), one_by_one] {
+                        prop_assert_eq!(
+                            got.0.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
+                            want.0.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
+                            "{}", what
+                        );
+                        prop_assert_eq!(&got.1, &want.1, "{}", what);
+                    }
+                }
+            }
+        }
+    }
 }
