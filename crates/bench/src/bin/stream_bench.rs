@@ -1,12 +1,13 @@
 //! Memory-bounded streaming bench: one million synthetic customers pushed
-//! through a sharded `FleetService` without ever materialising the cohort
-//! or its results.
+//! through one `FleetService` without ever materialising the cohort or its
+//! results.
 //!
 //! Requests are synthesised on the fly from a small pool of Arc-shared
 //! telemetry windows (a refcount bump per submission, not a buffer copy),
 //! results are drained as they complete with `keep_results = false`, and
-//! the report is built by merging per-shard aggregates at the end — so
-//! resident memory stays flat no matter how many customers stream through.
+//! workers fold each result into the service's one aggregate as it
+//! completes — so resident memory stays flat no matter how many customers
+//! stream through.
 //! `VmHWM` from `/proc/self/status` is asserted against a hard budget to
 //! keep it that way.
 //!
@@ -16,12 +17,12 @@
 //! ```
 //!
 //! Env knobs: `STREAM_CUSTOMERS` (overrides the cohort size),
-//! `FLEET_WORKERS` (default 2, per shard), `SHARD_SWEEP` (default
-//! `1,2,4`), `RSS_BUDGET_MB` (default 4096; exits non-zero past it),
-//! `STREAM_JSON_LOG` (append JSON-lines rows to a file).
+//! `FLEET_WORKERS` (default 2), `RSS_BUDGET_MB` (default 4096; exits
+//! non-zero past it), `STREAM_JSON_LOG` (append the JSON-lines row to a
+//! file).
 //!
 //! Row schema (one JSON object per line):
-//! `{"label":"stream_1m_customers/shards/4","customers":1000000,
+//! `{"label":"stream_1m_customers/workers/2","customers":1000000,
 //!   "elapsed_s":..,"throughput_per_s":..,"ns_per_iter":..,
 //!   "iters_per_sec":..,"vm_hwm_mib":..}`
 //! (`ns_per_iter`/`iters_per_sec` are per-customer, matching the vendored
@@ -37,7 +38,7 @@ use doppler_core::EngineRegistry;
 use doppler_dma::preprocess::PreprocessedInstance;
 use doppler_dma::AssessmentRequest;
 use doppler_fleet::{
-    EngineRoute, FleetAssessor, FleetConfig, FleetRequest, FleetService, ShardPlan, TicketQueue,
+    EngineRoute, FleetAssessor, FleetConfig, FleetRequest, FleetService, TicketQueue,
 };
 use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
 
@@ -99,7 +100,7 @@ fn request(i: usize, pool: &[PerfHistory], regions: &[Region]) -> FleetRequest {
     ))
 }
 
-fn service(shards: usize, workers: usize) -> FleetService {
+fn service(workers: usize) -> FleetService {
     let provider = regions().into_iter().fold(InMemoryCatalogProvider::production(), |p, r| {
         p.with_region(r, CatalogVersion::INITIAL, &CatalogSpec::default(), 1.0)
     });
@@ -107,7 +108,6 @@ fn service(shards: usize, workers: usize) -> FleetService {
     let config = FleetConfig { workers, queue_depth: workers * 8, keep_results: false };
     FleetAssessor::over_registry(registry, config)
         .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)))
-        .with_shard_plan(ShardPlan::by_region(shards))
         .into_service()
 }
 
@@ -116,77 +116,59 @@ fn main() {
     let customers = env_usize("STREAM_CUSTOMERS", if quick { 100_000 } else { 1_000_000 });
     let workers = env_usize("FLEET_WORKERS", 2);
     let rss_budget_mib = env_usize("RSS_BUDGET_MB", 4096) as f64;
-    let sweep: Vec<usize> = std::env::var("SHARD_SWEEP")
-        .unwrap_or_else(|_| "1,2,4".to_string())
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
 
     let pool = window_pool();
     let regions = regions();
-    let mut rows = Vec::new();
-    println!("streaming {customers} customers, {workers} worker(s) per shard");
+    println!("streaming {customers} customers, {workers} worker(s)");
 
-    for &shards in &sweep {
-        let service = service(shards, workers);
-        let mut tickets = TicketQueue::new();
-        let mut done = 0usize;
-        let t0 = std::time::Instant::now();
-        for i in 0..customers {
-            let ticket =
-                service.submit(request(i, &pool, &regions)).unwrap_or_else(|_| unreachable!());
-            tickets.push(ticket);
-            // Drain as we go: in-flight results stay bounded by the queue
-            // depth, never by the cohort size.
-            while tickets.try_next().is_some() {
-                done += 1;
-            }
-        }
-        while tickets.next_blocking().is_some() {
+    let service = service(workers);
+    let mut tickets = TicketQueue::new();
+    let mut done = 0usize;
+    let t0 = std::time::Instant::now();
+    for i in 0..customers {
+        let ticket = service.submit(request(i, &pool, &regions)).unwrap_or_else(|_| unreachable!());
+        tickets.push(ticket);
+        // Drain as we go: in-flight results stay bounded by the queue
+        // depth, never by the cohort size.
+        while tickets.try_next().is_some() {
             done += 1;
         }
-        let elapsed = t0.elapsed().as_secs_f64();
-        let report = service.shutdown();
-        assert_eq!(done, customers, "every ticket resolved");
-        assert_eq!(report.fleet_size, customers, "report covers the fleet");
-        assert_eq!(report.failed, 0, "no assessment failures: {:?}", report.failures);
-
-        let hwm = vm_hwm_mib();
-        let per_customer_ns = elapsed * 1e9 / customers as f64;
-        println!(
-            "  shards {shards}: {elapsed:>7.2} s   {:>9.0} customers/s   VmHWM {hwm:.0} MiB",
-            customers as f64 / elapsed
-        );
-        rows.push(format!(
-            concat!(
-                "{{\"label\":\"stream_{}_customers/shards/{}\",\"customers\":{},",
-                "\"elapsed_s\":{:.3},\"throughput_per_s\":{:.0},\"ns_per_iter\":{:.1},",
-                "\"iters_per_sec\":{:.3},\"vm_hwm_mib\":{:.0}}}"
-            ),
-            if customers == 1_000_000 { "1m".to_string() } else { format!("{customers}") },
-            shards,
-            customers,
-            elapsed,
-            customers as f64 / elapsed,
-            per_customer_ns,
-            1e9 / per_customer_ns,
-            hwm,
-        ));
     }
+    while tickets.next_blocking().is_some() {
+        done += 1;
+    }
+    let elapsed = t0.elapsed().as_secs_f64();
+    let report = service.shutdown();
+    assert_eq!(done, customers, "every ticket resolved");
+    assert_eq!(report.fleet_size, customers, "report covers the fleet");
+    assert_eq!(report.failed, 0, "no assessment failures: {:?}", report.failures);
 
+    let per_customer_ns = elapsed * 1e9 / customers as f64;
+    println!("  {elapsed:>7.2} s   {:>9.0} customers/s", customers as f64 / elapsed);
+    let row = format!(
+        concat!(
+            "{{\"label\":\"stream_{}_customers/workers/{}\",\"customers\":{},",
+            "\"elapsed_s\":{:.3},\"throughput_per_s\":{:.0},\"ns_per_iter\":{:.1},",
+            "\"iters_per_sec\":{:.3},\"vm_hwm_mib\":{:.0}}}"
+        ),
+        if customers == 1_000_000 { "1m".to_string() } else { format!("{customers}") },
+        workers,
+        customers,
+        elapsed,
+        customers as f64 / elapsed,
+        per_customer_ns,
+        1e9 / per_customer_ns,
+        vm_hwm_mib(),
+    );
     if let Ok(path) = std::env::var("STREAM_JSON_LOG") {
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)
             .expect("open STREAM_JSON_LOG");
-        for row in &rows {
-            writeln!(file, "{row}").expect("append row");
-        }
+        writeln!(file, "{row}").expect("append row");
     } else {
-        for row in &rows {
-            println!("{row}");
-        }
+        println!("{row}");
     }
 
     let hwm = vm_hwm_mib();

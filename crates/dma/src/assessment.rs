@@ -88,9 +88,9 @@ impl AdoptionLedger {
     }
 
     /// Fold one prebuilt row into `month`, field-wise — appended in
-    /// first-seen order if the month is new. The sharded fleet aggregator
-    /// uses this to rebuild a ledger from per-shard partial rows in a
-    /// caller-chosen month order.
+    /// first-seen order if the month is new. The fleet aggregator uses
+    /// this to build its ledger from accumulated month rows in submission
+    /// order, whatever order the results completed in.
     pub fn add_row(&mut self, month: &str, row: &MonthlyAdoption) {
         let m = self.entry(month);
         m.unique_instances += row.unique_instances;

@@ -128,7 +128,7 @@ impl SkuRecommendationPipeline {
     }
 
     /// The deployment target this pipeline's backend was configured for —
-    /// the routing key batch layers (e.g. `doppler-fleet`) shard on.
+    /// the routing key batch layers (e.g. `doppler-fleet`) dispatch on.
     pub fn deployment(&self) -> DeploymentType {
         self.backend.config().deployment
     }

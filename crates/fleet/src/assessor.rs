@@ -1,4 +1,4 @@
-//! The fleet assessor: shard a fleet of assessment requests across a
+//! The fleet assessor: spread a fleet of assessment requests across a
 //! worker pool, collect per-instance results order-stably, and aggregate
 //! them into a [`FleetReport`].
 //!
@@ -30,7 +30,6 @@ use doppler_obs::{Histogram, ObsRegistry};
 
 use crate::report::FleetReport;
 use crate::service::{FleetService, TicketQueue};
-use crate::shard::ShardPlan;
 
 /// One fleet member: which deployment target it is assessed against, plus
 /// the ordinary DMA assessment request.
@@ -110,9 +109,8 @@ pub struct AssessmentError {
 /// One fleet member's outcome, tagged with its submission index.
 #[derive(Debug, Clone)]
 pub struct FleetResult {
-    /// Position in the input fleet (results are sorted by this). Under a
-    /// sharded service this is the *global* submission index — gap-free
-    /// across all shards, in submission order.
+    /// Position in the input fleet (results are sorted by this): the
+    /// service's submission index, gap-free and in submission order.
     pub index: usize,
     /// Interned once at submission; the ticket, digests and monitors share
     /// it by refcount instead of re-cloning the heap string per result.
@@ -300,7 +298,7 @@ impl EngineSet {
     }
 
     /// Resolve the pipeline a request routes to (see the type docs for the
-    /// resolution order). Warm registry resolutions are a sharded read
+    /// resolution order). Warm registry resolutions are a shared read
     /// lock plus an `Arc` bump; the first request per key pays the one
     /// training run.
     pub(crate) fn resolve(
@@ -376,7 +374,6 @@ impl EngineSet {
 pub struct FleetAssessor {
     engines: EngineSet,
     config: FleetConfig,
-    plan: ShardPlan,
     obs: ObsRegistry,
 }
 
@@ -399,7 +396,7 @@ impl FleetAssessor {
     ) -> FleetAssessor {
         let mut engines = EngineSet::new();
         engines.insert(pipeline);
-        FleetAssessor { engines, config, plan: ShardPlan::single(), obs: ObsRegistry::disabled() }
+        FleetAssessor { engines, config, obs: ObsRegistry::disabled() }
     }
 
     /// An assessor that resolves every engine through a shared
@@ -413,7 +410,7 @@ impl FleetAssessor {
     pub fn over_registry(registry: Arc<EngineRegistry>, config: FleetConfig) -> FleetAssessor {
         let mut engines = EngineSet::new();
         engines.set_registry(registry);
-        FleetAssessor { engines, config, plan: ShardPlan::single(), obs: ObsRegistry::disabled() }
+        FleetAssessor { engines, config, obs: ObsRegistry::disabled() }
     }
 
     /// Record hot-path metrics into `obs`: per-stage latency histograms
@@ -462,22 +459,6 @@ impl FleetAssessor {
         self
     }
 
-    /// Partition the service across independent shards (per-shard queue,
-    /// worker pool, and aggregator), routed by each request's
-    /// [`CatalogKey`] region. [`FleetConfig::workers`] and
-    /// [`FleetConfig::queue_depth`] apply *per shard*. The default
-    /// [`ShardPlan::single`] keeps today's single-shard behavior; any plan
-    /// produces bit-for-bit the same reports and results.
-    pub fn with_shard_plan(mut self, plan: ShardPlan) -> FleetAssessor {
-        self.plan = plan;
-        self
-    }
-
-    /// The shard plan in use.
-    pub fn shard_plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &FleetConfig {
         &self.config
@@ -494,8 +475,8 @@ impl FleetAssessor {
     /// Convert into the long-lived streaming front-end, keeping the engine
     /// set and configuration.
     pub fn into_service(self) -> FleetService {
-        let FleetAssessor { engines, config, plan, obs } = self;
-        FleetService::from_parts(engines, config, plan, obs)
+        let FleetAssessor { engines, config, obs } = self;
+        FleetService::from_parts(engines, config, obs)
     }
 
     /// Assess an entire fleet.
@@ -515,12 +496,7 @@ impl FleetAssessor {
     where
         I: IntoIterator<Item = FleetRequest>,
     {
-        let service = FleetService::from_parts(
-            self.engines.clone(),
-            self.config,
-            self.plan.clone(),
-            self.obs.clone(),
-        );
+        let service = FleetService::from_parts(self.engines.clone(), self.config, self.obs.clone());
         let keep = self.config.keep_results;
         let mut kept = Vec::new();
         let mut outstanding = TicketQueue::new();

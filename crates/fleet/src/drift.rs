@@ -21,9 +21,8 @@
 //!    immediately through the queue's *priority lane*
 //!    ([`FleetRequest::with_priority`]), jumping any normal backlog —
 //!    worst drift first (severity-ordered within the lane, Critical ahead
-//!    of High, stable within a grade) and through the shard their catalog
-//!    key routes to — and their baselines roll forward to the fresh
-//!    window.
+//!    of High, stable within a grade) — and their baselines roll forward
+//!    to the fresh window.
 //!
 //! Drift checks ride the same worker pool as assessments but stay out of
 //! the service's assessment aggregate — the monitor owns their

@@ -108,7 +108,6 @@ pub mod queue;
 pub mod report;
 pub mod scheduler;
 pub mod service;
-pub mod shard;
 pub mod source;
 
 pub use ab::{
@@ -137,5 +136,4 @@ pub use scheduler::{
     ScheduleSummary, SimClock, SimMonth,
 };
 pub use service::{DriftTicket, FleetService, ServiceProgress, Ticket, TicketQueue};
-pub use shard::ShardPlan;
 pub use source::{cloud_fleet, customer_request, onprem_fleet, onprem_request};

@@ -75,9 +75,9 @@ pub struct FailureRow {
 /// implementation serves whole results and pre-built digests alike.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultDigest {
-    /// Global submission index. The report sorts attention lists and
-    /// adoption months by it, so any fold order and any merge of per-shard
-    /// aggregates reproduce the sequential submission order bit for bit.
+    /// Submission index. The report sorts attention lists and adoption
+    /// months by it, so any fold order reproduces the sequential
+    /// submission order bit for bit.
     pub index: usize,
     pub instance_name: Arc<str>,
     pub deployment: DeploymentType,
@@ -146,7 +146,7 @@ struct ChunkedList<T> {
 
 const CHUNK: usize = 1024;
 
-impl<T: Clone> ChunkedList<T> {
+impl<T> ChunkedList<T> {
     fn new() -> ChunkedList<T> {
         ChunkedList { full: Vec::new(), tail: Vec::new() }
     }
@@ -159,19 +159,6 @@ impl<T: Clone> ChunkedList<T> {
         self.tail.push(item);
         if self.tail.len() == CHUNK {
             self.full.push(Arc::new(std::mem::take(&mut self.tail)));
-        }
-    }
-
-    fn extend_from(&mut self, other: &ChunkedList<T>) {
-        if self.tail.is_empty() {
-            // Sealed chunks are always exactly CHUNK long, so sharing them
-            // wholesale keeps the layout invariant.
-            self.full.extend(other.full.iter().cloned());
-            self.tail.extend_from_slice(&other.tail);
-        } else {
-            for item in other.iter() {
-                self.push(item.clone());
-            }
         }
     }
 
@@ -244,23 +231,13 @@ struct DeploymentAgg {
 }
 
 /// One adoption month's accumulating row. `first_index` is the smallest
-/// global submission index that recorded into the month, so merged shards
-/// can reconstruct the sequential first-seen month order.
+/// submission index that recorded into the month, so a fold in completion
+/// order can reconstruct the sequential first-seen month order.
 #[derive(Debug, Clone)]
 struct MonthAgg {
     label: Arc<str>,
     first_index: usize,
     row: MonthlyAdoption,
-}
-
-fn fold_month(dst: &mut MonthlyAdoption, src: &MonthlyAdoption) {
-    dst.unique_instances += src.unique_instances;
-    dst.unique_databases += src.unique_databases;
-    dst.recommendations_generated += src.recommendations_generated;
-    dst.drift_checks += src.drift_checks;
-    dst.drift_detected += src.drift_detected;
-    dst.catalog_rolls += src.catalog_rolls;
-    dst.customers_repriced += src.customers_repriced;
 }
 
 /// Streaming accumulator behind [`FleetReport`]: accepts results one at a
@@ -270,9 +247,9 @@ fn fold_month(dst: &mut MonthlyAdoption, src: &MonthlyAdoption) {
 ///
 /// Cost and confidence totals accumulate in
 /// [`ExactSum`] superaccumulators, so sums are exactly rounded and
-/// independent of fold order — the property that makes
-/// [`merge`](FleetAggregator::merge)d per-shard aggregates bit-for-bit
-/// equal to a sequential fold.
+/// independent of fold order — the property that lets workers fold
+/// results as they complete and still report bit-for-bit what a
+/// sequential fold reports.
 ///
 /// `Clone` exists so a long-lived service can copy an accumulator out from
 /// under its lock for a mid-run report while results keep streaming in;
@@ -324,7 +301,7 @@ impl FleetAggregator {
 
     /// Fold one result in, in any order: sums are exact and
     /// order-invariant, and attention lists and adoption months are keyed
-    /// by the result's global submission index, so the finished report
+    /// by the result's submission index, so the finished report
     /// depends only on the set of results accepted.
     pub fn accept(&mut self, r: &FleetResult) {
         // One fold implementation: the by-result and by-digest entry points
@@ -439,62 +416,6 @@ impl FleetAggregator {
         }
     }
 
-    /// Fold another aggregator's accumulated state into this one — the
-    /// sharded-fleet reporting primitive. Merging the per-shard aggregates
-    /// of any partition of a cohort (in any merge grouping) produces the
-    /// same finished report, bit for bit, as accepting every digest
-    /// sequentially: counts and [`ExactSum`] totals are exactly
-    /// associative, and order-sensitive output (attention lists, adoption
-    /// month order) is reconstructed from global submission indices at
-    /// [`finish`](FleetAggregator::finish) time.
-    pub fn merge(&mut self, other: &FleetAggregator) {
-        self.fleet_size += other.fleet_size;
-        self.recommended += other.recommended;
-        self.databases_assessed += other.databases_assessed;
-        self.total_monthly_cost.merge(&other.total_monthly_cost);
-        for sku in &other.sku_mix {
-            match self.sku_mix.iter_mut().find(|row| row.sku_id == sku.sku_id) {
-                Some(row) => {
-                    row.count += sku.count;
-                    row.total_monthly_cost.merge(&sku.total_monthly_cost);
-                }
-                None => self.sku_mix.push(sku.clone()),
-            }
-        }
-        for (dst, src) in self.shape_counts.iter_mut().zip(&other.shape_counts) {
-            *dst += *src;
-        }
-        self.confidence_scored += other.confidence_scored;
-        self.confidence_sum.merge(&other.confidence_sum);
-        self.confidence_min = self.confidence_min.min(other.confidence_min);
-        for (dst, src) in self.confidence_buckets.iter_mut().zip(&other.confidence_buckets) {
-            *dst += *src;
-        }
-        for dep in &other.deployments {
-            match self.deployments.iter_mut().find(|row| row.deployment == dep.deployment) {
-                Some(row) => {
-                    row.fleet += dep.fleet;
-                    row.recommended += dep.recommended;
-                    row.unplaceable += dep.unplaceable;
-                    row.failed += dep.failed;
-                    row.total_monthly_cost.merge(&dep.total_monthly_cost);
-                }
-                None => self.deployments.push(dep.clone()),
-            }
-        }
-        self.unplaceable_instances.extend_from(&other.unplaceable_instances);
-        self.failures.extend_from(&other.failures);
-        for month in &other.adoption {
-            match self.adoption.iter_mut().find(|m| m.label == month.label) {
-                Some(m) => {
-                    m.first_index = m.first_index.min(month.first_index);
-                    fold_month(&mut m.row, &month.row);
-                }
-                None => self.adoption.push(month.clone()),
-            }
-        }
-    }
-
     /// Results folded in so far.
     pub fn accepted(&self) -> usize {
         self.fleet_size
@@ -503,7 +424,7 @@ impl FleetAggregator {
     /// Build the [`FleetReport`] over the results accepted so far, by
     /// reference and without cloning the accumulated maps first:
     /// histograms sort into their canonical orders, attention lists into
-    /// global submission order, and the exact sums round once, here.
+    /// submission order, and the exact sums round once, here.
     /// Strings are materialized only for the report rows actually emitted.
     /// The accumulator stays usable, so this is also the incremental view a
     /// dashboard polls mid-run: the exact report of the results accepted so
@@ -1084,5 +1005,70 @@ mod tests {
             }
             prefix.finish()
         });
+    }
+
+    /// Build one synthetic digest from a generated spec tuple.
+    fn digest(index: usize, kind: u8, sku: u8, month: u8, flagged: bool) -> ResultDigest {
+        let outcome = if kind == 0 {
+            DigestOutcome::Failed { message: format!("boom-{index}") }
+        } else {
+            DigestOutcome::Assessed {
+                databases_assessed: 1 + (kind as usize % 3),
+                shape: [CurveShape::Flat, CurveShape::Simple, CurveShape::Complex]
+                    [kind as usize % 3],
+                confidence: flagged.then_some(0.2 + 0.15 * kind as f64),
+                // kind == 1 leaves the instance unplaceable (no SKU selected).
+                sku: (kind != 1)
+                    .then(|| (Arc::from(format!("SKU_{sku}").as_str()), 7.5 * sku as f64 + 1.0)),
+                eligible_recommendations: 1 + sku as usize,
+            }
+        };
+        ResultDigest {
+            index,
+            instance_name: Arc::from(format!("inst-{index}").as_str()),
+            deployment: if kind.is_multiple_of(2) {
+                DeploymentType::SqlDb
+            } else {
+                DeploymentType::SqlMi
+            },
+            month: (month > 0).then(|| Arc::from(["Oct-21", "Nov-21"][month as usize - 1])),
+            outcome,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Completion order: workers fold results as they complete, so
+        /// folding the digests in any order must finish to the report the
+        /// sequential fold builds. A salted permutation (a salted sort key,
+        /// so every salt gives a different shuffle) stands in for the
+        /// workers' interleaving.
+        #[test]
+        fn permuted_fold_matches_the_sequential_fold(
+            spec in proptest::collection::vec((0u8..5, 0u8..4, 0u8..3, 0u8..2), 0..120),
+            salt in 0usize..97,
+        ) {
+            let digests: Vec<ResultDigest> = spec
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, sku, month, flagged))| digest(i, kind, sku, month, flagged == 1))
+                .collect();
+
+            let mut sequential = FleetAggregator::new();
+            for d in &digests {
+                sequential.accept_digest(d);
+            }
+
+            let mut permuted: Vec<&ResultDigest> = digests.iter().collect();
+            permuted.sort_by_key(|d| {
+                (d.index.wrapping_mul(2_654_435_761) ^ salt.wrapping_mul(40_503)) % 1_000_003
+            });
+            let mut shuffled = FleetAggregator::new();
+            for d in permuted {
+                shuffled.accept_digest(d);
+            }
+            proptest::prop_assert_eq!(shuffled.finish(), sequential.finish());
+        }
     }
 }

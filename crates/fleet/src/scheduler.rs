@@ -24,7 +24,7 @@
 //! ([`RefreshableCatalogProvider::change_log_since`] via
 //! [`DriftMonitor::dispatch_rolls`]): each published roll is dispatched
 //! exactly once, no matter how often the scheduler looks at the log.
-//! Step 5 rides the PR-8 per-shard priority lanes — drifted customers
+//! Step 5 rides the service queue's priority lane — drifted customers
 //! re-assess Critical-first. Step 6 is age-based lifecycle hygiene:
 //! customers idle past the TTL are unwatched, and engines pinned to
 //! catalog versions older than the version window are tombstoned in the

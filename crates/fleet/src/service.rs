@@ -17,33 +17,20 @@
 //!   [`FleetAggregator`], so [`report_snapshot`](FleetService::report_snapshot)
 //!   yields a mid-run [`FleetReport`] over every result completed so far —
 //!   a view a dashboard can render while results are still streaming in;
-//! * [`shutdown`](FleetService::shutdown) (or `Drop`) closes the queues,
+//! * [`shutdown`](FleetService::shutdown) (or `Drop`) closes the queue,
 //!   lets the workers drain every accepted request, and joins them —
 //!   dropping a service with in-flight tickets never deadlocks, and the
 //!   buffered results stay receivable from the tickets afterwards.
 //!
-//! # Sharding
+//! # Determinism
 //!
-//! The service scales out by *sharding*: a [`ShardPlan`] (set via
-//! [`FleetAssessor::with_shard_plan`]) partitions the fleet by catalog-key
-//! region into N independent shards, each with its own bounded queue,
-//! worker pool, and aggregator. Shards share no lock on the hot path, so
-//! regional traffic bursts stay on their own queue and a noisy region
-//! cannot stall the rest of the fleet. Every shard records into the same
-//! `fleet.*` metric names; workers are numbered across the whole service
-//! (`fleet-worker-{n}`, n = shard × workers + i).
-//!
-//! Determinism survives the fan-out and any completion order. Every
-//! submission takes one service-wide index (what [`FleetResult::index`]
-//! reports). Workers fold each result into their shard's aggregator the
-//! moment it completes, and
-//! [`report_snapshot`](FleetService::report_snapshot) /
-//! [`shutdown`](FleetService::shutdown) merge the per-shard aggregates with
-//! [`FleetAggregator::merge`]. The aggregator's report does not depend on
-//! fold order: cost totals are exact superaccumulator sums, and attention
-//! lists and adoption months are ordered by submission index when the
-//! report is built. So a finished run reports bit-for-bit the same for any
-//! worker count and any plan.
+//! Every submission takes one submission index (what
+//! [`FleetResult::index`] reports), and workers fold each result into the
+//! one aggregator the moment it completes. The aggregator's report does
+//! not depend on fold order: cost totals are exact superaccumulator sums,
+//! and attention lists and adoption months are ordered by submission
+//! index when the report is built. So a finished run reports bit-for-bit
+//! the same for any worker count and any completion order.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,23 +44,21 @@ use crate::assessor::{EngineSet, FleetAssessor, FleetConfig, FleetRequest, Fleet
 use crate::drift::{DriftOutcome, DriftProbe};
 use crate::queue::BoundedQueue;
 use crate::report::{FleetAggregator, FleetReport};
-use crate::shard::ShardPlan;
 
-/// How many tasks a worker drains from its shard queue per lock
+/// How many tasks a worker drains from the queue per lock
 /// acquisition. Batching amortizes the queue's lock/condvar traffic under
 /// a deep backlog without hurting latency — [`BoundedQueue::pop_many`]
 /// never waits to *fill* a batch, it takes what is there.
 const POP_QUANTUM: usize = 8;
 
-/// One enqueued unit of work for a shard's pool: an assessment request
+/// One enqueued unit of work for the pool: an assessment request
 /// (its submission index, the routed request, and the channel its result
 /// is delivered on) or a drift check (which stays out of the assessment
 /// aggregate — the [`DriftMonitor`](crate::drift::DriftMonitor) folds its
 /// own outcomes).
 enum Task {
     Assess {
-        /// Service-wide submission index — what [`FleetResult::index`]
-        /// carries.
+        /// Submission index — what [`FleetResult::index`] carries.
         index: usize,
         /// Interned once at submission; the ticket and the result share it.
         instance_name: Arc<str>,
@@ -93,13 +78,13 @@ enum Task {
 }
 
 /// The service's write-aside instrumentation: per-stage latency
-/// histograms every worker of every shard records into. All handles are
-/// no-ops under a disabled registry.
+/// histograms every worker records into. All handles are no-ops under a
+/// disabled registry.
 struct StageObs {
     /// `fleet.stage.queue_wait` — submit → worker pop, assessments.
     queue_wait: Histogram,
-    /// `fleet.stage.aggregate` — folding one result into its shard's
-    /// aggregate (includes the progress-lock wait).
+    /// `fleet.stage.aggregate` — folding one result into the aggregate
+    /// (includes the progress-lock wait).
     aggregate: Histogram,
     /// `fleet.stage.drift_wait` — submit → worker pop, drift checks.
     drift_wait: Histogram,
@@ -118,23 +103,15 @@ impl StageObs {
     }
 }
 
-/// One independent shard: its queue and its aggregation state. Workers of
-/// shard `s` pop only from `shards[s]`.
-struct Shard {
-    queue: BoundedQueue<Task>,
-    progress: Mutex<Progress>,
-}
-
 /// Everything the worker threads share with the front-end handle.
 struct ServiceShared {
-    shards: Vec<Shard>,
+    queue: BoundedQueue<Task>,
+    progress: Mutex<Progress>,
     engines: EngineSet,
-    plan: ShardPlan,
     stages: StageObs,
-    /// Service-wide submission indices handed out so far, so a
-    /// single-threaded submitter sees indices in exact call order
-    /// regardless of the plan.
-    submitted_global: AtomicUsize,
+    /// Submission indices handed out so far, so a single-threaded
+    /// submitter sees indices in exact call order.
+    next_index: AtomicUsize,
     /// Drift checks submitted so far — a separate sequence from the
     /// assessment submission indices, since drift work never enters the
     /// assessment aggregate.
@@ -142,37 +119,36 @@ struct ServiceShared {
     obs: ObsRegistry,
 }
 
-/// One shard's submission/completion tracking, under one mutex so
-/// [`FleetService::progress`] reads a consistent per-shard snapshot. The
-/// mutex is never held across the queue's blocking backpressure wait.
+/// Submission/completion tracking, under one mutex so
+/// [`FleetService::progress`] reads a consistent snapshot. The mutex is
+/// never held across the queue's blocking backpressure wait.
 #[derive(Default)]
 struct Progress {
-    /// Requests accepted into the shard's queue. Raised before the push
-    /// and lowered again if the push loses to a concurrent close, so a
+    /// Requests accepted into the queue. Raised before the push and
+    /// lowered again if the push loses to a concurrent close, so a
     /// completion is never counted ahead of its submission.
     submitted: usize,
     /// Every completed result, folded in as it completes; its
-    /// [`accepted`](FleetAggregator::accepted) count is the shard's
-    /// completed count.
+    /// [`accepted`](FleetAggregator::accepted) count is the completed
+    /// count.
     aggregator: FleetAggregator,
 }
 
-fn lock_progress(shard: &Shard) -> std::sync::MutexGuard<'_, Progress> {
+fn lock_progress(shared: &ServiceShared) -> std::sync::MutexGuard<'_, Progress> {
     // A worker that panicked mid-assessment is already contained by
     // `EngineSet::assess_one`; tolerate a poisoned lock rather than
     // cascading panics through shutdown and snapshots.
-    shard.progress.lock().unwrap_or_else(PoisonError::into_inner)
+    shared.progress.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One shard worker: drain the shard's queue in [`POP_QUANTUM`]-sized
-/// batches until it closes. The batch `Vec` is allocated once per worker
+/// One worker: drain the queue in [`POP_QUANTUM`]-sized batches until it
+/// closes. The batch `Vec` is allocated once per worker
 /// and reused across its whole lifetime — steady-state popping allocates
 /// nothing.
-fn worker_loop(shared: &ServiceShared, shard_index: usize, tasks: &Counter) {
-    let shard = &shared.shards[shard_index];
+fn worker_loop(shared: &ServiceShared, tasks: &Counter) {
     let stages = &shared.stages;
     let mut batch = Vec::with_capacity(POP_QUANTUM);
-    while shard.queue.pop_many(POP_QUANTUM, &mut batch) > 0 {
+    while shared.queue.pop_many(POP_QUANTUM, &mut batch) > 0 {
         for task in batch.drain(..) {
             tasks.incr();
             match task {
@@ -183,7 +159,7 @@ fn worker_loop(shared: &ServiceShared, shard_index: usize, tasks: &Counter) {
                     let result = shared.engines.assess_one(index, instance_name, request);
                     {
                         let _span = stages.aggregate.start();
-                        lock_progress(shard).aggregator.accept(&result);
+                        lock_progress(shared).aggregator.accept(&result);
                     }
                     // The submitter may have dropped its ticket; that just
                     // means nobody is listening, not that the work failed.
@@ -343,8 +319,8 @@ impl TicketQueue {
     }
 }
 
-/// Point-in-time counters for a running service. Each shard's pair is
-/// read under that shard's lock, so `completed` never exceeds `submitted`;
+/// Point-in-time counters for a running service. The pair is read under
+/// one lock, so `completed` never exceeds `submitted`;
 /// workers keep completing the moment the lock is released, of course.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceProgress {
@@ -379,51 +355,31 @@ impl FleetService {
     pub(crate) fn from_parts(
         engines: EngineSet,
         config: FleetConfig,
-        plan: ShardPlan,
         obs: ObsRegistry,
     ) -> FleetService {
-        let nshards = plan.shards();
-        // The shards' queues share the `fleet.queue.*` series; the depth
-        // gauges move by add and subtract, so they still drain to zero.
-        let shards = (0..nshards)
-            .map(|_| Shard {
-                queue: BoundedQueue::instrumented(config.queue_depth, &obs, "fleet.queue"),
-                progress: Mutex::new(Progress::default()),
-            })
-            .collect();
         let shared = Arc::new(ServiceShared {
-            shards,
+            queue: BoundedQueue::instrumented(config.queue_depth, &obs, "fleet.queue"),
+            progress: Mutex::new(Progress::default()),
             engines,
-            plan,
             stages: StageObs::registered(&obs),
-            submitted_global: AtomicUsize::new(0),
+            next_index: AtomicUsize::new(0),
             drift_submitted: AtomicUsize::new(0),
             obs,
         });
-        // Each shard gets its own pool of `config.workers` threads —
-        // worker/queue sizing is per shard, so a plan with more shards
-        // scales the pool out.
-        let per_shard = config.workers.max(1);
-        let workers = (0..nshards * per_shard)
+        let workers = (0..config.workers.max(1))
             .map(|n| {
                 let shared = Arc::clone(&shared);
                 let tasks = shared.obs.counter(&format!("fleet.worker.{n}.tasks"));
                 std::thread::Builder::new()
                     .name(format!("fleet-worker-{n}"))
-                    .spawn(move || worker_loop(&shared, n / per_shard, &tasks))
+                    .spawn(move || worker_loop(&shared, &tasks))
                     .expect("spawn fleet worker")
             })
             .collect();
         FleetService { shared, workers }
     }
 
-    /// The shard a request routes to under this service's plan.
-    fn shard_for(&self, request: &FleetRequest) -> &Shard {
-        let s = self.shared.plan.shard_of(request.catalog_key.as_ref().map(|k| &k.region));
-        &self.shared.shards[s]
-    }
-
-    /// Enqueue one request, blocking while its shard's bounded queue is at
+    /// Enqueue one request, blocking while the bounded queue is at
     /// capacity (backpressure, not unbounded buffering). Requests flagged
     /// [`FleetRequest::with_priority`] enter the queue's priority lane and
     /// are popped ahead of the normal backlog; the report does not depend
@@ -466,16 +422,16 @@ impl FleetService {
         request: FleetRequest,
         reply: mpsc::Sender<FleetResult>,
     ) -> Result<(usize, Arc<str>), FleetRequest> {
-        let shard = self.shard_for(&request);
+        let shared = &*self.shared;
         let priority = request.priority;
         // Count the submission before the push (without holding the lock
         // across the queue's backpressure wait, which would stall every
         // dashboard poll with the feeder), so no worker can complete it
         // before it is counted.
-        lock_progress(shard).submitted += 1;
-        let index = self.shared.submitted_global.fetch_add(1, Ordering::Relaxed);
+        lock_progress(shared).submitted += 1;
+        let index = shared.next_index.fetch_add(1, Ordering::Relaxed);
         let instance_name: Arc<str> = Arc::from(request.request.instance_name.as_str());
-        let enqueued = self.shared.obs.is_enabled().then(Instant::now);
+        let enqueued = shared.obs.is_enabled().then(Instant::now);
         let task = Task::Assess {
             index,
             instance_name: Arc::clone(&instance_name),
@@ -484,12 +440,12 @@ impl FleetService {
             enqueued,
         };
         let pushed =
-            if priority { shard.queue.push_priority(task) } else { shard.queue.push(task) };
+            if priority { shared.queue.push_priority(task) } else { shared.queue.push(task) };
         match pushed {
             Ok(()) => Ok((index, instance_name)),
             Err(Task::Assess { request, .. }) => {
                 // The push lost to a concurrent close: uncount it.
-                lock_progress(shard).submitted -= 1;
+                lock_progress(shared).submitted -= 1;
                 Err(request)
             }
             Err(Task::Drift { .. }) => unreachable!("an assess push returns an assess task"),
@@ -498,21 +454,17 @@ impl FleetService {
 
     /// Enqueue one drift check on the normal lane (monitoring sweeps are
     /// background work; it is the *re-assessment* of a drifted customer
-    /// that jumps the queue). The probe routes to the shard of its
-    /// [`catalog_key`](DriftProbe::catalog_key) region — the same shard
-    /// its re-assessment would use. Drift checks share that shard's worker
-    /// pool and backpressure but never enter the assessment aggregate —
+    /// that jumps the queue). Drift checks share the worker pool and
+    /// backpressure but never enter the assessment aggregate —
     /// collect the outcome from the returned [`DriftTicket`]. Returns the
     /// probe back as `Err` if the service has been closed.
     #[allow(clippy::result_large_err)]
     pub fn submit_drift(&self, probe: DriftProbe) -> Result<DriftTicket, DriftProbe> {
         let (reply, rx) = mpsc::channel();
         let customer = probe.customer.clone();
-        let s = self.shared.plan.shard_of(probe.catalog_key.as_ref().map(|k| &k.region));
-        let shard = &self.shared.shards[s];
         let index = self.shared.drift_submitted.fetch_add(1, Ordering::Relaxed);
         let enqueued = self.shared.obs.is_enabled().then(Instant::now);
-        match shard.queue.push(Task::Drift { index, probe, reply, enqueued }) {
+        match self.shared.queue.push(Task::Drift { index, probe, reply, enqueued }) {
             Ok(()) => Ok(DriftTicket { index, customer, rx }),
             Err(Task::Drift { probe, .. }) => Err(probe),
             Err(Task::Assess { .. }) => unreachable!("a drift push returns a drift task"),
@@ -553,92 +505,61 @@ impl FleetService {
         &self.shared.obs
     }
 
-    /// The number of shards this service runs ([`ShardPlan::shards`]).
-    pub fn shard_count(&self) -> usize {
-        self.shared.shards.len()
-    }
-
-    /// The plan routing submissions to shards.
-    pub fn shard_plan(&self) -> &ShardPlan {
-        &self.shared.plan
-    }
-
-    /// Items currently queued across both lanes of every shard (racy by
-    /// nature; for dashboards).
+    /// Items currently queued across both lanes (racy by nature; for
+    /// dashboards).
     pub fn queue_len(&self) -> usize {
-        self.shared.shards.iter().map(|s| s.queue.len()).sum()
+        self.shared.queue.len()
     }
 
-    /// Current submission/completion counters. Each shard is read as one
-    /// consistent snapshot under its lock and the shards are summed.
+    /// Current submission/completion counters, read as one consistent
+    /// snapshot under the progress lock.
     pub fn progress(&self) -> ServiceProgress {
-        let mut total = ServiceProgress { submitted: 0, completed: 0 };
-        for shard in &self.shared.shards {
-            let progress = lock_progress(shard);
-            total.submitted += progress.submitted;
-            total.completed += progress.aggregator.accepted();
-        }
-        total
+        let progress = lock_progress(&self.shared);
+        ServiceProgress { submitted: progress.submitted, completed: progress.aggregator.accepted() }
     }
 
-    /// A mid-run [`FleetReport`] over every result completed so far,
-    /// merged across shards — the incremental dashboard view. Once the
-    /// service is drained this is the final report. Mid-run it covers the
-    /// set of completed results, whichever they are; it never shrinks
-    /// between polls.
+    /// A mid-run [`FleetReport`] over every result completed so far — the
+    /// incremental dashboard view. Once the service is drained this is the
+    /// final report. Mid-run it covers the set of completed results,
+    /// whichever they are; it never shrinks between polls.
     ///
-    /// Cost note: each per-shard clone under its lock is O(shard count +
-    /// live attention rows), *not* O(results aggregated) — the
-    /// aggregator's attention lists are chunked behind shared `Arc`s, so
-    /// cloning shares the sealed chunks instead of copying every row.
-    /// Hot-polling a dashboard stays cheap even over a fleet failing
-    /// wholesale; the finishing work (sorting, report materialization)
-    /// runs outside every lock.
+    /// Cost note: the clone under the lock is O(chunk count + live
+    /// attention rows), *not* O(results aggregated) — the aggregator's
+    /// attention lists are chunked behind shared `Arc`s, so cloning shares
+    /// the sealed chunks instead of copying every row. Hot-polling a
+    /// dashboard stays cheap even over a fleet failing wholesale; the
+    /// finishing work (sorting, report materialization) runs outside the
+    /// lock.
     pub fn report_snapshot(&self) -> FleetReport {
-        let mut merged = FleetAggregator::new();
-        for shard in &self.shared.shards {
-            // Clone the accumulator inside the lock (cheap — see above),
-            // merge and finish outside it: workers delivering results
-            // contend on this same mutex.
-            let aggregator = lock_progress(shard).aggregator.clone();
-            merged.merge(&aggregator);
-        }
-        merged.finish()
+        // Clone the accumulator inside the lock (cheap — see above), finish
+        // it outside: workers delivering results contend on this mutex.
+        let aggregator = lock_progress(&self.shared).aggregator.clone();
+        aggregator.finish()
     }
 
     /// Stop accepting new submissions. Requests already queued still run;
-    /// idle workers exit once their shard's queue drains.
+    /// idle workers exit once the queue drains.
     pub fn close(&self) {
-        for shard in &self.shared.shards {
-            shard.queue.close();
-        }
+        self.shared.queue.close();
     }
 
     /// Whether [`close`](FleetService::close) has been called — after which
     /// every [`submit`](FleetService::submit) returns its request back.
-    /// (Shard queues only ever close together.)
     pub fn is_closed(&self) -> bool {
-        self.shared.shards[0].queue.is_closed()
+        self.shared.queue.is_closed()
     }
 
     /// Close, drain every accepted request, join the workers, and return
-    /// the final aggregate report, merged across shards.
+    /// the final aggregate report.
     pub fn shutdown(mut self) -> FleetReport {
         self.join_workers();
-        // Workers are joined: nothing else reads the aggregators, so
-        // consume them instead of cloning.
-        let mut merged = FleetAggregator::new();
-        for shard in &self.shared.shards {
-            let aggregator = std::mem::take(&mut lock_progress(shard).aggregator);
-            merged.merge(&aggregator);
-        }
-        merged.finish()
+        // Workers are joined: nothing else reads the aggregator, so take it
+        // instead of cloning.
+        std::mem::take(&mut lock_progress(&self.shared).aggregator).finish()
     }
 
     fn join_workers(&mut self) {
-        for shard in &self.shared.shards {
-            shard.queue.close();
-        }
+        self.shared.queue.close();
         for handle in self.workers.drain(..) {
             // A worker that somehow panicked outside the per-assessment
             // catch still must not break teardown for the others.

@@ -10,11 +10,10 @@
 //! [`merge`](ExactSum::merge) (limb-wise integer addition) is exactly
 //! associative and commutative.
 //!
-//! That property is what the sharded fleet aggregator needs: a fleet report
-//! built by merging per-shard partial sums must be bit-for-bit identical to
-//! the sequential single-shard fold, for any sharding of the cohort. Plain
-//! `f64 +=` cannot promise that (floating addition is not associative);
-//! `ExactSum` can.
+//! That property is what the fleet aggregator needs: workers fold results
+//! as they complete, and the report must be bit-for-bit identical to the
+//! sequential fold for any completion order. Plain `f64 +=` cannot promise
+//! that (floating addition is not associative); `ExactSum` can.
 //!
 //! Non-finite inputs are tracked as order-invariant flags rather than folded
 //! into the limbs: any NaN — or both +∞ and −∞ — makes the final value NaN;
@@ -98,7 +97,7 @@ impl ExactSum {
 
     /// Fold another accumulator into this one: limb-wise integer addition
     /// plus flag union. Exactly associative and commutative — merging
-    /// per-shard partial sums in any grouping yields identical limbs.
+    /// partial sums in any grouping yields identical limbs.
     pub fn merge(&mut self, other: &ExactSum) {
         let mut carry = 0u64;
         for i in 0..LIMBS {

@@ -2,8 +2,8 @@
 //! of fleet life — staggered onboarding waves, monthly telemetry with
 //! seasonal drift, periodic regional price cuts, cursor-dispatched
 //! catalog rolls, and TTL retirement — in seconds, deterministically.
-//! The same schedule always produces the same report, at any worker or
-//! shard count.
+//! The same schedule always produces the same report, at any worker
+//! count.
 //!
 //! ```text
 //! cargo run --release --example fleet_sim
@@ -11,8 +11,7 @@
 //!
 //! Flags via env (keeps the example dependency-free): `FLEET_SIZE`
 //! (default 120 customers, round-robin across 3 regions), `SIM_YEARS`
-//! (default 3), `FLEET_SHARDS` (default 3, one per region),
-//! `FLEET_WORKERS` (default: all cores).
+//! (default 3), `FLEET_WORKERS` (default: all cores).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,8 +32,6 @@ fn main() {
     let fleet_size: usize =
         std::env::var("FLEET_SIZE").ok().and_then(|s| s.parse().ok()).unwrap_or(120);
     let years: usize = std::env::var("SIM_YEARS").ok().and_then(|s| s.parse().ok()).unwrap_or(3);
-    let shards: usize =
-        std::env::var("FLEET_SHARDS").ok().and_then(|s| s.parse().ok()).unwrap_or(REGIONS.len());
     let workers: usize = std::env::var("FLEET_WORKERS")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -42,7 +39,7 @@ fn main() {
     let horizon = years * 12;
 
     // 1. The serving stack: a refreshable provider over three regions, a
-    //    shared engine registry, a region-sharded assessor, and the drift
+    //    shared engine registry, a registry-resolving assessor, and the drift
     //    monitor — exactly what an operator would crank by hand.
     let inner = REGIONS.iter().fold(InMemoryCatalogProvider::new(), |p, &(region, multiplier)| {
         p.with_region(
@@ -56,8 +53,7 @@ fn main() {
     let registry = Arc::new(EngineRegistry::new(Arc::clone(&provider) as Arc<dyn CatalogProvider>));
     let assessor =
         FleetAssessor::over_registry(Arc::clone(&registry), FleetConfig::with_workers(workers))
-            .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)))
-            .with_shard_plan(ShardPlan::by_region(shards));
+            .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)));
     let mut sim = FleetScheduler::new(DriftMonitor::new(assessor), SimClock::starting(2022, 1))
         .with_provider(Arc::clone(&provider))
         .with_idle_ttl(6)
@@ -147,10 +143,9 @@ fn main() {
         stats.misses, stats.hits, stats.retirements, stats.entries
     );
     println!(
-        "\nsimulated {} months ({} customers, {} shards, {} workers) in {:.2?} — {:.1} years/sec",
+        "\nsimulated {} months ({} customers, {} workers) in {:.2?} — {:.1} years/sec",
         horizon,
         fleet_size,
-        shards,
         workers,
         elapsed,
         years as f64 / elapsed.as_secs_f64().max(1e-9),

@@ -32,7 +32,7 @@ fn main() {
     // 1. One long-lived service resolving both deployment targets through
     //    a shared registry: each engine is trained at most once — by the
     //    first worker that needs it — and every later resolution is a
-    //    sharded read-lock lookup plus an Arc bump. One `ObsRegistry`
+    //    shared read-lock lookup plus an Arc bump. One `ObsRegistry`
     //    instruments the whole path: registry trainings, queue lanes, and
     //    the per-stage worker spans all land in the same snapshot.
     let obs = ObsRegistry::enabled();

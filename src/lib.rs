@@ -67,8 +67,7 @@ pub mod prelude {
         CatalogRollOutcome, DriftMonitor, DriftOutcome, DriftPass, DriftVerdict, EngineRoute,
         FleetAssessment, FleetAssessor, FleetConfig, FleetDriftReport, FleetReport, FleetRequest,
         FleetScheduler, FleetService, MonitoredCustomer, PromotionPolicy, RolloutStage,
-        RolloutTracker, ScheduleSummary, ServiceProgress, ShardPlan, SimClock, SimMonth, Ticket,
-        TicketQueue,
+        RolloutTracker, ScheduleSummary, ServiceProgress, SimClock, SimMonth, Ticket, TicketQueue,
     };
     pub use doppler_obs::{ObsRegistry, ObsSnapshot};
     pub use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};

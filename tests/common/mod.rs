@@ -16,40 +16,36 @@ use doppler::dma::preprocess::PreprocessedInstance;
 use doppler::fleet::{FleetResult, ServiceProgress};
 use doppler::prelude::*;
 
-/// One deployment of the fleet service: the workers each shard runs, the
-/// shards a region-keyed [`ShardPlan`] splits the service into, and
+/// One deployment of the fleet service: the workers its pool runs, and
 /// whether instrumentation records into a live [`ObsRegistry`]. No
-/// business output may depend on any of the three.
+/// business output may depend on either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Config {
     pub workers: usize,
-    pub shards: usize,
     pub obs: bool,
 }
 
 /// The deployments every determinism suite runs its scenario under.
-/// Together the rows cover workers 1/4/8, shards 1/2/4, and obs off and
-/// on; the first row is [`Config::SERIAL`].
+/// Together the rows cover workers 1/4/8 and obs off and on; the first
+/// row is [`Config::SERIAL`].
 pub const CONFIGS: [Config; 3] = [
-    Config { workers: 1, shards: 1, obs: false },
-    Config { workers: 4, shards: 4, obs: true },
-    Config { workers: 8, shards: 2, obs: false },
+    Config { workers: 1, obs: false },
+    Config { workers: 4, obs: true },
+    Config { workers: 8, obs: false },
 ];
 
 impl Config {
-    /// One worker, one shard, obs off: the deployment oracles run under.
+    /// One worker, obs off: the deployment oracles run under.
     pub const SERIAL: Config = CONFIGS[0];
 
-    /// `workers` threads per shard, four queued tasks per worker.
+    /// `workers` threads, four queued tasks per worker.
     pub fn fleet_config(self) -> FleetConfig {
         FleetConfig::with_workers(self.workers)
     }
 
-    /// `assessor` deployed under this config: split by region into
-    /// `shards` shards, and recording into a fresh enabled registry when
-    /// `obs` is on.
+    /// `assessor` deployed under this config: recording into a fresh
+    /// enabled registry when `obs` is on.
     pub fn apply(self, assessor: FleetAssessor) -> FleetAssessor {
-        let assessor = assessor.with_shard_plan(ShardPlan::by_region(self.shards));
         if self.obs {
             assessor.with_obs(&ObsRegistry::enabled())
         } else {
@@ -70,18 +66,8 @@ impl Config {
 
 /// Run `run` under every [`CONFIGS`] row and assert each output equals
 /// `oracle`; a failure names `what` and the config.
-pub fn sweep<T: PartialEq + Debug>(what: &str, oracle: &T, run: impl FnMut(Config) -> T) {
-    sweep_over(CONFIGS, what, oracle, run);
-}
-
-/// [`sweep`] over an explicit list of configs.
-pub fn sweep_over<T: PartialEq + Debug>(
-    configs: impl IntoIterator<Item = Config>,
-    what: &str,
-    oracle: &T,
-    mut run: impl FnMut(Config) -> T,
-) {
-    for config in configs {
+pub fn sweep<T: PartialEq + Debug>(what: &str, oracle: &T, mut run: impl FnMut(Config) -> T) {
+    for config in CONFIGS {
         assert_eq!(run(config), *oracle, "{what} under {config:?}");
     }
 }
@@ -172,7 +158,7 @@ pub fn labelled_training(n: usize, history: impl Fn(f64) -> PerfHistory) -> Vec<
 /// finished results between submissions (the continuous-operation shape),
 /// then close, drain and shut down. Returns the results in submission
 /// order and the final report, after checking every ticket carried its
-/// submission position (whichever shard served it) and every submission
+/// submission position (whichever worker served it) and every submission
 /// completed.
 pub fn stream(service: FleetService, fleet: &[FleetRequest]) -> (Vec<FleetResult>, FleetReport) {
     let mut tickets = TicketQueue::new();

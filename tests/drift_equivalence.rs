@@ -9,8 +9,8 @@
 //!    injected into (and nothing to the control regions), and
 //! 3. be **bit-for-bit deterministic** — the same `FleetDriftReport`,
 //!    outcome vector, and priority-lane re-assessments (SKU and cost
-//!    included) under every deployment in `common::CONFIGS`, sharded
-//!    monitors re-queueing each drifted customer on its region's shard.
+//!    included) under every deployment in `common::CONFIGS`, the
+//!    monitor re-queueing each drifted customer on the priority lane.
 //!
 //! Runs single-threaded in the CI determinism job so the service worker
 //! pool is the only concurrency in play.

@@ -1,6 +1,6 @@
 //! Fleet-scale determinism: assessing the same 1,000-instance synthetic
 //! population must produce bit-for-bit identical output under every
-//! deployment in `common::CONFIGS`: worker count, shard plan, and obs.
+//! deployment in `common::CONFIGS`: worker count and obs.
 
 mod common;
 

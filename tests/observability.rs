@@ -47,7 +47,7 @@ fn obs_on_and_obs_off_reports_are_bit_for_bit_identical() {
 /// accounting: every completed task was timed exactly once per stage, the
 /// per-worker task counters partition the total, and the lane-depth
 /// gauges drain back to zero by shutdown — under every deployment's
-/// workers and shards, with obs on.
+/// workers, with obs on.
 #[test]
 fn stage_span_counts_match_service_progress_and_gauges_drain() {
     let fleet = cohort(40);
@@ -63,8 +63,10 @@ fn stage_span_counts_match_service_progress_and_gauges_drain() {
         let report = service.shutdown();
         let snapshot = obs.snapshot();
 
-        // One span per completed task in every assessment stage.
+        // One span per completed task in every assessment stage, batched
+        // popping included.
         for stage in [
+            "fleet.queue.pop_wait",
             "fleet.stage.queue_wait",
             "fleet.stage.resolve",
             "fleet.stage.assess",
@@ -74,7 +76,7 @@ fn stage_span_counts_match_service_progress_and_gauges_drain() {
             assert_eq!(counted, Some(progress.completed as u64), "{stage} under {config:?}");
         }
         // The per-worker task counters partition the completed total.
-        let worker_tasks: u64 = (0..config.shards * config.workers)
+        let worker_tasks: u64 = (0..config.workers)
             .map(|i| snapshot.counter(&format!("fleet.worker.{i}.tasks")).unwrap_or(0))
             .sum();
         assert_eq!(worker_tasks, progress.completed as u64, "worker tasks under {config:?}");

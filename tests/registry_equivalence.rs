@@ -126,7 +126,7 @@ fn mixed_region_fleet_trains_once_per_key_and_matches_the_per_pipeline_path() {
 
         // Exactly K = 3 distinct keys were touched: DB@global#v1,
         // DB@westeurope#v1, MI@global#v1 — and exactly 3 trainings ran,
-        // no matter how many workers and shards raced the cold keys.
+        // no matter how many workers raced the cold keys.
         let stats = registry.stats();
         assert_eq!(stats.misses, 3, "{config:?}: {stats:?}");
         assert_eq!(stats.failures, 0);
