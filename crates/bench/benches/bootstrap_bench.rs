@@ -7,8 +7,9 @@
 //! trained production engine and a 14-day SQL DB cohort history.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use doppler_bench::backtest::training_records;
 use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType, FileLayout};
-use doppler_core::{ConfidenceConfig, DopplerEngine, EngineConfig, TrainingRecord};
+use doppler_core::{ConfidenceConfig, DopplerEngine, EngineConfig};
 use doppler_workload::{generate, PopulationSpec, WorkloadArchetype};
 
 fn bench_confidence(c: &mut Criterion) {
@@ -54,12 +55,7 @@ fn bench_confidence(c: &mut Criterion) {
     // The production engine trained on a migrated cohort, scoring another
     // cohort's customer with the default 30 one-week windows.
     let catalog = azure_paas_catalog(&CatalogSpec::default());
-    let records: Vec<TrainingRecord> = PopulationSpec::sql_db(200, 3)
-        .customers(&catalog)
-        .into_iter()
-        .filter(|c| !c.over_provisioned)
-        .map(|c| TrainingRecord { history: c.history, chosen_sku: c.chosen_sku, file_layout: None })
-        .collect();
+    let records = training_records(&PopulationSpec::sql_db(200, 3).customers(&catalog));
     let db_engine = DopplerEngine::train(
         catalog.clone(),
         EngineConfig::production(DeploymentType::SqlDb),

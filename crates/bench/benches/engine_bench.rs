@@ -2,18 +2,16 @@
 //! latency — the "make sure the solution can scale" design goal of §3.1.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use doppler_bench::backtest;
 use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType};
 use doppler_core::{DopplerEngine, EngineConfig, TrainingRecord};
 use doppler_workload::PopulationSpec;
 
 fn training_records(n: usize) -> Vec<TrainingRecord> {
     let cat = azure_paas_catalog(&CatalogSpec::default());
-    PopulationSpec { days: 7.0, ..PopulationSpec::sql_db(n, 3) }
-        .customers(&cat)
-        .into_iter()
-        .filter(|c| !c.over_provisioned)
-        .map(|c| TrainingRecord { history: c.history, chosen_sku: c.chosen_sku, file_layout: None })
-        .collect()
+    backtest::training_records(
+        &PopulationSpec { days: 7.0, ..PopulationSpec::sql_db(n, 3) }.customers(&cat),
+    )
 }
 
 fn bench_training(c: &mut Criterion) {

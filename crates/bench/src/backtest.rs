@@ -9,6 +9,7 @@
 //! Doppler."
 
 use doppler_catalog::{azure_paas_catalog, Catalog, CatalogSpec, DeploymentType, ServiceTier};
+use doppler_core::engine::profiled_dimensions;
 use doppler_core::{DopplerEngine, EngineConfig, TrainingRecord};
 use doppler_workload::{CloudCustomer, PopulationSpec};
 
@@ -29,27 +30,37 @@ impl TierAccuracy {
     }
 }
 
-/// Outcome of one back-test run.
+/// Outcome of one back-test run. Every customer is scored; the
+/// over-provisioned segment is counted apart, so one run gives both the
+/// paper's Table 5 accuracy (segment excluded) and the "before exclusion"
+/// accuracy it is contrasted with (Table 4).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BacktestResult {
     pub deployment: DeploymentType,
-    /// Customers scored (over-provisioned ones excluded).
+    /// Well-provisioned customers scored.
     pub n_scored: usize,
-    /// Customers excluded as over-provisioned.
-    pub n_excluded: usize,
+    /// Well-provisioned customers whose fixed SKU was matched.
     pub matches: usize,
     pub gp: TierAccuracy,
     pub bc: TierAccuracy,
+    /// The over-provisioned segment, scored apart.
+    pub over_provisioned: TierAccuracy,
 }
 
 impl BacktestResult {
-    /// Overall accuracy over scored customers.
+    /// Overall accuracy over the well-provisioned customers.
     pub fn accuracy(&self) -> f64 {
-        if self.n_scored == 0 {
-            f64::NAN
-        } else {
-            self.matches as f64 / self.n_scored as f64
+        TierAccuracy { matches: self.matches, total: self.n_scored }.accuracy()
+    }
+
+    /// Overall accuracy over every customer, the over-provisioned segment
+    /// included.
+    pub fn accuracy_including_over_provisioned(&self) -> f64 {
+        TierAccuracy {
+            matches: self.matches + self.over_provisioned.matches,
+            total: self.n_scored + self.over_provisioned.total,
         }
+        .accuracy()
     }
 }
 
@@ -58,67 +69,74 @@ pub fn catalog() -> Catalog {
     azure_paas_catalog(&CatalogSpec::default())
 }
 
-/// Generate a cohort, train the engine on its non-over-provisioned members,
-/// and back-test. `include_over_provisioned` keeps the over-provisioned
-/// segment in scoring (the "before exclusion" accuracy the paper contrasts
-/// with Table 5).
-pub fn backtest(
-    spec: &PopulationSpec,
-    engine_config: EngineConfig,
-    include_over_provisioned: bool,
-) -> BacktestResult {
+/// The training set of a cohort: its well-provisioned customers, each with
+/// the SKU it fixed (and, for MI, its file layout).
+pub fn training_records(customers: &[CloudCustomer]) -> Vec<TrainingRecord> {
+    customers.iter().filter(|c| !c.over_provisioned).map(training_record).collect()
+}
+
+fn training_record(c: &CloudCustomer) -> TrainingRecord {
+    TrainingRecord {
+        history: c.history.clone(),
+        chosen_sku: c.chosen_sku.clone(),
+        file_layout: c.file_layout.clone(),
+    }
+}
+
+/// Generate a cohort, train the engine on its well-provisioned members,
+/// and back-test.
+pub fn backtest(spec: &PopulationSpec, engine_config: EngineConfig) -> BacktestResult {
     let cat = catalog();
     let customers = spec.customers(&cat);
-    backtest_customers(&cat, &customers, engine_config, include_over_provisioned)
+    backtest_customers(&cat, &customers, engine_config)
 }
 
 /// Back-test over an already-generated cohort (lets callers reuse one
-/// cohort across engine configurations, as Table 4 does).
+/// cohort across engine configurations, as Table 4 does). Each customer
+/// is profiled once: the well-provisioned customers' profiles train the
+/// engine, and every customer's profile scores it.
 pub fn backtest_customers(
     cat: &Catalog,
     customers: &[CloudCustomer],
     engine_config: EngineConfig,
-    include_over_provisioned: bool,
 ) -> BacktestResult {
-    // Train on the well-provisioned segment only.
-    let records: Vec<TrainingRecord> = customers
+    let dims = profiled_dimensions(engine_config.deployment);
+    let profiles: Vec<_> =
+        customers.iter().map(|c| engine_config.negotiability.profile(&c.history, dims)).collect();
+    // One pass picks the trained customers, so record i and profile i
+    // always come from the same customer.
+    let (records, trained): (Vec<_>, Vec<_>) = customers
         .iter()
-        .filter(|c| !c.over_provisioned)
-        .map(|c| TrainingRecord {
-            history: c.history.clone(),
-            chosen_sku: c.chosen_sku.clone(),
-            file_layout: c.file_layout.clone(),
-        })
-        .collect();
-    let engine = DopplerEngine::train(cat.clone(), engine_config, &records);
+        .zip(&profiles)
+        .filter(|(c, _)| !c.over_provisioned)
+        .map(|(c, p)| (training_record(c), p.clone()))
+        .unzip();
+    let engine = DopplerEngine::train_profiled(cat.clone(), engine_config, &records, &trained);
 
     let mut result = BacktestResult {
         deployment: engine_config.deployment,
         n_scored: 0,
-        n_excluded: 0,
         matches: 0,
         gp: TierAccuracy::default(),
         bc: TierAccuracy::default(),
+        over_provisioned: TierAccuracy::default(),
     };
-    for c in customers {
-        if c.over_provisioned && !include_over_provisioned {
-            result.n_excluded += 1;
+    for (c, profile) in customers.iter().zip(profiles) {
+        let rec = engine.recommend_profiled(&c.history, c.file_layout.as_ref(), profile);
+        let hit = rec.sku_id.as_deref() == Some(c.chosen_sku.0.as_str());
+        if c.over_provisioned {
+            result.over_provisioned.total += 1;
+            result.over_provisioned.matches += hit as usize;
             continue;
         }
-        let rec = engine.recommend(&c.history, c.file_layout.as_ref());
-        let hit = rec.sku_id.as_deref() == Some(c.chosen_sku.0.as_str());
         result.n_scored += 1;
-        if hit {
-            result.matches += 1;
-        }
+        result.matches += hit as usize;
         let tier = match c.chosen_tier {
             ServiceTier::GeneralPurpose => &mut result.gp,
             ServiceTier::BusinessCritical => &mut result.bc,
         };
         tier.total += 1;
-        if hit {
-            tier.matches += 1;
-        }
+        tier.matches += hit as usize;
     }
     result
 }
@@ -131,7 +149,7 @@ mod tests {
     #[test]
     fn db_backtest_reaches_high_accuracy_on_a_small_cohort() {
         let spec = PopulationSpec { days: 4.0, ..PopulationSpec::sql_db(120, 7) };
-        let r = backtest(&spec, EngineConfig::production(DeploymentType::SqlDb), false);
+        let r = backtest(&spec, EngineConfig::production(DeploymentType::SqlDb));
         assert!(r.n_scored > 80);
         assert!(
             r.accuracy() > 0.75,
@@ -145,21 +163,21 @@ mod tests {
     #[test]
     fn excluding_over_provisioned_raises_accuracy() {
         let spec = PopulationSpec { days: 4.0, ..PopulationSpec::sql_db(150, 13) };
-        let with = backtest(&spec, EngineConfig::production(DeploymentType::SqlDb), true);
-        let without = backtest(&spec, EngineConfig::production(DeploymentType::SqlDb), false);
+        let r = backtest(&spec, EngineConfig::production(DeploymentType::SqlDb));
         assert!(
-            without.accuracy() > with.accuracy(),
+            r.accuracy() > r.accuracy_including_over_provisioned(),
             "excluded {} !> included {}",
-            without.accuracy(),
-            with.accuracy()
+            r.accuracy(),
+            r.accuracy_including_over_provisioned()
         );
     }
 
     #[test]
     fn tier_totals_partition_the_scored_set() {
         let spec = PopulationSpec { days: 4.0, ..PopulationSpec::sql_db(100, 3) };
-        let r = backtest(&spec, EngineConfig::production(DeploymentType::SqlDb), false);
+        let r = backtest(&spec, EngineConfig::production(DeploymentType::SqlDb));
         assert_eq!(r.gp.total + r.bc.total, r.n_scored);
         assert_eq!(r.gp.matches + r.bc.matches, r.matches);
+        assert_eq!(r.n_scored + r.over_provisioned.total, 100, "every customer is scored");
     }
 }

@@ -4,16 +4,15 @@ use std::fmt::Write as _;
 
 use doppler_catalog::{DeploymentType, StorageTier};
 use doppler_core::grouping::bits_to_group;
-use doppler_core::{
-    DopplerEngine, EngineConfig, GroupingStrategy, NegotiabilityStrategy, TrainingRecord,
-};
+use doppler_core::{DopplerEngine, EngineConfig, GroupingStrategy, NegotiabilityStrategy};
 use doppler_dma::{AssessmentRequest, PreprocessedInstance};
 use doppler_fleet::{FleetAssessor, FleetConfig, FleetRequest};
 use doppler_stats::SeededRng;
 use doppler_workload::{PopulationSpec, WorkloadArchetype};
 
-use crate::backtest::{backtest_customers, catalog};
+use crate::backtest::{backtest_customers, catalog, training_records};
 use crate::experiments::ExperimentScale;
+use crate::par::par_map;
 
 /// Table 1: run four months of seeded, month-tagged request volume through
 /// the fleet assessor and print its adoption ledger. The paper's counts are
@@ -90,18 +89,6 @@ pub fn table2(_scale: &ExperimentScale) -> String {
     out
 }
 
-fn records_of(customers: &[doppler_workload::CloudCustomer]) -> Vec<TrainingRecord> {
-    customers
-        .iter()
-        .filter(|c| !c.over_provisioned)
-        .map(|c| TrainingRecord {
-            history: c.history.clone(),
-            chosen_sku: c.chosen_sku.clone(),
-            file_layout: c.file_layout.clone(),
-        })
-        .collect()
-}
-
 /// Table 3: per-group score statistics for SQL MI under the thresholding
 /// profiler and straightforward enumeration.
 pub fn table3(scale: &ExperimentScale) -> String {
@@ -111,7 +98,7 @@ pub fn table3(scale: &ExperimentScale) -> String {
     let engine = DopplerEngine::train(
         cat.clone(),
         EngineConfig::production(DeploymentType::SqlMi),
-        &records_of(&customers),
+        &training_records(&customers),
     );
     let mut out = String::from(
         "Table 3 — Azure SQL MI customer groups (0 = negotiable, as in the paper)\n\
@@ -151,26 +138,30 @@ pub fn table4(scale: &ExperimentScale) -> String {
     let n = scale.cohort.min(400);
     let db = PopulationSpec::sql_db(n, scale.seed).customers(&cat);
     let mi = PopulationSpec::sql_mi(n, scale.seed ^ 0xA5).customers(&cat);
+    let lineup = NegotiabilityStrategy::table4_lineup();
+    // The twelve (strategy, deployment) cells share nothing mutable, so
+    // they run in parallel; rows print in lineup order.
+    let cells: Vec<_> = lineup
+        .iter()
+        .flat_map(|&(_, strategy)| {
+            [(strategy, DeploymentType::SqlDb, &db, 16), (strategy, DeploymentType::SqlMi, &mi, 8)]
+        })
+        .collect();
+    let accuracy = par_map(&cells, |&(strategy, deployment, customers, k)| {
+        let config = EngineConfig {
+            deployment,
+            negotiability: strategy,
+            grouping: GroupingStrategy::KMeans { k, seed: scale.seed },
+            rates: Default::default(),
+        };
+        backtest_customers(&cat, customers, config).accuracy_including_over_provisioned()
+    });
     let mut out = String::from(
         "Table 4 — accuracy of Doppler per negotiability definition (k-means grouping)\n\
          Negotiability Definition                            DB       MI\n",
     );
-    for (name, strategy) in NegotiabilityStrategy::table4_lineup() {
-        let acc = |deployment, customers: &[doppler_workload::CloudCustomer], k| {
-            let config = EngineConfig {
-                deployment,
-                negotiability: strategy,
-                grouping: GroupingStrategy::KMeans { k, seed: scale.seed },
-                rates: Default::default(),
-            };
-            backtest_customers(&cat, customers, config, true).accuracy()
-        };
-        let _ = writeln!(
-            out,
-            "{name:<50} {:>6.1}%  {:>6.1}%",
-            acc(DeploymentType::SqlDb, &db, 16) * 100.0,
-            acc(DeploymentType::SqlMi, &mi, 8) * 100.0
-        );
+    for ((name, _), row) in lineup.iter().zip(accuracy.chunks(2)) {
+        let _ = writeln!(out, "{name:<50} {:>6.1}%  {:>6.1}%", row[0] * 100.0, row[1] * 100.0);
     }
     out
 }
@@ -188,16 +179,14 @@ pub fn table5(scale: &ExperimentScale) -> String {
         ("MI", DeploymentType::SqlMi, PopulationSpec::sql_mi(scale.cohort, scale.seed)),
     ] {
         let customers = spec.customers(&cat);
-        let r = backtest_customers(&cat, &customers, EngineConfig::production(deployment), false);
-        let with_over =
-            backtest_customers(&cat, &customers, EngineConfig::production(deployment), true);
+        let r = backtest_customers(&cat, &customers, EngineConfig::production(deployment));
         let _ = writeln!(
             out,
             "{label:<14} {:>7.1}%   GP: {:.1}% / BC: {:.1}%   (incl. over-provisioned: {:.1}%)",
             r.accuracy() * 100.0,
             r.gp.accuracy() * 100.0,
             r.bc.accuracy() * 100.0,
-            with_over.accuracy() * 100.0
+            r.accuracy_including_over_provisioned() * 100.0
         );
     }
     out

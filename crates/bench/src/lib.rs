@@ -9,8 +9,11 @@
 //! * [`ascii`] — terminal rendering of curves and series so every figure
 //!   has a printable form;
 //! * [`experiments`] — one reproduction function per paper table/figure,
-//!   dispatched by the `reproduce` binary.
+//!   dispatched by the `reproduce` binary;
+//! * [`par`] — the in-order parallel map that runs Table 4's cells and
+//!   `reproduce all`'s experiments on every CPU.
 
 pub mod ascii;
 pub mod backtest;
 pub mod experiments;
+pub mod par;

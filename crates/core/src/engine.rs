@@ -140,8 +140,26 @@ impl DopplerEngine {
         records: &[TrainingRecord],
     ) -> DopplerEngine {
         let dims = profiled_dimensions(config.deployment);
-        let (weights, bits): (Vec<Vec<f64>>, Vec<Vec<bool>>) =
-            records.iter().map(|r| config.negotiability.profile(&r.history, dims)).unzip();
+        let profiles: Vec<_> =
+            records.iter().map(|r| config.negotiability.profile(&r.history, dims)).collect();
+        DopplerEngine::train_profiled(catalog, config, records, &profiles)
+    }
+
+    /// [`train`](Self::train) on records whose profiles are already known:
+    /// `profiles[i]` is `config.negotiability.profile` of record `i`'s
+    /// history over [`profiled_dimensions`]. A back-test that profiles
+    /// each customer once passes the same profiles here and to
+    /// [`recommend_profiled`](Self::recommend_profiled). Panics when the
+    /// two slices differ in length.
+    pub fn train_profiled(
+        catalog: Catalog,
+        config: EngineConfig,
+        records: &[TrainingRecord],
+        profiles: &[(Vec<f64>, Vec<bool>)],
+    ) -> DopplerEngine {
+        assert_eq!(profiles.len(), records.len(), "one profile per training record");
+        let dims = profiled_dimensions(config.deployment);
+        let (weights, bits): (Vec<Vec<f64>>, Vec<Vec<bool>>) = profiles.iter().cloned().unzip();
         let (grouping, labels) = if records.is_empty() {
             (FittedGrouping::Enumeration { n_dims: dims.len() }, Vec::new())
         } else {
@@ -210,8 +228,25 @@ impl DopplerEngine {
 
     /// Profile, group, and recommend.
     pub fn recommend(&self, history: &PerfHistory, layout: Option<&FileLayout>) -> Recommendation {
+        self.recommend_profiled(history, layout, self.profile(history))
+    }
+
+    /// [`recommend`](Self::recommend) given the history's profile, as
+    /// [`NegotiabilityStrategy::profile`] computes it over
+    /// [`dims`](Self::dims): group and select without profiling again.
+    pub fn recommend_profiled(
+        &self,
+        history: &PerfHistory,
+        layout: Option<&FileLayout>,
+        profile: (Vec<f64>, Vec<bool>),
+    ) -> Recommendation {
         let (curve, mi) = self.curve_for(history, layout);
-        self.recommend_on(history, curve, mi)
+        self.recommend_on(history, curve, mi, profile)
+    }
+
+    /// The engine's negotiability profile of a whole history.
+    fn profile(&self, history: &PerfHistory) -> (Vec<f64>, Vec<bool>) {
+        self.config.negotiability.profile(history, self.dims())
     }
 
     /// [`recommend`](Self::recommend) with the §3.4 bootstrap confidence
@@ -228,7 +263,7 @@ impl DopplerEngine {
         let prefix = PrefixCounts::new(kernel.masks());
         let n = history.len();
         let (curve, mi) = kernel.curve(0..n, prefix.counts(0..n));
-        let mut rec = self.recommend_on(history, curve, mi);
+        let mut rec = self.recommend_on(history, curve, mi, self.profile(history));
         if let Some(original) = rec.sku_id.as_deref() {
             let dims = self.dims();
             rec.confidence = Some(bootstrap_agreement(n, confidence, |range| {
@@ -242,15 +277,15 @@ impl DopplerEngine {
         rec
     }
 
-    /// Profile, group and select on an already built curve.
+    /// Group and select on an already built curve and profile.
     fn recommend_on(
         &self,
         history: &PerfHistory,
         curve: PricePerformanceCurve,
         mi: Option<MiAssessment>,
+        (weights, bits): (Vec<f64>, Vec<bool>),
     ) -> Recommendation {
         let dims = self.dims();
-        let (weights, bits) = self.config.negotiability.profile(history, dims);
         let group = self.grouping.assign(&weights, &bits);
         let preferred_p = self.model.preferred_p(group);
 

@@ -12,8 +12,9 @@ use doppler_core::matching::{select_for_p, select_with_slack};
 use doppler_core::throttling::{throttled_fraction, ExceedanceMasks, PrefixCounts};
 use doppler_core::{
     confidence_score, detect_drift, mi_curve, throttling_probability, BaselineStrategy,
-    ConfidenceConfig, DopplerEngine, DriftReport, EngineConfig, NegotiabilityStrategy,
-    PricePerformanceCurve, Recommendation, RecommendationBackend, TrainingRecord,
+    ConfidenceConfig, DopplerEngine, DriftReport, EngineConfig, GroupModel, GroupingStrategy,
+    NegotiabilityStrategy, PricePerformanceCurve, Recommendation, RecommendationBackend,
+    TrainingRecord,
 };
 use doppler_stats::BootstrapWindows;
 use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
@@ -304,23 +305,28 @@ fn random_layout(rng: &mut Rng) -> FileLayout {
     FileLayout::from_sizes(&(0..files).map(|_| 20.0 + 700.0 * rng.unit()).collect::<Vec<_>>())
 }
 
+/// Random training records for `deployment` (MI records carry layouts).
+fn training_records(deployment: DeploymentType, seed: u64, n: usize) -> Vec<TrainingRecord> {
+    let catalog = azure_paas_catalog(&CatalogSpec::default());
+    let skus: Vec<SkuId> =
+        catalog.for_deployment(deployment).iter().map(|s| s.id.clone()).collect();
+    let mut rng = Rng(seed);
+    (0..n)
+        .map(|_| TrainingRecord {
+            history: workload(&mut rng, 288),
+            chosen_sku: skus[rng.below(skus.len())].clone(),
+            file_layout: (deployment == DeploymentType::SqlMi).then(|| random_layout(&mut rng)),
+        })
+        .collect()
+}
+
 /// Engines trained on random picks, so groups carry varied tolerances.
 fn engine(deployment: DeploymentType) -> &'static DopplerEngine {
     static ENGINES: OnceLock<[DopplerEngine; 2]> = OnceLock::new();
     let engines = ENGINES.get_or_init(|| {
         let catalog = azure_paas_catalog(&CatalogSpec::default());
         let train = |deployment: DeploymentType, seed: u64| {
-            let skus: Vec<SkuId> =
-                catalog.for_deployment(deployment).iter().map(|s| s.id.clone()).collect();
-            let mut rng = Rng(seed);
-            let records: Vec<TrainingRecord> = (0..16)
-                .map(|_| TrainingRecord {
-                    history: workload(&mut rng, 288),
-                    chosen_sku: skus[rng.below(skus.len())].clone(),
-                    file_layout: (deployment == DeploymentType::SqlMi)
-                        .then(|| random_layout(&mut rng)),
-                })
-                .collect();
+            let records = training_records(deployment, seed, 16);
             DopplerEngine::train(catalog.clone(), EngineConfig::production(deployment), &records)
         };
         [train(DeploymentType::SqlDb, 11), train(DeploymentType::SqlMi, 12)]
@@ -587,4 +593,120 @@ proptest! {
             }
         }
     }
+}
+
+/// Table 4's configuration of `strategy` for `deployment`: k-means
+/// grouping, small enough for a 16-record training set.
+fn lineup_config(deployment: DeploymentType, strategy: NegotiabilityStrategy) -> EngineConfig {
+    EngineConfig {
+        deployment,
+        negotiability: strategy,
+        grouping: GroupingStrategy::KMeans { k: 4, seed: 5 },
+        rates: Default::default(),
+    }
+}
+
+/// One engine per Table 4 strategy and deployment, in lineup order, DB
+/// before MI.
+fn lineup_engines() -> &'static [DopplerEngine] {
+    static ENGINES: OnceLock<Vec<DopplerEngine>> = OnceLock::new();
+    ENGINES.get_or_init(|| {
+        let catalog = azure_paas_catalog(&CatalogSpec::default());
+        let mut engines = Vec::new();
+        for (_, strategy) in NegotiabilityStrategy::table4_lineup() {
+            for (deployment, seed) in [(DeploymentType::SqlDb, 21), (DeploymentType::SqlMi, 22)] {
+                let records = training_records(deployment, seed, 16);
+                let config = lineup_config(deployment, strategy);
+                engines.push(DopplerEngine::train(catalog.clone(), config, &records));
+            }
+        }
+        engines
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Recommending on the history's own profile equals recommending from
+    /// the history alone, for every Table 4 strategy on SQL DB, and on SQL
+    /// MI with and without a file layout.
+    #[test]
+    fn profiled_recommend_matches_recommend(seed in 0u64..u64::MAX) {
+        let mut rng = Rng(seed);
+        let n = [1 + rng.below(40), 288 + rng.below(200)][rng.below(2)];
+        let history = workload(&mut rng, n);
+        let history = maybe_tie_iops(&mut rng, history);
+        let layout = random_layout(&mut rng);
+        for engine in lineup_engines() {
+            let layouts = match engine.config().deployment {
+                DeploymentType::SqlDb => vec![None],
+                DeploymentType::SqlMi => vec![None, Some(&layout)],
+            };
+            for layout in layouts {
+                let profile = engine.config().negotiability.profile(&history, engine.dims());
+                let got = engine.recommend_profiled(&history, layout, profile);
+                prop_assert_eq!(got, engine.recommend(&history, layout));
+            }
+        }
+    }
+}
+
+/// Training on the strategy's own profiles of the records equals training
+/// on the records: the same group model, and the same recommendation for
+/// every record and for fresh histories. The group model also equals one
+/// learned from the layer functions: the grouping fitted on the profiles,
+/// and each record's curve under its label.
+#[test]
+fn train_profiled_matches_train() {
+    let catalog = azure_paas_catalog(&CatalogSpec::default());
+    for (name, strategy) in NegotiabilityStrategy::table4_lineup() {
+        for deployment in [DeploymentType::SqlDb, DeploymentType::SqlMi] {
+            let records = training_records(deployment, 31, 16);
+            let config = lineup_config(deployment, strategy);
+            let dims = profiled_dimensions(deployment);
+            let profiles: Vec<_> =
+                records.iter().map(|r| strategy.profile(&r.history, dims)).collect();
+            let trained = DopplerEngine::train(catalog.clone(), config, &records);
+            let profiled =
+                DopplerEngine::train_profiled(catalog.clone(), config, &records, &profiles);
+            assert_eq!(trained.group_model(), profiled.group_model(), "{name}, {deployment:?}");
+            let (weights, bits): (Vec<_>, Vec<_>) = profiles.iter().cloned().unzip();
+            let (grouping, labels) = config.grouping.fit(&weights, &bits);
+            let curves: Vec<_> = records
+                .iter()
+                .map(|r| profiled.curve_for(&r.history, r.file_layout.as_ref()).0)
+                .collect();
+            let oracle = GroupModel::learn(
+                grouping.group_count(),
+                labels
+                    .iter()
+                    .zip(&curves)
+                    .zip(&records)
+                    .map(|((&g, c), r)| (g, c, r.chosen_sku.0.as_str())),
+            );
+            assert_eq!(profiled.group_model(), &oracle, "{name}, {deployment:?}");
+            let fresh = training_records(deployment, 32, 4);
+            for r in records.iter().chain(&fresh) {
+                assert_eq!(
+                    profiled.recommend(&r.history, r.file_layout.as_ref()),
+                    trained.recommend(&r.history, r.file_layout.as_ref()),
+                    "{name}, {deployment:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "one profile per training record")]
+fn train_profiled_needs_one_profile_per_record() {
+    let records = training_records(DeploymentType::SqlDb, 41, 2);
+    let strategy = NegotiabilityStrategy::production();
+    let profile = strategy.profile(&records[0].history, profiled_dimensions(DeploymentType::SqlDb));
+    DopplerEngine::train_profiled(
+        azure_paas_catalog(&CatalogSpec::default()),
+        EngineConfig::production(DeploymentType::SqlDb),
+        &records,
+        &[profile],
+    );
 }
