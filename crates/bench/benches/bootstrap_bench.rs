@@ -4,7 +4,8 @@
 //! window's sample range and selecting from its cost-ordered scores; the
 //! MI row also re-runs Step 1 (storage tiers) and builds a curve on every
 //! window of a bursty-IO history. `db_14d` is the DMA user's request: a
-//! trained production engine and a 14-day SQL DB cohort history.
+//! trained production engine and a 14-day SQL DB cohort history;
+//! `recommend/db_14d` is the same request with confidence off.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use doppler_bench::backtest::training_records;
@@ -71,6 +72,13 @@ fn bench_confidence(c: &mut Criterion) {
                 &ConfidenceConfig::default(),
             )
         })
+    });
+    group.finish();
+
+    // The same request with confidence off: the fleet pass's call.
+    let mut group = c.benchmark_group("recommend");
+    group.bench_function("db_14d", |b| {
+        b.iter(|| db_engine.recommend(std::hint::black_box(&db_history), None))
     });
     group.finish();
 }

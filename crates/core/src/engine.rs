@@ -300,7 +300,6 @@ impl DopplerEngine {
             if let Some(a) = &mi {
                 if sku.tier == doppler_catalog::ServiceTier::GeneralPurpose {
                     caps.iops = a.gp_iops_limit;
-                    caps.throughput_mbps = a.storage.total_throughput_mibps();
                 }
             }
             Some(ThrottleBreakdown::compute(history, &caps))

@@ -25,14 +25,20 @@
 //! so [`ExceedanceMasks`] does that work once for all of them. Sort one
 //! dimension's SKU capacities ascending (descending for the inverted
 //! latency dimension): the SKUs a sample throttles on that dimension are
-//! then a *prefix* of the order, found with one binary search. Each prefix
-//! has a precomputed bitset of `ceil(S / 64)` words for `S` SKUs, and the
-//! OR of a sample's prefix bitsets over its dimensions is the set of SKUs
-//! that sample throttles. Counting set bits gives each SKU's throttled
-//! samples, and [`PrefixCounts`] keeps those counts cumulatively, so a
-//! bootstrap window's counts cost O(S). The counts are the same integers
-//! the scalar walk produces, divided the same way by [`throttled_fraction`],
-//! so every score is bit-identical to [`throttling_probability`].
+//! then a *prefix* of the order, whose length (the sample's *level*) never
+//! falls as the demand rises (never rises, for latency). Each prefix has a
+//! precomputed bitset of `ceil(S / 64)` words for `S` SKUs, and the OR of
+//! a sample's prefix bitsets over its dimensions is the set of SKUs that
+//! sample throttles. Prefixes nest, so the series' extremes settle most of
+//! it: the level of the minimum and of the maximum bound every sample's
+//! level, the lower bound's bitset is shared by every sample, and only the
+//! samples above it search, among the levels up to the upper bound. A
+//! dimension whose extremes share a level costs no pass over its samples
+//! at all. Counting set bits gives each SKU's throttled samples, and
+//! [`PrefixCounts`] keeps those counts cumulatively, so a bootstrap
+//! window's counts cost O(S). The counts are the same integers the scalar
+//! walk produces, divided the same way by [`throttled_fraction`], so every
+//! score is bit-identical to [`throttling_probability`].
 
 use std::ops::Range;
 
@@ -111,47 +117,56 @@ pub struct ExceedanceMasks {
 
 impl ExceedanceMasks {
     /// Build the masks of `history` against `caps`, one entry per SKU.
+    ///
+    /// A sample's level (how many of a dimension's capacity levels it
+    /// exceeds) is monotone in its demand, so the series' extremes bound
+    /// every sample's level to `k_lo..=k_hi`. Prefixes nest, so every
+    /// sample throttles the SKUs of `prefix[k_lo]`: those go into one base
+    /// mask shared by all samples, ORed into every sample last. A dimension
+    /// with `k_lo == k_hi` needs no pass over its samples; otherwise only
+    /// the samples above `k_lo` search, and only the levels up to `k_hi`.
     pub fn new(history: &PerfHistory, caps: &[ResourceCaps]) -> ExceedanceMasks {
         let skus = caps.len();
         assert!(u32::try_from(history.len()).is_ok(), "too many samples for u32 counts");
         let words = skus.div_ceil(64).max(1);
         let mut bits = vec![0u64; history.len() * words];
-        let mut order: Vec<usize> = (0..skus).collect();
-        let mut levels: Vec<f64> = Vec::with_capacity(skus);
-        let mut prefix = vec![0u64; (skus + 1) * words];
+        if history.is_empty() {
+            return ExceedanceMasks { skus, words, bits };
+        }
+        let mut table = LevelTable::new(skus, words);
+        let mut base = vec![0u64; words];
         for (dim, series) in history.iter() {
-            // Order the SKUs so that the ones a demand exceeds come first:
-            // ascending capacity, or descending for inverted latency. A NaN
-            // capacity is never exceeded, so it sorts last either way.
-            let inverted = dim.inverted();
-            let cap = |s: usize| capacity(&caps[s], dim);
-            order.sort_by(|&a, &b| {
-                let (a, b) = if inverted { (cap(b), cap(a)) } else { (cap(a), cap(b)) };
-                a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(&b))
-            });
-            // One level per distinct capacity; prefix[k] is the bitset of
-            // every SKU at the first k levels.
-            levels.clear();
-            for &s in &order {
-                let c = cap(s);
-                if levels.last() != Some(&c) {
-                    levels.push(c);
-                    let k = levels.len() - 1;
-                    let (done, next) = prefix.split_at_mut((k + 1) * words);
-                    next[..words].copy_from_slice(&done[k * words..]);
-                }
-                let k = levels.len();
-                prefix[k * words + s / 64] |= 1 << (s % 64);
+            table.build(caps, dim);
+            if dim.inverted() {
+                table.apply(&mut bits, &mut base, series.values(), |v, c| v < c);
+            } else {
+                table.apply(&mut bits, &mut base, series.values(), |v, c| v > c);
             }
+        }
+        for mask in bits.chunks_exact_mut(words) {
+            or_into(mask, &base);
+        }
+        ExceedanceMasks { skus, words, bits }
+    }
+
+    /// [`new`](Self::new) as one full binary search per sample and
+    /// dimension: the oracle the range-clamped build must equal word for
+    /// word.
+    #[cfg(test)]
+    fn new_reference(history: &PerfHistory, caps: &[ResourceCaps]) -> ExceedanceMasks {
+        let skus = caps.len();
+        let words = skus.div_ceil(64).max(1);
+        let mut bits = vec![0u64; history.len() * words];
+        let mut table = LevelTable::new(skus, words);
+        for (dim, series) in history.iter() {
+            table.build(caps, dim);
             for (mask, &v) in bits.chunks_exact_mut(words).zip(series.values()) {
-                let k = if inverted {
-                    levels.partition_point(|&c| c > v)
+                let k = if dim.inverted() {
+                    table.level(v, |v, c| v < c)
                 } else {
-                    levels.partition_point(|&c| c < v)
+                    table.level(v, |v, c| v > c)
                 };
-                for (m, p) in mask.iter_mut().zip(&prefix[k * words..(k + 1) * words]) {
-                    *m |= p;
-                }
+                or_into(mask, table.prefix(k));
             }
         }
         ExceedanceMasks { skus, words, bits }
@@ -181,6 +196,125 @@ impl ExceedanceMasks {
             add_bits(&mut counts, mask);
         }
         counts
+    }
+}
+
+/// One dimension's capacity levels over a SKU list, reused across
+/// dimensions.
+struct LevelTable {
+    /// `u64` words per bitset.
+    words: usize,
+    /// SKU indices in the order a rising demand exceeds them.
+    order: Vec<usize>,
+    /// The distinct capacities in that order; NaN capacities come last.
+    levels: Vec<f64>,
+    /// `words` words per entry: entry `k` is the bitset of every SKU at the
+    /// first `k` levels, so entry `k` is a subset of entry `k + 1`.
+    prefix: Vec<u64>,
+}
+
+impl LevelTable {
+    fn new(skus: usize, words: usize) -> LevelTable {
+        LevelTable {
+            words,
+            order: (0..skus).collect(),
+            levels: Vec::with_capacity(skus),
+            prefix: vec![0u64; (skus + 1) * words],
+        }
+    }
+
+    /// Rebuild the table for `dim`. The SKUs a demand exceeds come first:
+    /// ascending capacity, or descending for inverted latency. A NaN
+    /// capacity is never exceeded, so it sorts last in both directions.
+    fn build(&mut self, caps: &[ResourceCaps], dim: PerfDimension) {
+        let words = self.words;
+        let inverted = dim.inverted();
+        let cap = |s: usize| capacity(&caps[s], dim);
+        self.order.sort_by(|&a, &b| {
+            let (a, b) = (cap(a), cap(b));
+            let by_cap = if inverted { b.total_cmp(&a) } else { a.total_cmp(&b) };
+            a.is_nan().cmp(&b.is_nan()).then(by_cap)
+        });
+        self.levels.clear();
+        for &s in &self.order {
+            let c = cap(s);
+            if self.levels.last() != Some(&c) {
+                self.levels.push(c);
+                let k = self.levels.len() - 1;
+                let (done, next) = self.prefix.split_at_mut((k + 1) * words);
+                next[..words].copy_from_slice(&done[k * words..]);
+            }
+            let k = self.levels.len();
+            self.prefix[k * words + s / 64] |= 1 << (s % 64);
+        }
+    }
+
+    /// The number of levels a demand `v` exceeds, where `exceeds(v, c)` is
+    /// the dimension's test: the index of its throttled-SKU prefix.
+    #[inline]
+    fn level(&self, v: f64, exceeds: impl Fn(f64, f64) -> bool) -> usize {
+        self.levels.partition_point(|&c| exceeds(v, c))
+    }
+
+    /// The bitset of every SKU at the first `k` levels.
+    fn prefix(&self, k: usize) -> &[u64] {
+        &self.prefix[k * self.words..(k + 1) * self.words]
+    }
+
+    /// OR one dimension's throttled SKUs into the masks: the SKUs every
+    /// sample throttles into `base`, the rest into `bits` sample by sample.
+    fn apply(
+        &self,
+        bits: &mut [u64],
+        base: &mut [u64],
+        values: &[f64],
+        exceeds: impl Fn(f64, f64) -> bool + Copy,
+    ) {
+        // Samples are finite (`TimeSeries` rejects anything else), so the
+        // extremes bound every sample's level.
+        let (lo, hi) = extremes(values);
+        let (a, b) = (self.level(lo, exceeds), self.level(hi, exceeds));
+        let (k_lo, k_hi) = (a.min(b), a.max(b));
+        or_into(base, self.prefix(k_lo));
+        if k_lo == k_hi {
+            return;
+        }
+        // Some sample exceeds level `k_lo`, so it exists and is not NaN.
+        let floor = self.levels[k_lo];
+        let above = &self.levels[k_lo + 1..k_hi];
+        for (mask, &v) in bits.chunks_exact_mut(self.words).zip(values) {
+            if exceeds(v, floor) {
+                let k = k_lo + 1 + above.partition_point(|&c| exceeds(v, c));
+                or_into(mask, self.prefix(k));
+            }
+        }
+    }
+}
+
+/// The smallest and largest of `values`, in four independent lanes.
+fn extremes(values: &[f64]) -> (f64, f64) {
+    let mut lo = [f64::INFINITY; 4];
+    let mut hi = [f64::NEG_INFINITY; 4];
+    let chunks = values.chunks_exact(4);
+    let rest = chunks.remainder();
+    for chunk in chunks {
+        for j in 0..4 {
+            lo[j] = if chunk[j] < lo[j] { chunk[j] } else { lo[j] };
+            hi[j] = if chunk[j] > hi[j] { chunk[j] } else { hi[j] };
+        }
+    }
+    for (j, &v) in rest.iter().enumerate() {
+        lo[j] = if v < lo[j] { v } else { lo[j] };
+        hi[j] = if v > hi[j] { v } else { hi[j] };
+    }
+    (lo.into_iter().fold(f64::INFINITY, f64::min), hi.into_iter().fold(f64::NEG_INFINITY, f64::max))
+}
+
+/// `mask |= other`, word by word.
+#[inline]
+fn or_into(mask: &mut [u64], other: &[u64]) {
+    for (m, o) in mask.iter_mut().zip(other) {
+        *m |= o;
     }
 }
 
@@ -228,6 +362,18 @@ impl PrefixCounts {
     }
 }
 
+/// Set `hits[t]` wherever `values[t]` exceeds; returns how many do.
+#[inline]
+fn mark_exceedances(hits: &mut [u8], values: &[f64], exceeds: impl Fn(f64) -> bool) -> usize {
+    let mut count = 0;
+    for (hit, &v) in hits.iter_mut().zip(values) {
+        let e = u8::from(exceeds(v));
+        *hit |= e;
+        count += usize::from(e);
+    }
+    count
+}
+
 /// Per-dimension exceedance fractions plus the joint probability; feeds the
 /// explanation module ("why did this SKU score 0.82?").
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -240,16 +386,28 @@ pub struct ThrottleBreakdown {
 }
 
 impl ThrottleBreakdown {
-    /// Compute the breakdown for one SKU.
+    /// Compute the breakdown for one SKU in one pass per dimension: each
+    /// dimension counts its exceedances and marks them in a per-sample hit
+    /// buffer, whose count is the joint union of
+    /// [`throttling_probability`].
     pub fn compute(history: &PerfHistory, caps: &ResourceCaps) -> ThrottleBreakdown {
         let n = history.len();
-        let mut per_dimension = Vec::new();
-        for (dim, series) in history.iter() {
-            let cap = capacity(caps, dim);
-            let count = series.values().iter().filter(|&&v| exceeds(dim, v, cap)).count();
-            per_dimension.push((dim, throttled_fraction(count, n)));
-        }
-        ThrottleBreakdown { per_dimension, joint: throttling_probability(history, caps) }
+        let mut hits = vec![0u8; n];
+        let per_dimension = history
+            .iter()
+            .map(|(dim, series)| {
+                let cap = capacity(caps, dim);
+                let values = series.values();
+                let count = if dim.inverted() {
+                    mark_exceedances(&mut hits, values, |v| v < cap)
+                } else {
+                    mark_exceedances(&mut hits, values, |v| v > cap)
+                };
+                (dim, throttled_fraction(count, n))
+            })
+            .collect();
+        let joint = hits.iter().map(|&h| usize::from(h)).sum();
+        ThrottleBreakdown { per_dimension, joint: throttled_fraction(joint, n) }
     }
 
     /// The dimension with the highest individual exceedance, if any
@@ -360,6 +518,110 @@ mod tests {
         let b = ThrottleBreakdown::compute(&h, &caps(2.0, 10.0, 600.0, 5.0));
         assert_eq!(b.joint, 0.0);
         assert!(b.bottleneck().is_none());
+    }
+
+    /// SplitMix64 for the mask cases.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// A coarse grid, so demands land on capacities and capacities tie.
+        fn grid(&mut self) -> f64 {
+            self.below(20) as f64 * 0.5
+        }
+    }
+
+    /// A history of `n` samples against `skus` capacity sets. Each
+    /// dimension is absent, constant on a capacity, constant off the grid,
+    /// spread over the grid, or spread with its min or max on a capacity.
+    /// One capacity in 16 is NaN.
+    fn mask_case(rng: &mut Rng, n: usize, skus: usize) -> (PerfHistory, Vec<ResourceCaps>) {
+        let level = |rng: &mut Rng| if rng.below(16) == 0 { f64::NAN } else { rng.grid() };
+        let caps: Vec<ResourceCaps> = (0..skus)
+            .map(|_| ResourceCaps {
+                vcores: level(rng),
+                memory_gb: level(rng),
+                max_data_gb: level(rng),
+                iops: level(rng),
+                log_rate_mbps: level(rng),
+                min_io_latency_ms: level(rng),
+                throughput_mbps: level(rng),
+            })
+            .collect();
+        let mut history = PerfHistory::new();
+        for dim in PerfDimension::ALL {
+            let on_cap = |rng: &mut Rng| {
+                let c = if skus == 0 { f64::NAN } else { capacity(&caps[rng.below(skus)], dim) };
+                if c.is_nan() {
+                    rng.grid()
+                } else {
+                    c
+                }
+            };
+            let values: Vec<f64> = match rng.below(5) {
+                0 => continue,
+                1 => vec![on_cap(rng); n],
+                2 => vec![0.25 + rng.grid(); n],
+                3 => (0..n).map(|_| rng.grid()).collect(),
+                _ => {
+                    let c = on_cap(rng);
+                    let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+                    let mut values: Vec<f64> =
+                        (0..n).map(|_| c + sign * rng.below(6) as f64 * 0.5).collect();
+                    if n > 0 {
+                        let t = rng.below(n);
+                        values[t] = c;
+                    }
+                    values
+                }
+            };
+            history.insert(dim, TimeSeries::ten_minute(values));
+        }
+        (history, caps)
+    }
+
+    #[test]
+    fn range_clamped_masks_equal_the_full_search() {
+        let mut rng = Rng(7);
+        for n in [0, 1, 2, 2016] {
+            for skus in [0, 1, 28, 63, 64, 65, 150] {
+                for _ in 0..8 {
+                    let (h, caps) = mask_case(&mut rng, n, skus);
+                    let got = ExceedanceMasks::new(&h, &caps);
+                    let want = ExceedanceMasks::new_reference(&h, &caps);
+                    assert_eq!(got.words, want.words);
+                    assert!(
+                        got.bits == want.bits,
+                        "{n} samples, {skus} SKUs: {:?}",
+                        h.dimensions()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nan_latency_capacity_is_never_exceeded() {
+        // A NaN capacity sorts last for the inverted dimension too, so the
+        // level search over `[3.0, NaN]` stays partitioned.
+        let h =
+            PerfHistory::new().with(PerfDimension::IoLatency, TimeSeries::ten_minute(vec![1.0; 2]));
+        let caps = [caps(2.0, 10.0, 600.0, 3.0), caps(2.0, 10.0, 600.0, f64::NAN)];
+        assert_eq!(ExceedanceMasks::new(&h, &caps).counts(0..2), vec![2, 0]);
+        assert_eq!(ExceedanceMasks::new_reference(&h, &caps).counts(0..2), vec![2, 0]);
+        assert_eq!(throttling_probability(&h, &caps[0]), 1.0);
+        assert_eq!(throttling_probability(&h, &caps[1]), 0.0);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use doppler_core::{
     confidence_score, detect_drift, mi_curve, throttling_probability, BaselineStrategy,
     ConfidenceConfig, DopplerEngine, DriftReport, EngineConfig, GroupModel, GroupingStrategy,
     NegotiabilityStrategy, PricePerformanceCurve, Recommendation, RecommendationBackend,
-    TrainingRecord,
+    ThrottleBreakdown, TrainingRecord,
 };
 use doppler_stats::BootstrapWindows;
 use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
@@ -134,7 +134,7 @@ proptest! {
         // deliberately), so latency exceedances are expected.
         let cat = azure_paas_catalog(&CatalogSpec::default());
         if let Some(sku) = BaselineStrategy::max().recommend(&h, &cat, DeploymentType::SqlDb) {
-            let breakdown = doppler_core::ThrottleBreakdown::compute(&h, &sku.caps);
+            let breakdown = ThrottleBreakdown::compute(&h, &sku.caps);
             for (dim, frac) in breakdown.per_dimension {
                 if !dim.inverted() {
                     prop_assert!(frac.abs() < 1e-12, "{dim} exceeded {frac} under max baseline");
@@ -334,35 +334,98 @@ fn engine(deployment: DeploymentType) -> &'static DopplerEngine {
     &engines[usize::from(deployment == DeploymentType::SqlMi)]
 }
 
+/// A history over a random subset of the six dimensions, a third of them
+/// constant, against 0 to 150 capacity sets in which a quarter of the
+/// capacities of every dimension, latency included, are NaN.
+fn nan_kernel_case(seed: u64) -> (PerfHistory, Vec<ResourceCaps>) {
+    let mut rng = Rng(seed);
+    let n = rng.below(160);
+    let dims = rng.next();
+    let mut history = PerfHistory::new();
+    for (i, &dim) in PerfDimension::ALL.iter().enumerate() {
+        if dims >> i & 1 == 1 {
+            let values = if rng.below(3) == 0 {
+                vec![rng.level(); n]
+            } else {
+                (0..n).map(|_| rng.level()).collect()
+            };
+            history.insert(dim, TimeSeries::ten_minute(values));
+        }
+    }
+    let skus = [0, 1, 3, 28, 63, 64, 65, 150][rng.below(8)];
+    let cap = |rng: &mut Rng| if rng.below(4) == 0 { f64::NAN } else { rng.level() };
+    let caps = (0..skus)
+        .map(|_| ResourceCaps {
+            vcores: cap(&mut rng),
+            memory_gb: cap(&mut rng),
+            max_data_gb: cap(&mut rng),
+            iops: cap(&mut rng),
+            log_rate_mbps: cap(&mut rng),
+            min_io_latency_ms: cap(&mut rng),
+            throughput_mbps: cap(&mut rng),
+        })
+        .collect();
+    (history, caps)
+}
+
+/// The masks' and prefix counts' scores over the whole history, one
+/// sample and arbitrary (possibly empty) spans equal the scalar walk's.
+fn assert_kernel_matches(history: &PerfHistory, caps: &[ResourceCaps], seed: u64) {
+    let n = history.len();
+    let masks = ExceedanceMasks::new(history, caps);
+    assert_eq!(masks.len(), n);
+    assert_counts_match(history, caps, &masks.counts(0..n), "whole history");
+
+    let prefix = PrefixCounts::new(&masks);
+    let mut rng = Rng(seed ^ 0xA5A5);
+    let mut windows: Vec<Range<usize>> = Vec::new();
+    windows.push(0..n);
+    if n > 0 {
+        let t = rng.below(n);
+        windows.push(t..t + 1);
+        for _ in 0..6 {
+            let (a, b) = (rng.below(n + 1), rng.below(n + 1));
+            windows.push(a.min(b)..a.max(b));
+        }
+    }
+    for range in windows {
+        let window = history.window(range.start, range.end);
+        let what = format!("window {range:?} of {n}");
+        assert_counts_match(&window, caps, &prefix.counts(range.clone()), &what);
+        assert_counts_match(&window, caps, &masks.counts(range), &what);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn exceedance_kernel_matches_the_scalar_probability(seed in 0u64..u64::MAX) {
         let (history, caps) = kernel_case(seed);
-        let n = history.len();
-        let masks = ExceedanceMasks::new(&history, &caps);
-        prop_assert_eq!(masks.len(), n);
-        assert_counts_match(&history, &caps, &masks.counts(0..n), "whole history");
+        assert_kernel_matches(&history, &caps, seed);
+    }
 
-        let prefix = PrefixCounts::new(&masks);
-        let mut rng = Rng(seed ^ 0xA5A5);
-        // The whole history, one sample, and arbitrary (possibly empty) spans.
-        let mut windows: Vec<Range<usize>> = Vec::new();
-        windows.push(0..n);
-        if n > 0 {
-            let t = rng.below(n);
-            windows.push(t..t + 1);
-            for _ in 0..6 {
-                let (a, b) = (rng.below(n + 1), rng.below(n + 1));
-                windows.push(a.min(b)..a.max(b));
+    #[test]
+    fn exceedance_kernel_never_exceeds_a_nan_capacity(seed in 0u64..u64::MAX) {
+        let (history, caps) = nan_kernel_case(seed);
+        assert_kernel_matches(&history, &caps, seed);
+    }
+
+    #[test]
+    fn breakdown_matches_the_scalar_probability(seed in 0u64..u64::MAX) {
+        for (history, caps) in [kernel_case(seed), nan_kernel_case(seed)] {
+            for (s, caps) in caps.iter().enumerate() {
+                let b = ThrottleBreakdown::compute(&history, caps);
+                let joint = throttling_probability(&history, caps);
+                prop_assert_eq!(b.joint.to_bits(), joint.to_bits(), "SKU {}", s);
+                prop_assert_eq!(b.per_dimension.len(), history.dimensions().len());
+                for (&(dim, fraction), (d, series)) in b.per_dimension.iter().zip(history.iter()) {
+                    prop_assert_eq!(dim, d);
+                    let alone = PerfHistory::new().with(dim, series.clone());
+                    let scalar = throttling_probability(&alone, caps);
+                    prop_assert_eq!(fraction.to_bits(), scalar.to_bits(), "SKU {} {}", s, dim);
+                }
             }
-        }
-        for range in windows {
-            let window = history.window(range.start, range.end);
-            let what = format!("window {range:?} of {n}");
-            assert_counts_match(&window, &caps, &prefix.counts(range.clone()), &what);
-            assert_counts_match(&window, &caps, &masks.counts(range), &what);
         }
     }
 }

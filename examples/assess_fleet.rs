@@ -72,12 +72,12 @@ fn main() {
         n as f64 / elapsed.as_secs_f64()
     );
     let stats = registry.stats();
+    // Warm resolutions split between `hits` and `coalesced` by timing, so
+    // only their sum is deterministic.
     println!(
-        "registry: {} trainings for {} resolutions ({} hits, {} coalesced) across {} keys",
+        "registry: {} trainings, {} warm resolutions across {} keys",
         stats.misses,
-        stats.hits + stats.coalesced + stats.misses,
-        stats.hits,
-        stats.coalesced,
+        stats.hits + stats.coalesced,
         stats.entries,
     );
 }
