@@ -1,22 +1,15 @@
-//! Backtest and featurization costs: what the richer shape-feature
-//! fingerprints cost at training time, and what a replayed back-test
-//! costs per held-out case.
+//! Learned-backend training and back-test costs: what training the
+//! learned backend costs, and what a replayed back-test costs per
+//! held-out case.
 //!
-//! The headline numbers: `learned_train_*` shows the FULL feature set
-//! (quantiles + burst + diurnal on top of mean/peak) is a small multiple
-//! of the MEAN_PEAK baseline — the quantile sort dominates — and
 //! `backtest_run` shows the harness costs two fleet passes plus one
 //! queueing-machine replay per (case, side), linear in the cohort.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 
 use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType};
-use doppler_core::{
-    CompressorSpec, DopplerEngine, EngineConfig, FeatureSpec, LearnedBackend, LearnedConfig,
-    TrainingRecord,
-};
+use doppler_core::{DopplerEngine, EngineConfig, LearnedBackend, LearnedConfig, TrainingRecord};
 use doppler_fleet::{Backtest, BacktestCase, FleetAssessor, FleetConfig};
-use doppler_stats::Linkage;
 use doppler_workload::PopulationSpec;
 
 const CORPUS: usize = 128;
@@ -37,62 +30,23 @@ fn training(n: usize) -> Vec<TrainingRecord> {
         .collect()
 }
 
-/// Training cost per feature set: the fingerprint families are the only
-/// variable — same corpus, same normalization, same compressor.
-fn bench_featurization(c: &mut Criterion) {
+/// Training cost of the default learned backend (mean + peak fingerprints,
+/// no compression) over one corpus.
+fn bench_learned_train(c: &mut Criterion) {
     let records = training(CORPUS);
     let catalog = azure_paas_catalog(&CatalogSpec::default());
-    let sets: [(&str, FeatureSpec); 4] = [
-        ("mean_peak", FeatureSpec::MEAN_PEAK),
-        ("quantiles", FeatureSpec { quantiles: true, ..FeatureSpec::MEAN_PEAK }),
-        ("burst", FeatureSpec { burst: true, ..FeatureSpec::MEAN_PEAK }),
-        ("full", FeatureSpec::FULL),
-    ];
     let mut group = c.benchmark_group(format!("learned_train_{CORPUS}_records"));
     group.sample_size(10);
-    for (label, features) in sets {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &features, |b, &features| {
-            b.iter(|| {
-                std::hint::black_box(LearnedBackend::train(
-                    catalog.clone(),
-                    config(),
-                    LearnedConfig { features, ..LearnedConfig::default() },
-                    &records,
-                ))
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Corpus compression: k-means vs the hierarchical linkages, on a corpus
-/// big enough to trigger compression.
-fn bench_compressors(c: &mut Criterion) {
-    let records = training(CORPUS);
-    let catalog = azure_paas_catalog(&CatalogSpec::default());
-    let compressors: [(&str, CompressorSpec); 3] = [
-        ("kmeans", CompressorSpec::KMeans),
-        ("hier_average", CompressorSpec::Hierarchical(Linkage::Average)),
-        ("hier_complete", CompressorSpec::Hierarchical(Linkage::Complete)),
-    ];
-    let mut group = c.benchmark_group(format!("learned_compress_{CORPUS}_to_32"));
-    group.sample_size(10);
-    for (label, compressor) in compressors {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(label),
-            &compressor,
-            |b, &compressor| {
-                b.iter(|| {
-                    std::hint::black_box(LearnedBackend::train(
-                        catalog.clone(),
-                        config(),
-                        LearnedConfig { compressor, max_profiles: 32, ..LearnedConfig::default() },
-                        &records,
-                    ))
-                })
-            },
-        );
-    }
+    group.bench_function("mean_peak", |b| {
+        b.iter(|| {
+            std::hint::black_box(LearnedBackend::train(
+                catalog.clone(),
+                config(),
+                LearnedConfig::default(),
+                &records,
+            ))
+        })
+    });
     group.finish();
 }
 
@@ -120,5 +74,5 @@ fn bench_backtest_run(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_featurization, bench_compressors, bench_backtest_run);
+criterion_group!(benches, bench_learned_train, bench_backtest_run);
 criterion_main!(benches);

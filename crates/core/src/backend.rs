@@ -181,10 +181,9 @@ impl BackendSpec {
     }
 
     /// Deterministic fingerprint over the backend kind *and* its
-    /// hyper-parameters — part of the registry memo key. For learned
-    /// backends this includes the [`FeatureSpec`](crate::FeatureSpec) and
-    /// [`CompressorSpec`](crate::CompressorSpec): two feature sets over
-    /// one catalog/training key are two distinct memo slots.
+    /// hyper-parameters — part of the registry memo key: two learned
+    /// configurations over one catalog/training key are two distinct memo
+    /// slots.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new();
         fp.write_str(self.id());
@@ -192,8 +191,6 @@ impl BackendSpec {
             fp.write_f64(cfg.similarity_floor);
             fp.write_usize(cfg.max_profiles);
             fp.write_u64(cfg.seed);
-            fp.write_u64(cfg.features.bits());
-            fp.write_str(cfg.compressor.tag());
         }
         fp.finish()
     }

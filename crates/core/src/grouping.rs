@@ -91,14 +91,7 @@ impl FittedGrouping {
         match self {
             FittedGrouping::Enumeration { .. } => bits_to_group(bits),
             FittedGrouping::Centroids { centroids } => {
-                let mut best = (0usize, f64::INFINITY);
-                for (i, c) in centroids.iter().enumerate() {
-                    let d = doppler_stats::euclidean_sq(c, weights);
-                    if d < best.1 {
-                        best = (i, d);
-                    }
-                }
-                best.0
+                doppler_stats::nearest_centroid(centroids, weights)
             }
         }
     }

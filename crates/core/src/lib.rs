@@ -61,7 +61,7 @@ pub use driftdetect::{detect_drift, DriftReport, DriftSeverity};
 pub use engine::{DopplerEngine, EngineConfig, Recommendation, TrainingRecord};
 pub use grouping::{FittedGrouping, GroupingStrategy};
 pub use heuristics::CurveHeuristic;
-pub use learned::{CompressorSpec, FeatureSpec, LearnedBackend, LearnedConfig, LearnedTrainError};
+pub use learned::{LearnedBackend, LearnedConfig, LearnedTrainError};
 pub use matching::GroupModel;
 pub use mi::{mi_curve, MiAssessment};
 pub use profile::NegotiabilityStrategy;

@@ -311,6 +311,16 @@ mod tests {
     }
 
     #[test]
+    fn combined_strategy_calls_a_flat_series_non_negotiable() {
+        // MinMax AUC reads a flat series as 1; the thresholding dwell is 1,
+        // so its weight is 0 and the dwell rule calls it non-negotiable.
+        let s = NegotiabilityStrategy::MinMaxAucWithThresholding { rho: 0.08, cut: 0.75 };
+        for level in [0.0, 7.71853, 2477.084] {
+            assert_eq!(s.dimension_profile(&[level; 2016]), (vec![1.0, 0.0], false), "{level}");
+        }
+    }
+
+    #[test]
     fn history_level_bits_follow_dimension_order() {
         let h = PerfHistory::new()
             .with(PerfDimension::Cpu, TimeSeries::ten_minute(spiky()))

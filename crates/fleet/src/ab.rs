@@ -250,145 +250,6 @@ impl AbFleet {
     }
 }
 
-/// The bar a challenger must clear, month after month, to be promoted to
-/// champion in a staged rollout — and the hysteresis that protects a
-/// promoted challenger from flapping back on one bad month.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PromotionPolicy {
-    /// Minimum SKU-agreement rate ([`AbSummary::agreement_rate`]) a month
-    /// must show to count toward promotion.
-    pub min_agreement: f64,
-    /// Minimum projected monthly savings
-    /// ([`AbAdoption::projected_monthly_savings`]) a month must show.
-    pub min_monthly_savings: f64,
-    /// Consecutive qualifying months required before promotion.
-    pub months_required: usize,
-    /// Consecutive *failing* months required before a promoted challenger
-    /// is demoted (hysteresis: one regression month never demotes when
-    /// this is > 1).
-    pub demotion_months: usize,
-}
-
-impl Default for PromotionPolicy {
-    /// 90% agreement, any non-negative savings, three qualifying months to
-    /// promote, three failing months to demote.
-    fn default() -> PromotionPolicy {
-        PromotionPolicy {
-            min_agreement: 0.9,
-            min_monthly_savings: 0.0,
-            months_required: 3,
-            demotion_months: 3,
-        }
-    }
-}
-
-/// Where the challenger currently stands in a staged rollout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum RolloutStage {
-    /// Still shadowing the champion.
-    Challenger,
-    /// Promoted: the challenger's picks are the fleet's picks.
-    Promoted,
-}
-
-/// What one observed month did to the rollout state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum RolloutEvent {
-    /// No stage change this month.
-    #[default]
-    None,
-    /// The qualifying streak reached the policy bar — challenger promoted.
-    Promoted,
-    /// The failing streak exhausted the hysteresis — challenger demoted.
-    Demoted,
-}
-
-/// The promotion state machine of a staged rollout: feed it one
-/// [`AbSummary`] per scheduled month and it promotes the challenger after
-/// [`PromotionPolicy::months_required`] consecutive qualifying months,
-/// demoting only after [`PromotionPolicy::demotion_months`] consecutive
-/// failing months.
-///
-/// Driven by [`FleetScheduler::with_challenger`](crate::FleetScheduler::with_challenger);
-/// usable standalone for hand-cranked A/B campaigns.
-#[derive(Debug, Clone)]
-pub struct RolloutTracker {
-    policy: PromotionPolicy,
-    stage: RolloutStage,
-    qualifying_streak: usize,
-    failing_streak: usize,
-    promoted_month: Option<String>,
-}
-
-impl RolloutTracker {
-    /// A tracker starting in [`RolloutStage::Challenger`] with empty
-    /// streaks.
-    pub fn new(policy: PromotionPolicy) -> RolloutTracker {
-        RolloutTracker {
-            policy,
-            stage: RolloutStage::Challenger,
-            qualifying_streak: 0,
-            failing_streak: 0,
-            promoted_month: None,
-        }
-    }
-
-    /// The policy the tracker judges against.
-    pub fn policy(&self) -> &PromotionPolicy {
-        &self.policy
-    }
-
-    /// The current stage.
-    pub fn stage(&self) -> RolloutStage {
-        self.stage
-    }
-
-    /// The month label of the (latest) promotion, if any.
-    pub fn promoted_month(&self) -> Option<&str> {
-        self.promoted_month.as_deref()
-    }
-
-    fn qualifies(&self, summary: &AbSummary) -> bool {
-        summary.agreement_rate().is_some_and(|rate| rate >= self.policy.min_agreement)
-            && summary.adoption.projected_monthly_savings >= self.policy.min_monthly_savings
-    }
-
-    /// Feed one scheduled month's A/B summary through the state machine.
-    pub fn observe(&mut self, month: &str, summary: &AbSummary) -> RolloutEvent {
-        let qualified = self.qualifies(summary);
-        match self.stage {
-            RolloutStage::Challenger => {
-                if qualified {
-                    self.qualifying_streak += 1;
-                    if self.qualifying_streak >= self.policy.months_required.max(1) {
-                        self.stage = RolloutStage::Promoted;
-                        self.promoted_month = Some(month.to_string());
-                        self.failing_streak = 0;
-                        return RolloutEvent::Promoted;
-                    }
-                } else {
-                    self.qualifying_streak = 0;
-                }
-                RolloutEvent::None
-            }
-            RolloutStage::Promoted => {
-                if qualified {
-                    self.failing_streak = 0;
-                } else {
-                    self.failing_streak += 1;
-                    if self.failing_streak >= self.policy.demotion_months.max(1) {
-                        self.stage = RolloutStage::Challenger;
-                        self.qualifying_streak = 0;
-                        self.failing_streak = 0;
-                        return RolloutEvent::Demoted;
-                    }
-                }
-                RolloutEvent::None
-            }
-        }
-    }
-}
-
 fn side_summary(backend: String, run: &FleetAssessment) -> AbSideSummary {
     let report = &run.report;
     let mean_confidence = report.confidence.as_ref().map(|c| c.mean);
@@ -608,100 +469,5 @@ mod tests {
         assert!(text.contains("learned"));
         assert!(text.contains("SKU agreement"));
         assert!(text.contains("adopt challenger"));
-    }
-
-    /// A synthetic month: `agreement` over 10 recommending pairs plus the
-    /// given projected savings.
-    fn month_summary(agreement: f64, savings: f64) -> AbSummary {
-        let side = |backend: &str| AbSideSummary {
-            backend: backend.into(),
-            recommended: 10,
-            unrecommended: 0,
-            total_monthly_cost: 1000.0,
-            mean_monthly_cost: Some(100.0),
-            mean_confidence: None,
-        };
-        AbSummary {
-            champion: side("heuristic"),
-            challenger: side("learned"),
-            paired: 10,
-            both_recommended: 10,
-            sku_agreements: (agreement * 10.0).round() as usize,
-            adoption: AbAdoption {
-                challenger_cheaper: usize::from(savings > 0.0),
-                projected_monthly_savings: savings,
-            },
-        }
-    }
-
-    fn policy() -> PromotionPolicy {
-        PromotionPolicy { min_monthly_savings: 25.0, ..PromotionPolicy::default() }
-    }
-
-    #[test]
-    fn agreement_alone_never_promotes() {
-        let mut tracker = RolloutTracker::new(policy());
-        for month in 0..6 {
-            // Perfect agreement, zero savings: below the savings bar.
-            let event = tracker.observe(&format!("m{month}"), &month_summary(1.0, 0.0));
-            assert_eq!(event, RolloutEvent::None);
-        }
-        assert_eq!(tracker.stage(), RolloutStage::Challenger);
-        assert_eq!(tracker.promoted_month(), None);
-    }
-
-    #[test]
-    fn savings_alone_never_promotes() {
-        let mut tracker = RolloutTracker::new(policy());
-        for month in 0..6 {
-            // Big savings, but agreement below the 90% bar.
-            let event = tracker.observe(&format!("m{month}"), &month_summary(0.5, 500.0));
-            assert_eq!(event, RolloutEvent::None);
-        }
-        assert_eq!(tracker.stage(), RolloutStage::Challenger);
-    }
-
-    #[test]
-    fn promotion_fires_after_the_required_streak() {
-        let mut tracker = RolloutTracker::new(policy());
-        assert_eq!(tracker.observe("Jan-22", &month_summary(0.9, 30.0)), RolloutEvent::None);
-        assert_eq!(tracker.observe("Feb-22", &month_summary(1.0, 40.0)), RolloutEvent::None);
-        assert_eq!(tracker.observe("Mar-22", &month_summary(0.95, 25.0)), RolloutEvent::Promoted);
-        assert_eq!(tracker.stage(), RolloutStage::Promoted);
-        assert_eq!(tracker.promoted_month(), Some("Mar-22"));
-        // Further qualifying months are steady-state, not re-promotions.
-        assert_eq!(tracker.observe("Apr-22", &month_summary(1.0, 40.0)), RolloutEvent::None);
-    }
-
-    #[test]
-    fn a_bad_month_resets_the_qualifying_streak() {
-        let mut tracker = RolloutTracker::new(policy());
-        tracker.observe("m0", &month_summary(1.0, 40.0));
-        tracker.observe("m1", &month_summary(1.0, 40.0));
-        tracker.observe("m2", &month_summary(0.5, 40.0)); // regression
-        assert_eq!(tracker.observe("m3", &month_summary(1.0, 40.0)), RolloutEvent::None);
-        assert_eq!(tracker.observe("m4", &month_summary(1.0, 40.0)), RolloutEvent::None);
-        assert_eq!(tracker.observe("m5", &month_summary(1.0, 40.0)), RolloutEvent::Promoted);
-    }
-
-    #[test]
-    fn demotion_has_hysteresis() {
-        let mut tracker = RolloutTracker::new(policy());
-        for month in 0..3 {
-            tracker.observe(&format!("m{month}"), &month_summary(1.0, 40.0));
-        }
-        assert_eq!(tracker.stage(), RolloutStage::Promoted);
-        // Two failing months out of three: hysteresis holds the promotion.
-        assert_eq!(tracker.observe("m3", &month_summary(0.4, 0.0)), RolloutEvent::None);
-        assert_eq!(tracker.observe("m4", &month_summary(0.4, 0.0)), RolloutEvent::None);
-        assert_eq!(tracker.observe("m5", &month_summary(1.0, 40.0)), RolloutEvent::None);
-        assert_eq!(tracker.stage(), RolloutStage::Promoted);
-        // Three *consecutive* failing months demote.
-        assert_eq!(tracker.observe("m6", &month_summary(0.4, 0.0)), RolloutEvent::None);
-        assert_eq!(tracker.observe("m7", &month_summary(0.4, 0.0)), RolloutEvent::None);
-        assert_eq!(tracker.observe("m8", &month_summary(0.4, 0.0)), RolloutEvent::Demoted);
-        assert_eq!(tracker.stage(), RolloutStage::Challenger);
-        // The promotion month is retained for the audit trail.
-        assert_eq!(tracker.promoted_month(), Some("m2"));
     }
 }

@@ -679,12 +679,6 @@ impl DriftMonitor {
         self.watched.iter().map(|w| w.customer.name.as_str())
     }
 
-    /// The watched customers themselves, in pass (registration) order —
-    /// how the scheduler's A/B step rebuilds its monthly cohort.
-    pub fn watched_customers(&self) -> impl Iterator<Item = &MonitoredCustomer> {
-        self.watched.iter().map(|w| &w.customer)
-    }
-
     /// Stop watching `name`, dropping its entry (and any staged window).
     /// The remaining customers keep their relative pass order. Returns
     /// `false` for unknown names. O(watched) — the name→slot map

@@ -112,7 +112,7 @@ pub mod source;
 
 pub use ab::{
     ab_summary_from_json, ab_summary_to_json, AbAdoption, AbAssessment, AbFleet, AbSideSummary,
-    AbSummary, PromotionPolicy, RolloutEvent, RolloutStage, RolloutTracker,
+    AbSummary,
 };
 pub use assessor::{
     AssessmentError, EngineRoute, FleetAssessment, FleetAssessor, FleetConfig, FleetRequest,

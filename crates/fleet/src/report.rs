@@ -695,18 +695,6 @@ impl FleetReport {
                     row.watched,
                 ));
             }
-            if schedule.ab_months > 0 {
-                out.push_str(&format!(
-                    "staged rollout: {} A/B month(s), {} promotion(s), {} demotion(s){}\n",
-                    schedule.ab_months,
-                    schedule.promotions,
-                    schedule.demotions,
-                    match &schedule.promoted_month {
-                        Some(month) => format!("   challenger promoted in {month}"),
-                        None => String::new(),
-                    }
-                ));
-            }
         }
 
         if self.deployments.len() > 1 {

@@ -78,10 +78,6 @@ use doppler_catalog::{CatalogVersion, PriceFeed, RefreshableCatalogProvider, Reg
 use doppler_dma::json::Json;
 use doppler_telemetry::PerfHistory;
 
-use doppler_dma::AssessmentRequest;
-
-use crate::ab::{AbFleet, AbSummary, PromotionPolicy, RolloutEvent, RolloutStage, RolloutTracker};
-use crate::assessor::FleetRequest;
 use crate::drift::{CatalogRollOutcome, DriftMonitor, DriftPass, MonitoredCustomer};
 use crate::report::FleetReport;
 
@@ -143,11 +139,6 @@ pub struct SimMonth {
     pub retired_customers: Vec<String>,
     /// Engines tombstoned by the version window.
     pub retired_engines: usize,
-    /// The month's champion/challenger comparison, when a challenger is
-    /// attached and the watch list was non-empty.
-    pub ab: Option<AbSummary>,
-    /// What the month did to the rollout state machine.
-    pub rollout: RolloutEvent,
 }
 
 /// One simulated month's row in the [`ScheduleSummary`] — the schedule
@@ -175,20 +166,11 @@ pub struct ScheduleMonthRow {
     pub retired_engines: usize,
     /// Customers still watched at month end.
     pub watched: usize,
-    /// Cohort size of the month's A/B pass (0 = no pass ran).
-    pub ab_cohort: usize,
-    /// SKU-agreement rate of the month's A/B pass.
-    pub ab_agreement: Option<f64>,
-    /// Projected monthly savings of adopting the challenger.
-    pub ab_savings: Option<f64>,
-    /// What the month did to the rollout state machine.
-    pub rollout: RolloutEvent,
 }
 
 /// The simulation's schedule trace: one row per simulated month plus
 /// whole-run totals, attached to the final report by
-/// [`FleetScheduler::shutdown`] (mirroring how A/B runs attach their
-/// [`AbSummary`]).
+/// [`FleetScheduler::shutdown`].
 #[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
 pub struct ScheduleSummary {
     /// The first simulated month's label.
@@ -206,15 +188,6 @@ pub struct ScheduleSummary {
     pub reassessments: usize,
     pub customers_retired: usize,
     pub engines_retired: usize,
-    /// Months where an A/B pass ran (challenger attached, cohort
-    /// non-empty).
-    pub ab_months: usize,
-    /// Challenger promotions over the run.
-    pub promotions: usize,
-    /// Challenger demotions over the run.
-    pub demotions: usize,
-    /// The first month a promotion fired, if any.
-    pub promoted_month: Option<String>,
 }
 
 impl ScheduleSummary {
@@ -238,17 +211,6 @@ impl ScheduleSummary {
         self.reassessments += row.reassessed;
         self.customers_retired += row.retired_customers;
         self.engines_retired += row.retired_engines;
-        self.ab_months += usize::from(row.ab_cohort > 0);
-        match row.rollout {
-            RolloutEvent::Promoted => {
-                self.promotions += 1;
-                if self.promoted_month.is_none() {
-                    self.promoted_month = Some(row.month.clone());
-                }
-            }
-            RolloutEvent::Demoted => self.demotions += 1,
-            RolloutEvent::None => {}
-        }
         self.months.push(row);
     }
 }
@@ -281,9 +243,6 @@ pub struct FleetScheduler {
     version_frontier: u32,
     /// Customer → month index of its latest telemetry (or onboarding).
     last_seen: HashMap<String, usize>,
-    /// The staged-rollout harness: an A/B fleet assessed against the
-    /// watched cohort every month, feeding the promotion tracker.
-    challenger: Option<(AbFleet, RolloutTracker)>,
     summary: ScheduleSummary,
 }
 
@@ -302,7 +261,6 @@ impl FleetScheduler {
             version_window: None,
             version_frontier: 0,
             last_seen: HashMap::new(),
-            challenger: None,
             summary: ScheduleSummary::default(),
         }
     }
@@ -330,27 +288,6 @@ impl FleetScheduler {
     pub fn with_version_window(mut self, versions: u32) -> FleetScheduler {
         self.version_window = Some(versions.max(1));
         self
-    }
-
-    /// Attach a staged rollout (step 7): every month, the watched cohort
-    /// is re-assessed through `ab`'s champion and challenger sides, the
-    /// resulting [`AbSummary`] feeds a [`RolloutTracker`] under `policy`,
-    /// and promotions/demotions surface on the [`ScheduleSummary`]. The
-    /// A/B pass reads the watch list but never mutates it, so attaching a
-    /// challenger changes nothing about steps 1–6.
-    pub fn with_challenger(mut self, ab: AbFleet, policy: PromotionPolicy) -> FleetScheduler {
-        self.challenger = Some((ab, RolloutTracker::new(policy)));
-        self
-    }
-
-    /// The staged rollout's tracker, when a challenger is attached.
-    pub fn rollout(&self) -> Option<&RolloutTracker> {
-        self.challenger.as_ref().map(|(_, tracker)| tracker)
-    }
-
-    /// The staged rollout's current stage, when a challenger is attached.
-    pub fn rollout_stage(&self) -> Option<RolloutStage> {
-        self.rollout().map(RolloutTracker::stage)
     }
 
     /// Schedule a customer to be watched in simulated month `month`
@@ -473,40 +410,6 @@ impl FleetScheduler {
             }
         }
 
-        // 7. Staged rollout: re-assess the surviving watch list through
-        // the A/B harness and feed the month into the promotion tracker.
-        // Read-only with respect to steps 1–6 — the cohort is the same
-        // list the TTL sweep just settled.
-        let mut ab_summary: Option<AbSummary> = None;
-        let mut rollout = RolloutEvent::None;
-        if let Some((ab, tracker)) = self.challenger.as_mut() {
-            let cohort: Vec<FleetRequest> = self
-                .monitor
-                .watched_customers()
-                .map(|customer| {
-                    let request = FleetRequest::new(
-                        customer.deployment,
-                        AssessmentRequest::from_history(
-                            customer.name.clone(),
-                            customer.baseline.clone(),
-                            customer.file_sizes_gib.clone(),
-                            customer.confidence,
-                        ),
-                    );
-                    match &customer.catalog_key {
-                        Some(key) => request.with_catalog_key(key.clone()),
-                        None => request,
-                    }
-                })
-                .collect();
-            if !cohort.is_empty() {
-                let outcome = ab.assess(cohort);
-                let summary = outcome.report.ab.expect("A/B assess always attaches a summary");
-                rollout = tracker.observe(&label, &summary);
-                ab_summary = Some(summary);
-            }
-        }
-
         let row = ScheduleMonthRow {
             month: label.clone(),
             onboarded,
@@ -524,10 +427,6 @@ impl FleetScheduler {
             retired_customers: retired_customers.len(),
             retired_engines,
             watched: self.monitor.watched(),
-            ab_cohort: ab_summary.as_ref().map_or(0, |s| s.paired),
-            ab_agreement: ab_summary.as_ref().and_then(AbSummary::agreement_rate),
-            ab_savings: ab_summary.as_ref().map(|s| s.adoption.projected_monthly_savings),
-            rollout,
         };
         obs.counter("sim.months").incr();
         obs.counter("sim.telemetry").add(telemetry as u64);
@@ -535,10 +434,6 @@ impl FleetScheduler {
         obs.counter("sim.rolls_dispatched").add(rolls.len() as u64);
         obs.counter("sim.customers_retired").add(retired_customers.len() as u64);
         obs.counter("sim.engines_retired").add(retired_engines as u64);
-        obs.counter("sim.ab_passes").add(u64::from(row.ab_cohort > 0));
-        if rollout == RolloutEvent::Promoted {
-            obs.counter("sim.promotions").incr();
-        }
         if obs.is_enabled() {
             obs.event(
                 "sim.step",
@@ -563,8 +458,6 @@ impl FleetScheduler {
             pass,
             retired_customers,
             retired_engines,
-            ab: ab_summary,
-            rollout,
         }
     }
 
@@ -600,28 +493,7 @@ fn row_to_json(row: &ScheduleMonthRow) -> Json {
         ("retired_customers".into(), Json::Num(row.retired_customers as f64)),
         ("retired_engines".into(), Json::Num(row.retired_engines as f64)),
         ("watched".into(), Json::Num(row.watched as f64)),
-        ("ab_cohort".into(), Json::Num(row.ab_cohort as f64)),
-        ("ab_agreement".into(), row.ab_agreement.map_or(Json::Null, Json::Num)),
-        ("ab_savings".into(), row.ab_savings.map_or(Json::Null, Json::Num)),
-        ("rollout".into(), Json::Str(rollout_event_str(row.rollout).into())),
     ])
-}
-
-fn rollout_event_str(event: RolloutEvent) -> &'static str {
-    match event {
-        RolloutEvent::None => "none",
-        RolloutEvent::Promoted => "promoted",
-        RolloutEvent::Demoted => "demoted",
-    }
-}
-
-fn rollout_event_from_str(s: &str) -> Option<RolloutEvent> {
-    match s {
-        "none" => Some(RolloutEvent::None),
-        "promoted" => Some(RolloutEvent::Promoted),
-        "demoted" => Some(RolloutEvent::Demoted),
-        _ => None,
-    }
 }
 
 fn row_from_json(json: &Json) -> Option<ScheduleMonthRow> {
@@ -640,10 +512,6 @@ fn row_from_json(json: &Json) -> Option<ScheduleMonthRow> {
         retired_customers: num("retired_customers")?,
         retired_engines: num("retired_engines")?,
         watched: num("watched")?,
-        ab_cohort: num("ab_cohort")?,
-        ab_agreement: json.get("ab_agreement")?.non_null().and_then(Json::as_f64),
-        ab_savings: json.get("ab_savings")?.non_null().and_then(Json::as_f64),
-        rollout: rollout_event_from_str(json.get("rollout")?.as_str()?)?,
     })
 }
 
@@ -666,13 +534,6 @@ pub fn schedule_summary_to_json(summary: &ScheduleSummary) -> Json {
         ("reassessments".into(), Json::Num(summary.reassessments as f64)),
         ("customers_retired".into(), Json::Num(summary.customers_retired as f64)),
         ("engines_retired".into(), Json::Num(summary.engines_retired as f64)),
-        ("ab_months".into(), Json::Num(summary.ab_months as f64)),
-        ("promotions".into(), Json::Num(summary.promotions as f64)),
-        ("demotions".into(), Json::Num(summary.demotions as f64)),
-        (
-            "promoted_month".into(),
-            summary.promoted_month.as_ref().map_or(Json::Null, |m| Json::Str(m.clone())),
-        ),
     ])
 }
 
@@ -694,14 +555,6 @@ pub fn schedule_summary_from_json(json: &Json) -> Option<ScheduleSummary> {
         reassessments: num("reassessments")?,
         customers_retired: num("customers_retired")?,
         engines_retired: num("engines_retired")?,
-        ab_months: num("ab_months")?,
-        promotions: num("promotions")?,
-        demotions: num("demotions")?,
-        promoted_month: json
-            .get("promoted_month")?
-            .non_null()
-            .and_then(Json::as_str)
-            .map(str::to_string),
     })
 }
 
@@ -892,70 +745,6 @@ mod tests {
         assert_eq!(months[2].retired_engines, 1, "north's v1 engine aged out at frontier v3");
         assert_eq!(sim.summary().customers_retired, 2);
         assert_eq!(sim.summary().engines_retired, 1);
-    }
-
-    #[test]
-    fn scheduled_challenger_promotes_after_the_policy_streak() {
-        use crate::ab::{AbFleet, PromotionPolicy, RolloutEvent, RolloutStage};
-
-        let engine = || {
-            DopplerEngine::untrained(
-                azure_paas_catalog(&CatalogSpec::default()),
-                EngineConfig::production(DeploymentType::SqlDb),
-            )
-        };
-        // An identical challenger agrees 100% with zero savings — which
-        // clears the default policy's bar (any non-negative savings).
-        let ab = AbFleet::new(
-            FleetAssessor::new(engine(), FleetConfig::with_workers(2)),
-            FleetAssessor::new(engine(), FleetConfig::with_workers(2)),
-        );
-        let mut sim = simple_scheduler(2).with_challenger(ab, PromotionPolicy::default());
-        sim.onboard_at(0, MonitoredCustomer::new("c", DeploymentType::SqlDb, window(0.5, 96)));
-        for m in 0..4 {
-            sim.telemetry_at(m, "c", window(0.5, 96));
-        }
-        let months = sim.run(4);
-
-        assert_eq!(
-            months.iter().map(|m| m.rollout).collect::<Vec<_>>(),
-            [RolloutEvent::None, RolloutEvent::None, RolloutEvent::Promoted, RolloutEvent::None],
-            "three qualifying months promote in the third"
-        );
-        let ab_summary = months[2].ab.as_ref().expect("A/B pass ran");
-        assert_eq!(ab_summary.paired, 1);
-        assert_eq!(ab_summary.agreement_rate(), Some(1.0));
-        assert_eq!(sim.rollout_stage(), Some(RolloutStage::Promoted));
-        assert_eq!(sim.rollout().unwrap().promoted_month(), Some("Mar-22"));
-
-        let summary = sim.summary().clone();
-        assert_eq!(summary.ab_months, 4);
-        assert_eq!(summary.promotions, 1);
-        assert_eq!(summary.demotions, 0);
-        assert_eq!(summary.promoted_month.as_deref(), Some("Mar-22"));
-        assert_eq!(summary.months[2].rollout, RolloutEvent::Promoted);
-        assert_eq!(summary.months[2].ab_agreement, Some(1.0));
-
-        // The promotion survives the JSON round trip and the rendering.
-        let json = schedule_summary_to_json(&summary);
-        let back = schedule_summary_from_json(&Json::parse(&json.render_pretty()).unwrap());
-        assert_eq!(back.as_ref(), Some(&summary), "lossless round-trip");
-        let report = sim.shutdown();
-        let rendered = report.render();
-        assert!(rendered.contains("challenger promoted in Mar-22"), "{rendered}");
-        assert!(rendered.contains("staged rollout: 4 A/B month(s), 1 promotion(s)"), "{rendered}");
-    }
-
-    #[test]
-    fn schedulers_without_a_challenger_never_run_ab_passes() {
-        let mut sim = simple_scheduler(2);
-        sim.onboard_at(0, MonitoredCustomer::new("c", DeploymentType::SqlDb, window(0.5, 96)));
-        sim.run(2);
-        assert_eq!(sim.rollout_stage(), None);
-        assert_eq!(sim.summary().ab_months, 0);
-        assert!(sim.summary().months.iter().all(|r| r.ab_cohort == 0 && r.ab_agreement.is_none()));
-        let rendered = sim.shutdown().render();
-        assert!(!rendered.contains("staged rollout"), "{rendered}");
     }
 
     #[test]

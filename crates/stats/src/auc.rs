@@ -138,6 +138,19 @@ mod tests {
         assert_eq!(minmax_scaled_auc(&[]), 1.0);
         assert_eq!(minmax_scaled_auc(&[4.2; 12]), 1.0);
         assert_eq!(max_scaled_auc(&[]), 1.0);
+        for level in [0.0, 7.71853, 2477.084] {
+            assert_eq!(minmax_scaled_auc(&[level; 2016]), 1.0, "level {level}");
+        }
+    }
+
+    #[test]
+    fn max_scaler_reads_a_flat_series_by_its_level() {
+        // A flat zero series scales to all zeros (no evidence of load); any
+        // positive flat series scales to a point mass at its own max.
+        assert_eq!(max_scaled_auc(&[0.0; 2016]), 1.0);
+        for level in [7.71853, 2477.084] {
+            assert_eq!(max_scaled_auc(&[level; 2016]), 0.0, "level {level}");
+        }
     }
 
     #[test]

@@ -43,14 +43,10 @@ pub struct KMeansResult {
     pub iterations: usize,
 }
 
-impl KMeansResult {
-    /// Assign a new point to the nearest fitted centroid.
-    pub fn predict(&self, point: &[f64]) -> usize {
-        nearest(&self.centroids, point).0
-    }
-}
-
-fn nearest(centroids: &[Vec<f64>], point: &[f64]) -> (usize, f64) {
+/// Index of the centroid nearest to `point` by squared Euclidean distance.
+/// Ties keep the first index. When no distance is below infinity (no
+/// centroids, or only NaN or infinite distances), the index is 0.
+pub fn nearest_centroid(centroids: &[Vec<f64>], point: &[f64]) -> usize {
     let mut best = (0, f64::INFINITY);
     for (i, c) in centroids.iter().enumerate() {
         let d = euclidean_sq(c, point);
@@ -58,7 +54,7 @@ fn nearest(centroids: &[Vec<f64>], point: &[f64]) -> (usize, f64) {
             best = (i, d);
         }
     }
-    best
+    best.0
 }
 
 /// k-means++ initialization: the first center is uniform, each subsequent
@@ -103,7 +99,7 @@ pub fn kmeans(points: &[Vec<f64>], config: &KMeansConfig) -> KMeansResult {
         // Assignment step.
         let mut changed = false;
         for (a, p) in assignments.iter_mut().zip(points) {
-            let (idx, _) = nearest(&centroids, p);
+            let idx = nearest_centroid(&centroids, p);
             if *a != idx {
                 *a = idx;
                 changed = true;
@@ -211,10 +207,14 @@ mod tests {
     #[test]
     fn predict_routes_to_nearest_centroid() {
         let r = kmeans(&two_blobs(), &KMeansConfig { k: 2, ..Default::default() });
-        let near_origin = r.predict(&[0.5, 0.5]);
-        let near_far = r.predict(&[9.5, 9.5]);
+        let near_origin = nearest_centroid(&r.centroids, &[0.5, 0.5]);
+        let near_far = nearest_centroid(&r.centroids, &[9.5, 9.5]);
         assert_eq!(near_origin, r.assignments[0]);
         assert_eq!(near_far, r.assignments[20]);
+        // Ties keep the first centroid; no finite distance maps to 0.
+        assert_eq!(nearest_centroid(&[vec![0.0], vec![2.0], vec![2.0]], &[1.0]), 0);
+        assert_eq!(nearest_centroid(&[vec![5.0], vec![2.0], vec![2.0]], &[1.0]), 1);
+        assert_eq!(nearest_centroid(&[vec![f64::NAN], vec![f64::NAN]], &[1.0]), 0);
     }
 
     #[test]
@@ -230,8 +230,7 @@ mod tests {
         let pts = two_blobs();
         let r = kmeans(&pts, &KMeansConfig { k: 4, seed: 7, ..Default::default() });
         for (p, &a) in pts.iter().zip(&r.assignments) {
-            let (best, _) = super::nearest(&r.centroids, p);
-            assert_eq!(a, best);
+            assert_eq!(a, nearest_centroid(&r.centroids, p));
         }
     }
 }

@@ -41,7 +41,7 @@ pub use distance::{euclidean, euclidean_sq, manhattan};
 pub use ecdf::Ecdf;
 pub use exactsum::ExactSum;
 pub use hierarchical::{hierarchical_cluster, Linkage};
-pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
+pub use kmeans::{kmeans, nearest_centroid, KMeansConfig, KMeansResult};
 pub use loess::loess_smooth;
 pub use outlier::outlier_fraction;
 pub use rng::SeededRng;

@@ -33,6 +33,12 @@ mod tests {
     #[test]
     fn constant_series_has_no_outliers() {
         assert_eq!(outlier_fraction(&[5.0; 100], 3.0), 0.0);
+        // At 7.71853 and 2477.084 the summed mean rounds away from the level,
+        // so the stddev is not 0. Every deviation then has the same size,
+        // exactly one stddev, so none reaches 3σ.
+        for level in [0.0, 7.71853, 2477.084] {
+            assert_eq!(outlier_fraction(&[level; 2016], 3.0), 0.0, "level {level}");
+        }
     }
 
     #[test]

@@ -98,13 +98,6 @@ impl SpikeProfile {
             }
         }))
     }
-
-    /// The paper's decision rule: a dimension is *negotiable* when the time
-    /// spent near the peak is rare and short-lived — i.e. the dwell fraction
-    /// stays below the tuned threshold `rho`.
-    pub fn is_negotiable(&self, rho: f64) -> bool {
-        self.dwell_fraction < rho
-    }
 }
 
 /// Convenience wrapper returning just the dwell fraction (`1.0` for an empty
@@ -274,14 +267,18 @@ mod tests {
         // stddev = 0 so the window is [peak, peak]: every sample is inside.
         let p = SpikeProfile::measure(&[50.0; 20]).unwrap();
         assert_eq!(p.dwell_fraction, 1.0);
-        assert!(!p.is_negotiable(0.05));
+        // At 7.71853 and 2477.084 the summed mean rounds away from the level
+        // (by 9e-14 and 1e-10), so the stddev is not 0; every sample still
+        // sits at the peak, inside the window.
+        for level in [0.0, 7.71853, 2477.084] {
+            assert_eq!(spike_dwell_fraction(&[level; 2016]), 1.0, "level {level}");
+        }
     }
 
     #[test]
     fn rare_short_spikes_are_negotiable() {
         let p = SpikeProfile::measure(&spiky_series()).unwrap();
         assert!(p.dwell_fraction < 0.05, "dwell = {}", p.dwell_fraction);
-        assert!(p.is_negotiable(0.05));
     }
 
     #[test]
@@ -290,7 +287,6 @@ mod tests {
         // time — far above any sensible rho.
         let p = SpikeProfile::measure(&steady_high_series()).unwrap();
         assert!(p.dwell_fraction > 0.2, "dwell = {}", p.dwell_fraction);
-        assert!(!p.is_negotiable(0.05));
     }
 
     #[test]
@@ -303,9 +299,10 @@ mod tests {
     #[test]
     fn rho_controls_the_decision_boundary() {
         let p = SpikeProfile::measure(&spiky_series()).unwrap();
-        // dwell is 1%: negotiable under rho = 5%, non-negotiable under 0.5%.
-        assert!(p.is_negotiable(0.05));
-        assert!(!p.is_negotiable(0.005));
+        // dwell is 1%: negotiable under rho = 5%, non-negotiable under 0.5%
+        // (the `dwell < rho` rule of `NegotiabilityStrategy::Thresholding`).
+        assert!(p.dwell_fraction < 0.05, "dwell = {}", p.dwell_fraction);
+        assert!(p.dwell_fraction >= 0.005, "dwell = {}", p.dwell_fraction);
     }
 
     #[test]

@@ -48,8 +48,9 @@ pub struct StlDecomposition {
 
 impl StlDecomposition {
     /// The summarizer value of §3.3: `max(0, 1 - var(I)/var(R))`, where `R`
-    /// is reconstructed from the components. Zero-variance input scores 1
-    /// (fully explained).
+    /// is reconstructed from the components. A flat input scores exactly 1
+    /// (fully explained): [`stl_decompose`] returns it as its own trend with
+    /// zero residual. A reconstruction with zero variance also scores 1.
     pub fn variance_explained(&self) -> f64 {
         let n = self.trend.len();
         let observed: Vec<f64> =
@@ -96,16 +97,37 @@ fn moving_average(xs: &[f64], w: usize) -> Vec<f64> {
     out
 }
 
+/// A series whose range is at most this many `f64::EPSILON`s times its
+/// largest magnitude (about this many ulps of its level) counts as flat.
+const FLAT_ULPS: f64 = 4.0;
+
 /// Decompose an evenly spaced series.
 ///
 /// Returns `None` when the series is shorter than two full periods —
 /// seasonality is not identifiable below that, which is also why the paper
 /// pushes customers to collect at least a week of data.
+///
+/// A flat series (its range at most `4 · f64::EPSILON` times its largest
+/// magnitude, a few ulps of its level) decomposes exactly into itself as
+/// the trend, with zero seasonal and zero residual. It is decided here, on
+/// the input, because the loess passes would otherwise leave rounding
+/// noise in the residual that [`StlDecomposition::variance_explained`]
+/// scores.
 pub fn stl_decompose(series: &[f64], config: &StlConfig) -> Option<StlDecomposition> {
     let n = series.len();
     let p = config.period;
     if p < 2 || n < 2 * p {
         return None;
+    }
+    let (lo, hi) = series
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+    if hi - lo <= FLAT_ULPS * f64::EPSILON * lo.abs().max(hi.abs()) {
+        return Some(StlDecomposition {
+            trend: series.to_vec(),
+            seasonal: vec![0.0; n],
+            residual: vec![0.0; n],
+        });
     }
 
     let mut trend = vec![0.0; n];
@@ -151,6 +173,7 @@ pub fn stl_decompose(series: &[f64], config: &StlConfig) -> Option<StlDecomposit
 mod tests {
     use super::*;
     use crate::descriptive::variance;
+    use proptest::prelude::*;
 
     fn config(period: usize) -> StlConfig {
         StlConfig { period, seasonal_span: 0.75, trend_span: 0.25, inner_iterations: 2 }
@@ -223,6 +246,49 @@ mod tests {
     fn constant_series_fully_explained() {
         let d = stl_decompose(&[5.0; 300], &config(24)).unwrap();
         assert_eq!(d.variance_explained(), 1.0);
+        // Levels whose loess passes do not reconstruct them exactly, over a
+        // 14-day, 10-minute history at daily seasonality.
+        for level in [7.71853, 2477.084] {
+            let d = stl_decompose(&[level; 2016], &config(144)).unwrap();
+            assert_eq!(d.variance_explained(), 1.0, "level {level}");
+        }
+    }
+
+    #[test]
+    fn one_ulp_jitter_is_still_flat() {
+        // A seeded ±1-ulp nudge on about half the samples: the range stays
+        // within a few ulps of the level, so the series is still flat.
+        let mut rng = crate::rng::SeededRng::new(7);
+        for level in [5.0f64, 7.71853, 2477.084] {
+            let series: Vec<f64> = (0..2016)
+                .map(|_| match rng.index(4) {
+                    0 => level.next_up(),
+                    1 => level.next_down(),
+                    _ => level,
+                })
+                .collect();
+            let d = stl_decompose(&series, &config(144)).unwrap();
+            assert_eq!(d.variance_explained(), 1.0, "level {level}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn any_flat_series_is_fully_explained(
+            bits in 0..u64::MAX,
+            period in 2usize..160,
+            extra in 0usize..400,
+        ) {
+            // Any finite level: a non-finite bit pattern loses its top
+            // exponent bit, which leaves it finite.
+            let level = match f64::from_bits(bits) {
+                x if x.is_finite() => x,
+                _ => f64::from_bits(bits & !(1 << 62)),
+            };
+            let series = vec![level; 2 * period + extra];
+            let d = stl_decompose(&series, &config(period)).unwrap();
+            prop_assert_eq!(d.variance_explained(), 1.0, "level {level:e}, period {period}");
+        }
     }
 
     /// One window at a time, the order the lockstep sums must reproduce.

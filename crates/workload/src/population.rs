@@ -29,12 +29,12 @@
 //! recover the tolerances, and the matcher must invert the choice rule.
 
 use doppler_catalog::{
-    BillingRates, Catalog, DeploymentType, FileLayout, Region, ResourceCaps, ServiceTier, SkuId,
+    BillingRates, Catalog, DeploymentType, FileLayout, Region, ServiceTier, SkuId,
 };
 use doppler_core::matching::select_with_slack;
 use doppler_core::mi::mi_curve;
 use doppler_core::PricePerformanceCurve;
-use doppler_stats::descriptive::{max, quantile};
+use doppler_stats::descriptive::max;
 use doppler_stats::SeededRng;
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
@@ -382,46 +382,6 @@ pub struct CloudCustomer {
     pub file_layout: Option<FileLayout>,
 }
 
-/// Build the requirement vector a rational customer negotiates: max of
-/// non-negotiable dimensions, a high quantile of negotiable ones, the
-/// strictest observed latency, and the full storage allocation.
-pub fn requirement_caps(
-    history: &PerfHistory,
-    profiled: &[PerfDimension],
-    negotiability: &[bool],
-    negotiable_quantile: f64,
-) -> ResourceCaps {
-    let dim_req = |dim: PerfDimension| -> f64 {
-        let Some(values) = history.values(dim) else {
-            return 0.0;
-        };
-        let i = profiled.iter().position(|&d| d == dim);
-        let negotiable = i.map(|i| negotiability[i]).unwrap_or(false);
-        if negotiable {
-            quantile(values, negotiable_quantile).unwrap_or(0.0)
-        } else {
-            max(values).unwrap_or(0.0)
-        }
-    };
-    let latency_req = history
-        .values(PerfDimension::IoLatency)
-        .and_then(|v| quantile(v, 0.02))
-        .unwrap_or(f64::INFINITY);
-    let storage_req = history.values(PerfDimension::Storage).and_then(max).unwrap_or(0.0);
-    let iops_req = dim_req(PerfDimension::Iops);
-    ResourceCaps {
-        vcores: dim_req(PerfDimension::Cpu),
-        memory_gb: dim_req(PerfDimension::Memory),
-        max_data_gb: storage_req,
-        iops: iops_req,
-        log_rate_mbps: dim_req(PerfDimension::LogRate),
-        min_io_latency_ms: latency_req,
-        // 8 KB pages: IOPS/128 MB/s — small enough that compute SKUs don't
-        // bind on it, large enough to drive MI storage-tier selection.
-        throughput_mbps: iops_req / 128.0,
-    }
-}
-
 /// An on-premises server awaiting assessment (no ground-truth SKU exists —
 /// §5.3 compares Doppler against the baseline on these).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -548,6 +508,7 @@ pub fn sec53_instances(days: f64, seed: u64) -> Vec<OnPremCandidate> {
 mod tests {
     use super::*;
     use doppler_catalog::{azure_paas_catalog, CatalogSpec};
+    use doppler_stats::descriptive::quantile;
 
     fn catalog() -> Catalog {
         azure_paas_catalog(&CatalogSpec::default())
@@ -653,30 +614,6 @@ mod tests {
         // Only the tag differs: telemetry and choice are region-independent.
         assert_eq!(untagged.history, tagged.history);
         assert_eq!(untagged.chosen_sku, tagged.chosen_sku);
-    }
-
-    #[test]
-    fn requirement_caps_negotiable_below_max() {
-        let cat = catalog();
-        let spec = PopulationSpec { days: 5.0, ..PopulationSpec::sql_db(60, 31) };
-        // Find a complex customer negotiating on CPU and check the
-        // requirement is materially below the peak.
-        let mut found = false;
-        for c in spec.customers(&cat) {
-            if c.shape_class == ShapeClass::Complex && c.negotiability[0] {
-                let req = requirement_caps(
-                    &c.history,
-                    spec.profiled_dimensions(),
-                    &c.negotiability,
-                    0.95,
-                );
-                let peak = max(c.history.values(PerfDimension::Cpu).unwrap()).unwrap();
-                assert!(req.vcores < peak, "q95 {} !< peak {}", req.vcores, peak);
-                found = true;
-                break;
-            }
-        }
-        assert!(found, "no complex CPU-negotiable customer in sample");
     }
 
     #[test]

@@ -1,19 +1,11 @@
-//! Back-test the learned backend against ground truth, then stage its
-//! rollout.
+//! Back-test the learned backend against ground truth.
 //!
-//! Two acts:
-//!
-//! 1. **Backtest** — a synthetic cohort is split into a training fleet and
-//!    a held-out fleet. The learned backend trains on the training fleet's
-//!    (history → chosen SKU) pairs, then both its picks and the customers'
-//!    own choices are *replayed* through the `doppler-replay` queueing
-//!    machine on each held-out history (§5.4): fit rates, throttle months,
-//!    and the projected cost delta land in one report.
-//! 2. **Staged rollout** — the same champion/challenger pair rides a
-//!    [`FleetScheduler`]: every simulated month the watched cohort is
-//!    A/B-assessed, and the challenger is promoted automatically once
-//!    agreement and savings clear the promotion policy's bar for the
-//!    required streak of months.
+//! A synthetic cohort is split into a training fleet and a held-out fleet.
+//! The learned backend trains on the training fleet's (history → chosen
+//! SKU) pairs, then both its picks and the customers' own choices are
+//! *replayed* through the `doppler-replay` queueing machine on each
+//! held-out history (§5.4): fit rates, throttle months, and the projected
+//! cost delta land in one report, whose JSON export must round-trip.
 //!
 //! ```text
 //! cargo run --release --example backtest
@@ -49,13 +41,12 @@ fn main() {
             file_layout: c.file_layout.clone(),
         })
         .collect();
-    let learned_config = LearnedConfig { features: FeatureSpec::FULL, ..LearnedConfig::default() };
-    let learned = LearnedBackend::train(catalog.clone(), config, learned_config, &records);
+    let learned =
+        LearnedBackend::train(catalog.clone(), config, LearnedConfig::default(), &records);
     println!(
-        "trained the learned backend on {} customers ({} features/dimension, {} exemplars)\n",
+        "trained the learned backend on {} customers ({} exemplars)\n",
         records.len(),
-        learned_config.features.per_dimension(),
-        records.len().min(learned_config.max_profiles),
+        learned.exemplar_count(),
     );
 
     // 2. Replay the held-out fleet: the learned backend's picks (candidate)
@@ -78,51 +69,5 @@ fn main() {
     let parsed = doppler::dma::json::Json::parse(&json.render_pretty()).expect("valid JSON");
     let back = backtest_report_from_json(&parsed).expect("structurally sound");
     assert_eq!(back, report, "dma::json round trip is lossless");
-    println!("dma::json round trip: lossless ({} case rows)\n", report.cases.len());
-
-    // 3. Stage the rollout: watch a slice of the fleet under a scheduler
-    //    with the learned challenger attached. The demo policy promotes
-    //    after two qualifying months (agreement >= 50%, any savings).
-    let engine = || DopplerEngine::untrained(catalog.clone(), config);
-    let challenger_side = || {
-        let learned = LearnedBackend::train(
-            catalog.clone(),
-            config,
-            LearnedConfig { features: FeatureSpec::FULL, ..LearnedConfig::default() },
-            &records,
-        );
-        FleetAssessor::new(learned, FleetConfig::with_workers(workers))
-    };
-    let ab = AbFleet::new(
-        FleetAssessor::new(engine(), FleetConfig::with_workers(workers)),
-        challenger_side(),
-    )
-    .with_labels("heuristic", "learned");
-    let policy = doppler::fleet::PromotionPolicy {
-        min_agreement: 0.5,
-        min_monthly_savings: 0.0,
-        months_required: 2,
-        demotion_months: 2,
-    };
-    let monitor =
-        DriftMonitor::new(FleetAssessor::new(engine(), FleetConfig::with_workers(workers)));
-    let mut sim =
-        FleetScheduler::new(monitor, SimClock::starting(2022, 1)).with_challenger(ab, policy);
-    for customer in holdout.iter().take(24) {
-        sim.onboard_at(
-            0,
-            MonitoredCustomer::new(
-                format!("customer-{}", customer.id),
-                customer.deployment,
-                customer.history.clone(),
-            ),
-        );
-    }
-    sim.run(3);
-    match sim.rollout().and_then(|t| t.promoted_month().map(str::to_string)) {
-        Some(month) => println!("challenger promoted in {month}"),
-        None => println!("challenger not promoted yet (stage: {:?})", sim.rollout_stage()),
-    }
-    let final_report = sim.shutdown();
-    println!("{}", final_report.render());
+    println!("dma::json round trip: lossless ({} case rows)", report.cases.len());
 }

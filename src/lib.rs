@@ -53,11 +53,11 @@ pub mod prelude {
         SkuId,
     };
     pub use doppler_core::{
-        detect_drift, BackendSpec, BaselineStrategy, CompressorSpec, ConfidenceConfig, CurveShape,
-        DopplerEngine, DriftReport, DriftSeverity, EngineConfig, EngineRegistry, EngineTemplate,
-        FeatureSpec, GroupingStrategy, LearnedBackend, LearnedConfig, LearnedTrainError,
-        NegotiabilityStrategy, PricePerformanceCurve, Recommendation, RecommendationBackend,
-        RegistryError, RegistryStats, TrainingRecord, TrainingSet,
+        detect_drift, BackendSpec, BaselineStrategy, ConfidenceConfig, CurveShape, DopplerEngine,
+        DriftReport, DriftSeverity, EngineConfig, EngineRegistry, EngineTemplate, GroupingStrategy,
+        LearnedBackend, LearnedConfig, LearnedTrainError, NegotiabilityStrategy,
+        PricePerformanceCurve, Recommendation, RecommendationBackend, RegistryError, RegistryStats,
+        TrainingRecord, TrainingSet,
     };
     pub use doppler_dma::{
         AdoptionLedger, AssessmentRequest, AssessmentResult, SkuRecommendationPipeline,
@@ -66,8 +66,8 @@ pub mod prelude {
         AbAssessment, AbFleet, AbSummary, Backtest, BacktestCase, BacktestReport,
         CatalogRollOutcome, DriftMonitor, DriftOutcome, DriftPass, DriftVerdict, EngineRoute,
         FleetAssessment, FleetAssessor, FleetConfig, FleetDriftReport, FleetReport, FleetRequest,
-        FleetScheduler, FleetService, MonitoredCustomer, PromotionPolicy, RolloutStage,
-        RolloutTracker, ScheduleSummary, ServiceProgress, SimClock, SimMonth, Ticket, TicketQueue,
+        FleetScheduler, FleetService, MonitoredCustomer, ScheduleSummary, ServiceProgress,
+        SimClock, SimMonth, Ticket, TicketQueue,
     };
     pub use doppler_obs::{ObsRegistry, ObsSnapshot};
     pub use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
