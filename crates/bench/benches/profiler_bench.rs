@@ -41,15 +41,22 @@ fn bench_summarizers(c: &mut Criterion) {
 
 /// STL's kernels at the STL summarizer's exact shapes: a 14-day, 10-minute
 /// CPU series (2,016 samples), its trend loess pass (span 0.25, q = 504),
-/// and the whole decomposition at daily period 144.
+/// one cycle-subseries loess pass (the 14 samples at one phase of the day,
+/// span 0.75, q = 11; a decomposition makes 288 of them), and the whole
+/// decomposition at daily period 144.
 fn bench_stl(c: &mut Criterion) {
     let history = generate(&WorkloadArchetype::SpikyCpu.spec(8.0, 14.0), 3);
     let cpu = history.values(PerfDimension::Cpu).expect("generated histories carry CPU");
     assert_eq!(cpu.len(), 2016, "14 days of 10-minute samples");
     let config = StlConfig::default();
+    let cycle: Vec<f64> = cpu.iter().step_by(config.period).copied().collect();
+    assert_eq!(cycle.len(), 14, "one sample per day at one phase");
     let mut loess = c.benchmark_group("loess_smooth");
     loess.bench_function("trend_n2016_q504", |b| {
         b.iter(|| loess_smooth(std::hint::black_box(cpu), config.trend_span))
+    });
+    loess.bench_function("cycle_n14_q11", |b| {
+        b.iter(|| loess_smooth(std::hint::black_box(&cycle), config.seasonal_span))
     });
     loess.finish();
     let mut stl = c.benchmark_group("stl_decompose");

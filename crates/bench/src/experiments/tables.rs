@@ -127,6 +127,10 @@ pub fn table3(scale: &ExperimentScale) -> String {
     out
 }
 
+/// Customers per deployment that [`table4`] back-tests at most; a larger
+/// cohort is cut to this many, and the table says so in a trailing line.
+const TABLE4_COHORT_CAP: usize = 400;
+
 /// Table 4: back-test accuracy per negotiability definition under k-means
 /// grouping (k = 2^dims). The paper's Table 4 numbers sit well below
 /// Table 5's because the over-provisioned segment is still included here —
@@ -135,7 +139,7 @@ pub fn table3(scale: &ExperimentScale) -> String {
 pub fn table4(scale: &ExperimentScale) -> String {
     let cat = catalog();
     // STL-heavy strategies make this the slowest table; cap the cohort.
-    let n = scale.cohort.min(400);
+    let n = scale.cohort.min(TABLE4_COHORT_CAP);
     let db = PopulationSpec::sql_db(n, scale.seed).customers(&cat);
     let mi = PopulationSpec::sql_mi(n, scale.seed ^ 0xA5).customers(&cat);
     let lineup = NegotiabilityStrategy::table4_lineup();
@@ -162,6 +166,9 @@ pub fn table4(scale: &ExperimentScale) -> String {
     );
     for ((name, _), row) in lineup.iter().zip(accuracy.chunks(2)) {
         let _ = writeln!(out, "{name:<50} {:>6.1}%  {:>6.1}%", row[0] * 100.0, row[1] * 100.0);
+    }
+    if n < scale.cohort {
+        let _ = writeln!(out, "(cohort capped at {n} of {})", scale.cohort);
     }
     out
 }

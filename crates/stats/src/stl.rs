@@ -65,12 +65,12 @@ impl StlDecomposition {
 }
 
 /// Outputs summed together in [`moving_average`]'s full-width windows.
-const LANES: usize = 4;
+const LANES: usize = 16;
 
 /// Centered moving average over the `2 * (w / 2) + 1` points around each
 /// position (edges use the available points).
 ///
-/// Full-width windows are summed four at a time in lockstep; every window
+/// Full-width windows are summed sixteen at a time in lockstep; every window
 /// is still summed left to right from `-0.0`, as `Iterator::sum` does, so
 /// the output is bit-identical to summing each window on its own.
 fn moving_average(xs: &[f64], w: usize) -> Vec<f64> {
@@ -86,6 +86,7 @@ fn moving_average(xs: &[f64], w: usize) -> Vec<f64> {
     for block in xs.windows(width + LANES - 1).step_by(LANES) {
         let mut sums = [-0.0; LANES];
         for x in block.windows(LANES) {
+            let x: &[f64; LANES] = x.try_into().expect("windows of LANES samples");
             for (s, x) in sums.iter_mut().zip(x) {
                 *s += x;
             }
