@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use doppler_core::NegotiabilityStrategy;
 use doppler_stats::{
-    hierarchical_cluster, kmeans, loess_smooth, stl_decompose, KMeansConfig, Linkage, SeededRng,
-    StlConfig,
+    hierarchical_cluster, kmeans, loess_smooth, minmax_scaled_auc, stl_decompose, KMeansConfig,
+    Linkage, SeededRng, StlConfig,
 };
 use doppler_telemetry::PerfDimension;
 use doppler_workload::{generate, WorkloadArchetype};
@@ -67,6 +67,19 @@ fn bench_stl(c: &mut Criterion) {
     stl.finish();
 }
 
+/// The MinMax Scaler AUC of one 14-day, 10-minute CPU series (2,016
+/// samples): scale, sort, and the walk over the ECDF's steps.
+fn bench_auc(c: &mut Criterion) {
+    let history = generate(&WorkloadArchetype::SpikyCpu.spec(8.0, 14.0), 3);
+    let cpu = history.values(PerfDimension::Cpu).expect("generated histories carry CPU");
+    assert_eq!(cpu.len(), 2016, "14 days of 10-minute samples");
+    let mut auc = c.benchmark_group("auc");
+    auc.bench_function("minmax_scaled_n2016", |b| {
+        b.iter(|| minmax_scaled_auc(std::hint::black_box(cpu)))
+    });
+    auc.finish();
+}
+
 fn bench_grouping(c: &mut Criterion) {
     // 1000 customers' weight vectors near the 16 bit-corners.
     let mut rng = SeededRng::new(9);
@@ -94,5 +107,5 @@ fn bench_grouping(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_summarizers, bench_stl, bench_grouping);
+criterion_group!(benches, bench_summarizers, bench_stl, bench_auc, bench_grouping);
 criterion_main!(benches);

@@ -16,6 +16,8 @@
 //! Exits non-zero when the median overhead exceeds `MAX_OVERHEAD_PCT`
 //! (5 %), so CI can gate on it directly.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType};

@@ -26,6 +26,8 @@
 //!   | grep -v '^([a-z0-9_]* completed in [0-9.]*s)$' > crates/bench/golden/full_scale.txt
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 
 use doppler_bench::experiments::{registry, ExperimentScale};

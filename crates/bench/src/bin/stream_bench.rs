@@ -28,6 +28,8 @@
 //! (`ns_per_iter`/`iters_per_sec` are per-customer, matching the vendored
 //! criterion's JSON-lines rows.)
 
+#![forbid(unsafe_code)]
+
 use std::io::Write as _;
 use std::sync::Arc;
 

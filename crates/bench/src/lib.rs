@@ -13,6 +13,8 @@
 //! * [`par`] — the in-order parallel map that runs Table 4's cells and
 //!   `reproduce all`'s experiments on every CPU.
 
+#![forbid(unsafe_code)]
+
 pub mod ascii;
 pub mod backtest;
 pub mod experiments;

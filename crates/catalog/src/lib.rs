@@ -21,6 +21,8 @@
 //!   [`CatalogProvider`] to the `Arc`-shared catalog and billing rates
 //!   serving that offer, with content fingerprints engine caches key on.
 
+#![forbid(unsafe_code)]
+
 pub mod billing;
 pub mod catalog;
 pub mod generate;

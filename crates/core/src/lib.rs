@@ -36,6 +36,8 @@
 //! [`learned::LearnedBackend`] is a Lorentz-style learned alternative with a
 //! similarity-floor fallback to the heuristic.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod baseline;
 pub mod confidence;

@@ -23,6 +23,8 @@
 //!   report fills the [`AdoptionLedger`] kept here from month-tagged
 //!   requests.
 
+#![forbid(unsafe_code)]
+
 pub mod assessment;
 pub mod json;
 pub mod obs_export;

@@ -100,6 +100,8 @@
 //! assert_eq!(report.fleet_size, 10);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ab;
 pub mod assessor;
 pub mod backtest;

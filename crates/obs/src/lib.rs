@@ -44,6 +44,8 @@
 //! assert!(snapshot.counters.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};

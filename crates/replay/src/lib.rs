@@ -20,6 +20,8 @@
 //! must show clipped compute and inflated latency; adequately provisioned
 //! SKUs must track demand. That is all §5.4's validation consumes.
 
+#![forbid(unsafe_code)]
+
 pub mod machine;
 pub mod report;
 

@@ -16,25 +16,39 @@ use crate::scaling::{max_scale, minmax_scale};
 /// The ECDF is a right-continuous step function, so the area is the sum of
 /// `F(x_k) * (x_{k+1} - x_k)` over the step intervals clipped to `[lo, hi]`.
 pub fn auc_ecdf(ecdf: &Ecdf, lo: f64, hi: f64) -> f64 {
+    auc_sorted(ecdf.sorted_values(), lo, hi)
+}
+
+/// [`auc_ecdf`] over the ascending sample `values`, in one walk.
+///
+/// Each step's `F(x_k)` is `k / n` for the count `k` of samples at or below
+/// the step's left end. The walk visits every run of ties above `lo` in
+/// order, and that left end is the previous run's value (or `lo`), so `k`
+/// is the index where the current run starts: the walk carries it instead
+/// of searching for it.
+fn auc_sorted(values: &[f64], lo: f64, hi: f64) -> f64 {
     assert!(hi >= lo, "auc_ecdf interval is inverted");
     if hi == lo {
         return 0.0;
     }
-    let values = ecdf.sorted_values();
+    let n = values.len() as f64;
     let mut area = 0.0;
     let mut prev_x = lo;
+    // Samples before the current run of ties: the count at or below prev_x.
+    let mut below = 0;
     for (i, &v) in values.iter().enumerate() {
         // Collapse runs of ties: the step only advances after the whole run.
         if i + 1 < values.len() && values[i + 1] == v {
             continue;
         }
+        let run_start = std::mem::replace(&mut below, i + 1);
         if v <= lo {
             continue;
         }
         // F is constant on [prev_x, v) because no sample point lies inside.
         let x = v.min(hi);
         if x > prev_x {
-            area += ecdf.eval(prev_x) * (x - prev_x);
+            area += run_start as f64 / n * (x - prev_x);
             prev_x = x;
         }
         if v >= hi {
@@ -42,9 +56,24 @@ pub fn auc_ecdf(ecdf: &Ecdf, lo: f64, hi: f64) -> f64 {
         }
     }
     if prev_x < hi {
-        area += ecdf.eval(prev_x) * (hi - prev_x);
+        // Reached only when no run ends at or past hi: every sample is at or
+        // below prev_x, and `below` counts them all.
+        area += below as f64 / n * (hi - prev_x);
     }
     area
+}
+
+/// The AUC over `[0, 1]` of a series already scaled into it, `1.0` when
+/// empty. Sorting in place skips the copy an [`Ecdf`] makes; the sort need
+/// not be stable, since the only samples that compare equal yet differ are
+/// `0.0` and `-0.0`, and the walk reads samples only through comparisons,
+/// `min` and differences, where the sign of a zero cannot change the area.
+fn unit_auc(mut scaled: Vec<f64>) -> f64 {
+    if scaled.is_empty() {
+        return 1.0;
+    }
+    scaled.sort_unstable_by(|a, b| a.partial_cmp(b).expect("non-finite input to Ecdf"));
+    auc_sorted(&scaled, 0.0, 1.0)
 }
 
 /// The *MinMax Scaler AUC* summarizer: min-max scale the series, build the
@@ -54,26 +83,133 @@ pub fn auc_ecdf(ecdf: &Ecdf, lo: f64, hi: f64) -> f64 {
 /// which reads as "maximally negotiable" — a flat counter never throttles
 /// above its own level.
 pub fn minmax_scaled_auc(xs: &[f64]) -> f64 {
-    let scaled = minmax_scale(xs);
-    match Ecdf::new(&scaled) {
-        None => 1.0,
-        Some(e) => auc_ecdf(&e, 0.0, 1.0),
-    }
+    unit_auc(minmax_scale(xs))
 }
 
 /// The *Max Scaler AUC* summarizer: divide by the max, build the ECDF,
 /// integrate over `[0, 1]`.
 pub fn max_scaled_auc(xs: &[f64]) -> f64 {
-    let scaled = max_scale(xs);
-    match Ecdf::new(&scaled) {
-        None => 1.0,
-        Some(e) => auc_ecdf(&e, 0.0, 1.0),
-    }
+    unit_auc(max_scale(xs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The AUC as an `Ecdf` over a stable sort computed it, with one binary
+    /// search for `F` per step: the bits the one-walk AUC must reproduce.
+    fn auc_reference(sample: &[f64], lo: f64, hi: f64) -> f64 {
+        assert!(hi >= lo, "auc_ecdf interval is inverted");
+        if hi == lo {
+            return 0.0;
+        }
+        let mut values = sample.to_vec();
+        values.sort_by(|a, b| a.partial_cmp(b).expect("non-finite input to Ecdf"));
+        let eval = |x: f64| values.partition_point(|&v| v <= x) as f64 / values.len() as f64;
+        let mut area = 0.0;
+        let mut prev_x = lo;
+        for (i, &v) in values.iter().enumerate() {
+            if i + 1 < values.len() && values[i + 1] == v {
+                continue;
+            }
+            if v <= lo {
+                continue;
+            }
+            let x = v.min(hi);
+            if x > prev_x {
+                area += eval(prev_x) * (x - prev_x);
+                prev_x = x;
+            }
+            if v >= hi {
+                break;
+            }
+        }
+        if prev_x < hi {
+            area += eval(prev_x) * (hi - prev_x);
+        }
+        area
+    }
+
+    /// The one-walk AUC, over an `Ecdf` and over an unstable sort, against
+    /// the reference, bit for bit.
+    fn assert_matches_reference(sample: &[f64], lo: f64, hi: f64) {
+        let want = auc_reference(sample, lo, hi).to_bits();
+        let ecdf = Ecdf::new(sample).expect("a nonempty sample");
+        assert_eq!(auc_ecdf(&ecdf, lo, hi).to_bits(), want, "{sample:?} over [{lo}, {hi}]");
+        let mut unstable = sample.to_vec();
+        unstable.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+        assert_eq!(auc_sorted(&unstable, lo, hi).to_bits(), want, "{sample:?} over [{lo}, {hi}]");
+    }
+
+    #[test]
+    fn one_walk_matches_the_reference_bit_for_bit() {
+        let samples: [&[f64]; 9] = [
+            &[0.5],
+            &[0.0, 0.0, 0.0],
+            &[0.1, 0.1, 0.4, 0.4, 0.4, 0.9],
+            &[0.0, -0.0, 0.0, -0.0, 0.3, 0.3, -0.0, 1.0, 1.0],
+            &[-0.0, -0.0, 0.0, 0.7],
+            &[-2.0, -0.5, 0.0, 0.25, 1.0, 1.0, 1.5, 3.0],
+            &[1.0, 1.0, 1.0],
+            &[2.0, 5.0],
+            &[-1.0, -0.25, -0.0],
+        ];
+        let intervals = [
+            (0.0, 1.0),
+            (-0.0, 1.0),
+            (0.0, 0.0),
+            (0.1, 0.4),
+            (0.25, 0.7),
+            (-1.0, 2.0),
+            (-3.0, -1.0),
+            (0.4, 0.4),
+            (1.0, 4.0),
+            (-0.5, -0.0),
+            (0.05, 0.3),
+        ];
+        for sample in samples {
+            for (lo, hi) in intervals {
+                assert_matches_reference(sample, lo, hi);
+            }
+        }
+    }
+
+    #[test]
+    fn summarizers_match_the_reference_bit_for_bit() {
+        let spiky: Vec<f64> = (0..2016).map(|i| if i % 97 < 3 { 8.0 } else { 0.4 }).collect();
+        let noisy: Vec<f64> =
+            (0..2016).map(|i| ((i * 2_654_435_761_usize) % 1009) as f64).collect();
+        let signed: Vec<f64> = (0..500).map(|i| [-0.0, 0.0, 2.0, 2.0, 5.0][i % 5]).collect();
+        for xs in [&spiky[..], &noisy, &signed, &[3.0; 10]] {
+            assert_eq!(
+                minmax_scaled_auc(xs).to_bits(),
+                auc_reference(&minmax_scale(xs), 0.0, 1.0).to_bits()
+            );
+            assert_eq!(
+                max_scaled_auc(xs).to_bits(),
+                auc_reference(&max_scale(xs), 0.0, 1.0).to_bits()
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn one_walk_matches_the_reference_on_any_sample(
+            // Few distinct levels, so ties and signed zeros are common.
+            levels in prop::collection::vec(
+                prop::sample::select(vec![-1.0, -0.0, 0.0, 0.125, 0.5, 0.5, 0.75, 1.0, 1.0, 2.0]),
+                1..60,
+            ),
+            jitter in prop::collection::vec(-1.0..2.0f64, 0..60),
+            lo in prop::sample::select(vec![-1.5, -0.0, 0.0, 0.125, 0.3, 0.5, 1.0]),
+            width in prop::sample::select(vec![0.0, 0.2, 0.5, 1.0, 3.0]),
+        ) {
+            let sample: Vec<f64> = levels.into_iter().chain(jitter).collect();
+            assert_matches_reference(&sample, lo, lo + width);
+        }
+    }
 
     #[test]
     fn auc_of_point_mass_at_zero_is_one() {

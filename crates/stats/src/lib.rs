@@ -18,10 +18,18 @@
 //! Everything here is implemented from scratch on `f64` slices so the engine
 //! crates stay free of heavyweight numeric dependencies. All randomized
 //! routines take explicit seeds and are fully deterministic.
+//!
+//! The only `unsafe` code is in the private `dispatch` module, which runs
+//! the STL kernels' AVX2 copy on CPUs that have AVX2.
+
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod auc;
 pub mod bootstrap;
 pub mod descriptive;
+#[allow(unsafe_code)]
+mod dispatch;
 pub mod distance;
 pub mod ecdf;
 pub mod exactsum;

@@ -38,9 +38,16 @@
 //! builds the same shape waits for it. STL's trend shape `(2016, 504)` takes
 //! about 1.0 MB (253 pinned rows of 504 weights, padded to 256), its
 //! cycle-subseries shape `(14, 11)` about 1 KB. Rebuilding the rows on every
-//! call would cost a division per weight.
+//! call would cost a division per weight. A caller that smooths many series
+//! of one length (STL's 144 cycle-subseries) looks the plan up once, in a
+//! [`Smoother`].
+//!
+//! The smoothing body [`fill`] is compiled twice, for the baseline target
+//! and for AVX2, with the same bits; [`crate::dispatch`] picks the copy.
 
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
+use crate::dispatch::{self, Isa};
 
 /// Interior outputs advanced together.
 const LANES: usize = 16;
@@ -77,6 +84,7 @@ struct Moments {
 impl Moments {
     /// The fitted line evaluated at position `i` (`y_i = ys[i]`), given the
     /// fit's data sums `Σw·y` and `Σw·x·y`.
+    #[inline(always)]
     fn fit(&self, swy: f64, swxy: f64, i: usize, y_i: f64) -> f64 {
         let Moments { sw, swx, swxx } = *self;
         let denom = sw * swxx - swx * swx;
@@ -97,7 +105,7 @@ impl Moments {
 }
 
 /// Everything about a loess pass that depends only on `(n, q)`.
-struct Plan {
+pub(crate) struct Plan {
     /// The interior tricube table and its sum.
     table: Vec<f64>,
     table_sum: f64,
@@ -175,7 +183,7 @@ fn moments<'a>(
 /// The data sums `Σw·y` and `Σw·x·y` of a group of pinned fits over one
 /// shared window: lane `l` pairs `row[l]` of the `j`-th row with sample
 /// `window[j]` at abscissa `x0 + j`.
-#[inline(never)]
+#[inline(always)]
 fn pinned_sums<'a>(
     rows: impl Iterator<Item = &'a [f64; PINNED_LANES]>,
     window: &[f64],
@@ -197,7 +205,7 @@ fn pinned_sums<'a>(
 
 /// `Σ table[j] · window[l + j]` for sixteen consecutive windows, each summed
 /// in ascending `j` from `0.0`.
-#[inline(never)]
+#[inline(always)]
 fn interior_sums(table: &[f64], window: &[f64]) -> [f64; LANES] {
     let mut sums = [0.0; LANES];
     for (&t, y) in table.iter().zip(window.windows(LANES)) {
@@ -211,6 +219,7 @@ fn interior_sums(table: &[f64], window: &[f64]) -> [f64; LANES] {
 
 /// One window's `Σ table[j] · window[j]`, in the same order as a lane of
 /// [`interior_sums`].
+#[inline(always)]
 fn interior_sum(table: &[f64], window: &[f64]) -> f64 {
     table.iter().zip(window).fold(0.0, |s, (&t, &y)| s + t * y)
 }
@@ -279,15 +288,53 @@ pub fn loess_smooth(ys: &[f64], span: f64) -> Vec<f64> {
 }
 
 fn smooth(memo: &PlanMemo, ys: &[f64], span: f64) -> Vec<f64> {
-    let n = ys.len();
-    if n < 3 {
-        return ys.to_vec();
+    let mut out = vec![0.0; ys.len()];
+    Smoother::with_memo(memo, ys.len(), span).smooth_into(Isa::detect(), ys, &mut out);
+    out
+}
+
+/// A loess pass over series of one length `n` at one span, its plan looked
+/// up once.
+pub(crate) struct Smoother {
+    n: usize,
+    /// The filled plan of the pass's shape; `None` when `n < 3`, where the
+    /// series passes through unchanged.
+    plan: Option<PlanCell>,
+}
+
+impl Smoother {
+    pub(crate) fn new(n: usize, span: f64) -> Smoother {
+        Smoother::with_memo(&PLANS, n, span)
     }
-    let q = ((span.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(3, n);
+
+    fn with_memo(memo: &PlanMemo, n: usize, span: f64) -> Smoother {
+        if n < 3 {
+            return Smoother { n, plan: None };
+        }
+        let q = ((span.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(3, n);
+        let cell = memo.cell(n, q);
+        cell.get_or_init(|| Plan::new(n, q));
+        Smoother { n, plan: Some(cell) }
+    }
+
+    /// Smooth `ys` into `out`, both of length `n`, with the copy `isa`.
+    pub(crate) fn smooth_into(&self, isa: Isa, ys: &[f64], out: &mut [f64]) {
+        assert!(ys.len() == self.n && out.len() == self.n, "a smoother of {} samples", self.n);
+        match &self.plan {
+            None => out.copy_from_slice(ys),
+            Some(cell) => dispatch::loess(isa, cell.get().expect("filled in `with_memo`"), ys, out),
+        }
+    }
+}
+
+/// The loess pass of `plan`'s shape over `ys` (`n >= 3` samples), written
+/// to every position of `out`. Inlined into each compiled copy of
+/// [`crate::dispatch::loess`], with the sums it calls.
+#[inline(always)]
+pub(crate) fn fill(plan: &Plan, ys: &[f64], out: &mut [f64]) {
+    let n = ys.len();
+    let q = plan.table.len();
     let half = q / 2;
-    let cell = memo.cell(n, q);
-    let plan = cell.get_or_init(|| Plan::new(n, q));
-    let mut out = vec![0.0; n];
 
     // Interior: positions half < i < n - (q - half), window [i - half, i -
     // half + q); whole groups of sixteen in lockstep, the rest one by one.
@@ -326,7 +373,6 @@ fn smooth(memo: &PlanMemo, ys: &[f64], span: f64) -> Vec<f64> {
             }
         }
     }
-    out
 }
 
 #[cfg(test)]

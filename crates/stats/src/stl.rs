@@ -15,7 +15,8 @@
 //! (and is what makes the summarizer cheap enough to consider at all; the
 //! paper ultimately ships thresholding for speed).
 
-use crate::loess::loess_smooth;
+use crate::dispatch::{self, Isa};
+use crate::loess::Smoother;
 
 /// Configuration for [`stl_decompose`].
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -72,8 +73,10 @@ const LANES: usize = 16;
 ///
 /// Full-width windows are summed sixteen at a time in lockstep; every window
 /// is still summed left to right from `-0.0`, as `Iterator::sum` does, so
-/// the output is bit-identical to summing each window on its own.
-fn moving_average(xs: &[f64], w: usize) -> Vec<f64> {
+/// the output is bit-identical to summing each window on its own. Inlined
+/// into each compiled copy of [`crate::dispatch::moving_average`].
+#[inline(always)]
+pub(crate) fn moving_average(xs: &[f64], w: usize) -> Vec<f64> {
     let n = xs.len();
     let half = w.max(1) / 2;
     let average = |i: usize| {
@@ -131,10 +134,21 @@ pub fn stl_decompose(series: &[f64], config: &StlConfig) -> Option<StlDecomposit
         });
     }
 
+    // Each pass's plan is looked up once. Phases below `n % p` have one
+    // more cycle than the rest, so the cycle-subseries take at most two
+    // lengths.
+    let isa = Isa::detect();
+    let trend_pass = Smoother::new(n, config.trend_span);
+    let (short, long) = (n / p, n.div_ceil(p));
+    let short_pass = Smoother::new(short, config.seasonal_span);
+    let long_pass = Smoother::new(long, config.seasonal_span);
+
     let mut trend = vec![0.0; n];
     let mut seasonal = vec![0.0; n];
-    // One phase's cycle-subseries, reused across phases and iterations.
-    let mut sub = Vec::with_capacity(n.div_ceil(p));
+    // One phase's cycle-subseries and its smoothing, reused across phases
+    // and iterations.
+    let mut sub = Vec::with_capacity(long);
+    let mut smoothed = vec![0.0; long];
 
     for _ in 0..config.inner_iterations.max(1) {
         // 1. Detrend.
@@ -146,8 +160,10 @@ pub fn stl_decompose(series: &[f64], config: &StlConfig) -> Option<StlDecomposit
         for phase in 0..p {
             sub.clear();
             sub.extend(detrended[phase..].iter().step_by(p));
-            let smoothed = loess_smooth(&sub, config.seasonal_span);
-            for (c, s) in cyc[phase..].iter_mut().step_by(p).zip(smoothed) {
+            let pass = if sub.len() == short { &short_pass } else { &long_pass };
+            let smoothed = &mut smoothed[..sub.len()];
+            pass.smooth_into(isa, &sub, smoothed);
+            for (c, &s) in cyc[phase..].iter_mut().step_by(p).zip(&*smoothed) {
                 *c = s;
             }
         }
@@ -156,14 +172,15 @@ pub fn stl_decompose(series: &[f64], config: &StlConfig) -> Option<StlDecomposit
         //    trend: two passes of a moving average over 2·⌊p/2⌋ + 1 points
         //    (145 for p = 144; one more than a period when p is even) plus
         //    a 3-point pass (the STL paper's 3×p×p filter, collapsed).
-        let low = moving_average(&moving_average(&moving_average(&cyc, p), p), 3);
+        let average = |xs: &[f64], w| dispatch::moving_average(isa, xs, w);
+        let low = average(&average(&average(&cyc, p), p), 3);
         for i in 0..n {
             seasonal[i] = cyc[i] - low[i];
         }
 
         // 4. Deseasonalize and re-fit the trend.
         let deseasonalized: Vec<f64> = series.iter().zip(&seasonal).map(|(r, s)| r - s).collect();
-        trend = loess_smooth(&deseasonalized, config.trend_span);
+        trend_pass.smooth_into(isa, &deseasonalized, &mut trend);
     }
 
     let residual: Vec<f64> = (0..n).map(|i| series[i] - trend[i] - seasonal[i]).collect();
@@ -319,6 +336,74 @@ mod tests {
                 assert_eq!(fast.len(), slow.len());
                 for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "n = {}, w = {w}, output {i}", xs.len());
+                }
+            }
+        }
+    }
+
+    /// The decomposition with one `loess_smooth` call, and so one plan
+    /// lookup and one output `Vec`, per cycle-subseries: the order of work
+    /// [`stl_decompose`] must reproduce to the bit.
+    fn stl_reference(series: &[f64], config: &StlConfig) -> StlDecomposition {
+        let n = series.len();
+        let p = config.period;
+        let mut trend = vec![0.0; n];
+        let mut seasonal = vec![0.0; n];
+        for _ in 0..config.inner_iterations.max(1) {
+            let detrended: Vec<f64> = series.iter().zip(&trend).map(|(r, t)| r - t).collect();
+            let mut cyc = vec![0.0; n];
+            for phase in 0..p {
+                let sub: Vec<f64> = detrended[phase..].iter().step_by(p).copied().collect();
+                let smoothed = crate::loess::loess_smooth(&sub, config.seasonal_span);
+                for (c, s) in cyc[phase..].iter_mut().step_by(p).zip(smoothed) {
+                    *c = s;
+                }
+            }
+            let low = moving_average_reference(
+                &moving_average_reference(&moving_average_reference(&cyc, p), p),
+                3,
+            );
+            for i in 0..n {
+                seasonal[i] = cyc[i] - low[i];
+            }
+            let deseasonalized: Vec<f64> =
+                series.iter().zip(&seasonal).map(|(r, s)| r - s).collect();
+            trend = crate::loess::loess_smooth(&deseasonalized, config.trend_span);
+        }
+        let residual: Vec<f64> = (0..n).map(|i| series[i] - trend[i] - seasonal[i]).collect();
+        StlDecomposition { trend, seasonal, residual }
+    }
+
+    #[test]
+    fn cycle_subseries_match_the_per_phase_reference_bit_for_bit() {
+        // 14·144 + 1 and 2·144 + 70 give the cycle-subseries two lengths
+        // (15 and 14, 3 and 2); 2·144 gives length 2, which passes through
+        // the loess unchanged; 14·144 is the summarizer's 14-day history.
+        for n in [14 * 144 + 1, 2 * 144 + 70, 2 * 144, 14 * 144] {
+            for (k, series) in [
+                sine_with_trend(n, 144),
+                (0..n).map(|i| ((i * 2_654_435_761_usize) % 10_007) as f64 * 0.37).collect(),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                for iterations in [1, 2] {
+                    let config = StlConfig { inner_iterations: iterations, ..config(144) };
+                    let fast = stl_decompose(&series, &config).unwrap();
+                    let slow = stl_reference(&series, &config);
+                    for (name, a, b) in [
+                        ("trend", &fast.trend, &slow.trend),
+                        ("seasonal", &fast.seasonal, &slow.seasonal),
+                        ("residual", &fast.residual, &slow.residual),
+                    ] {
+                        for (i, (a, b)) in a.iter().zip(b).enumerate() {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "n = {n}, series {k}, {iterations} iterations: {name}[{i}]"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -14,6 +14,8 @@
 //! * [`mod@window`] — contiguous-window extraction for bootstrapping and
 //!   before/after drift comparisons.
 
+#![forbid(unsafe_code)]
+
 pub mod collect;
 pub mod counters;
 pub mod rollup;

@@ -21,6 +21,8 @@
 //!   and on-prem assessment candidates,
 //! * [`drift`] — the §5.2.3 before/after SKU-change scenario.
 
+#![forbid(unsafe_code)]
+
 pub mod archetype;
 pub mod drift;
 pub mod generate;

@@ -34,6 +34,8 @@
 //! assert!(rec.sku_id.is_some());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use doppler_catalog as catalog;
 pub use doppler_core as engine;
 pub use doppler_dma as dma;
