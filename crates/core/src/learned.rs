@@ -295,11 +295,6 @@ impl LearnedBackend {
         &self.fallback
     }
 
-    /// The learned hyper-parameters.
-    pub fn learned_config(&self) -> &LearnedConfig {
-        &self.learned
-    }
-
     /// Number of training exemplars retained (post-compression).
     pub fn exemplar_count(&self) -> usize {
         self.exemplars.len()

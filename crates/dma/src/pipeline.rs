@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use doppler_catalog::{CatalogKey, DeploymentType, FileLayout};
 use doppler_core::{
-    BackendSpec, ConfidenceConfig, EngineRegistry, EngineTemplate, Recommendation,
-    RecommendationBackend, RegistryError, TrainingSet,
+    ConfidenceConfig, EngineRegistry, EngineTemplate, Recommendation, RecommendationBackend,
+    RegistryError, TrainingSet,
 };
 use doppler_telemetry::PerfHistory;
 
@@ -71,9 +71,10 @@ pub struct AssessmentResult {
 /// [`DopplerEngine`](doppler_core::DopplerEngine), the learned
 /// `LearnedBackend`, or a third-party implementation). Resolve backends
 /// through an [`EngineRegistry`] with
-/// [`from_registry`](SkuRecommendationPipeline::from_registry) /
-/// [`from_registry_backend`](SkuRecommendationPipeline::from_registry_backend)
-/// — one training per distinct
+/// [`from_registry`](SkuRecommendationPipeline::from_registry) (or wrap
+/// [`EngineRegistry::get_or_train_backend`] with
+/// [`from_shared`](SkuRecommendationPipeline::from_shared) for another
+/// backend kind) — one training per distinct
 /// `(catalog key, backend, template, training set)` across every pipeline
 /// in the process.
 #[derive(Debug, Clone)]
@@ -105,19 +106,6 @@ impl SkuRecommendationPipeline {
         training: &TrainingSet,
     ) -> Result<SkuRecommendationPipeline, RegistryError> {
         Ok(SkuRecommendationPipeline::from_shared(registry.get_or_train(key, template, training)?))
-    }
-
-    /// Resolve a specific backend kind through a registry and wrap it.
-    pub fn from_registry_backend(
-        registry: &EngineRegistry,
-        key: &CatalogKey,
-        template: &EngineTemplate,
-        training: &TrainingSet,
-        backend: &BackendSpec,
-    ) -> Result<SkuRecommendationPipeline, RegistryError> {
-        Ok(SkuRecommendationPipeline::from_shared(
-            registry.get_or_train_backend(key, template, training, backend)?,
-        ))
     }
 
     /// The backend in use — the canonical accessor (also the shared handle:
@@ -156,7 +144,7 @@ mod tests {
     use crate::ResourceUseReport;
     use doppler_catalog::{azure_paas_catalog, CatalogSpec};
     use doppler_core::engine::EngineConfig;
-    use doppler_core::DopplerEngine;
+    use doppler_core::{BackendSpec, DopplerEngine};
     use doppler_telemetry::{PerfDimension, TimeSeries};
 
     fn pipeline(deployment: DeploymentType) -> SkuRecommendationPipeline {
@@ -257,14 +245,16 @@ mod tests {
         let registry = EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production()));
         let key = CatalogKey::production(DeploymentType::SqlDb);
         let spec = BackendSpec::Learned(LearnedConfig::default());
-        let p = SkuRecommendationPipeline::from_registry_backend(
-            &registry,
-            &key,
-            &EngineTemplate::production(),
-            &TrainingSet::empty(),
-            &spec,
-        )
-        .unwrap();
+        let p = SkuRecommendationPipeline::from_shared(
+            registry
+                .get_or_train_backend(
+                    &key,
+                    &EngineTemplate::production(),
+                    &TrainingSet::empty(),
+                    &spec,
+                )
+                .unwrap(),
+        );
         assert_eq!(p.backend().id(), "learned");
         assert!(p.backend().as_any().downcast_ref::<LearnedBackend>().is_some());
         // An empty corpus means the learned backend is pure fallback.

@@ -273,11 +273,6 @@ impl EngineSet {
         self.registry.as_ref()
     }
 
-    /// The configured registry routes, in insertion order.
-    pub(crate) fn routes(&self) -> impl Iterator<Item = &EngineRoute> {
-        self.routes.iter().map(|(_, route)| route)
-    }
-
     /// Add (or replace) the registry route serving its default key's
     /// deployment.
     pub(crate) fn insert_route(&mut self, route: EngineRoute) {
@@ -286,10 +281,7 @@ impl EngineSet {
         self.routes.push((deployment, route));
     }
 
-    pub(crate) fn pipeline_for(
-        &self,
-        deployment: DeploymentType,
-    ) -> Option<&Arc<SkuRecommendationPipeline>> {
+    fn pipeline_for(&self, deployment: DeploymentType) -> Option<&Arc<SkuRecommendationPipeline>> {
         self.pipelines.iter().find(|(d, _)| *d == deployment).map(|(_, p)| p)
     }
 
@@ -444,13 +436,6 @@ impl FleetAssessor {
         self.engines.registry()
     }
 
-    /// The registry routes configured via
-    /// [`with_route`](FleetAssessor::with_route), in insertion order.
-    /// Empty for fixed-pipeline assessors.
-    pub fn routes(&self) -> impl Iterator<Item = &EngineRoute> {
-        self.engines.routes()
-    }
-
     /// Add (or replace) the backend serving `backend.config().deployment`
     /// — lets one assessor serve a heterogeneous SqlDb + SqlMi fleet, or
     /// mix backend kinds across deployments.
@@ -462,14 +447,6 @@ impl FleetAssessor {
     /// The configuration in use.
     pub fn config(&self) -> &FleetConfig {
         &self.config
-    }
-
-    /// The pipeline serving `deployment`, if configured.
-    pub fn pipeline_for(
-        &self,
-        deployment: DeploymentType,
-    ) -> Option<&Arc<SkuRecommendationPipeline>> {
-        self.engines.pipeline_for(deployment)
     }
 
     /// Convert into the long-lived streaming front-end, keeping the engine
@@ -845,8 +822,8 @@ mod tests {
         let b = FleetAssessor::from_pipeline(Arc::clone(&pipeline), FleetConfig::with_workers(4));
         // Both assessors reference the identical pipeline allocation.
         assert!(Arc::ptr_eq(
-            a.pipeline_for(DeploymentType::SqlDb).unwrap(),
-            b.pipeline_for(DeploymentType::SqlDb).unwrap()
+            a.engines.pipeline_for(DeploymentType::SqlDb).unwrap(),
+            b.engines.pipeline_for(DeploymentType::SqlDb).unwrap()
         ));
         let fleet: Vec<FleetRequest> =
             (0..12).map(|i| request(&format!("w{i}"), 0.5 + i as f64 * 0.3)).collect();

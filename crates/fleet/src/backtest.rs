@@ -13,6 +13,23 @@
 //! throttle-month counts, and the projected cost delta of switching to
 //! the candidate.
 //!
+//! The same harness judges a challenger backend against a champion before
+//! rollout: leave `ground_truth` unset and the reference side is the
+//! champion's own pick. [`BacktestReport::agreement_rate`] and
+//! [`BacktestReport::cheaper_candidate_picks`] then read as "where does
+//! the challenger diverge" and "what would adopting it where it is cheaper
+//! save". When both assessors resolve through one shared
+//! [`EngineRegistry`](doppler_core::EngineRegistry), the backend spec is
+//! part of the memo key, so a run costs one training per
+//! `(key, backend)` and the sides never cross-serve engines.
+//!
+//! Every cost in the report is the replay catalog's list price for the
+//! pick ([`Sku::monthly_cost`](doppler_catalog::Sku::monthly_cost)), not
+//! the `monthly_cost` an assessor quoted. For SQL DB picks priced against
+//! the replay catalog the two are equal; a SQL MI General Purpose quote
+//! also carries its storage tiers, and an assessor routed to a regional
+//! catalog with its own price multiplier quotes a different figure.
+//!
 //! The harness is deterministic for any worker count: both assessors
 //! collect order-stably, cases are scored in submission order, and the
 //! replay machine itself is a pure function of `(history, SKU)`.
@@ -132,6 +149,23 @@ impl BacktestReport {
         self.candidate_monthly_cost - self.reference_monthly_cost
     }
 
+    /// Scored pairs where the candidate's pick costs strictly less than the
+    /// reference's (so it is a different SKU: both sides are priced from
+    /// one catalog): how many, and the monthly savings of adopting the
+    /// candidate on exactly those cases (reference minus candidate cost,
+    /// summed in case order).
+    pub fn cheaper_candidate_picks(&self) -> (usize, f64) {
+        self.cases
+            .iter()
+            .filter_map(|row| match (&row.candidate, &row.reference) {
+                (Some(c), Some(r)) if c.monthly_cost < r.monthly_cost => {
+                    Some(r.monthly_cost - c.monthly_cost)
+                }
+                _ => None,
+            })
+            .fold((0, 0.0), |(picks, savings), saving| (picks + 1, savings + saving))
+    }
+
     /// Terminal rendering in the fleet-report ASCII style.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -173,6 +207,10 @@ impl BacktestReport {
             "cost delta (candidate - reference): {}${:.2}/mo\n",
             if delta < 0.0 { "-" } else { "+" },
             delta.abs()
+        ));
+        let (picks, savings) = self.cheaper_candidate_picks();
+        out.push_str(&format!(
+            "adopt candidate on {picks} cheaper pick(s): ${savings:.2}/mo projected savings\n"
         ));
         out
     }
@@ -250,8 +288,8 @@ impl Backtest {
     ///
     /// The reference pick for a case is its `ground_truth` when present,
     /// else the reference assessor's recommendation — so the same harness
-    /// back-tests against labelled cohorts (§5) and against a heuristic
-    /// champion (pre-rollout) without reconfiguration.
+    /// back-tests against labelled cohorts (§5) and against a champion
+    /// backend (pre-rollout) without reconfiguration.
     pub fn run(&self, cases: &[BacktestCase]) -> BacktestReport {
         let requests: Vec<FleetRequest> = cases
             .iter()
@@ -436,7 +474,9 @@ mod tests {
     use super::*;
     use crate::assessor::FleetConfig;
     use doppler_catalog::{azure_paas_catalog, CatalogSpec};
-    use doppler_core::{DopplerEngine, EngineConfig};
+    use doppler_core::{
+        DopplerEngine, EngineConfig, LearnedBackend, LearnedConfig, TrainingRecord,
+    };
     use doppler_telemetry::{PerfDimension, TimeSeries};
 
     fn history(cpu: f64, iops: f64) -> PerfHistory {
@@ -485,7 +525,38 @@ mod tests {
         assert_eq!(report.scored_pairs, 8);
         assert_eq!(report.agreement_rate(), Some(1.0));
         assert_eq!(report.monthly_cost_delta(), 0.0);
+        assert_eq!(report.cheaper_candidate_picks(), (0, 0.0));
         assert!(report.render().contains("SKU agreement: 100.0%"));
+        assert!(report.render().contains("adopt candidate on 0 cheaper pick(s): $0.00/mo"));
+    }
+
+    #[test]
+    fn only_cheaper_candidate_picks_count_toward_adoption() {
+        let catalog = azure_paas_catalog(&CatalogSpec::default());
+        let price = |id: &str| catalog.get(&SkuId(id.into())).expect("in catalog").monthly_cost();
+        let mut cs = cases(5);
+        // Case 0: the label is far dearer than the candidate's pick.
+        cs[0].ground_truth = Some("DB_BC_80".into());
+        // Case 4: the label is cheaper than the candidate's pick.
+        cs[4].ground_truth = Some("DB_GP_2".into());
+        // Cases 1-3 fall back to the identical reference assessor.
+        let report = harness().run(&cs);
+        let side = |i: usize| {
+            let row = &report.cases[i];
+            (row.candidate.clone().expect("scored"), row.reference.clone().expect("scored"))
+        };
+        let (candidate, reference) = side(0);
+        assert_ne!(candidate.sku_id, reference.sku_id);
+        assert_eq!(reference.monthly_cost, price("DB_BC_80"));
+        let (dearer, cheap_label) = side(4);
+        assert!(dearer.monthly_cost > cheap_label.monthly_cost, "precondition: {dearer:?}");
+
+        let (picks, savings) = report.cheaper_candidate_picks();
+        assert_eq!(picks, 1);
+        assert_eq!(savings, price("DB_BC_80") - candidate.monthly_cost);
+        assert!(report.render().contains(&format!(
+            "adopt candidate on 1 cheaper pick(s): ${savings:.2}/mo projected savings"
+        )));
     }
 
     #[test]
@@ -548,5 +619,90 @@ mod tests {
         let reparsed =
             backtest_report_from_json(&Json::parse(&json.render_pretty()).unwrap()).unwrap();
         assert_eq!(reparsed, report);
+    }
+
+    fn training() -> Vec<TrainingRecord> {
+        (0..8)
+            .map(|i| {
+                let cpu = 0.2 + (i % 4) as f64 * 0.9;
+                TrainingRecord {
+                    history: history(cpu, cpu * 200.0),
+                    chosen_sku: SkuId(if cpu > 1.0 { "DB_GP_8".into() } else { "DB_GP_2".into() }),
+                    file_layout: None,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn identical_backends_agree_everywhere_with_zero_savings() {
+        // Same heuristic engine on both sides, different worker counts.
+        let report = Backtest::new(
+            azure_paas_catalog(&CatalogSpec::default()),
+            assessor(FleetConfig::with_workers(2)),
+            assessor(FleetConfig::with_workers(3)),
+        )
+        .run(&cases(24));
+        assert_eq!(report.scored_pairs, 24);
+        assert_eq!(report.sku_agreements, report.scored_pairs);
+        assert_eq!(report.agreement_rate(), Some(1.0));
+        assert_eq!(report.cheaper_candidate_picks(), (0, 0.0));
+        assert_eq!(report.candidate_monthly_cost, report.reference_monthly_cost);
+        assert_eq!(report.candidate_fit, report.reference_fit);
+    }
+
+    #[test]
+    fn shared_registry_trains_once_per_backend_and_key() {
+        use crate::assessor::EngineRoute;
+        use doppler_catalog::{CatalogKey, InMemoryCatalogProvider};
+        use doppler_core::{BackendSpec, EngineRegistry, TrainingSet};
+        use std::sync::Arc;
+        let registry =
+            Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
+        let key = CatalogKey::production(DeploymentType::SqlDb);
+        let training = TrainingSet::new(training());
+        let route = || EngineRoute::production(key.clone()).trained(training.clone());
+        let reference =
+            FleetAssessor::over_registry(Arc::clone(&registry), FleetConfig::with_workers(4))
+                .with_route(route());
+        let candidate =
+            FleetAssessor::over_registry(Arc::clone(&registry), FleetConfig::with_workers(4))
+                .with_route(
+                    route().with_backend_spec(BackendSpec::Learned(LearnedConfig::default())),
+                );
+        let report =
+            Backtest::new(azure_paas_catalog(&CatalogSpec::default()), candidate, reference)
+                .with_labels("learned", "heuristic")
+                .run(&cases(32));
+        let stats = registry.stats();
+        assert_eq!(stats.misses, 2, "one training per (key, backend)");
+        assert_eq!(stats.failures, 0);
+        assert_eq!(report.scored_pairs, 32);
+        assert_eq!(report.cases.len(), 32);
+    }
+
+    #[test]
+    fn json_export_round_trips_losslessly() {
+        // A learned candidate that answers every query, so the sides
+        // disagree and both carry their own costs into the export.
+        let learned = LearnedBackend::train(
+            azure_paas_catalog(&CatalogSpec::default()),
+            EngineConfig::production(DeploymentType::SqlDb),
+            LearnedConfig { similarity_floor: 0.0, ..LearnedConfig::default() },
+            &training(),
+        );
+        let config = FleetConfig::with_workers(2);
+        let report = Backtest::new(
+            azure_paas_catalog(&CatalogSpec::default()),
+            FleetAssessor::new(learned, config),
+            assessor(config),
+        )
+        .with_labels("learned", "heuristic")
+        .run(&cases(16));
+        assert_eq!(report.scored_pairs, 16);
+        let rendered = backtest_report_to_json(&report).render_pretty();
+        let parsed = Json::parse(&rendered).expect("valid JSON");
+        let round = backtest_report_from_json(&parsed).expect("structurally complete");
+        assert_eq!(round, report);
     }
 }

@@ -22,15 +22,12 @@
 //!   cost, SKU-mix histogram, curve-shape and confidence distributions,
 //!   per-deployment breakdown, and the unplaceable/failure buckets, with a
 //!   terminal rendering in the style of the bench crate's ASCII figures;
-//! * [`ab`] — the [`AbFleet`] champion/challenger harness: the same
-//!   cohort assessed through two recommendation backends, paired by
-//!   submission index into side-by-side cost / confidence /
-//!   SKU-agreement columns and an adoption row on the [`FleetReport`];
-//! * [`backtest`] — the [`Backtest`] replay harness: a held-out cohort
-//!   assessed through a candidate and a reference assessor, every pick
-//!   replayed on the customer's own history through the `doppler-replay`
-//!   queueing machine, scored into fit rates, throttle months, and a
-//!   cost delta ([`BacktestReport`]);
+//! * [`backtest`] — the [`Backtest`] harness that judges one backend
+//!   against another: a held-out cohort assessed through a candidate and
+//!   a reference assessor (ground-truth labels or a champion backend),
+//!   every pick replayed on the customer's own history through the
+//!   `doppler-replay` queueing machine, scored into SKU agreement, fit
+//!   rates, throttle months, and a cost delta ([`BacktestReport`]);
 //! * [`drift`] — the [`DriftMonitor`] continuous re-assessment loop
 //!   (assess → deploy → monitor → re-queue): fleet-wide §5.2.3 drift
 //!   checks over the same worker pool, [`FleetDriftReport`] roll-ups per
@@ -102,7 +99,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod ab;
 pub mod assessor;
 pub mod backtest;
 pub mod drift;
@@ -112,10 +108,6 @@ pub mod scheduler;
 pub mod service;
 pub mod source;
 
-pub use ab::{
-    ab_summary_from_json, ab_summary_to_json, AbAdoption, AbAssessment, AbFleet, AbSideSummary,
-    AbSummary,
-};
 pub use assessor::{
     AssessmentError, EngineRoute, FleetAssessment, FleetAssessor, FleetConfig, FleetRequest,
     FleetResult,
@@ -130,8 +122,8 @@ pub use drift::{
 };
 pub use queue::BoundedQueue;
 pub use report::{
-    eligible_recommendations, ConfidenceSummary, DeploymentMixRow, DigestOutcome, FailureRow,
-    FleetAggregator, FleetReport, ResultDigest, ShapeMixRow, SkuMixRow,
+    eligible_recommendations, ConfidenceSummary, DeploymentMixRow, FailureRow, FleetAggregator,
+    FleetReport, ShapeMixRow, SkuMixRow,
 };
 pub use scheduler::{
     schedule_summary_from_json, schedule_summary_to_json, FleetScheduler, ScheduleMonthRow,

@@ -71,24 +71,24 @@ pub struct FailureRow {
 
 /// The slice of a [`FleetResult`] the aggregator actually reads — a few
 /// scalars and short strings, not the price-performance curve the full
-/// result carries. Every fold goes through a digest, so one fold
-/// implementation serves whole results and pre-built digests alike.
+/// result carries. Every fold goes through a digest, so the unit tests
+/// can fold synthetic digests through the same arithmetic.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ResultDigest {
+struct ResultDigest {
     /// Submission index. The report sorts attention lists and adoption
     /// months by it, so any fold order reproduces the sequential
     /// submission order bit for bit.
-    pub index: usize,
-    pub instance_name: Arc<str>,
-    pub deployment: DeploymentType,
+    index: usize,
+    instance_name: Arc<str>,
+    deployment: DeploymentType,
     /// The adoption-ledger month the request carried, if any.
-    pub month: Option<Arc<str>>,
-    pub outcome: DigestOutcome,
+    month: Option<Arc<str>>,
+    outcome: DigestOutcome,
 }
 
 /// Outcome projection inside a [`ResultDigest`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum DigestOutcome {
+enum DigestOutcome {
     /// Assessment errored or panicked.
     Failed { message: String },
     /// Assessed; `sku` is `Some((sku_id, monthly_cost))` when placed.
@@ -105,7 +105,7 @@ pub enum DigestOutcome {
 }
 
 impl ResultDigest {
-    pub fn of(result: &FleetResult) -> ResultDigest {
+    fn of(result: &FleetResult) -> ResultDigest {
         let outcome = match &result.outcome {
             Err(e) => DigestOutcome::Failed { message: e.message.clone() },
             Ok(r) => {
@@ -200,10 +200,6 @@ pub struct FleetReport {
     /// a [`FleetRequest::with_month`](crate::FleetRequest::with_month)
     /// label. Empty when the fleet was untagged.
     pub adoption: AdoptionLedger,
-    /// Champion/challenger comparison, present when the report came out of
-    /// an [`AbFleet`](crate::AbFleet) run. Plain assessments leave it
-    /// `None`.
-    pub ab: Option<crate::ab::AbSummary>,
     /// Per-month simulation trace, present when the report came out of a
     /// [`FleetScheduler`](crate::FleetScheduler) run
     /// ([`FleetScheduler::shutdown`](crate::FleetScheduler::shutdown)).
@@ -304,14 +300,12 @@ impl FleetAggregator {
     /// by the result's submission index, so the finished report
     /// depends only on the set of results accepted.
     pub fn accept(&mut self, r: &FleetResult) {
-        // One fold implementation: the by-result and by-digest entry points
-        // route through the same arithmetic so they cannot drift apart.
         self.accept_digest(&ResultDigest::of(r));
     }
 
     /// Fold one digested result in; like
     /// [`accept`](FleetAggregator::accept), order does not matter.
-    pub fn accept_digest(&mut self, r: &ResultDigest) {
+    fn accept_digest(&mut self, r: &ResultDigest) {
         self.fleet_size += 1;
         let deployment_row = {
             let d = r.deployment;
@@ -503,7 +497,6 @@ impl FleetAggregator {
             unplaceable_instances,
             failures,
             adoption,
-            ab: None,
             schedule: None,
         }
     }
@@ -618,34 +611,6 @@ impl FleetReport {
                 }
                 out.push('\n');
             }
-        }
-
-        if let Some(ab) = &self.ab {
-            out.push_str("\n--- Champion/challenger ---\n");
-            out.push_str(&format!(
-                "{:>12} {:>12} {:>16} {:>12} {:>12}\n",
-                "side", "recommended", "total $/mo", "mean $/mo", "confidence"
-            ));
-            for side in [&ab.champion, &ab.challenger] {
-                out.push_str(&format!(
-                    "{:>12} {:>12} {:>16} {:>12} {:>12}\n",
-                    side.backend,
-                    side.recommended,
-                    format!("${:.2}", side.total_monthly_cost),
-                    side.mean_monthly_cost.map_or_else(|| "-".into(), |m| format!("${m:.2}")),
-                    side.mean_confidence.map_or_else(|| "-".into(), |c| format!("{c:.3}")),
-                ));
-            }
-            out.push_str(&format!(
-                "SKU agreement: {}/{} pairs{}\n",
-                ab.sku_agreements,
-                ab.both_recommended,
-                ab.agreement_rate().map_or_else(String::new, |r| format!(" ({:.1}%)", r * 100.0)),
-            ));
-            out.push_str(&format!(
-                "adopt challenger on {} cheaper pair(s): ${:.2}/mo projected savings\n",
-                ab.adoption.challenger_cheaper, ab.adoption.projected_monthly_savings
-            ));
         }
 
         if let Some(schedule) = &self.schedule {

@@ -11,8 +11,8 @@
 //! * [`collect`] — the pre-aggregator: bucketing raw, possibly gappy
 //!   samples into clean 10-minute intervals,
 //! * [`mod@rollup`] — file → database → instance aggregation,
-//! * [`mod@window`] — contiguous-window extraction for bootstrapping and
-//!   before/after drift comparisons.
+//! * [`mod@window`] — splitting and stitching histories for before/after
+//!   drift comparisons.
 
 #![forbid(unsafe_code)]
 
@@ -26,4 +26,4 @@ pub use collect::{PreAggregator, RawSample};
 pub use counters::{PerfDimension, PerfHistory};
 pub use rollup::{rollup, AggregationLevel};
 pub use series::TimeSeries;
-pub use window::{concat, split_at, window};
+pub use window::{concat, split_at};

@@ -1,17 +1,10 @@
-//! Window extraction over perf histories.
+//! Splitting and stitching perf histories.
 //!
-//! Two consumers: the confidence score bootstraps contiguous windows of the
-//! raw history (§3.4), and the drift study of §5.2.3 compares the curves
-//! generated *before* and *after* a SKU change by splitting the history at
-//! the change point.
+//! The drift study of §5.2.3 compares the curves generated *before* and
+//! *after* a SKU change by splitting the history at the change point. A
+//! single contiguous window is [`PerfHistory::window`].
 
 use crate::counters::PerfHistory;
-
-/// A contiguous window `[start, end)` of a history, every dimension sliced
-/// identically.
-pub fn window(history: &PerfHistory, start: usize, end: usize) -> PerfHistory {
-    history.window(start, end)
-}
 
 /// Split a history at a sample index into (before, after).
 pub fn split_at(history: &PerfHistory, at: usize) -> (PerfHistory, PerfHistory) {
@@ -57,7 +50,7 @@ mod tests {
 
     #[test]
     fn window_slices_all_dimensions_identically() {
-        let w = window(&history(), 2, 5);
+        let w = history().window(2, 5);
         assert_eq!(w.values(PerfDimension::Cpu), Some(&[2.0, 3.0, 4.0][..]));
         assert_eq!(w.values(PerfDimension::Iops), Some(&[20.0, 30.0, 40.0][..]));
     }

@@ -65,11 +65,11 @@ pub mod prelude {
         AdoptionLedger, AssessmentRequest, AssessmentResult, SkuRecommendationPipeline,
     };
     pub use doppler_fleet::{
-        AbAssessment, AbFleet, AbSummary, Backtest, BacktestCase, BacktestReport,
-        CatalogRollOutcome, DriftMonitor, DriftOutcome, DriftPass, DriftVerdict, EngineRoute,
-        FleetAssessment, FleetAssessor, FleetConfig, FleetDriftReport, FleetReport, FleetRequest,
-        FleetScheduler, FleetService, MonitoredCustomer, ScheduleSummary, ServiceProgress,
-        SimClock, SimMonth, Ticket, TicketQueue,
+        Backtest, BacktestCase, BacktestReport, CatalogRollOutcome, DriftMonitor, DriftOutcome,
+        DriftPass, DriftVerdict, EngineRoute, FleetAssessment, FleetAssessor, FleetConfig,
+        FleetDriftReport, FleetReport, FleetRequest, FleetScheduler, FleetService,
+        MonitoredCustomer, ScheduleSummary, ServiceProgress, SimClock, SimMonth, Ticket,
+        TicketQueue,
     };
     pub use doppler_obs::{ObsRegistry, ObsSnapshot};
     pub use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};

@@ -1,6 +1,6 @@
-//! Backend-redesign determinism suite: the learned backend and the
-//! champion/challenger harness must be as reproducible as the heuristic
-//! path they ride on.
+//! Backend-redesign determinism suite: the learned backend, and the
+//! replay backtest that judges it against the heuristic champion, must be
+//! as reproducible as the heuristic path they ride on.
 //!
 //! CI runs this with the other determinism suites in one `--test-threads=1`
 //! step; `common::sweep` checks every run under each `common::CONFIGS` row.
@@ -9,7 +9,7 @@ mod common;
 
 use common::{catalog, engine, labelled_training, outcomes, sweep, Config};
 use doppler::dma::preprocess::PreprocessedInstance;
-use doppler::fleet::ab_summary_from_json;
+use doppler::fleet::{backtest_report_from_json, backtest_report_to_json, BacktestCase};
 use doppler::prelude::*;
 use proptest::prelude::*;
 
@@ -53,8 +53,12 @@ fn request(name: String, cpu: f64) -> FleetRequest {
     )
 }
 
+fn cpu_of(i: usize) -> f64 {
+    0.2 + (i % 13) as f64 * 0.55
+}
+
 fn cohort(n: usize) -> Vec<FleetRequest> {
-    (0..n).map(|i| request(format!("inst-{i:04}"), 0.2 + (i % 13) as f64 * 0.55)).collect()
+    (0..n).map(|i| request(format!("inst-{i:04}"), cpu_of(i))).collect()
 }
 
 /// A trained learned backend yields the same fleet report — and the same
@@ -73,16 +77,24 @@ fn learned_backend_fleets_are_deterministic_across_worker_counts() {
     sweep("learned report, rendering and results", &baseline, observe);
 }
 
-/// The acceptance scenario: a ≥1k-instance cohort through a shared
-/// registry, heuristic champion vs learned challenger. One training per
-/// `(key, backend)`, side-by-side columns in the report, and the whole
-/// A/B outcome — report and rendering — bit-for-bit stable across
-/// deployments.
+/// The acceptance scenario: a ≥1k-case unlabelled cohort backtested
+/// through a shared registry, learned challenger (candidate) against the
+/// heuristic champion (reference). One training per `(key, backend)`, and
+/// the whole report — rendering and JSON export — bit-for-bit stable
+/// across deployments.
 #[test]
-fn thousand_instance_ab_fleet_is_deterministic_and_trains_once_per_backend() {
+fn thousand_case_backtest_is_deterministic_and_trains_once_per_backend() {
     use std::sync::Arc;
 
-    let fleet = cohort(1024);
+    let cases: Vec<BacktestCase> = (0..1024)
+        .map(|i| BacktestCase {
+            name: format!("inst-{i:04}"),
+            deployment: DeploymentType::SqlDb,
+            history: history(cpu_of(i), 2.0),
+            file_sizes_gib: vec![],
+            ground_truth: None,
+        })
+        .collect();
     let key = CatalogKey::production(DeploymentType::SqlDb);
     let training_set = TrainingSet::new(training(32));
     let run = |config: Config| {
@@ -94,28 +106,26 @@ fn thousand_instance_ab_fleet_is_deterministic_and_trains_once_per_backend() {
             .over_registry(Arc::clone(&registry))
             .with_route(route().with_backend_spec(BackendSpec::Learned(LearnedConfig::default())));
 
-        let outcome = AbFleet::new(champion, challenger).assess(fleet.clone());
+        let report = Backtest::new(catalog(), challenger, champion)
+            .with_labels("learned", "heuristic")
+            .run(&cases);
         let stats = registry.stats();
         assert_eq!(stats.misses, 2, "one training per (key, backend) under {config:?}");
         assert_eq!(stats.failures, 0);
 
-        let ab = outcome.report.ab.as_ref().expect("A/B summary attached");
-        assert_eq!(ab.paired, 1024);
-        assert_eq!(ab.champion.backend, "heuristic");
-        assert_eq!(ab.challenger.backend, "learned");
-        assert!(ab.both_recommended > 0);
-        let rendered = outcome.report.render();
-        assert!(rendered.contains("Champion/challenger"));
+        assert_eq!(report.cases.len(), 1024);
+        assert!(report.scored_pairs > 0);
+        let rendered = report.render();
         assert!(rendered.contains("SKU agreement"));
 
         // The JSON export round-trips losslessly under every deployment.
-        let json = doppler::fleet::ab_summary_to_json(ab);
+        let json = backtest_report_to_json(&report);
         let parsed = doppler::dma::json::Json::parse(&json.render_pretty()).unwrap();
-        assert_eq!(ab_summary_from_json(&parsed).as_ref(), Some(ab));
+        assert_eq!(backtest_report_from_json(&parsed).as_ref(), Some(&report));
 
-        (rendered, outcome.report)
+        (rendered, report)
     };
-    sweep("A/B report and rendering", &run(Config::SERIAL), run);
+    sweep("backtest report and rendering", &run(Config::SERIAL), run);
 }
 
 proptest! {
