@@ -4,10 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use doppler_core::NegotiabilityStrategy;
-use doppler_stats::{
-    hierarchical_cluster, kmeans, loess_smooth, minmax_scaled_auc, stl_decompose, KMeansConfig,
-    Linkage, SeededRng, StlConfig,
-};
+use doppler_stats::stl::{SEASONAL_SPAN, TREND_SPAN};
+use doppler_stats::{kmeans, loess_smooth, minmax_scaled_auc, stl_decompose, SeededRng};
 use doppler_telemetry::PerfDimension;
 use doppler_workload::{generate, WorkloadArchetype};
 
@@ -48,22 +46,19 @@ fn bench_stl(c: &mut Criterion) {
     let history = generate(&WorkloadArchetype::SpikyCpu.spec(8.0, 14.0), 3);
     let cpu = history.values(PerfDimension::Cpu).expect("generated histories carry CPU");
     assert_eq!(cpu.len(), 2016, "14 days of 10-minute samples");
-    let config = StlConfig::default();
-    let cycle: Vec<f64> = cpu.iter().step_by(config.period).copied().collect();
+    let cycle: Vec<f64> = cpu.iter().step_by(144).copied().collect();
     assert_eq!(cycle.len(), 14, "one sample per day at one phase");
     let mut loess = c.benchmark_group("loess_smooth");
     loess.bench_function("trend_n2016_q504", |b| {
-        b.iter(|| loess_smooth(std::hint::black_box(cpu), config.trend_span))
+        b.iter(|| loess_smooth(std::hint::black_box(cpu), TREND_SPAN))
     });
     loess.bench_function("cycle_n14_q11", |b| {
-        b.iter(|| loess_smooth(std::hint::black_box(&cycle), config.seasonal_span))
+        b.iter(|| loess_smooth(std::hint::black_box(&cycle), SEASONAL_SPAN))
     });
     loess.finish();
     let mut stl = c.benchmark_group("stl_decompose");
     stl.sample_size(10);
-    stl.bench_function("14d_p144", |b| {
-        b.iter(|| stl_decompose(std::hint::black_box(cpu), &config))
-    });
+    stl.bench_function("14d_p144", |b| b.iter(|| stl_decompose(std::hint::black_box(cpu), 144)));
     stl.finish();
 }
 
@@ -94,16 +89,7 @@ fn bench_grouping(c: &mut Criterion) {
         })
         .collect();
     c.bench_function("kmeans_k16_n1000", |b| {
-        b.iter(|| {
-            kmeans(
-                std::hint::black_box(&points),
-                &KMeansConfig { k: 16, seed: 1, ..Default::default() },
-            )
-        })
-    });
-    let small: Vec<Vec<f64>> = points.iter().take(200).cloned().collect();
-    c.bench_function("hierarchical_k16_n200", |b| {
-        b.iter(|| hierarchical_cluster(std::hint::black_box(&small), 16, Linkage::Average))
+        b.iter(|| kmeans(std::hint::black_box(&points), 16, 1))
     });
 }
 

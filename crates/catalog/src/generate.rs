@@ -12,6 +12,7 @@
 //! | data IOPS        | 320 /vCore      | 4000 /vCore   |
 //! | log rate         | 3.75 MB/s/vCore | 12 MB/s/vCore |
 //! | min IO latency   | 5 ms            | 1 ms          |
+//! | IO throughput    | 24 MB/s/vCore   | 128 MB/s/vCore |
 //! | max data size    | max(1 TB, 256 GB/vCore), capped at 4 TB |
 
 use crate::billing::BillingRates;
@@ -23,44 +24,43 @@ use crate::sku::{DeploymentType, ResourceCaps, ServiceTier, Sku, SkuId};
 const DB_VCORES: [u32; 14] = [2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 24, 32, 40, 80];
 const MI_VCORES: [u32; 8] = [4, 8, 16, 24, 32, 40, 64, 80];
 
-/// Parameters of catalog generation; the defaults produce the Azure-like
-/// universe used throughout the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct CatalogSpec {
-    pub rates: BillingRates,
-    /// Memory per vCore, GB (Figure 1: 10.4 GB at 2 vCores).
-    pub memory_gb_per_vcore: f64,
-    /// GP data IOPS per vCore (Figure 1: 640 at 2 vCores).
-    pub gp_iops_per_vcore: f64,
-    /// BC data IOPS per vCore (Figure 1: 8000 at 2 vCores).
-    pub bc_iops_per_vcore: f64,
-    /// GP log rate per vCore, MB/s (Figure 1: 7.5 at 2 vCores).
-    pub gp_log_mbps_per_vcore: f64,
-    /// BC log rate per vCore, MB/s (Figure 1: 24 at 2 vCores).
-    pub bc_log_mbps_per_vcore: f64,
-    /// Min IO latency, ms (Figure 1).
-    pub gp_latency_ms: f64,
-    pub bc_latency_ms: f64,
+/// Memory per vCore in both tiers, GB (Figure 1: 10.4 GB at 2 vCores).
+const MEMORY_GB_PER_VCORE: f64 = 5.2;
+
+/// One service tier's column of the module table.
+struct TierRules {
+    /// Data IOPS per vCore.
+    iops_per_vcore: f64,
+    /// Log rate per vCore, MB/s.
+    log_mbps_per_vcore: f64,
+    /// Min IO latency, ms.
+    latency_ms: f64,
     /// IO throughput per vCore, MB/s.
-    pub gp_throughput_per_vcore: f64,
-    pub bc_throughput_per_vcore: f64,
+    throughput_per_vcore: f64,
 }
 
-impl Default for CatalogSpec {
-    fn default() -> CatalogSpec {
-        CatalogSpec {
-            rates: BillingRates::default(),
-            memory_gb_per_vcore: 5.2,
-            gp_iops_per_vcore: 320.0,
-            bc_iops_per_vcore: 4000.0,
-            gp_log_mbps_per_vcore: 3.75,
-            bc_log_mbps_per_vcore: 12.0,
-            gp_latency_ms: 5.0,
-            bc_latency_ms: 1.0,
-            gp_throughput_per_vcore: 24.0,
-            bc_throughput_per_vcore: 128.0,
-        }
-    }
+/// General Purpose (Figure 1 at 2 vCores: 640 IOPS, 7.5 MB/s log, 5 ms).
+const GP: TierRules = TierRules {
+    iops_per_vcore: 320.0,
+    log_mbps_per_vcore: 3.75,
+    latency_ms: 5.0,
+    throughput_per_vcore: 24.0,
+};
+
+/// Business Critical (Figure 1 at 2 vCores: 8000 IOPS, 24 MB/s log, 1 ms).
+const BC: TierRules = TierRules {
+    iops_per_vcore: 4000.0,
+    log_mbps_per_vcore: 12.0,
+    latency_ms: 1.0,
+    throughput_per_vcore: 128.0,
+};
+
+/// The billing rates catalog generation prices SKUs at; capacities follow
+/// the module table. The default produces the Azure-like universe used
+/// throughout the evaluation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct CatalogSpec {
+    pub rates: BillingRates,
 }
 
 fn max_data_gb(vcores: f64) -> f64 {
@@ -74,23 +74,15 @@ fn build_sku(
     vcores: u32,
 ) -> Sku {
     let v = vcores as f64;
-    let bc = tier == ServiceTier::BusinessCritical;
+    let rules = if tier == ServiceTier::BusinessCritical { &BC } else { &GP };
     let caps = ResourceCaps {
         vcores: v,
-        memory_gb: spec.memory_gb_per_vcore * v,
+        memory_gb: MEMORY_GB_PER_VCORE * v,
         max_data_gb: max_data_gb(v),
-        iops: if bc { spec.bc_iops_per_vcore * v } else { spec.gp_iops_per_vcore * v },
-        log_rate_mbps: if bc {
-            spec.bc_log_mbps_per_vcore * v
-        } else {
-            spec.gp_log_mbps_per_vcore * v
-        },
-        min_io_latency_ms: if bc { spec.bc_latency_ms } else { spec.gp_latency_ms },
-        throughput_mbps: if bc {
-            spec.bc_throughput_per_vcore * v
-        } else {
-            spec.gp_throughput_per_vcore * v
-        },
+        iops: rules.iops_per_vcore * v,
+        log_rate_mbps: rules.log_mbps_per_vcore * v,
+        min_io_latency_ms: rules.latency_ms,
+        throughput_mbps: rules.throughput_per_vcore * v,
     };
     Sku {
         id: SkuId(format!("{deployment}_{tier}_{vcores}")),

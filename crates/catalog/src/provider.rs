@@ -370,7 +370,7 @@ impl InMemoryCatalogProvider {
         price_multiplier: f64,
     ) -> InMemoryCatalogProvider {
         let rates = spec.rates.scaled(price_multiplier);
-        let regional_spec = CatalogSpec { rates, ..*spec };
+        let regional_spec = CatalogSpec { rates };
         let catalog = Arc::new(azure_paas_catalog(&regional_spec));
         for deployment in [DeploymentType::SqlDb, DeploymentType::SqlMi] {
             self.insert(
@@ -837,7 +837,7 @@ mod tests {
         let b = azure_paas_catalog(&spec());
         assert_eq!(a.fingerprint(), b.fingerprint());
 
-        let pricier = CatalogSpec { rates: spec().rates.scaled(1.01), ..spec() };
+        let pricier = CatalogSpec { rates: spec().rates.scaled(1.01) };
         assert_ne!(a.fingerprint(), azure_paas_catalog(&pricier).fingerprint());
 
         let custom = crate::sku::Sku {
@@ -991,7 +991,7 @@ mod tests {
         // The reference: generate the catalog from the rolled rates
         // directly. Bit-for-bit equal prices and fingerprint.
         let rates = spec().rates.scaled(1.08).scaled(0.9);
-        let reference = azure_paas_catalog(&CatalogSpec { rates, ..spec() });
+        let reference = azure_paas_catalog(&CatalogSpec { rates });
         assert_eq!(rolled.catalog.fingerprint(), reference.fingerprint());
         for (a, b) in rolled.catalog.iter().zip(reference.iter()) {
             assert_eq!(a.price_per_hour.to_bits(), b.price_per_hour.to_bits(), "{}", a.id);

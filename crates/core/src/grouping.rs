@@ -4,10 +4,9 @@
 //! Production Doppler uses "straightforward enumeration" — the bit vector
 //! itself indexes one of `2^d` groups (16 for SQL DB's four profiled
 //! dimensions, 8 for SQL MI's three; §5.2.1). Table 4 evaluates k-means on
-//! the continuous weights as the alternative; hierarchical clustering is
-//! the other standard option the paper names.
+//! the continuous weights as the alternative.
 
-use doppler_stats::{hierarchical_cluster, kmeans, KMeansConfig, KMeansResult, Linkage};
+use doppler_stats::kmeans;
 
 /// How to turn per-customer negotiability features into groups.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -16,8 +15,6 @@ pub enum GroupingStrategy {
     Enumeration,
     /// k-means over the continuous weight vectors.
     KMeans { k: usize, seed: u64 },
-    /// Agglomerative clustering over the weight vectors.
-    Hierarchical { k: usize, linkage: Linkage },
 }
 
 /// A fitted grouping that can assign new customers.
@@ -25,8 +22,7 @@ pub enum GroupingStrategy {
 pub enum FittedGrouping {
     /// Enumeration needs no fitting — only the dimension count.
     Enumeration { n_dims: usize },
-    /// Centroid-based assignment (k-means directly; hierarchical via the
-    /// per-cluster mean).
+    /// Nearest-centroid assignment (k-means).
     Centroids { centroids: Vec<Vec<f64>> },
 }
 
@@ -44,29 +40,8 @@ impl GroupingStrategy {
             }
             GroupingStrategy::KMeans { k, seed } => {
                 assert!(!weights.is_empty(), "k-means grouping needs training data");
-                let result: KMeansResult =
-                    kmeans(weights, &KMeansConfig { k, seed, ..Default::default() });
+                let result = kmeans(weights, k, seed);
                 (FittedGrouping::Centroids { centroids: result.centroids }, result.assignments)
-            }
-            GroupingStrategy::Hierarchical { k, linkage } => {
-                assert!(!weights.is_empty(), "hierarchical grouping needs training data");
-                let labels = hierarchical_cluster(weights, k, linkage);
-                let n_groups = labels.iter().max().map_or(0, |m| m + 1);
-                let d = weights[0].len();
-                let mut sums = vec![vec![0.0; d]; n_groups];
-                let mut counts = vec![0usize; n_groups];
-                for (w, &l) in weights.iter().zip(&labels) {
-                    counts[l] += 1;
-                    for (s, &x) in sums[l].iter_mut().zip(w) {
-                        *s += x;
-                    }
-                }
-                let centroids = sums
-                    .into_iter()
-                    .zip(&counts)
-                    .map(|(s, &c)| s.into_iter().map(|x| x / c.max(1) as f64).collect())
-                    .collect();
-                (FittedGrouping::Centroids { centroids }, labels)
             }
         }
     }
@@ -142,13 +117,13 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_grouping_matches_centroid_assignment() {
+    fn kmeans_grouping_matches_centroid_assignment() {
         let weights: Vec<Vec<f64>> = (0..12)
             .map(|i| if i < 6 { vec![0.9 + 0.01 * i as f64] } else { vec![0.1 + 0.01 * i as f64] })
             .collect();
         let bits: Vec<Vec<bool>> = (0..12).map(|i| vec![i < 6]).collect();
-        let (g, labels) =
-            GroupingStrategy::Hierarchical { k: 2, linkage: Linkage::Average }.fit(&weights, &bits);
+        let (g, labels) = GroupingStrategy::KMeans { k: 2, seed: 3 }.fit(&weights, &bits);
+        assert_ne!(labels[0], labels[11]);
         for (i, w) in weights.iter().enumerate() {
             assert_eq!(g.assign(w, &bits[i]), labels[i], "customer {i}");
         }

@@ -36,7 +36,7 @@ use std::fmt;
 
 use doppler_catalog::{Catalog, FileLayout, Fingerprint};
 use doppler_stats::distance::euclidean;
-use doppler_stats::kmeans::{kmeans, KMeansConfig, KMeansResult};
+use doppler_stats::kmeans::{kmeans, KMeansResult};
 use doppler_stats::scaling::minmax_scale;
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
@@ -261,14 +261,8 @@ impl LearnedBackend {
         records: &[TrainingRecord],
         learned: &LearnedConfig,
     ) -> Vec<Exemplar> {
-        let KMeansResult { centroids, assignments, .. } = kmeans(
-            normalized,
-            &KMeansConfig {
-                k: learned.max_profiles.max(1),
-                seed: learned.seed,
-                ..KMeansConfig::default()
-            },
-        );
+        let KMeansResult { centroids, assignments, .. } =
+            kmeans(normalized, learned.max_profiles.max(1), learned.seed);
         centroids
             .iter()
             .enumerate()

@@ -12,7 +12,7 @@
 //!   against monthly cost as a monotone *price-performance curve*;
 //! * the **Customer Profiler** ([`profile`], [`grouping`], [`matching`]):
 //!   summarize each dimension's negotiability, group customers with the
-//!   straightforward-enumeration / k-means / hierarchical strategies, learn
+//!   straightforward-enumeration or k-means strategy, learn
 //!   each group's preferred operating point from successfully migrated
 //!   customers (Eq. 3), and match new customers to the SKU closest below
 //!   that point (Eqs. 4–6);

@@ -13,7 +13,7 @@ use std::ops::Range;
 use doppler_stats::spike::LANES;
 use doppler_stats::{
     max_scaled_auc, minmax_scaled_auc, outlier_fraction, spike_dwell_fraction, stl_decompose,
-    SpikeProfile, StlConfig,
+    SpikeProfile,
 };
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
@@ -58,8 +58,7 @@ impl NegotiabilityStrategy {
     /// The production default. The paper tunes ρ by sensitivity analysis
     /// without stating the value; 0.08 keeps a per-dimension tolerance of
     /// 5 % (plus its sampling noise) safely classified as negotiable while
-    /// saturated demand (dwell ≳ 30 %) stays non-negotiable. The ablation
-    /// bench sweeps ρ across [0.005, 0.20].
+    /// saturated demand (dwell ≳ 30 %) stays non-negotiable.
     pub fn production() -> NegotiabilityStrategy {
         NegotiabilityStrategy::Thresholding { rho: 0.08 }
     }
@@ -123,7 +122,7 @@ impl NegotiabilityStrategy {
                 fraction > cut
             }
             NegotiabilityStrategy::StlVarianceDecomposition { period, cut } => {
-                let explained = stl_decompose(values, &StlConfig { period, ..Default::default() })
+                let explained = stl_decompose(values, period)
                     .map(|d| d.variance_explained())
                     // Short series: fall back to "unstructured".
                     .unwrap_or(0.0);
@@ -357,8 +356,7 @@ mod tests {
                 (vec![(fraction * 25.0).min(1.0)], fraction > cut)
             }
             NegotiabilityStrategy::StlVarianceDecomposition { period, cut } => {
-                let explained = stl_decompose(v, &StlConfig { period, ..Default::default() })
-                    .map_or(0.0, |d| d.variance_explained());
+                let explained = stl_decompose(v, period).map_or(0.0, |d| d.variance_explained());
                 (vec![1.0 - explained], explained < cut)
             }
             NegotiabilityStrategy::MinMaxAucWithThresholding { rho, .. } => {

@@ -145,11 +145,6 @@ impl EngineTemplate {
                 fp.write_usize(k);
                 fp.write_u64(seed);
             }
-            GroupingStrategy::Hierarchical { k, linkage } => {
-                fp.write_u8(2);
-                fp.write_usize(k);
-                fp.write_u8(linkage as u8);
-            }
         }
         fp.finish()
     }
@@ -964,7 +959,7 @@ mod tests {
         let provider = InMemoryCatalogProvider::production().with_region(
             Region::global(),
             CatalogVersion(2),
-            &CatalogSpec { rates: CatalogSpec::default().rates.scaled(1.05), ..Default::default() },
+            &CatalogSpec { rates: CatalogSpec::default().rates.scaled(1.05) },
             1.0,
         );
         let registry = EngineRegistry::new(Arc::new(provider));

@@ -11,8 +11,7 @@
 //! performance dimensions are satisfied by each SKU, at each time point"
 //! (§3.2). The estimate is *joint* — one indicator per time sample over the
 //! union of dimension exceedances — so cross-dimension correlation is
-//! handled for free; the ablation bench shows why assuming independence
-//! would misestimate it.
+//! handled for free, where assuming independence would misestimate it.
 //!
 //! IO latency is the one inverted dimension: "IO latency is taken as the
 //! inverse of the actual IO latency in order to calculate the effect of

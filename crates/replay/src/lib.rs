@@ -25,5 +25,5 @@
 pub mod machine;
 pub mod report;
 
-pub use machine::{Machine, QueueingModel};
+pub use machine::Machine;
 pub use report::{replay, ReplayOutcome};

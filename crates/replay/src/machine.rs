@@ -2,44 +2,27 @@
 
 use doppler_catalog::Sku;
 
-/// Latency-inflation model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct QueueingModel {
-    /// Utilization at which the M/M/1 term is clamped (avoids division by
-    /// zero at saturation).
-    pub max_utilization: f64,
-    /// Hard cap on latency inflation, as a multiple of the SKU's base
-    /// latency.
-    pub max_inflation: f64,
-    /// Additional latency multiplier per unit of memory over-subscription
-    /// (paging).
-    pub paging_penalty: f64,
-}
-
-impl Default for QueueingModel {
-    fn default() -> QueueingModel {
-        QueueingModel { max_utilization: 0.95, max_inflation: 20.0, paging_penalty: 4.0 }
-    }
-}
+/// Utilization at which the M/M/1 term is clamped (avoids division by zero
+/// at saturation).
+const MAX_UTILIZATION: f64 = 0.95;
+/// Hard cap on latency inflation, as a multiple of the SKU's base latency.
+const MAX_INFLATION: f64 = 20.0;
+/// Additional latency multiplier per unit of memory over-subscription
+/// (paging).
+const PAGING_PENALTY: f64 = 4.0;
 
 /// A machine executing a demand trace tick by tick.
 #[derive(Debug, Clone)]
 pub struct Machine {
     sku: Sku,
-    model: QueueingModel,
     /// Unfinished CPU work carried between ticks, in vCore-ticks.
     cpu_backlog: f64,
 }
 
 impl Machine {
-    /// A machine provisioned as `sku` with the default queueing model.
+    /// A machine provisioned as `sku`.
     pub fn new(sku: Sku) -> Machine {
-        Machine::with_model(sku, QueueingModel::default())
-    }
-
-    /// A machine with an explicit queueing model.
-    pub fn with_model(sku: Sku, model: QueueingModel) -> Machine {
-        Machine { sku, model, cpu_backlog: 0.0 }
+        Machine { sku, cpu_backlog: 0.0 }
     }
 
     /// The SKU this machine is provisioned as.
@@ -66,16 +49,16 @@ impl Machine {
     pub fn tick_io(&mut self, demand_iops: f64, memory_demand_gb: f64) -> (f64, f64) {
         let cap = self.sku.caps.iops.max(1e-9);
         let served = demand_iops.max(0.0).min(cap);
-        let utilization = (demand_iops.max(0.0) / cap).min(self.model.max_utilization);
+        let utilization = (demand_iops.max(0.0) / cap).min(MAX_UTILIZATION);
         let base = self.sku.caps.min_io_latency_ms;
         let mut latency = base / (1.0 - utilization);
         // Paging: memory pressure spills reads to disk.
         let mem_cap = self.sku.caps.memory_gb.max(1e-9);
         if memory_demand_gb > mem_cap {
             let over = (memory_demand_gb - mem_cap) / mem_cap;
-            latency *= 1.0 + self.model.paging_penalty * over;
+            latency *= 1.0 + PAGING_PENALTY * over;
         }
-        (served, latency.min(base * self.model.max_inflation))
+        (served, latency.min(base * MAX_INFLATION))
     }
 
     /// True when demand this tick exceeded any capacity (CPU including

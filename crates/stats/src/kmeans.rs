@@ -9,26 +9,11 @@
 use crate::distance::euclidean_sq;
 use crate::rng::SeededRng;
 
-/// Configuration for [`kmeans`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KMeansConfig {
-    /// Number of clusters; clamped to the number of points.
-    pub k: usize,
-    /// Maximum Lloyd iterations.
-    pub max_iterations: usize,
-    /// Stop when no assignment changes (always checked) — `tolerance` adds
-    /// an earlier stop when every centroid moves less than this (squared
-    /// distance).
-    pub tolerance: f64,
-    /// Seed for the k-means++ initialization.
-    pub seed: u64,
-}
-
-impl Default for KMeansConfig {
-    fn default() -> KMeansConfig {
-        KMeansConfig { k: 8, max_iterations: 100, tolerance: 1e-9, seed: 0 }
-    }
-}
+/// Lloyd iterations at most.
+const MAX_ITERATIONS: usize = 100;
+/// Lloyd also stops once no assignment changes; this stops it earlier when
+/// every centroid moves less than this squared distance.
+const TOLERANCE: f64 = 1e-9;
 
 /// The fitted model.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,22 +63,24 @@ fn init_plus_plus(points: &[Vec<f64>], k: usize, rng: &mut SeededRng) -> Vec<Vec
     centroids
 }
 
-/// Run k-means over `points` (each a `d`-dimensional vector).
+/// Run k-means over `points` (each a `d`-dimensional vector) into `k`
+/// clusters, `k` clamped to the number of points, seeding the k-means++
+/// initialization with `seed`.
 ///
 /// Panics if `points` is empty or dimensions are inconsistent (debug).
 /// Empty clusters are re-seeded with the point farthest from its centroid,
 /// so the result always has exactly `min(k, n)` non-empty clusters.
-pub fn kmeans(points: &[Vec<f64>], config: &KMeansConfig) -> KMeansResult {
+pub fn kmeans(points: &[Vec<f64>], k: usize, seed: u64) -> KMeansResult {
     assert!(!points.is_empty(), "kmeans over no points");
     let n = points.len();
-    let k = config.k.clamp(1, n);
-    let mut rng = SeededRng::new(config.seed);
+    let k = k.clamp(1, n);
+    let mut rng = SeededRng::new(seed);
 
     let mut centroids = init_plus_plus(points, k, &mut rng);
     let mut assignments = vec![usize::MAX; n];
     let mut iterations = 0;
 
-    for it in 0..config.max_iterations.max(1) {
+    for it in 0..MAX_ITERATIONS {
         iterations = it + 1;
 
         // Assignment step.
@@ -137,7 +124,7 @@ pub fn kmeans(points: &[Vec<f64>], config: &KMeansConfig) -> KMeansResult {
             centroids[c] = new;
         }
 
-        if !changed || max_shift < config.tolerance {
+        if !changed || max_shift < TOLERANCE {
             break;
         }
     }
@@ -164,7 +151,7 @@ mod tests {
 
     #[test]
     fn separates_two_obvious_blobs() {
-        let r = kmeans(&two_blobs(), &KMeansConfig { k: 2, ..Default::default() });
+        let r = kmeans(&two_blobs(), 2, 0);
         // All of the first 20 share a label; all of the last 20 share the other.
         let first = r.assignments[0];
         assert!(r.assignments[..20].iter().all(|&a| a == first));
@@ -175,21 +162,21 @@ mod tests {
 
     #[test]
     fn inertia_of_perfect_split_is_small() {
-        let r = kmeans(&two_blobs(), &KMeansConfig { k: 2, ..Default::default() });
+        let r = kmeans(&two_blobs(), 2, 0);
         assert!(r.inertia < 1.0, "inertia = {}", r.inertia);
     }
 
     #[test]
     fn k_clamped_to_point_count() {
         let pts = vec![vec![0.0], vec![1.0]];
-        let r = kmeans(&pts, &KMeansConfig { k: 10, ..Default::default() });
+        let r = kmeans(&pts, 10, 0);
         assert_eq!(r.centroids.len(), 2);
     }
 
     #[test]
     fn single_cluster_centroid_is_the_mean() {
         let pts = vec![vec![0.0, 0.0], vec![2.0, 4.0], vec![4.0, 2.0]];
-        let r = kmeans(&pts, &KMeansConfig { k: 1, ..Default::default() });
+        let r = kmeans(&pts, 1, 0);
         assert!((r.centroids[0][0] - 2.0).abs() < 1e-9);
         assert!((r.centroids[0][1] - 2.0).abs() < 1e-9);
     }
@@ -197,16 +184,15 @@ mod tests {
     #[test]
     fn deterministic_under_fixed_seed() {
         let pts = two_blobs();
-        let c = KMeansConfig { k: 3, seed: 42, ..Default::default() };
-        let a = kmeans(&pts, &c);
-        let b = kmeans(&pts, &c);
+        let a = kmeans(&pts, 3, 42);
+        let b = kmeans(&pts, 3, 42);
         assert_eq!(a.assignments, b.assignments);
         assert_eq!(a.centroids, b.centroids);
     }
 
     #[test]
     fn predict_routes_to_nearest_centroid() {
-        let r = kmeans(&two_blobs(), &KMeansConfig { k: 2, ..Default::default() });
+        let r = kmeans(&two_blobs(), 2, 0);
         let near_origin = nearest_centroid(&r.centroids, &[0.5, 0.5]);
         let near_far = nearest_centroid(&r.centroids, &[9.5, 9.5]);
         assert_eq!(near_origin, r.assignments[0]);
@@ -220,7 +206,7 @@ mod tests {
     #[test]
     fn identical_points_collapse_without_panic() {
         let pts = vec![vec![3.0, 3.0]; 10];
-        let r = kmeans(&pts, &KMeansConfig { k: 3, ..Default::default() });
+        let r = kmeans(&pts, 3, 0);
         assert_eq!(r.assignments.len(), 10);
         assert!(r.inertia < 1e-12);
     }
@@ -228,7 +214,7 @@ mod tests {
     #[test]
     fn assignments_match_nearest_centroid_invariant() {
         let pts = two_blobs();
-        let r = kmeans(&pts, &KMeansConfig { k: 4, seed: 7, ..Default::default() });
+        let r = kmeans(&pts, 4, 7);
         for (p, &a) in pts.iter().zip(&r.assignments) {
             assert_eq!(a, nearest_centroid(&r.centroids, p));
         }

@@ -10,8 +10,8 @@
 //! * outlier fractions ([`outlier`]) — the *outlier percentage* summarizer,
 //! * Seasonal-Trend decomposition by Loess ([`stl`], [`loess`]) — the *STL
 //!   variance decomposition* summarizer,
-//! * k-means and agglomerative clustering ([`mod@kmeans`], [`hierarchical`]) —
-//!   the grouping step of the Customer Profiler,
+//! * k-means clustering ([`mod@kmeans`]) — the grouping step of the
+//!   Customer Profiler,
 //! * contiguous-window bootstrapping ([`bootstrap`]) — the confidence score
 //!   of §3.4.
 //!
@@ -33,7 +33,6 @@ mod dispatch;
 pub mod distance;
 pub mod ecdf;
 pub mod exactsum;
-pub mod hierarchical;
 pub mod kmeans;
 pub mod loess;
 pub mod outlier;
@@ -48,11 +47,10 @@ pub use descriptive::{mean, quantile, quantile_sorted, stddev, variance, Summary
 pub use distance::{euclidean, euclidean_sq, manhattan};
 pub use ecdf::Ecdf;
 pub use exactsum::ExactSum;
-pub use hierarchical::{hierarchical_cluster, Linkage};
-pub use kmeans::{kmeans, nearest_centroid, KMeansConfig, KMeansResult};
+pub use kmeans::{kmeans, nearest_centroid, KMeansResult};
 pub use loess::loess_smooth;
 pub use outlier::outlier_fraction;
 pub use rng::SeededRng;
 pub use scaling::{max_scale, minmax_scale};
 pub use spike::{spike_dwell_fraction, SpikeProfile};
-pub use stl::{stl_decompose, StlConfig, StlDecomposition};
+pub use stl::{stl_decompose, StlDecomposition};

@@ -40,10 +40,10 @@
 //! cycle-subseries shape `(14, 11)` about 1 KB. Rebuilding the rows on every
 //! call would cost a division per weight. A caller that smooths many series
 //! of one length (STL's 144 cycle-subseries) looks the plan up once, in a
-//! [`Smoother`].
+//! `Smoother`.
 //!
-//! The smoothing body [`fill`] is compiled twice, for the baseline target
-//! and for AVX2, with the same bits; [`crate::dispatch`] picks the copy.
+//! The smoothing body `fill` is compiled twice, for the baseline target
+//! and for AVX2, with the same bits; `crate::dispatch` picks the copy.
 
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 

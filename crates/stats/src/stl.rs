@@ -9,7 +9,7 @@
 //!
 //! This is a faithful, simplified STL: cycle-subseries Loess smoothing for
 //! the seasonal, a moving-average low-pass to de-drift it, and Loess for the
-//! trend, iterated a configurable number of times. The robustness-weight
+//! trend, iterated twice. The robustness-weight
 //! outer loop of full STL is omitted — Doppler feeds the decomposition into
 //! a *variance ratio*, for which the non-robust inner loop is sufficient
 //! (and is what makes the summarizer cheap enough to consider at all; the
@@ -18,26 +18,13 @@
 use crate::dispatch::{self, Isa};
 use crate::loess::Smoother;
 
-/// Configuration for [`stl_decompose`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct StlConfig {
-    /// Samples per season (e.g. 144 for daily seasonality at 10-minute
-    /// sampling). Must be >= 2.
-    pub period: usize,
-    /// Loess span for smoothing each cycle-subseries, as a fraction of the
-    /// subseries length.
-    pub seasonal_span: f64,
-    /// Loess span for the trend, as a fraction of the full series length.
-    pub trend_span: f64,
-    /// Inner-loop iterations; 2 matches the STL paper's default.
-    pub inner_iterations: usize,
-}
-
-impl Default for StlConfig {
-    fn default() -> StlConfig {
-        StlConfig { period: 144, seasonal_span: 0.75, trend_span: 0.25, inner_iterations: 2 }
-    }
-}
+/// Loess span for smoothing each cycle-subseries, as a fraction of the
+/// subseries length.
+pub const SEASONAL_SPAN: f64 = 0.75;
+/// Loess span for the trend, as a fraction of the full series length.
+pub const TREND_SPAN: f64 = 0.25;
+/// Inner-loop iterations; 2 matches the STL paper's default.
+const INNER_ITERATIONS: usize = 2;
 
 /// The additive decomposition `R = T + S + I`.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,9 +92,11 @@ pub(crate) fn moving_average(xs: &[f64], w: usize) -> Vec<f64> {
 /// largest magnitude (about this many ulps of its level) counts as flat.
 const FLAT_ULPS: f64 = 4.0;
 
-/// Decompose an evenly spaced series.
+/// Decompose an evenly spaced series with `period` samples per season
+/// (e.g. 144 for daily seasonality at 10-minute sampling).
 ///
-/// Returns `None` when the series is shorter than two full periods —
+/// Returns `None` when `period < 2` or the series is shorter than two full
+/// periods —
 /// seasonality is not identifiable below that, which is also why the paper
 /// pushes customers to collect at least a week of data.
 ///
@@ -117,9 +106,9 @@ const FLAT_ULPS: f64 = 4.0;
 /// the input, because the loess passes would otherwise leave rounding
 /// noise in the residual that [`StlDecomposition::variance_explained`]
 /// scores.
-pub fn stl_decompose(series: &[f64], config: &StlConfig) -> Option<StlDecomposition> {
+pub fn stl_decompose(series: &[f64], period: usize) -> Option<StlDecomposition> {
     let n = series.len();
-    let p = config.period;
+    let p = period;
     if p < 2 || n < 2 * p {
         return None;
     }
@@ -138,10 +127,10 @@ pub fn stl_decompose(series: &[f64], config: &StlConfig) -> Option<StlDecomposit
     // more cycle than the rest, so the cycle-subseries take at most two
     // lengths.
     let isa = Isa::detect();
-    let trend_pass = Smoother::new(n, config.trend_span);
+    let trend_pass = Smoother::new(n, TREND_SPAN);
     let (short, long) = (n / p, n.div_ceil(p));
-    let short_pass = Smoother::new(short, config.seasonal_span);
-    let long_pass = Smoother::new(long, config.seasonal_span);
+    let short_pass = Smoother::new(short, SEASONAL_SPAN);
+    let long_pass = Smoother::new(long, SEASONAL_SPAN);
 
     let mut trend = vec![0.0; n];
     let mut seasonal = vec![0.0; n];
@@ -150,7 +139,7 @@ pub fn stl_decompose(series: &[f64], config: &StlConfig) -> Option<StlDecomposit
     let mut sub = Vec::with_capacity(long);
     let mut smoothed = vec![0.0; long];
 
-    for _ in 0..config.inner_iterations.max(1) {
+    for _ in 0..INNER_ITERATIONS {
         // 1. Detrend.
         let detrended: Vec<f64> = series.iter().zip(&trend).map(|(r, t)| r - t).collect();
 
@@ -193,10 +182,6 @@ mod tests {
     use crate::descriptive::variance;
     use proptest::prelude::*;
 
-    fn config(period: usize) -> StlConfig {
-        StlConfig { period, seasonal_span: 0.75, trend_span: 0.25, inner_iterations: 2 }
-    }
-
     fn sine_with_trend(n: usize, period: usize) -> Vec<f64> {
         (0..n)
             .map(|i| {
@@ -209,14 +194,14 @@ mod tests {
 
     #[test]
     fn too_short_series_is_rejected() {
-        assert!(stl_decompose(&[1.0; 20], &config(24)).is_none());
-        assert!(stl_decompose(&[], &StlConfig::default()).is_none());
+        assert!(stl_decompose(&[1.0; 20], 24).is_none());
+        assert!(stl_decompose(&[], 144).is_none());
     }
 
     #[test]
     fn components_resum_to_input_exactly() {
         let series = sine_with_trend(600, 48);
-        let d = stl_decompose(&series, &config(48)).unwrap();
+        let d = stl_decompose(&series, 48).unwrap();
         for (i, &x) in series.iter().enumerate() {
             let resum = d.trend[i] + d.seasonal[i] + d.residual[i];
             assert!((resum - x).abs() < 1e-9, "index {i}");
@@ -226,7 +211,7 @@ mod tests {
     #[test]
     fn pure_seasonal_signal_is_mostly_explained() {
         let series = sine_with_trend(960, 48);
-        let d = stl_decompose(&series, &config(48)).unwrap();
+        let d = stl_decompose(&series, 48).unwrap();
         let ve = d.variance_explained();
         assert!(ve > 0.9, "variance explained = {ve}");
     }
@@ -236,7 +221,7 @@ mod tests {
         // Deterministic pseudo-noise with no structure at the probe period.
         let series: Vec<f64> =
             (0..960).map(|i| ((i * 2_654_435_761_usize) % 10_000) as f64 / 10_000.0).collect();
-        let d = stl_decompose(&series, &config(48)).unwrap();
+        let d = stl_decompose(&series, 48).unwrap();
         let ve = d.variance_explained();
         assert!(ve < 0.55, "variance explained = {ve}");
     }
@@ -246,15 +231,15 @@ mod tests {
         let seasonal = sine_with_trend(960, 48);
         let noise: Vec<f64> =
             (0..960).map(|i| ((i * 1_103_515_245_usize + 12_345) % 10_000) as f64).collect();
-        let dv_seasonal = stl_decompose(&seasonal, &config(48)).unwrap().variance_explained();
-        let dv_noise = stl_decompose(&noise, &config(48)).unwrap().variance_explained();
+        let dv_seasonal = stl_decompose(&seasonal, 48).unwrap().variance_explained();
+        let dv_noise = stl_decompose(&noise, 48).unwrap().variance_explained();
         assert!(dv_seasonal > dv_noise, "seasonal {dv_seasonal} should exceed noise {dv_noise}");
     }
 
     #[test]
     fn trend_captures_linear_drift() {
         let series: Vec<f64> = (0..600).map(|i| 1.0 + 0.1 * i as f64).collect();
-        let d = stl_decompose(&series, &config(24)).unwrap();
+        let d = stl_decompose(&series, 24).unwrap();
         // Seasonal of a pure line should be near zero; the trend carries it.
         assert!(variance(&d.seasonal) < variance(&series) * 0.01);
         assert!(d.variance_explained() > 0.99);
@@ -262,12 +247,12 @@ mod tests {
 
     #[test]
     fn constant_series_fully_explained() {
-        let d = stl_decompose(&[5.0; 300], &config(24)).unwrap();
+        let d = stl_decompose(&[5.0; 300], 24).unwrap();
         assert_eq!(d.variance_explained(), 1.0);
         // Levels whose loess passes do not reconstruct them exactly, over a
         // 14-day, 10-minute history at daily seasonality.
         for level in [7.71853, 2477.084] {
-            let d = stl_decompose(&[level; 2016], &config(144)).unwrap();
+            let d = stl_decompose(&[level; 2016], 144).unwrap();
             assert_eq!(d.variance_explained(), 1.0, "level {level}");
         }
     }
@@ -285,7 +270,7 @@ mod tests {
                     _ => level,
                 })
                 .collect();
-            let d = stl_decompose(&series, &config(144)).unwrap();
+            let d = stl_decompose(&series, 144).unwrap();
             assert_eq!(d.variance_explained(), 1.0, "level {level}");
         }
     }
@@ -304,7 +289,7 @@ mod tests {
                 _ => f64::from_bits(bits & !(1 << 62)),
             };
             let series = vec![level; 2 * period + extra];
-            let d = stl_decompose(&series, &config(period)).unwrap();
+            let d = stl_decompose(&series, period).unwrap();
             prop_assert_eq!(d.variance_explained(), 1.0, "level {level:e}, period {period}");
         }
     }
@@ -344,17 +329,17 @@ mod tests {
     /// The decomposition with one `loess_smooth` call, and so one plan
     /// lookup and one output `Vec`, per cycle-subseries: the order of work
     /// [`stl_decompose`] must reproduce to the bit.
-    fn stl_reference(series: &[f64], config: &StlConfig) -> StlDecomposition {
+    fn stl_reference(series: &[f64], period: usize) -> StlDecomposition {
         let n = series.len();
-        let p = config.period;
+        let p = period;
         let mut trend = vec![0.0; n];
         let mut seasonal = vec![0.0; n];
-        for _ in 0..config.inner_iterations.max(1) {
+        for _ in 0..INNER_ITERATIONS {
             let detrended: Vec<f64> = series.iter().zip(&trend).map(|(r, t)| r - t).collect();
             let mut cyc = vec![0.0; n];
             for phase in 0..p {
                 let sub: Vec<f64> = detrended[phase..].iter().step_by(p).copied().collect();
-                let smoothed = crate::loess::loess_smooth(&sub, config.seasonal_span);
+                let smoothed = crate::loess::loess_smooth(&sub, SEASONAL_SPAN);
                 for (c, s) in cyc[phase..].iter_mut().step_by(p).zip(smoothed) {
                     *c = s;
                 }
@@ -368,7 +353,7 @@ mod tests {
             }
             let deseasonalized: Vec<f64> =
                 series.iter().zip(&seasonal).map(|(r, s)| r - s).collect();
-            trend = crate::loess::loess_smooth(&deseasonalized, config.trend_span);
+            trend = crate::loess::loess_smooth(&deseasonalized, TREND_SPAN);
         }
         let residual: Vec<f64> = (0..n).map(|i| series[i] - trend[i] - seasonal[i]).collect();
         StlDecomposition { trend, seasonal, residual }
@@ -387,22 +372,15 @@ mod tests {
             .into_iter()
             .enumerate()
             {
-                for iterations in [1, 2] {
-                    let config = StlConfig { inner_iterations: iterations, ..config(144) };
-                    let fast = stl_decompose(&series, &config).unwrap();
-                    let slow = stl_reference(&series, &config);
-                    for (name, a, b) in [
-                        ("trend", &fast.trend, &slow.trend),
-                        ("seasonal", &fast.seasonal, &slow.seasonal),
-                        ("residual", &fast.residual, &slow.residual),
-                    ] {
-                        for (i, (a, b)) in a.iter().zip(b).enumerate() {
-                            assert_eq!(
-                                a.to_bits(),
-                                b.to_bits(),
-                                "n = {n}, series {k}, {iterations} iterations: {name}[{i}]"
-                            );
-                        }
+                let fast = stl_decompose(&series, 144).unwrap();
+                let slow = stl_reference(&series, 144);
+                for (name, a, b) in [
+                    ("trend", &fast.trend, &slow.trend),
+                    ("seasonal", &fast.seasonal, &slow.seasonal),
+                    ("residual", &fast.residual, &slow.residual),
+                ] {
+                    for (i, (a, b)) in a.iter().zip(b).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "n = {n}, series {k}: {name}[{i}]");
                     }
                 }
             }

@@ -2,8 +2,8 @@
 
 use doppler_stats::descriptive::{mean, quantile, stddev};
 use doppler_stats::{
-    auc_ecdf, hierarchical_cluster, kmeans, max_scale, minmax_scale, minmax_scaled_auc,
-    spike_dwell_fraction, stl_decompose, BootstrapWindows, Ecdf, KMeansConfig, Linkage, StlConfig,
+    auc_ecdf, kmeans, max_scale, minmax_scale, minmax_scaled_auc, spike_dwell_fraction,
+    stl_decompose, BootstrapWindows, Ecdf,
 };
 use proptest::prelude::*;
 
@@ -95,8 +95,7 @@ proptest! {
 
     #[test]
     fn stl_components_resum(xs in prop::collection::vec(-100.0..100.0f64, 48..300)) {
-        let config = StlConfig { period: 24, ..Default::default() };
-        if let Some(d) = stl_decompose(&xs, &config) {
+        if let Some(d) = stl_decompose(&xs, 24) {
             for (i, &x) in xs.iter().enumerate() {
                 let resum = d.trend[i] + d.seasonal[i] + d.residual[i];
                 prop_assert!((resum - x).abs() < 1e-6, "index {i}");
@@ -111,26 +110,13 @@ proptest! {
         points in prop::collection::vec(prop::collection::vec(-10.0..10.0f64, 2), 2..40),
         k in 1usize..5,
     ) {
-        let r = kmeans(&points, &KMeansConfig { k, seed: 7, ..Default::default() });
+        let r = kmeans(&points, k, 7);
         prop_assert_eq!(r.assignments.len(), points.len());
         for (p, &a) in points.iter().zip(&r.assignments) {
             let d_assigned = doppler_stats::euclidean_sq(p, &r.centroids[a]);
             for c in &r.centroids {
                 prop_assert!(d_assigned <= doppler_stats::euclidean_sq(p, c) + 1e-9);
             }
-        }
-    }
-
-    #[test]
-    fn hierarchical_labels_are_dense(
-        points in prop::collection::vec(prop::collection::vec(-10.0..10.0f64, 2), 2..30),
-        k in 1usize..5,
-    ) {
-        let labels = hierarchical_cluster(&points, k, Linkage::Average);
-        let max = *labels.iter().max().unwrap();
-        prop_assert!(max < k.min(points.len()));
-        for want in 0..=max {
-            prop_assert!(labels.contains(&want));
         }
     }
 

@@ -6,7 +6,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`stats`] | `doppler-stats` | ECDF/AUC, STL/Loess, bootstrap, k-means, hierarchical clustering |
+//! | [`stats`] | `doppler-stats` | ECDF/AUC, STL/Loess, bootstrap, k-means |
 //! | [`catalog`] | `doppler-catalog` | Azure SQL PaaS SKU catalog, storage tiers, billing |
 //! | [`telemetry`] | `doppler-telemetry` | perf-counter series, pre-aggregation, roll-up |
 //! | [`workload`] | `doppler-workload` | synthetic traces, benchmark synthesis, customer cohorts |

@@ -74,7 +74,7 @@ fn reference_results(fleet: &[FleetRequest]) -> Vec<FleetResult> {
         let (_, multiplier) =
             REGIONS.into_iter().find(|(r, _)| key.region == Region::new(*r)).expect("known region");
         let rates = CatalogSpec::default().rates.scaled(multiplier);
-        let spec = CatalogSpec { rates, ..CatalogSpec::default() };
+        let spec = CatalogSpec { rates };
         let config = EngineConfig { rates, ..EngineConfig::production(key.deployment) };
         let training = training_set(key.deployment);
         SkuRecommendationPipeline::new(DopplerEngine::train(
