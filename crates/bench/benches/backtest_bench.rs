@@ -10,12 +10,16 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType};
-use doppler_core::{
-    DopplerEngine, EngineConfig, LearnedBackend, LearnedConfig, RecommendationBackend,
-    TrainingRecord,
+use std::sync::Arc;
+
+use doppler_catalog::{
+    azure_paas_catalog, CatalogKey, CatalogSpec, DeploymentType, InMemoryCatalogProvider,
 };
-use doppler_fleet::{Backtest, BacktestCase, FleetAssessor, FleetConfig};
+use doppler_core::{
+    BackendSpec, DopplerEngine, EngineConfig, EngineRegistry, LearnedBackend, LearnedConfig,
+    RecommendationBackend, TrainingRecord, TrainingSet,
+};
+use doppler_fleet::{Backtest, BacktestCase, EngineRoute, FleetAssessor, FleetConfig};
 use doppler_workload::PopulationSpec;
 
 const CORPUS: usize = 128;
@@ -99,16 +103,24 @@ fn bench_backtest_run(c: &mut Criterion) {
     let spec = PopulationSpec { days: 1.0, ..PopulationSpec::sql_db(64, 4242) };
     let cases: Vec<BacktestCase> =
         spec.customers(&catalog).iter().map(BacktestCase::from_customer).collect();
-    let learned =
-        LearnedBackend::train(catalog.clone(), config(), LearnedConfig::default(), &records);
+    let registry = Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
+    let side = |backend: BackendSpec, training: TrainingSet| {
+        FleetAssessor::over_registry(Arc::clone(&registry), FleetConfig::with_workers(4))
+            .with_route(
+                EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb))
+                    .trained(training)
+                    .with_backend_spec(backend),
+            )
+    };
+    let learned = BackendSpec::Learned(LearnedConfig::default());
     let harness = Backtest::new(
         catalog.clone(),
-        FleetAssessor::new(learned, FleetConfig::with_workers(4)),
-        FleetAssessor::new(
-            DopplerEngine::untrained(catalog.clone(), config()),
-            FleetConfig::with_workers(4),
-        ),
+        side(learned, TrainingSet::new(records)),
+        side(BackendSpec::Heuristic, TrainingSet::empty()),
     );
+    // One untimed run trains both engines: the iterations measure the
+    // back-test, never training.
+    std::hint::black_box(harness.run(&cases));
     let mut group = c.benchmark_group("backtest_run_64_cases");
     group.sample_size(10);
     group.bench_function("replay_scored", |b| b.iter(|| std::hint::black_box(harness.run(&cases))));

@@ -18,11 +18,14 @@
 
 #![forbid(unsafe_code)]
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType};
-use doppler_core::{DopplerEngine, EngineConfig};
-use doppler_fleet::{cloud_fleet, FleetAssessor, FleetConfig, FleetRequest};
+use doppler_catalog::{
+    azure_paas_catalog, CatalogKey, CatalogSpec, DeploymentType, InMemoryCatalogProvider,
+};
+use doppler_core::EngineRegistry;
+use doppler_fleet::{cloud_fleet, EngineRoute, FleetAssessor, FleetConfig, FleetRequest};
 use doppler_obs::ObsRegistry;
 use doppler_workload::PopulationSpec;
 
@@ -40,14 +43,19 @@ fn main() {
     let catalog = azure_paas_catalog(&CatalogSpec::default());
     let spec = PopulationSpec { days: 1.0, ..PopulationSpec::sql_db(cohort_size, 17) };
     let fleet: Vec<FleetRequest> = cloud_fleet(&spec, &catalog, None).collect();
+    // One registry for every round, its engine trained before timing
+    // starts: the rounds measure assessment, never training.
+    let registry = Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
+    let route = EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb));
+    registry
+        .get_or_train(&route.default_key, &route.template, &route.training)
+        .expect("the production catalog resolves");
     let assessor = |obs: &ObsRegistry| {
-        let engine = DopplerEngine::untrained(
-            catalog.clone(),
-            EngineConfig::production(DeploymentType::SqlDb),
-        );
         let mut config = FleetConfig::with_workers(workers);
         config.keep_results = false;
-        FleetAssessor::new(engine, config).with_obs(obs)
+        FleetAssessor::over_registry(Arc::clone(&registry), config)
+            .with_route(route.clone())
+            .with_obs(obs)
     };
 
     let mut noop = Vec::new();

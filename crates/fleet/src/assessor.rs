@@ -6,7 +6,8 @@
 //! recommendations (§4, Table 1); this module is the reproduction's version
 //! of that serving layer. The trained engine is read-only after
 //! construction, so assessment parallelizes embarrassingly: each worker
-//! holds an `Arc` of the deployment's pipeline, pops tasks from a bounded
+//! resolves its request's engine through one shared [`EngineRegistry`]
+//! (an `Arc` bump once the engine is trained), pops tasks from a bounded
 //! queue (so lazily-generated fleets never materialize fully), and streams
 //! results back in completion order. Results are then folded in submission
 //! order, making the output — and every aggregate derived from it —
@@ -22,9 +23,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
 use doppler_catalog::{CatalogKey, DeploymentType};
-use doppler_core::{
-    BackendSpec, EngineRegistry, EngineTemplate, RecommendationBackend, TrainingSet,
-};
+use doppler_core::{BackendSpec, EngineRegistry, EngineTemplate, TrainingSet};
 use doppler_dma::{AssessmentRequest, AssessmentResult, SkuRecommendationPipeline};
 use doppler_obs::{Histogram, ObsRegistry};
 
@@ -202,26 +201,21 @@ impl EngineRoute {
     }
 }
 
-/// The routing table: fixed pre-built pipelines per deployment (the seed
-/// path) and/or an [`EngineRegistry`] with per-deployment [`EngineRoute`]s
-/// (the multi-region path). Shared immutably across however many worker
-/// threads — scoped or long-lived — the serving layer runs; all engine
-/// state lives behind `Arc`s, so cloning the set is cheap.
+/// The routing table: an [`EngineRegistry`] with one [`EngineRoute`] per
+/// deployment. Shared immutably across however many worker threads —
+/// scoped or long-lived — the serving layer runs; all engine state lives
+/// behind `Arc`s, so cloning the set is cheap.
 ///
 /// This is the single place a fleet request turns into a [`FleetResult`]:
 /// both the one-shot [`FleetAssessor`] and the streaming
 /// [`FleetService`](crate::service::FleetService) route through it, so the
-/// two paths cannot drift apart. Resolution order for a request:
-///
-/// 1. a pinned [`FleetRequest::catalog_key`] resolves through the registry
-///    (an error outcome if no registry or no route for its deployment);
-/// 2. otherwise a fixed pipeline for the deployment, if one is registered;
-/// 3. otherwise the registry route's `default_key`;
-/// 4. otherwise the request fails into the report's failure bucket.
+/// two paths cannot drift apart. A request resolves through the route for
+/// its deployment: a pinned [`FleetRequest::catalog_key`] resolves that
+/// key, a keyless request the route's `default_key`. A deployment with no
+/// route fails into the report's failure bucket.
 #[derive(Clone)]
 pub(crate) struct EngineSet {
-    pipelines: Vec<(DeploymentType, Arc<SkuRecommendationPipeline>)>,
-    registry: Option<Arc<EngineRegistry>>,
+    registry: Arc<EngineRegistry>,
     routes: Vec<(DeploymentType, EngineRoute)>,
     obs: EngineSetObs,
 }
@@ -240,15 +234,6 @@ struct EngineSetObs {
 }
 
 impl EngineSet {
-    pub(crate) fn new() -> EngineSet {
-        EngineSet {
-            pipelines: Vec::new(),
-            registry: None,
-            routes: Vec::new(),
-            obs: EngineSetObs::default(),
-        }
-    }
-
     /// Register the per-stage histograms with `obs` (a disabled registry
     /// leaves the set uninstrumented).
     pub(crate) fn instrument(&mut self, obs: &ObsRegistry) {
@@ -258,19 +243,8 @@ impl EngineSet {
         };
     }
 
-    /// Add (or replace) the pipeline serving its engine's deployment.
-    pub(crate) fn insert(&mut self, pipeline: Arc<SkuRecommendationPipeline>) {
-        let deployment = pipeline.deployment();
-        self.pipelines.retain(|(d, _)| *d != deployment);
-        self.pipelines.push((deployment, pipeline));
-    }
-
-    pub(crate) fn set_registry(&mut self, registry: Arc<EngineRegistry>) {
-        self.registry = Some(registry);
-    }
-
-    pub(crate) fn registry(&self) -> Option<&Arc<EngineRegistry>> {
-        self.registry.as_ref()
+    pub(crate) fn registry(&self) -> &Arc<EngineRegistry> {
+        &self.registry
     }
 
     /// Add (or replace) the registry route serving its default key's
@@ -281,56 +255,28 @@ impl EngineSet {
         self.routes.push((deployment, route));
     }
 
-    fn pipeline_for(&self, deployment: DeploymentType) -> Option<&Arc<SkuRecommendationPipeline>> {
-        self.pipelines.iter().find(|(d, _)| *d == deployment).map(|(_, p)| p)
-    }
-
     pub(crate) fn route_for(&self, deployment: DeploymentType) -> Option<&EngineRoute> {
         self.routes.iter().find(|(d, _)| *d == deployment).map(|(_, r)| r)
     }
 
-    /// Resolve the pipeline a request routes to (see the type docs for the
-    /// resolution order). Warm registry resolutions are a shared read
-    /// lock plus an `Arc` bump; the first request per key pays the one
-    /// training run.
+    /// Resolve the pipeline a request routes to (see the type docs). Warm
+    /// resolutions are a shared read lock plus an `Arc` bump; the first
+    /// request per key pays the one training run.
     pub(crate) fn resolve(
         &self,
         deployment: DeploymentType,
         catalog_key: &Option<CatalogKey>,
     ) -> Result<SkuRecommendationPipeline, AssessmentError> {
-        if let Some(key) = catalog_key {
-            let registry = self.registry.as_deref().ok_or_else(|| AssessmentError {
-                message: format!(
-                    "request pinned catalog {key} but no engine registry is configured"
-                ),
-            })?;
-            let route = self.route_for(key.deployment).ok_or_else(|| AssessmentError {
-                message: format!("no engine route configured for deployment {:?}", key.deployment),
-            })?;
-            let engine = registry
-                .get_or_train_backend(key, &route.template, &route.training, &route.backend)
-                .map_err(|e| AssessmentError { message: e.to_string() })?;
-            return Ok(SkuRecommendationPipeline::from_shared(engine));
-        }
-        if let Some(pipeline) = self.pipeline_for(deployment) {
-            return Ok(SkuRecommendationPipeline::clone(pipeline));
-        }
-        match (self.registry.as_deref(), self.route_for(deployment)) {
-            (Some(registry), Some(route)) => {
-                let engine = registry
-                    .get_or_train_backend(
-                        &route.default_key,
-                        &route.template,
-                        &route.training,
-                        &route.backend,
-                    )
-                    .map_err(|e| AssessmentError { message: e.to_string() })?;
-                Ok(SkuRecommendationPipeline::from_shared(engine))
-            }
-            _ => Err(AssessmentError {
-                message: format!("no engine configured for deployment {deployment:?}"),
-            }),
-        }
+        let deployment = catalog_key.as_ref().map_or(deployment, |key| key.deployment);
+        let route = self.route_for(deployment).ok_or_else(|| AssessmentError {
+            message: format!("no engine route configured for deployment {deployment:?}"),
+        })?;
+        let key = catalog_key.as_ref().unwrap_or(&route.default_key);
+        let engine = self
+            .registry
+            .get_or_train_backend(key, &route.template, &route.training, &route.backend)
+            .map_err(|e| AssessmentError { message: e.to_string() })?;
+        Ok(SkuRecommendationPipeline::from_shared(engine))
     }
 
     /// Assess one routed request; panics, missing routes, and registry
@@ -361,8 +307,9 @@ impl EngineSet {
     }
 }
 
-/// The fleet-scale batch assessor: one read-only pipeline per deployment
-/// target, shared immutably across the worker pool.
+/// The fleet-scale batch assessor: every request resolves its engine
+/// through one shared [`EngineRegistry`], and the trained engines are
+/// shared immutably across the worker pool.
 pub struct FleetAssessor {
     engines: EngineSet,
     config: FleetConfig,
@@ -370,38 +317,15 @@ pub struct FleetAssessor {
 }
 
 impl FleetAssessor {
-    /// An assessor serving one deployment target, taken from the backend's
-    /// own configuration.
-    pub fn new(
-        backend: impl RecommendationBackend + 'static,
-        config: FleetConfig,
-    ) -> FleetAssessor {
-        FleetAssessor::from_pipeline(Arc::new(SkuRecommendationPipeline::new(backend)), config)
-    }
-
-    /// An assessor over an already-built (and possibly shared) pipeline —
-    /// the warm-start path: no engine retraining, no catalog copies, just a
-    /// reference-count bump.
-    pub fn from_pipeline(
-        pipeline: Arc<SkuRecommendationPipeline>,
-        config: FleetConfig,
-    ) -> FleetAssessor {
-        let mut engines = EngineSet::new();
-        engines.insert(pipeline);
-        FleetAssessor { engines, config, obs: ObsRegistry::disabled() }
-    }
-
     /// An assessor that resolves every engine through a shared
-    /// [`EngineRegistry`] — the multi-region path. Add one
-    /// [`EngineRoute`] per deployment with
+    /// [`EngineRegistry`]. Add one [`EngineRoute`] per deployment with
     /// [`with_route`](FleetAssessor::with_route); requests pinning a
     /// [`FleetRequest::catalog_key`] then resolve their exact offer
     /// catalog, keyless requests resolve their deployment route's default
     /// key, and a mixed-region fleet costs exactly one training per
     /// distinct key (asserted via [`EngineRegistry::stats`]).
     pub fn over_registry(registry: Arc<EngineRegistry>, config: FleetConfig) -> FleetAssessor {
-        let mut engines = EngineSet::new();
-        engines.set_registry(registry);
+        let engines = EngineSet { registry, routes: Vec::new(), obs: EngineSetObs::default() };
         FleetAssessor { engines, config, obs: ObsRegistry::disabled() }
     }
 
@@ -420,28 +344,15 @@ impl FleetAssessor {
     }
 
     /// Add (or replace) the registry route serving its default key's
-    /// deployment. Panics if the assessor was not built with
-    /// [`over_registry`](FleetAssessor::over_registry).
+    /// deployment.
     pub fn with_route(mut self, route: EngineRoute) -> FleetAssessor {
-        assert!(
-            self.engines.registry().is_some(),
-            "with_route requires an assessor built with FleetAssessor::over_registry"
-        );
         self.engines.insert_route(route);
         self
     }
 
-    /// The shared registry, when this assessor resolves through one.
-    pub fn registry(&self) -> Option<&Arc<EngineRegistry>> {
+    /// The shared registry this assessor resolves through.
+    pub fn registry(&self) -> &Arc<EngineRegistry> {
         self.engines.registry()
-    }
-
-    /// Add (or replace) the backend serving `backend.config().deployment`
-    /// — lets one assessor serve a heterogeneous SqlDb + SqlMi fleet, or
-    /// mix backend kinds across deployments.
-    pub fn with_backend(mut self, backend: impl RecommendationBackend + 'static) -> FleetAssessor {
-        self.engines.insert(Arc::new(SkuRecommendationPipeline::new(backend)));
-        self
     }
 
     /// The configuration in use.
@@ -518,19 +429,23 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// An assessor over the production catalog (global region, initial
+/// version) serving the untrained production SQL DB route.
+#[cfg(test)]
+pub(crate) fn production_assessor(config: FleetConfig) -> FleetAssessor {
+    let provider = doppler_catalog::InMemoryCatalogProvider::production();
+    FleetAssessor::over_registry(Arc::new(EngineRegistry::new(Arc::new(provider))), config)
+        .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use doppler_catalog::{azure_paas_catalog, CatalogSpec};
-    use doppler_core::{DopplerEngine, EngineConfig};
+    use doppler_catalog::{CatalogSpec, InMemoryCatalogProvider};
     use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
 
     fn assessor(workers: usize) -> FleetAssessor {
-        let engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlDb),
-        );
-        FleetAssessor::new(engine, FleetConfig::with_workers(workers))
+        production_assessor(FleetConfig::with_workers(workers))
     }
 
     fn request(name: &str, cpu: f64) -> FleetRequest {
@@ -557,10 +472,11 @@ mod tests {
 
     #[test]
     fn unroutable_deployments_land_in_the_failure_bucket() {
-        let mut fleet = vec![request("ok", 0.5)];
-        let mut mi = request("mi-stranded", 0.5);
-        mi.deployment = DeploymentType::SqlMi;
-        fleet.push(mi);
+        // A pinned key resolves through its own deployment's route; SqlMi
+        // has none.
+        let mi = request("mi-stranded", 0.5)
+            .with_catalog_key(CatalogKey::production(DeploymentType::SqlMi));
+        let fleet = vec![request("ok", 0.5), mi];
         let out = assessor(2).assess(fleet);
         assert_eq!(out.report.recommended, 1);
         assert_eq!(out.report.failed, 1);
@@ -569,11 +485,8 @@ mod tests {
 
     #[test]
     fn heterogeneous_fleets_route_per_deployment() {
-        let mi_engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlMi),
-        );
-        let assessor = assessor(4).with_backend(mi_engine);
+        let assessor = assessor(4)
+            .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlMi)));
         let mut mi = request("mi-1", 0.5);
         mi.deployment = DeploymentType::SqlMi;
         mi.request.input.file_sizes_gib = vec![64.0, 64.0];
@@ -629,21 +542,17 @@ mod tests {
 
     #[test]
     fn keep_results_false_retains_only_the_report() {
-        let engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlDb),
-        );
         let mut config = FleetConfig::with_workers(2);
         config.keep_results = false;
-        let out = FleetAssessor::new(engine, config)
-            .assess((0..8).map(|i| request(&format!("i{i}"), 0.5)));
+        let out =
+            production_assessor(config).assess((0..8).map(|i| request(&format!("i{i}"), 0.5)));
         assert!(out.results.is_empty());
         assert_eq!(out.report.fleet_size, 8);
         assert_eq!(out.report.recommended, 8);
     }
 
     fn regional_registry() -> Arc<EngineRegistry> {
-        use doppler_catalog::{CatalogSpec, CatalogVersion, InMemoryCatalogProvider, Region};
+        use doppler_catalog::{CatalogVersion, Region};
         let provider = InMemoryCatalogProvider::production()
             .with_region(
                 Region::new("westeurope"),
@@ -692,17 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_key_without_a_registry_fails_into_the_bucket() {
-        let assessor = assessor(2);
-        let keyed =
-            request("pinned", 0.5).with_catalog_key(CatalogKey::production(DeploymentType::SqlDb));
-        let out = assessor.assess(vec![keyed]);
-        assert_eq!(out.report.failed, 1);
-        let message = &out.results[0].outcome.as_ref().unwrap_err().message;
-        assert!(message.contains("no engine registry"), "{message}");
-    }
-
-    #[test]
     fn registry_assessor_without_a_route_fails_that_deployment_only() {
         let registry = regional_registry();
         let assessor =
@@ -737,7 +635,7 @@ mod tests {
 
     #[test]
     fn panicking_resolution_fails_the_request_not_the_worker() {
-        use doppler_catalog::{CatalogProvider, InMemoryCatalogProvider, Region, ResolvedCatalog};
+        use doppler_catalog::{CatalogProvider, Region, ResolvedCatalog};
         struct PanickyProvider(InMemoryCatalogProvider);
         impl CatalogProvider for PanickyProvider {
             fn resolve(&self, key: &CatalogKey) -> Option<ResolvedCatalog> {
@@ -767,30 +665,24 @@ mod tests {
     }
 
     #[test]
-    fn fixed_pipelines_take_precedence_for_keyless_requests() {
-        // An assessor with both a fixed pipeline and a registry route for
-        // SqlDb: keyless requests use the fixed pipeline (no training),
-        // keyed requests go through the registry.
-        let registry = regional_registry();
-        let engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlDb),
-        );
-        let assessor =
-            FleetAssessor::over_registry(Arc::clone(&registry), FleetConfig::with_workers(2))
-                .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)))
-                .with_backend(engine);
-        let out = assessor.assess(vec![request("keyless", 0.5)]);
-        assert_eq!(out.report.recommended, 1);
-        assert_eq!(registry.stats().misses, 0, "fixed pipeline served it; nothing trained");
+    fn keyless_and_default_key_requests_share_one_engine() {
+        // The two resolution rules meet: a keyless request resolves the
+        // route's default key, so pinning that same key trains nothing new.
+        let assessor = assessor(2);
+        let pinned =
+            request("pinned", 0.5).with_catalog_key(CatalogKey::production(DeploymentType::SqlDb));
+        let out = assessor.assess(vec![request("keyless", 0.5), pinned]);
+        assert_eq!(out.report.recommended, 2);
+        let rec = |i: usize| &out.results[i].outcome.as_ref().unwrap().recommendation;
+        assert_eq!(rec(0), rec(1));
+        assert_eq!(assessor.registry().stats().misses, 1, "one engine serves both rules");
     }
 
     #[test]
     fn learned_backend_route_resolves_through_the_registry() {
         use doppler_core::{LearnedConfig, TrainingRecord};
-        let registry = Arc::new(EngineRegistry::new(Arc::new(
-            doppler_catalog::InMemoryCatalogProvider::production(),
-        )));
+        let registry =
+            Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
         let training = TrainingSet::new(vec![TrainingRecord {
             history: PerfHistory::new()
                 .with(PerfDimension::Cpu, TimeSeries::ten_minute(vec![0.5; 96]))
@@ -813,20 +705,18 @@ mod tests {
 
     #[test]
     fn shared_pipelines_warm_start_without_retraining() {
-        let engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlDb),
-        );
-        let pipeline = Arc::new(SkuRecommendationPipeline::new(engine));
-        let a = FleetAssessor::from_pipeline(Arc::clone(&pipeline), FleetConfig::with_workers(2));
-        let b = FleetAssessor::from_pipeline(Arc::clone(&pipeline), FleetConfig::with_workers(4));
-        // Both assessors reference the identical pipeline allocation.
-        assert!(Arc::ptr_eq(
-            a.engines.pipeline_for(DeploymentType::SqlDb).unwrap(),
-            b.engines.pipeline_for(DeploymentType::SqlDb).unwrap()
-        ));
+        // Two assessors over one registry: the second resolves the engine
+        // the first trained.
+        let registry = regional_registry();
+        let route = EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb));
+        let a = FleetAssessor::over_registry(Arc::clone(&registry), FleetConfig::with_workers(2))
+            .with_route(route.clone());
+        let b = FleetAssessor::over_registry(Arc::clone(&registry), FleetConfig::with_workers(4))
+            .with_route(route);
+        assert!(Arc::ptr_eq(a.registry(), b.registry()));
         let fleet: Vec<FleetRequest> =
             (0..12).map(|i| request(&format!("w{i}"), 0.5 + i as f64 * 0.3)).collect();
         assert_eq!(a.assess(fleet.clone()).report, b.assess(fleet).report);
+        assert_eq!(registry.stats().misses, 1, "{:?}", registry.stats());
     }
 }

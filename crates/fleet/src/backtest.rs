@@ -472,11 +472,9 @@ pub fn backtest_report_from_json(json: &Json) -> Option<BacktestReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assessor::FleetConfig;
-    use doppler_catalog::{azure_paas_catalog, CatalogSpec};
-    use doppler_core::{
-        DopplerEngine, EngineConfig, LearnedBackend, LearnedConfig, TrainingRecord,
-    };
+    use crate::assessor::{production_assessor, EngineRoute, FleetConfig};
+    use doppler_catalog::{azure_paas_catalog, CatalogKey, CatalogSpec};
+    use doppler_core::{BackendSpec, LearnedConfig, TrainingRecord, TrainingSet};
     use doppler_telemetry::{PerfDimension, TimeSeries};
 
     fn history(cpu: f64, iops: f64) -> PerfHistory {
@@ -488,13 +486,7 @@ mod tests {
     }
 
     fn assessor(config: FleetConfig) -> FleetAssessor {
-        FleetAssessor::new(
-            DopplerEngine::untrained(
-                azure_paas_catalog(&CatalogSpec::default()),
-                EngineConfig::production(DeploymentType::SqlDb),
-            ),
-            config,
-        )
+        production_assessor(config)
     }
 
     fn cases(n: usize) -> Vec<BacktestCase> {
@@ -653,9 +645,8 @@ mod tests {
 
     #[test]
     fn shared_registry_trains_once_per_backend_and_key() {
-        use crate::assessor::EngineRoute;
-        use doppler_catalog::{CatalogKey, InMemoryCatalogProvider};
-        use doppler_core::{BackendSpec, EngineRegistry, TrainingSet};
+        use doppler_catalog::InMemoryCatalogProvider;
+        use doppler_core::EngineRegistry;
         use std::sync::Arc;
         let registry =
             Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
@@ -685,16 +676,18 @@ mod tests {
     fn json_export_round_trips_losslessly() {
         // A learned candidate that answers every query, so the sides
         // disagree and both carry their own costs into the export.
-        let learned = LearnedBackend::train(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlDb),
-            LearnedConfig { similarity_floor: 0.0, ..LearnedConfig::default() },
-            &training(),
-        );
+        let learned = BackendSpec::Learned(LearnedConfig {
+            similarity_floor: 0.0,
+            ..LearnedConfig::default()
+        });
         let config = FleetConfig::with_workers(2);
         let report = Backtest::new(
             azure_paas_catalog(&CatalogSpec::default()),
-            FleetAssessor::new(learned, config),
+            assessor(config).with_route(
+                EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb))
+                    .trained(TrainingSet::new(training()))
+                    .with_backend_spec(learned),
+            ),
             assessor(config),
         )
         .with_labels("learned", "heuristic")

@@ -32,16 +32,16 @@
 //! # Example
 //!
 //! ```
-//! use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType};
-//! use doppler_core::{DopplerEngine, EngineConfig};
-//! use doppler_fleet::{DriftMonitor, FleetAssessor, FleetConfig, MonitoredCustomer};
+//! use std::sync::Arc;
+//!
+//! use doppler_catalog::{CatalogKey, DeploymentType, InMemoryCatalogProvider};
+//! use doppler_core::EngineRegistry;
+//! use doppler_fleet::{DriftMonitor, EngineRoute, FleetAssessor, FleetConfig, MonitoredCustomer};
 //! use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
 //!
-//! let engine = DopplerEngine::untrained(
-//!     azure_paas_catalog(&CatalogSpec::default()),
-//!     EngineConfig::production(DeploymentType::SqlDb),
-//! );
-//! let assessor = FleetAssessor::new(engine, FleetConfig::with_workers(2));
+//! let registry = Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
+//! let assessor = FleetAssessor::over_registry(registry, FleetConfig::with_workers(2))
+//!     .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)));
 //! let mut monitor = DriftMonitor::new(assessor);
 //!
 //! let window = |cpu: f64| {
@@ -569,7 +569,7 @@ pub struct CatalogRollOutcome {
     /// The key pinned customers now resolve.
     pub new_key: CatalogKey,
     /// Engines tombstoned in the shared registry for the old key (0 when
-    /// the service resolves through fixed pipelines instead).
+    /// no engine was ever trained for it).
     pub retired_engines: usize,
     /// Priority-lane re-assessments of the customers that were pinned to
     /// the old key, in watch order — their standing recommendations
@@ -749,34 +749,32 @@ impl DriftMonitor {
         let mut pending = Vec::new();
         for (slot, w) in self.watched.iter_mut().enumerate() {
             let Some(fresh) = w.fresh.take() else { continue };
-            let stitched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                doppler_telemetry::concat(&w.customer.baseline, &fresh)
-            }));
-            let history = match stitched {
-                Ok(history) => history,
-                Err(payload) => {
-                    pending.push(Pending::Immediate(DriftOutcome {
-                        index: 0, // re-indexed at collection
-                        customer: w.customer.name.clone(),
-                        deployment: w.customer.deployment,
-                        region: w.customer.region(),
-                        verdict: DriftVerdict::Inconclusive,
-                        severity: DriftSeverity::None,
-                        before_sku: None,
-                        after_sku: None,
-                        throttle_if_unchanged: 0.0,
-                        cost_delta: None,
-                        error: Some(crate::assessor::panic_message(payload)),
-                    }));
-                    continue;
-                }
-            };
+            let baseline = &w.customer.baseline;
+            let missing = (!fresh.is_empty())
+                .then(|| baseline.iter().map(|(d, _)| d).find(|&d| fresh.get(d).is_none()))
+                .flatten();
+            if let Some(dim) = missing {
+                pending.push(Pending::Immediate(DriftOutcome {
+                    index: 0, // re-indexed at collection
+                    customer: w.customer.name.clone(),
+                    deployment: w.customer.deployment,
+                    region: w.customer.region(),
+                    verdict: DriftVerdict::Inconclusive,
+                    severity: DriftSeverity::None,
+                    before_sku: None,
+                    after_sku: None,
+                    throttle_if_unchanged: 0.0,
+                    cost_delta: None,
+                    error: Some(format!("fresh window misaligned with its baseline: no {dim}")),
+                }));
+                continue;
+            }
             let probe = DriftProbe {
                 customer: w.customer.name.clone(),
                 deployment: w.customer.deployment,
                 catalog_key: w.customer.catalog_key.clone(),
-                history,
-                change_point: w.customer.baseline.len(),
+                history: doppler_telemetry::concat(baseline, &fresh),
+                change_point: baseline.len(),
             };
             match self.service.submit_drift(probe) {
                 Ok(ticket) => pending.push(Pending::InFlight(slot, fresh, ticket)),
@@ -892,8 +890,7 @@ impl DriftMonitor {
         old_key: &CatalogKey,
         new_key: &CatalogKey,
     ) -> CatalogRollOutcome {
-        let retired_engines =
-            self.service.registry().map_or(0, |registry| registry.retire_version(old_key));
+        let retired_engines = self.service.registry().retire_version(old_key);
 
         // Re-pin and re-queue, in watch order. The key moves even if the
         // re-assessment later fails: the old key is retired, so leaving a
@@ -1012,13 +1009,11 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use doppler_catalog::{
-        azure_paas_catalog, CatalogSpec, CatalogVersion, InMemoryCatalogProvider,
-    };
-    use doppler_core::{DopplerEngine, EngineConfig, EngineRegistry};
+    use doppler_catalog::{CatalogSpec, CatalogVersion, InMemoryCatalogProvider};
+    use doppler_core::EngineRegistry;
     use doppler_telemetry::{PerfDimension, TimeSeries};
 
-    use crate::assessor::{EngineRoute, FleetConfig};
+    use crate::assessor::{production_assessor, EngineRoute, FleetConfig};
 
     fn window(cpu: f64, n: usize) -> PerfHistory {
         PerfHistory::new()
@@ -1027,11 +1022,7 @@ mod tests {
     }
 
     fn monitor(workers: usize) -> DriftMonitor {
-        let engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlDb),
-        );
-        DriftMonitor::new(FleetAssessor::new(engine, FleetConfig::with_workers(workers)))
+        DriftMonitor::new(production_assessor(FleetConfig::with_workers(workers)))
     }
 
     #[test]
@@ -1249,11 +1240,7 @@ mod tests {
 
     #[test]
     fn watch_assessment_seeds_the_monitor_from_a_fleet_run() {
-        let engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlDb),
-        );
-        let assessor = FleetAssessor::new(engine, FleetConfig::with_workers(2));
+        let assessor = production_assessor(FleetConfig::with_workers(2));
         let fleet: Vec<FleetRequest> = (0..4)
             .map(|i| {
                 FleetRequest::new(
@@ -1263,13 +1250,7 @@ mod tests {
             })
             .collect();
         let out = assessor.assess(fleet.clone());
-        let mut monitor = DriftMonitor::new(FleetAssessor::new(
-            DopplerEngine::untrained(
-                azure_paas_catalog(&CatalogSpec::default()),
-                EngineConfig::production(DeploymentType::SqlDb),
-            ),
-            FleetConfig::with_workers(2),
-        ));
+        let mut monitor = DriftMonitor::new(production_assessor(FleetConfig::with_workers(2)));
         for (request, result) in fleet.iter().zip(&out.results) {
             assert!(monitor.watch_assessment(request, result));
         }
@@ -1408,7 +1389,7 @@ mod tests {
         let old = CatalogKey::production(DeploymentType::SqlDb);
         let new = old.clone().at_version(CatalogVersion(2));
         let outcome = monitor.on_catalog_roll("Jan-23", &old, &new);
-        assert_eq!(outcome.retired_engines, 0, "no registry behind fixed pipelines");
+        assert_eq!(outcome.retired_engines, 0, "no engine was trained for the rolled key");
         assert!(outcome.repriced.is_empty());
         assert_eq!(monitor.ledger().month("Jan-23").unwrap().catalog_rolls, 1);
         assert_eq!(monitor.ledger().month("Jan-23").unwrap().customers_repriced, 0);

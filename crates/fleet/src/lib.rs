@@ -10,10 +10,10 @@
 //!   by lazy iterators (streamed synthetic populations, §5-scale cohorts)
 //!   are assessed in O(queue depth) request memory;
 //! * [`assessor`] — the [`FleetAssessor`]: the one-shot batch entry point,
-//!   sharing trained engines immutably via `Arc`, routing each request to
-//!   its deployment's pipeline, catching per-instance panics into a
-//!   failure bucket, and collecting results order-stably so output is
-//!   bit-for-bit identical for any worker count;
+//!   resolving each request's engine through a shared `EngineRegistry`
+//!   (one [`EngineRoute`] per deployment), catching per-instance panics
+//!   into a failure bucket, and collecting results order-stably so output
+//!   is bit-for-bit identical for any worker count;
 //! * [`service`] — the [`FleetService`] streaming front-end: a long-lived
 //!   worker pool accepting [`submit`](FleetService::submit)ted requests
 //!   continuously, resolving them through [`Ticket`] handles, and
@@ -46,17 +46,19 @@
 //! ## Example
 //!
 //! ```
-//! use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType};
-//! use doppler_core::{DopplerEngine, EngineConfig};
-//! use doppler_fleet::{cloud_fleet, FleetAssessor, FleetConfig};
+//! use std::sync::Arc;
+//!
+//! use doppler_catalog::{
+//!     azure_paas_catalog, CatalogKey, CatalogSpec, DeploymentType, InMemoryCatalogProvider,
+//! };
+//! use doppler_core::EngineRegistry;
+//! use doppler_fleet::{cloud_fleet, EngineRoute, FleetAssessor, FleetConfig};
 //! use doppler_workload::PopulationSpec;
 //!
 //! let catalog = azure_paas_catalog(&CatalogSpec::default());
-//! let engine = DopplerEngine::untrained(
-//!     catalog.clone(),
-//!     EngineConfig::production(DeploymentType::SqlDb),
-//! );
-//! let assessor = FleetAssessor::new(engine, FleetConfig::with_workers(4));
+//! let registry = Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
+//! let assessor = FleetAssessor::over_registry(registry, FleetConfig::with_workers(4))
+//!     .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)));
 //!
 //! let spec = PopulationSpec { days: 1.0, ..PopulationSpec::sql_db(50, 42) };
 //! let assessment = assessor.assess(cloud_fleet(&spec, &catalog, None));
@@ -71,18 +73,20 @@
 //! and submit requests as they arrive:
 //!
 //! ```
-//! use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType};
-//! use doppler_core::{DopplerEngine, EngineConfig};
-//! use doppler_fleet::{cloud_fleet, FleetAssessor, FleetConfig};
+//! use std::sync::Arc;
+//!
+//! use doppler_catalog::{
+//!     azure_paas_catalog, CatalogKey, CatalogSpec, DeploymentType, InMemoryCatalogProvider,
+//! };
+//! use doppler_core::EngineRegistry;
+//! use doppler_fleet::{cloud_fleet, EngineRoute, FleetAssessor, FleetConfig};
 //! use doppler_workload::PopulationSpec;
 //!
 //! let catalog = azure_paas_catalog(&CatalogSpec::default());
-//! let engine = DopplerEngine::untrained(
-//!     catalog.clone(),
-//!     EngineConfig::production(DeploymentType::SqlDb),
-//! );
-//! let service =
-//!     FleetAssessor::new(engine, FleetConfig::with_workers(2)).into_service();
+//! let registry = Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
+//! let service = FleetAssessor::over_registry(registry, FleetConfig::with_workers(2))
+//!     .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)))
+//!     .into_service();
 //!
 //! let spec = PopulationSpec { days: 1.0, ..PopulationSpec::sql_db(10, 42) };
 //! let tickets = service.submit_all(cloud_fleet(&spec, &catalog, None)).unwrap();

@@ -42,18 +42,20 @@
 //! # Example
 //!
 //! ```
-//! use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType};
-//! use doppler_core::{DopplerEngine, EngineConfig};
+//! use std::sync::Arc;
+//!
+//! use doppler_catalog::{CatalogKey, DeploymentType, InMemoryCatalogProvider};
+//! use doppler_core::EngineRegistry;
 //! use doppler_fleet::{
-//!     DriftMonitor, FleetAssessor, FleetConfig, FleetScheduler, MonitoredCustomer, SimClock,
+//!     DriftMonitor, EngineRoute, FleetAssessor, FleetConfig, FleetScheduler, MonitoredCustomer,
+//!     SimClock,
 //! };
 //! use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
 //!
-//! let engine = DopplerEngine::untrained(
-//!     azure_paas_catalog(&CatalogSpec::default()),
-//!     EngineConfig::production(DeploymentType::SqlDb),
-//! );
-//! let monitor = DriftMonitor::new(FleetAssessor::new(engine, FleetConfig::with_workers(2)));
+//! let registry = Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
+//! let assessor = FleetAssessor::over_registry(registry, FleetConfig::with_workers(2))
+//!     .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)));
+//! let monitor = DriftMonitor::new(assessor);
 //! let mut sim = FleetScheduler::new(monitor, SimClock::starting(2022, 1));
 //!
 //! let window = |cpu: f64| {
@@ -401,13 +403,9 @@ impl FleetScheduler {
             }
         }
         let mut retired_engines = 0usize;
-        if let (Some(window), Some(registry)) =
-            (self.version_window, self.monitor.service().registry())
-        {
-            if self.version_frontier > window {
-                retired_engines =
-                    registry.retire_older_than(CatalogVersion(self.version_frontier - window));
-            }
+        if let Some(window) = self.version_window.filter(|&w| self.version_frontier > w) {
+            let floor = CatalogVersion(self.version_frontier - window);
+            retired_engines = self.monitor.service().registry().retire_older_than(floor);
         }
 
         let row = ScheduleMonthRow {
@@ -563,13 +561,12 @@ mod tests {
     use super::*;
 
     use doppler_catalog::{
-        azure_paas_catalog, CatalogKey, CatalogSpec, CatalogVersion, DeploymentType,
-        InMemoryCatalogProvider,
+        CatalogKey, CatalogSpec, CatalogVersion, DeploymentType, InMemoryCatalogProvider,
     };
-    use doppler_core::{DopplerEngine, EngineConfig, EngineRegistry};
+    use doppler_core::EngineRegistry;
     use doppler_telemetry::{PerfDimension, TimeSeries};
 
-    use crate::assessor::{EngineRoute, FleetAssessor, FleetConfig};
+    use crate::assessor::{production_assessor, EngineRoute, FleetAssessor, FleetConfig};
 
     fn window(cpu: f64, n: usize) -> PerfHistory {
         PerfHistory::new()
@@ -578,12 +575,7 @@ mod tests {
     }
 
     fn simple_scheduler(workers: usize) -> FleetScheduler {
-        let engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlDb),
-        );
-        let monitor =
-            DriftMonitor::new(FleetAssessor::new(engine, FleetConfig::with_workers(workers)));
+        let monitor = DriftMonitor::new(production_assessor(FleetConfig::with_workers(workers)));
         FleetScheduler::new(monitor, SimClock::starting(2022, 1))
     }
 

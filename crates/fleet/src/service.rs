@@ -11,8 +11,8 @@
 //!   at any time (blocking only on the bounded queue's backpressure) and
 //!   hand back a [`Ticket`] per request;
 //! * a pool of long-lived worker threads pops from the shared
-//!   [`BoundedQueue`], routes each request through the per-deployment
-//!   engine set, and delivers the result to its ticket;
+//!   [`BoundedQueue`], resolves each request's engine through the shared
+//!   engine registry, and delivers the result to its ticket;
 //! * every completion is also folded, as it completes, into a
 //!   [`FleetAggregator`], so [`report_snapshot`](FleetService::report_snapshot)
 //!   yields a mid-run [`FleetReport`] over every result completed so far —
@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use doppler_obs::{Counter, Histogram, ObsRegistry};
 
-use crate::assessor::{EngineSet, FleetAssessor, FleetConfig, FleetRequest, FleetResult};
+use crate::assessor::{EngineSet, FleetConfig, FleetRequest, FleetResult};
 use crate::drift::{DriftOutcome, DriftProbe};
 use crate::queue::BoundedQueue;
 use crate::report::{FleetAggregator, FleetReport};
@@ -346,12 +346,6 @@ pub struct FleetService {
 }
 
 impl FleetService {
-    /// Spin up the worker pool of an assessor's engine set. Equivalent to
-    /// [`FleetAssessor::into_service`].
-    pub fn new(assessor: FleetAssessor) -> FleetService {
-        assessor.into_service()
-    }
-
     pub(crate) fn from_parts(
         engines: EngineSet,
         config: FleetConfig,
@@ -489,18 +483,17 @@ impl FleetService {
     }
 
     /// The shared [`EngineRegistry`](doppler_core::EngineRegistry) this
-    /// service resolves keyed requests through, when it was built over one
-    /// ([`FleetAssessor::over_registry`]). Fleet operators reach through
-    /// this on catalog rolls — retire the superseded key, read the
+    /// service resolves every request through. Fleet operators reach
+    /// through this on catalog rolls — retire the superseded key, read the
     /// training-economy counters.
-    pub fn registry(&self) -> Option<&Arc<doppler_core::EngineRegistry>> {
+    pub fn registry(&self) -> &Arc<doppler_core::EngineRegistry> {
         self.shared.engines.registry()
     }
 
     /// The observability registry this service (and its queue, engine set,
     /// and any [`DriftMonitor`](crate::drift::DriftMonitor) over it) record
     /// into. Disabled unless the service was built via
-    /// [`FleetAssessor::with_obs`].
+    /// [`FleetAssessor::with_obs`](crate::assessor::FleetAssessor::with_obs).
     pub fn obs(&self) -> &ObsRegistry {
         &self.shared.obs
     }
@@ -578,17 +571,14 @@ impl Drop for FleetService {
 mod tests {
     use super::*;
 
-    use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType};
-    use doppler_core::{DopplerEngine, EngineConfig};
+    use doppler_catalog::{CatalogSpec, DeploymentType};
     use doppler_dma::AssessmentRequest;
     use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
 
+    use crate::assessor::{production_assessor, FleetAssessor};
+
     fn service(workers: usize) -> FleetService {
-        let engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlDb),
-        );
-        FleetAssessor::new(engine, FleetConfig::with_workers(workers)).into_service()
+        production_assessor(FleetConfig::with_workers(workers)).into_service()
     }
 
     fn request(name: &str, cpu: f64) -> FleetRequest {

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{catalog, engine, labelled_training, outcomes, sweep, Config};
+use common::{catalog, engine, labelled_training, outcomes, sql_db_route, sweep, Config};
 use doppler::dma::preprocess::PreprocessedInstance;
 use doppler::fleet::{backtest_report_from_json, backtest_report_to_json, BacktestCase};
 use doppler::prelude::*;
@@ -65,10 +65,12 @@ fn cohort(n: usize) -> Vec<FleetRequest> {
 /// per-instance results — under every deployment.
 #[test]
 fn learned_backend_fleets_are_deterministic_across_worker_counts() {
-    let records = training(24);
+    let learned = sql_db_route().trained(TrainingSet::new(training(24))).with_backend_spec(
+        BackendSpec::Learned(LearnedConfig { similarity_floor: 0.0, ..LearnedConfig::default() }),
+    );
     let fleet = cohort(96);
     let observe = |config: Config| {
-        let run = config.assessor(learned_backend(0.0, &records)).assess(fleet.clone());
+        let run = config.assessor(learned.clone()).assess(fleet.clone());
         (run.report.render(), run.report, outcomes(&run.results))
     };
     let baseline = observe(Config::SERIAL);

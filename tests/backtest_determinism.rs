@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{catalog, engine, labelled_training, sweep, Config};
+use common::{catalog, labelled_training, sql_db_route, sweep, Config};
 use doppler::fleet::{backtest_report_from_json, backtest_report_to_json, BacktestCase};
 use doppler::prelude::*;
 
@@ -33,13 +33,10 @@ fn cases(n: usize) -> Vec<BacktestCase> {
 }
 
 fn harness(config: Config) -> Backtest {
-    let learned = LearnedBackend::train(
-        catalog(),
-        EngineConfig::production(DeploymentType::SqlDb),
-        LearnedConfig::default(),
-        &labelled_training(24, |cpu| history(cpu, cpu * 180.0)),
-    );
-    Backtest::new(catalog(), config.assessor(learned), config.assessor(engine()))
+    let learned = sql_db_route()
+        .trained(TrainingSet::new(labelled_training(24, |cpu| history(cpu, cpu * 180.0))))
+        .with_backend_spec(BackendSpec::Learned(LearnedConfig::default()));
+    Backtest::new(catalog(), config.assessor(learned), config.assessor(sql_db_route()))
         .with_labels("learned", "heuristic")
 }
 

@@ -1,8 +1,11 @@
 //! Fixtures shared by the integration suites, each defined once: the
 //! deployment table [`CONFIGS`] and [`sweep`], which checks a scenario under
-//! every row against the suite's serial oracle; the three-region catalog
-//! provider; the flat ten-minute telemetry window; the production catalog
-//! and untrained SQL DB engine; and the training-record builders.
+//! every row against the suite's serial oracle; the registry-backed
+//! assessor every row deploys ([`Config::assessor`]) and the untrained SQL
+//! DB route it usually serves; the three-region catalog provider; the flat
+//! ten-minute telemetry window; the production catalog and the untrained
+//! SQL DB engine serial oracles call directly; and the training-record
+//! builders.
 //!
 //! A suite pulls in what it needs with `mod common;`.
 
@@ -38,29 +41,23 @@ impl Config {
     /// One worker, obs off: the deployment oracles run under.
     pub const SERIAL: Config = CONFIGS[0];
 
-    /// `workers` threads, four queued tasks per worker.
-    pub fn fleet_config(self) -> FleetConfig {
-        FleetConfig::with_workers(self.workers)
+    /// An assessor under this config over a fresh production-catalog
+    /// registry, serving `route`.
+    pub fn assessor(self, route: EngineRoute) -> FleetAssessor {
+        let registry = EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production()));
+        self.over_registry(Arc::new(registry)).with_route(route)
     }
 
-    /// `assessor` deployed under this config: recording into a fresh
-    /// enabled registry when `obs` is on.
-    pub fn apply(self, assessor: FleetAssessor) -> FleetAssessor {
+    /// An assessor under this config resolving through `registry`:
+    /// recording into a fresh enabled obs registry when `obs` is on.
+    pub fn over_registry(self, registry: Arc<EngineRegistry>) -> FleetAssessor {
+        let config = FleetConfig::with_workers(self.workers);
+        let assessor = FleetAssessor::over_registry(registry, config);
         if self.obs {
             assessor.with_obs(&ObsRegistry::enabled())
         } else {
             assessor
         }
-    }
-
-    /// A fixed-backend assessor under this config.
-    pub fn assessor(self, backend: impl RecommendationBackend + 'static) -> FleetAssessor {
-        self.apply(FleetAssessor::new(backend, self.fleet_config()))
-    }
-
-    /// A registry-resolving assessor under this config.
-    pub fn over_registry(self, registry: Arc<EngineRegistry>) -> FleetAssessor {
-        self.apply(FleetAssessor::over_registry(registry, self.fleet_config()))
     }
 }
 
@@ -88,6 +85,12 @@ pub fn catalog() -> Catalog {
 /// The untrained production SQL DB engine over [`catalog`].
 pub fn engine() -> DopplerEngine {
     DopplerEngine::untrained(catalog(), EngineConfig::production(DeploymentType::SqlDb))
+}
+
+/// The untrained production SQL DB route: what [`engine`] is, resolved
+/// through a registry.
+pub fn sql_db_route() -> EngineRoute {
+    EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb))
 }
 
 /// A provider holding one default catalog per `(region, price

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{catalog, engine};
+use common::{catalog, engine, sql_db_route, Config};
 use doppler::dma::preprocess::preprocess;
 use doppler::dma::{
     render_text_report, AssessmentRequest, DatabaseTelemetry, RawCounterSet, ResourceUseReport,
@@ -12,7 +12,6 @@ use doppler::dma::{
 };
 use doppler::prelude::*;
 use doppler::telemetry::RawSample;
-use std::sync::Arc;
 
 fn raw_db(name: &str, cpu: f64, latency: f64, minutes: f64) -> DatabaseTelemetry {
     let mk = |level: f64| -> Vec<RawSample> {
@@ -96,10 +95,7 @@ fn batch_service_and_ledger_count_correctly() {
             confidence: None,
         })
         .collect();
-    let assessor = FleetAssessor::from_pipeline(
-        Arc::new(pipeline(DeploymentType::SqlDb)),
-        FleetConfig::with_workers(3),
-    );
+    let assessor = Config { workers: 3, obs: false }.assessor(sql_db_route());
     let out = assessor.assess(
         requests
             .into_iter()

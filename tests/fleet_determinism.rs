@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{catalog, engine, outcomes, sweep, Config};
+use common::{catalog, outcomes, sql_db_route, sweep, Config};
 use doppler::fleet::cloud_fleet;
 use doppler::prelude::*;
 
@@ -18,10 +18,10 @@ fn thousand_instances_are_deterministic_across_worker_counts() {
     // cost sums, histograms, bucket lists — so this is the bit-for-bit
     // equality the subsystem promises. Per-instance streams agree too, in
     // submission order.
-    let single = Config::SERIAL.assessor(engine()).assess(fleet.clone());
+    let single = Config::SERIAL.assessor(sql_db_route()).assess(fleet.clone());
     let oracle = (single.report.clone(), outcomes(&single.results));
     sweep("report and per-instance results", &oracle, |config| {
-        let run = config.assessor(engine()).assess(fleet.clone());
+        let run = config.assessor(sql_db_route()).assess(fleet.clone());
         (run.report, outcomes(&run.results))
     });
 
@@ -51,12 +51,12 @@ fn streaming_and_materialized_fleets_agree() {
     let spec = PopulationSpec { days: 1.0, ..PopulationSpec::sql_db(100, 7) };
     // Once through the lazy iterator (bounded-queue backpressure path)…
     let streamed = |config: Config| {
-        config.assessor(engine()).assess(cloud_fleet(&spec, &catalog, None)).report
+        config.assessor(sql_db_route()).assess(cloud_fleet(&spec, &catalog, None)).report
     };
     // …and once through a pre-collected vector.
     let materialized = |config: Config| {
         let fleet: Vec<FleetRequest> = cloud_fleet(&spec, &catalog, None).collect();
-        config.assessor(engine()).assess(fleet).report
+        config.assessor(sql_db_route()).assess(fleet).report
     };
     let oracle = streamed(Config::SERIAL);
     sweep("streamed and materialized reports", &(oracle.clone(), oracle), |config| {

@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::{engine, flat_request, stream, sweep, Config, CONFIGS};
+use common::{flat_request, sql_db_route, stream, sweep, Config, CONFIGS};
 use doppler::dma::json::Json;
 use doppler::dma::{obs_snapshot_from_json, obs_snapshot_to_json};
 use doppler::prelude::*;
@@ -32,7 +32,7 @@ fn cohort(size: usize) -> Vec<FleetRequest> {
 fn obs_on_and_obs_off_reports_are_bit_for_bit_identical() {
     let fleet = cohort(48);
     let observe = |config: Config| {
-        let service = config.assessor(engine()).into_service();
+        let service = config.assessor(sql_db_route()).into_service();
         let obs = service.obs().clone();
         let (_, report) = stream(service, &fleet);
         // The instrumentation observed the run it rode on, exactly when on.
@@ -53,7 +53,7 @@ fn stage_span_counts_match_service_progress_and_gauges_drain() {
     let fleet = cohort(40);
     for config in CONFIGS {
         let obs = ObsRegistry::enabled();
-        let service = config.assessor(engine()).with_obs(&obs).into_service();
+        let service = config.assessor(sql_db_route()).with_obs(&obs).into_service();
         let tickets = service.submit_all(fleet.iter().cloned()).expect("open service");
         for ticket in tickets {
             ticket.recv().expect("assessed");
@@ -96,7 +96,7 @@ fn render_with_ops_appends_without_touching_the_report() {
     let fleet = cohort(12);
     let obs = ObsRegistry::enabled();
     let config = Config { workers: 2, ..Config::SERIAL };
-    let assessment = config.assessor(engine()).with_obs(&obs).assess(fleet);
+    let assessment = config.assessor(sql_db_route()).with_obs(&obs).assess(fleet);
     let plain = assessment.report.render();
     let with_ops = assessment.report.render_with_ops(&obs.snapshot());
     assert!(with_ops.starts_with(&plain), "report prefix must be untouched");
@@ -115,7 +115,7 @@ fn render_with_ops_appends_without_touching_the_report() {
 fn exported_snapshot_round_trips_through_dma_json() {
     let obs = ObsRegistry::enabled();
     let config = Config { workers: 2, ..Config::SERIAL };
-    let service = config.assessor(engine()).with_obs(&obs).into_service();
+    let service = config.assessor(sql_db_route()).with_obs(&obs).into_service();
     let tickets = service.submit_all(cohort(16)).expect("open service");
     for ticket in tickets {
         ticket.recv().expect("assessed");

@@ -5,7 +5,7 @@ mod common;
 
 use std::collections::VecDeque;
 
-use common::{catalog, engine};
+use common::{catalog, engine, sql_db_route, Config};
 use doppler::fleet::{BoundedQueue, DriftOutcome, FleetDriftReport, MonitoredCustomer};
 use doppler::prelude::*;
 use doppler::replay::replay;
@@ -392,10 +392,8 @@ proptest! {
         // the same distribution as its baseline (magnitude 1.0 — no
         // injected drift), at sizes that sit comfortably inside a SKU
         // rung. No seed may produce a drifted verdict.
-        let mut monitor = DriftMonitor::new(FleetAssessor::new(
-            engine(),
-            FleetConfig::with_workers(1 + (seed % 3) as usize),
-        ));
+        let config = Config { workers: 1 + (seed % 3) as usize, obs: false };
+        let mut monitor = DriftMonitor::new(config.assessor(sql_db_route()));
         for i in 0..n {
             let spec = DriftSpec {
                 direction: DriftDirection::Grow,

@@ -11,9 +11,12 @@
 
 mod common;
 
-use common::{catalog, decision, decisions, engine, flat_request, outcomes, stream, sweep, Config};
+use common::{
+    catalog, decision, decisions, engine, flat_request, outcomes, sql_db_route, stream, sweep,
+    Config,
+};
 use doppler::dma::ResourceUseReport;
-use doppler::fleet::FleetResult;
+use doppler::fleet::{FleetAggregator, FleetResult};
 use doppler::prelude::*;
 use proptest::prelude::*;
 
@@ -43,7 +46,7 @@ fn reference_ledger(month: &str, results: &[AssessmentResult]) -> AdoptionLedger
 }
 
 fn one_shot(config: Config, fleet: Vec<FleetRequest>) -> FleetAssessment {
-    config.assessor(engine()).assess(fleet)
+    config.assessor(sql_db_route()).assess(fleet)
 }
 
 fn sql_db_fleet(requests: &[AssessmentRequest]) -> Vec<FleetRequest> {
@@ -55,7 +58,7 @@ fn stream_through_service(
     config: Config,
     fleet: &[FleetRequest],
 ) -> (Vec<FleetResult>, FleetReport) {
-    stream(config.assessor(engine()).into_service(), fleet)
+    stream(config.assessor(sql_db_route()).into_service(), fleet)
 }
 
 #[test]
@@ -105,7 +108,8 @@ fn on_demand_reports_match_between_service_and_pipeline() {
         })
         .collect();
     sweep("served Resource Use reports", &direct, |config| {
-        let service = config.assessor(engine()).with_backend(mi_engine()).into_service();
+        let mi_route = EngineRoute::production(CatalogKey::production(DeploymentType::SqlMi));
+        let service = config.assessor(sql_db_route()).with_route(mi_route).into_service();
         let served = cases
             .iter()
             .map(|(deployment, request)| {
@@ -144,58 +148,52 @@ fn month_tagged_assessor_matches_the_serial_reference_and_ledger() {
     });
 }
 
-/// Backend equivalence: the same heuristic engine must produce bit-for-bit
-/// identical fleets whether it is consumed concretely
-/// (`FleetAssessor::new`), as a shared trait object
-/// (`SkuRecommendationPipeline::from_shared`), or resolved through the
-/// registry as a `BackendSpec::Heuristic` — and a `LearnedBackend` with an
+/// Backend equivalence: the heuristic engine resolved through the registry
+/// as a `BackendSpec::Heuristic` must produce bit-for-bit the fleet the
+/// serial reference pipeline produces — and a learned backend with an
 /// empty exemplar corpus is contractually pure fallback, so it must match
-/// all of them too. Under every deployment, per-instance results included.
+/// too. Under every deployment, per-instance results included; the
+/// reference report folds the serial results into a fresh aggregator.
 #[test]
 fn backend_paths_are_bit_for_bit_equivalent_across_worker_counts() {
     use std::sync::Arc;
 
     let requests = cohort(&(0..40).map(|i| 0.25 + (i % 8) as f64 * 0.8).collect::<Vec<f64>>());
     let fleet = sql_db_fleet(&requests);
-    let baseline = one_shot(Config::SERIAL, fleet.clone());
-    assert_eq!(baseline.report.failed, 0);
-    let oracle = (baseline.report.clone(), outcomes(&baseline.results));
+    let reference: Vec<FleetResult> = requests
+        .iter()
+        .zip(serial_reference(&requests))
+        .enumerate()
+        .map(|(index, (request, result))| FleetResult {
+            index,
+            instance_name: request.instance_name.as_str().into(),
+            deployment: DeploymentType::SqlDb,
+            month: None,
+            outcome: Ok(result),
+        })
+        .collect();
+    let mut aggregator = FleetAggregator::new();
+    reference.iter().for_each(|r| aggregator.accept(r));
+    let oracle = (aggregator.finish(), outcomes(&reference));
+    assert_eq!(oracle.0.failed, 0);
     let observe = |run: FleetAssessment| (run.report, outcomes(&run.results));
 
-    // Path 1: concrete engine handed to the assessor.
-    sweep("concrete", &oracle, |config| observe(one_shot(config, fleet.clone())));
-
-    // Path 2: the same engine behind an explicit trait-object handle.
-    sweep("trait object", &oracle, |config| {
-        let shared: Arc<dyn RecommendationBackend> = Arc::new(engine());
-        let pipeline = Arc::new(SkuRecommendationPipeline::from_shared(shared));
-        let assessor = FleetAssessor::from_pipeline(pipeline, config.fleet_config());
-        observe(config.apply(assessor).assess(fleet.clone()))
-    });
-
-    // Path 3: registry-resolved heuristic backend.
+    // The registry-resolved heuristic backend.
     sweep("registry", &oracle, |config| {
         let registry =
             Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
         let run = config
             .over_registry(Arc::clone(&registry))
-            .with_route(
-                EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb))
-                    .trained(TrainingSet::empty()),
-            )
+            .with_route(sql_db_route())
             .assess(fleet.clone());
         assert_eq!(registry.stats().misses, 1, "registry trainings under {config:?}");
         observe(run)
     });
 
-    // Path 4: the learned backend with an empty corpus is pure fallback.
+    // The learned backend with an empty corpus is pure fallback.
     sweep("empty-corpus learned", &oracle, |config| {
-        let learned = LearnedBackend::train(
-            catalog(),
-            EngineConfig::production(DeploymentType::SqlDb),
-            LearnedConfig::default(),
-            &[],
-        );
+        let learned =
+            sql_db_route().with_backend_spec(BackendSpec::Learned(LearnedConfig::default()));
         observe(config.assessor(learned).assess(fleet.clone()))
     });
 }
