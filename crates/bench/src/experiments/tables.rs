@@ -1,17 +1,13 @@
 //! Table reproductions (Tables 1-6).
 
-use std::fmt::Write as _;
-use std::sync::Arc;
-
-use doppler_catalog::{CatalogKey, DeploymentType, InMemoryCatalogProvider, StorageTier};
+use doppler_catalog::{DeploymentType, StorageTier};
 use doppler_core::grouping::bits_to_group;
-use doppler_core::{
-    DopplerEngine, EngineConfig, EngineRegistry, GroupingStrategy, NegotiabilityStrategy,
-};
+use doppler_core::{DopplerEngine, EngineConfig, GroupingStrategy, NegotiabilityStrategy};
 use doppler_dma::{AssessmentRequest, PreprocessedInstance};
-use doppler_fleet::{EngineRoute, FleetAssessor, FleetConfig, FleetRequest};
+use doppler_fleet::{FleetAssessor, FleetConfig, FleetRequest};
 use doppler_stats::SeededRng;
 use doppler_workload::{PopulationSpec, WorkloadArchetype};
+use std::fmt::Write as _;
 
 use crate::backtest::{backtest_customers, catalog, training_records};
 use crate::experiments::ExperimentScale;
@@ -22,9 +18,7 @@ use crate::par::par_map;
 /// operational telemetry; the reproduction demonstrates the counting
 /// harness at the same order of magnitude.
 pub fn table1(scale: &ExperimentScale) -> String {
-    let registry = Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
-    let assessor = FleetAssessor::over_registry(registry, FleetConfig::with_workers(8))
-        .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)));
+    let assessor = FleetAssessor::production(FleetConfig::with_workers(8));
     let mut rng = SeededRng::new(scale.seed);
     // Paper-scale monthly volumes (instances assessed per month).
     let months: [(&str, usize); 4] =

@@ -18,7 +18,7 @@
 //!   region-specific price multiplier (the Lorentz-style abstraction of
 //!   the candidate/pricing source);
 //! * [`RefreshableCatalogProvider`] — the *lifecycle* wrapper: billing
-//!   changes arrive as [`PriceFeed`]s (or whole-catalog swaps), each roll
+//!   changes arrive as [`PriceFeed`]s, each roll
 //!   bumps the region's [`CatalogVersion`] atomically and appends a
 //!   [`CatalogRoll`] to the change log, while every previously published
 //!   key keeps resolving so in-flight work is never yanked mid-assessment.
@@ -428,7 +428,7 @@ pub struct CatalogRoll {
     pub fingerprint: u64,
 }
 
-/// Why a feed or swap could not be applied.
+/// Why a feed could not be applied.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FeedError {
     /// No catalog is published for this region (feeds re-price existing
@@ -489,17 +489,17 @@ fn reprice(catalog: &Catalog, rates: &BillingRates) -> Catalog {
 /// version frontier and the roll log — everything behind one `RwLock` so a
 /// feed lands atomically: no reader ever sees half a region rolled.
 struct RefreshState {
-    /// Keys published by feeds and swaps (the wrapped provider's own keys
+    /// Keys published by feeds (the wrapped provider's own keys
     /// stay resolvable underneath).
     overrides: HashMap<CatalogKey, ResolvedCatalog>,
     /// Latest published version per (deployment, region). Strictly
-    /// monotone: feeds and swaps only ever move it forward.
+    /// monotone: feeds only ever move it forward.
     latest: HashMap<(DeploymentType, Region), CatalogVersion>,
     log: Vec<CatalogRoll>,
 }
 
-/// A [`CatalogProvider`] wrapper that accepts **price-feed updates** and
-/// **catalog swaps** at runtime — the missing lifecycle half of the
+/// A [`CatalogProvider`] wrapper that accepts **price-feed updates** at
+/// runtime — the missing lifecycle half of the
 /// provider seam (PAPER.md §4: pricing is a live feed, not a constant).
 ///
 /// Semantics:
@@ -558,15 +558,15 @@ struct ProviderObs {
     /// [`apply_feed`](RefreshableCatalogProvider::apply_feed) call,
     /// including rejected and idempotent feeds.
     feed_apply: Histogram,
-    /// `catalog.rolls` — rolls published by feeds and swaps.
+    /// `catalog.rolls` — rolls published by feeds.
     rolls: Counter,
 }
 
 impl RefreshableCatalogProvider {
     /// Wrap a provider. The wrapped provider's enumerable keys seed the
     /// per-region version frontier; providers that cannot enumerate
-    /// ([`CatalogProvider::keys`] empty) start with no known regions and
-    /// gain them through [`swap`](RefreshableCatalogProvider::swap).
+    /// ([`CatalogProvider::keys`] empty) start with no known regions, so
+    /// every feed to them fails with [`FeedError::UnknownRegion`].
     pub fn new(inner: Arc<dyn CatalogProvider>) -> RefreshableCatalogProvider {
         let mut latest: HashMap<(DeploymentType, Region), CatalogVersion> = HashMap::new();
         for key in inner.keys() {
@@ -591,19 +591,6 @@ impl RefreshableCatalogProvider {
             rolls: obs.counter("catalog.rolls"),
         };
         self
-    }
-
-    /// Emit one `catalog.roll` event per published roll and bump the roll
-    /// counter — shared by feeds and swaps.
-    fn record_rolls(&self, rolls: &[CatalogRoll]) {
-        self.obs.rolls.add(rolls.len() as u64);
-        if self.obs.registry.is_enabled() {
-            for roll in rolls {
-                self.obs
-                    .registry
-                    .event("catalog.roll", &format!("{} -> {}", roll.old_key, roll.new_key));
-            }
-        }
     }
 
     /// The production single-region provider, made refreshable.
@@ -715,7 +702,7 @@ impl RefreshableCatalogProvider {
 
         // One atomic bump for the whole region: every deployment lands on
         // the same next version (the successor of the region's frontier),
-        // even if per-deployment swaps had let their versions diverge.
+        // even if the wrapped provider published them at different versions.
         let next = deployments
             .iter()
             .map(|&d| state.latest[&(d, region.clone())])
@@ -736,41 +723,15 @@ impl RefreshableCatalogProvider {
             rolls.push(roll);
         }
         drop(state);
-        self.record_rolls(&rolls);
-        Ok(rolls)
-    }
-
-    /// Swap in a whole new catalog for one `(deployment, region)` — the
-    /// full-catalog update path (Azure added rungs, revised limits). The
-    /// entry is republished at the deployment-region's next version and
-    /// the roll is logged. Unlike feeds, a swap is never elided: a new
-    /// catalog object is a new version even at identical prices.
-    pub fn swap(
-        &self,
-        deployment: DeploymentType,
-        region: &Region,
-        catalog: Arc<Catalog>,
-        rates: BillingRates,
-    ) -> Result<CatalogRoll, FeedError> {
-        if !rates_are_valid(&rates) {
-            return Err(FeedError::InvalidRates(rates));
+        self.obs.rolls.add(rolls.len() as u64);
+        if self.obs.registry.is_enabled() {
+            for roll in &rolls {
+                self.obs
+                    .registry
+                    .event("catalog.roll", &format!("{} -> {}", roll.old_key, roll.new_key));
+            }
         }
-        let mut state = self.write();
-        let version = *state
-            .latest
-            .get(&(deployment, region.clone()))
-            .ok_or_else(|| FeedError::UnknownRegion(region.clone()))?;
-        let old_key = CatalogKey::new(deployment, region.clone(), version);
-        let new_key = old_key.clone().at_version(version.next());
-        let resolved = ResolvedCatalog::new(catalog, rates);
-        let roll =
-            CatalogRoll { old_key, new_key: new_key.clone(), fingerprint: resolved.fingerprint };
-        state.latest.insert((deployment, region.clone()), new_key.version);
-        state.overrides.insert(new_key, resolved);
-        state.log.push(roll.clone());
-        drop(state);
-        self.record_rolls(std::slice::from_ref(&roll));
-        Ok(roll)
+        Ok(rolls)
     }
 }
 
@@ -1024,16 +985,6 @@ mod tests {
         assert_eq!(err, FeedError::UnknownRegion(Region::new("mars")));
         assert!(err.to_string().contains("mars"));
         assert_eq!(provider.rolls(), 0);
-        // Swaps demand a published region too.
-        let err = provider
-            .swap(
-                DeploymentType::SqlDb,
-                &Region::new("mars"),
-                Arc::new(azure_paas_catalog(&spec())),
-                spec().rates,
-            )
-            .unwrap_err();
-        assert_eq!(err, FeedError::UnknownRegion(Region::new("mars")));
     }
 
     #[test]
@@ -1053,15 +1004,6 @@ mod tests {
             let rates = BillingRates { db_gp: bad, ..BillingRates::default() };
             let err = provider.apply_feed(&Region::global(), PriceFeed::Rates(rates)).unwrap_err();
             assert!(matches!(err, FeedError::InvalidRates(_)), "{bad}");
-            let err = provider
-                .swap(
-                    DeploymentType::SqlDb,
-                    &Region::global(),
-                    Arc::new(azure_paas_catalog(&spec())),
-                    rates,
-                )
-                .unwrap_err();
-            assert!(matches!(err, FeedError::InvalidRates(_)), "{bad} (swap)");
         }
         // Nothing rolled, nothing published: the frontier never moved.
         assert_eq!(provider.rolls(), 0);
@@ -1094,29 +1036,6 @@ mod tests {
         // Changed rates → the roll's fingerprint differs from v1's.
         let rolls = provider.apply_feed(&west, PriceFeed::Multiplier(1.01)).unwrap();
         assert!(rolls.iter().all(|r| r.fingerprint != v1.fingerprint));
-    }
-
-    #[test]
-    fn swap_publishes_a_new_catalog_at_the_next_version() {
-        let provider = refreshable();
-        let base = azure_paas_catalog(&spec());
-        let custom = crate::sku::Sku {
-            id: crate::sku::SkuId("DB_GP_custom".into()),
-            ..base.iter().next().unwrap().clone()
-        };
-        let bigger: Catalog = base.iter().cloned().chain([custom]).collect();
-        let roll = provider
-            .swap(DeploymentType::SqlDb, &Region::global(), Arc::new(bigger), spec().rates)
-            .unwrap();
-        assert_eq!(roll.new_key.version, CatalogVersion(2));
-        let resolved = provider.resolve(&roll.new_key).unwrap();
-        assert_eq!(resolved.catalog.len(), 45);
-        assert_eq!(provider.latest(DeploymentType::SqlDb, &Region::global()).unwrap().version.0, 2);
-        // The sibling deployment did not move — but the next feed realigns
-        // the whole region on one version.
-        assert_eq!(provider.latest(DeploymentType::SqlMi, &Region::global()).unwrap().version.0, 1);
-        let rolls = provider.apply_feed(&Region::global(), PriceFeed::Multiplier(1.1)).unwrap();
-        assert!(rolls.iter().all(|r| r.new_key.version == CatalogVersion(3)));
     }
 
     #[test]

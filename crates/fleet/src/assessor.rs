@@ -22,7 +22,7 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
-use doppler_catalog::{CatalogKey, DeploymentType};
+use doppler_catalog::{CatalogKey, DeploymentType, InMemoryCatalogProvider};
 use doppler_core::{BackendSpec, EngineRegistry, EngineTemplate, TrainingSet};
 use doppler_dma::{AssessmentRequest, AssessmentResult, SkuRecommendationPipeline};
 use doppler_obs::{Histogram, ObsRegistry};
@@ -111,8 +111,8 @@ pub struct FleetResult {
     /// Position in the input fleet (results are sorted by this): the
     /// service's submission index, gap-free and in submission order.
     pub index: usize,
-    /// Interned once at submission; the ticket, digests and monitors share
-    /// it by refcount instead of re-cloning the heap string per result.
+    /// Interned once at submission; digests and monitors share it by
+    /// refcount instead of re-cloning the heap string per result.
     pub instance_name: Arc<str>,
     pub deployment: DeploymentType,
     /// The adoption-ledger month the request carried, if any.
@@ -279,12 +279,34 @@ impl EngineSet {
         Ok(SkuRecommendationPipeline::from_shared(engine))
     }
 
-    /// Assess one routed request; panics, missing routes, and registry
-    /// resolution errors become `Err` outcomes instead of poisoning the
-    /// worker. The catch covers resolution too: a registry training run
-    /// (or a provider) that panics must kill this request, not the worker
-    /// — a dead worker would drop its popped batch unanswered and, with
-    /// one worker, deadlock the feeder on queue backpressure.
+    /// Resolve the pipeline `(deployment, catalog_key)` routes to and run
+    /// `work` on it — the fleet's one panic guard, shared by assessments
+    /// and drift checks. Panics, missing routes, and registry resolution
+    /// errors become `Err` instead of poisoning the worker. The catch
+    /// covers resolution too: a registry training run (or a provider) that
+    /// panics must kill this job, not the worker — a dead worker would drop
+    /// its popped batch unanswered and, with one worker, deadlock the
+    /// feeder on queue backpressure. `resolve_span` times the resolution.
+    pub(crate) fn guarded<R>(
+        &self,
+        deployment: DeploymentType,
+        catalog_key: &Option<CatalogKey>,
+        resolve_span: &Histogram,
+        work: impl FnOnce(SkuRecommendationPipeline) -> R,
+    ) -> Result<R, AssessmentError> {
+        std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let resolved = {
+                let _span = resolve_span.start();
+                self.resolve(deployment, catalog_key)
+            };
+            resolved.map(work)
+        }))
+        .unwrap_or_else(|payload| Err(AssessmentError { message: panic_message(payload) }))
+    }
+
+    /// Assess one routed request through [`guarded`](EngineSet::guarded),
+    /// timing resolution (`fleet.stage.resolve`) and assessment
+    /// (`fleet.stage.assess`).
     pub(crate) fn assess_one(
         &self,
         index: usize,
@@ -292,17 +314,10 @@ impl EngineSet {
         task: FleetRequest,
     ) -> FleetResult {
         let FleetRequest { deployment, catalog_key, month, request, priority: _ } = task;
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let resolved = {
-                let _span = self.obs.resolve.start();
-                self.resolve(deployment, &catalog_key)
-            };
-            resolved.map(|pipeline| {
-                let _span = self.obs.assess.start();
-                pipeline.assess(&request)
-            })
-        }))
-        .unwrap_or_else(|payload| Err(AssessmentError { message: panic_message(payload) }));
+        let outcome = self.guarded(deployment, &catalog_key, &self.obs.resolve, |pipeline| {
+            let _span = self.obs.assess.start();
+            pipeline.assess(&request)
+        });
         FleetResult { index, instance_name, deployment, month, outcome }
     }
 }
@@ -327,6 +342,17 @@ impl FleetAssessor {
     pub fn over_registry(registry: Arc<EngineRegistry>, config: FleetConfig) -> FleetAssessor {
         let engines = EngineSet { registry, routes: Vec::new(), obs: EngineSetObs::default() };
         FleetAssessor { engines, config, obs: ObsRegistry::disabled() }
+    }
+
+    /// An assessor over a fresh [`EngineRegistry`] on the production
+    /// catalog (global region, initial version), serving the untrained
+    /// production route for both deployments.
+    pub fn production(config: FleetConfig) -> FleetAssessor {
+        let registry =
+            Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
+        FleetAssessor::over_registry(registry, config)
+            .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)))
+            .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlMi)))
     }
 
     /// Record hot-path metrics into `obs`: per-stage latency histograms
@@ -419,7 +445,7 @@ impl FleetAssessor {
     }
 }
 
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         format!("assessment panicked: {s}")
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -429,15 +455,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// An assessor over the production catalog (global region, initial
-/// version) serving the untrained production SQL DB route.
-#[cfg(test)]
-pub(crate) fn production_assessor(config: FleetConfig) -> FleetAssessor {
-    let provider = doppler_catalog::InMemoryCatalogProvider::production();
-    FleetAssessor::over_registry(Arc::new(EngineRegistry::new(Arc::new(provider))), config)
-        .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,7 +462,7 @@ mod tests {
     use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
 
     fn assessor(workers: usize) -> FleetAssessor {
-        production_assessor(FleetConfig::with_workers(workers))
+        FleetAssessor::production(FleetConfig::with_workers(workers))
     }
 
     fn request(name: &str, cpu: f64) -> FleetRequest {
@@ -474,10 +491,13 @@ mod tests {
     fn unroutable_deployments_land_in_the_failure_bucket() {
         // A pinned key resolves through its own deployment's route; SqlMi
         // has none.
+        let assessor =
+            FleetAssessor::over_registry(regional_registry(), FleetConfig::with_workers(2))
+                .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)));
         let mi = request("mi-stranded", 0.5)
             .with_catalog_key(CatalogKey::production(DeploymentType::SqlMi));
         let fleet = vec![request("ok", 0.5), mi];
-        let out = assessor(2).assess(fleet);
+        let out = assessor.assess(fleet);
         assert_eq!(out.report.recommended, 1);
         assert_eq!(out.report.failed, 1);
         assert!(out.results[1].outcome.as_ref().unwrap_err().message.contains("SqlMi"));
@@ -485,8 +505,7 @@ mod tests {
 
     #[test]
     fn heterogeneous_fleets_route_per_deployment() {
-        let assessor = assessor(4)
-            .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlMi)));
+        let assessor = assessor(4);
         let mut mi = request("mi-1", 0.5);
         mi.deployment = DeploymentType::SqlMi;
         mi.request.input.file_sizes_gib = vec![64.0, 64.0];
@@ -544,8 +563,8 @@ mod tests {
     fn keep_results_false_retains_only_the_report() {
         let mut config = FleetConfig::with_workers(2);
         config.keep_results = false;
-        let out =
-            production_assessor(config).assess((0..8).map(|i| request(&format!("i{i}"), 0.5)));
+        let out = FleetAssessor::production(config)
+            .assess((0..8).map(|i| request(&format!("i{i}"), 0.5)));
         assert!(out.results.is_empty());
         assert_eq!(out.report.fleet_size, 8);
         assert_eq!(out.report.recommended, 8);

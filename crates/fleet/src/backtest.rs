@@ -472,7 +472,7 @@ pub fn backtest_report_from_json(json: &Json) -> Option<BacktestReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assessor::{production_assessor, EngineRoute, FleetConfig};
+    use crate::assessor::{EngineRoute, FleetConfig};
     use doppler_catalog::{azure_paas_catalog, CatalogKey, CatalogSpec};
     use doppler_core::{BackendSpec, LearnedConfig, TrainingRecord, TrainingSet};
     use doppler_telemetry::{PerfDimension, TimeSeries};
@@ -483,10 +483,6 @@ mod tests {
             .with(PerfDimension::Memory, TimeSeries::ten_minute(vec![2.0; 144]))
             .with(PerfDimension::Iops, TimeSeries::ten_minute(vec![iops; 144]))
             .with(PerfDimension::LogRate, TimeSeries::ten_minute(vec![0.4; 144]))
-    }
-
-    fn assessor(config: FleetConfig) -> FleetAssessor {
-        production_assessor(config)
     }
 
     fn cases(n: usize) -> Vec<BacktestCase> {
@@ -505,8 +501,8 @@ mod tests {
         let config = FleetConfig::with_workers(2);
         Backtest::new(
             azure_paas_catalog(&CatalogSpec::default()),
-            assessor(config),
-            assessor(config),
+            FleetAssessor::production(config),
+            FleetAssessor::production(config),
         )
         .with_labels("learned", "heuristic")
     }
@@ -597,8 +593,8 @@ mod tests {
         let dropping = FleetConfig { keep_results: false, ..keeping };
         Backtest::new(
             azure_paas_catalog(&CatalogSpec::default()),
-            assessor(keeping),
-            assessor(dropping),
+            FleetAssessor::production(keeping),
+            FleetAssessor::production(dropping),
         );
     }
 
@@ -631,8 +627,8 @@ mod tests {
         // Same heuristic engine on both sides, different worker counts.
         let report = Backtest::new(
             azure_paas_catalog(&CatalogSpec::default()),
-            assessor(FleetConfig::with_workers(2)),
-            assessor(FleetConfig::with_workers(3)),
+            FleetAssessor::production(FleetConfig::with_workers(2)),
+            FleetAssessor::production(FleetConfig::with_workers(3)),
         )
         .run(&cases(24));
         assert_eq!(report.scored_pairs, 24);
@@ -683,12 +679,12 @@ mod tests {
         let config = FleetConfig::with_workers(2);
         let report = Backtest::new(
             azure_paas_catalog(&CatalogSpec::default()),
-            assessor(config).with_route(
+            FleetAssessor::production(config).with_route(
                 EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb))
                     .trained(TrainingSet::new(training()))
                     .with_backend_spec(learned),
             ),
-            assessor(config),
+            FleetAssessor::production(config),
         )
         .with_labels("learned", "heuristic")
         .run(&cases(16));

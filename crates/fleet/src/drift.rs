@@ -32,17 +32,11 @@
 //! # Example
 //!
 //! ```
-//! use std::sync::Arc;
-//!
-//! use doppler_catalog::{CatalogKey, DeploymentType, InMemoryCatalogProvider};
-//! use doppler_core::EngineRegistry;
-//! use doppler_fleet::{DriftMonitor, EngineRoute, FleetAssessor, FleetConfig, MonitoredCustomer};
+//! use doppler_catalog::DeploymentType;
+//! use doppler_fleet::{DriftMonitor, FleetAssessor, FleetConfig, MonitoredCustomer};
 //! use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
 //!
-//! let registry = Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
-//! let assessor = FleetAssessor::over_registry(registry, FleetConfig::with_workers(2))
-//!     .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)));
-//! let mut monitor = DriftMonitor::new(assessor);
+//! let mut monitor = DriftMonitor::new(FleetAssessor::production(FleetConfig::with_workers(2)));
 //!
 //! let window = |cpu: f64| {
 //!     PerfHistory::new()
@@ -62,11 +56,12 @@ use std::sync::Arc;
 use doppler_catalog::{CatalogKey, DeploymentType, RefreshableCatalogProvider, Region};
 use doppler_core::{detect_drift, ConfidenceConfig, DriftSeverity};
 use doppler_dma::{AdoptionLedger, AssessmentRequest, AssessmentResult};
+use doppler_obs::{Gauge, Histogram};
 use doppler_telemetry::PerfHistory;
 
 use crate::assessor::{AssessmentError, EngineSet, FleetAssessor, FleetRequest, FleetResult};
 use crate::report::{bar_row, render_attention_list, FleetReport};
-use crate::service::{DriftTicket, FleetService};
+use crate::service::{FleetService, Ticket};
 
 /// One drift check, shipped to the worker pool: a customer's stitched
 /// history (baseline ++ fresh window), the change point between the two,
@@ -131,27 +126,16 @@ pub struct DriftOutcome {
     pub error: Option<String>,
 }
 
-/// Run one probe against the service's engine set — the worker-side body
-/// of a drift check. Panics and resolution failures become
-/// [`DriftVerdict::Inconclusive`] outcomes instead of killing the worker.
-pub(crate) fn evaluate_probe(engines: &EngineSet, index: usize, probe: DriftProbe) -> DriftOutcome {
-    let DriftProbe { customer, deployment, catalog_key, history, change_point } = probe;
-    let region = catalog_key.as_ref().map(|k| k.region.clone()).unwrap_or_else(Region::global);
-    let evaluated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engines.resolve(deployment, &catalog_key).map(|pipeline| {
-            // The resolved pipeline's catalog is already regional (prices
-            // scaled by the provider), so the drift verdict is priced in
-            // the customer's own region.
-            let catalog = pipeline.backend().catalog();
-            let skus = catalog.for_deployment(deployment);
-            detect_drift(&history, change_point, &skus, DRIFT_TOLERANCE)
-        })
-    }))
-    .unwrap_or_else(|payload| {
-        Err(AssessmentError { message: crate::assessor::panic_message(payload) })
-    });
-    match evaluated {
-        Err(e) => DriftOutcome {
+impl DriftOutcome {
+    /// A check that failed outright: no verdict, only the reason.
+    fn inconclusive(
+        index: usize,
+        customer: String,
+        deployment: DeploymentType,
+        region: Region,
+        error: String,
+    ) -> DriftOutcome {
+        DriftOutcome {
             index,
             customer,
             deployment,
@@ -162,36 +146,58 @@ pub(crate) fn evaluate_probe(engines: &EngineSet, index: usize, probe: DriftProb
             after_sku: None,
             throttle_if_unchanged: 0.0,
             cost_delta: None,
-            error: Some(e.message),
-        },
-        Ok(report) => {
-            let verdict = match (&report.before_sku, &report.after_sku) {
-                (Some(_), Some(_)) if report.changed => DriftVerdict::Drifted,
-                (Some(_), Some(_)) => DriftVerdict::Stable,
-                _ => DriftVerdict::Inconclusive,
-            };
-            DriftOutcome {
-                index,
-                customer,
-                deployment,
-                region,
-                verdict,
-                severity: report.severity(),
-                throttle_if_unchanged: report.throttle_if_unchanged,
-                cost_delta: report.cost_delta(),
-                before_sku: report.before_sku,
-                after_sku: report.after_sku,
-                error: None,
-            }
+            error: Some(error),
         }
     }
 }
 
-/// One region's share of a drift pass ([`CatalogKey`] plumbing: the row
-/// key is the region the check was priced in).
+/// Run one probe against the service's engine set — the worker-side body
+/// of a drift check. Panics and resolution failures become
+/// [`DriftVerdict::Inconclusive`] outcomes instead of killing the worker.
+pub(crate) fn evaluate_probe(engines: &EngineSet, index: usize, probe: DriftProbe) -> DriftOutcome {
+    let DriftProbe { customer, deployment, catalog_key, history, change_point } = probe;
+    let region = catalog_key.as_ref().map(|k| k.region.clone()).unwrap_or_else(Region::global);
+    // Drift checks are not assessments: their resolution stays out of
+    // `fleet.stage.resolve`.
+    let evaluated = engines.guarded(deployment, &catalog_key, &Histogram::default(), |pipeline| {
+        // The resolved pipeline's catalog is already regional (prices
+        // scaled by the provider), so the drift verdict is priced in the
+        // customer's own region.
+        let skus = pipeline.backend().catalog().for_deployment(deployment);
+        detect_drift(&history, change_point, &skus, DRIFT_TOLERANCE)
+    });
+    let report = match evaluated {
+        Ok(report) => report,
+        Err(e) => {
+            return DriftOutcome::inconclusive(index, customer, deployment, region, e.message)
+        }
+    };
+    let verdict = match (&report.before_sku, &report.after_sku) {
+        (Some(_), Some(_)) if report.changed => DriftVerdict::Drifted,
+        (Some(_), Some(_)) => DriftVerdict::Stable,
+        _ => DriftVerdict::Inconclusive,
+    };
+    DriftOutcome {
+        index,
+        customer,
+        deployment,
+        region,
+        verdict,
+        severity: report.severity(),
+        throttle_if_unchanged: report.throttle_if_unchanged,
+        cost_delta: report.cost_delta(),
+        before_sku: report.before_sku,
+        after_sku: report.after_sku,
+        error: None,
+    }
+}
+
+/// One roll-up row of a drift pass: the verdict counts of the checks that
+/// share a key — the region a check was priced in ([`CatalogKey`]
+/// plumbing), or its deployment target.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct RegionDriftRow {
-    pub region: Region,
+pub struct DriftRollupRow<K> {
+    pub key: K,
     pub checked: usize,
     pub drifted: usize,
     pub stable: usize,
@@ -200,15 +206,50 @@ pub struct RegionDriftRow {
     pub cost_delta: f64,
 }
 
-/// One deployment target's share of a drift pass.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct DeploymentDriftRow {
-    pub deployment: DeploymentType,
-    pub checked: usize,
-    pub drifted: usize,
-    pub stable: usize,
-    pub inconclusive: usize,
-    pub cost_delta: f64,
+impl<K: PartialEq + Clone> DriftRollupRow<K> {
+    /// Count one outcome into `key`'s row, appending the row on first
+    /// sight.
+    fn tally(rows: &mut Vec<DriftRollupRow<K>>, key: &K, verdict: DriftVerdict, cost_delta: f64) {
+        let slot = rows.iter().position(|row| row.key == *key).unwrap_or_else(|| {
+            rows.push(DriftRollupRow {
+                key: key.clone(),
+                checked: 0,
+                drifted: 0,
+                stable: 0,
+                inconclusive: 0,
+                cost_delta: 0.0,
+            });
+            rows.len() - 1
+        });
+        let row = &mut rows[slot];
+        row.checked += 1;
+        row.cost_delta += cost_delta;
+        match verdict {
+            DriftVerdict::Drifted => row.drifted += 1,
+            DriftVerdict::Stable => row.stable += 1,
+            DriftVerdict::Inconclusive => row.inconclusive += 1,
+        }
+    }
+}
+
+/// Append one roll-up section of the drift dashboard — only when it has
+/// more than one row to compare.
+fn render_rollup<K>(
+    out: &mut String,
+    title: &str,
+    rows: &[DriftRollupRow<K>],
+    label: impl Fn(&K) -> String,
+) {
+    if rows.len() <= 1 {
+        return;
+    }
+    out.push_str(&format!("\n--- {title} ---\n"));
+    for r in rows {
+        out.push_str(&format!(
+            "{:>14}   checked {:>6}   drifted {:>5}   stable {:>6}   inconclusive {:>4}   {:+.2} $/mo\n",
+            label(&r.key), r.checked, r.drifted, r.stable, r.inconclusive, r.cost_delta
+        ));
+    }
 }
 
 /// One drifted customer, for the attention list.
@@ -244,10 +285,10 @@ pub struct FleetDriftReport {
     /// (positive: the fleet grew; negative: right-sizing savings).
     pub total_cost_delta: f64,
     /// Per-region rows, sorted by region label.
-    pub regions: Vec<RegionDriftRow>,
+    pub regions: Vec<DriftRollupRow<Region>>,
     /// Per-deployment rows in `SqlDb`, `SqlMi` order (present targets
     /// only).
-    pub deployments: Vec<DeploymentDriftRow>,
+    pub deployments: Vec<DriftRollupRow<DeploymentType>>,
     /// The drifted customers, in submission order.
     pub drifted_customers: Vec<DriftedRow>,
 }
@@ -298,59 +339,11 @@ impl FleetDriftReport {
                     0.0
                 }
             };
-            let region_row = match report.regions.iter().position(|r| r.region == o.region) {
-                Some(i) => &mut report.regions[i],
-                None => {
-                    report.regions.push(RegionDriftRow {
-                        region: o.region.clone(),
-                        checked: 0,
-                        drifted: 0,
-                        stable: 0,
-                        inconclusive: 0,
-                        cost_delta: 0.0,
-                    });
-                    report.regions.last_mut().expect("just pushed")
-                }
-            };
-            region_row.checked += 1;
-            region_row.cost_delta += drifted_delta;
-            let deployment_row =
-                match report.deployments.iter().position(|d| d.deployment == o.deployment) {
-                    Some(i) => &mut report.deployments[i],
-                    None => {
-                        report.deployments.push(DeploymentDriftRow {
-                            deployment: o.deployment,
-                            checked: 0,
-                            drifted: 0,
-                            stable: 0,
-                            inconclusive: 0,
-                            cost_delta: 0.0,
-                        });
-                        report.deployments.last_mut().expect("just pushed")
-                    }
-                };
-            deployment_row.checked += 1;
-            deployment_row.cost_delta += drifted_delta;
-            match o.verdict {
-                DriftVerdict::Drifted => {
-                    region_row.drifted += 1;
-                    deployment_row.drifted += 1;
-                }
-                DriftVerdict::Stable => {
-                    region_row.stable += 1;
-                    deployment_row.stable += 1;
-                }
-                DriftVerdict::Inconclusive => {
-                    region_row.inconclusive += 1;
-                    deployment_row.inconclusive += 1;
-                }
-            }
+            DriftRollupRow::tally(&mut report.regions, &o.region, o.verdict, drifted_delta);
+            DriftRollupRow::tally(&mut report.deployments, &o.deployment, o.verdict, drifted_delta);
         }
-        report.regions.sort_by(|a, b| a.region.as_str().cmp(b.region.as_str()));
-        report.deployments.sort_by_key(|row| match row.deployment {
-            DeploymentType::SqlDb => 0,
-            DeploymentType::SqlMi => 1,
-        });
+        report.regions.sort_by(|a, b| a.key.as_str().cmp(b.key.as_str()));
+        report.deployments.sort_by_key(|row| row.key);
         report
     }
 
@@ -380,30 +373,8 @@ impl FleetDriftReport {
             }
         }
 
-        if self.regions.len() > 1 {
-            out.push_str("\n--- Regions ---\n");
-            for r in &self.regions {
-                out.push_str(&format!(
-                    "{:>14}   checked {:>6}   drifted {:>5}   stable {:>6}   inconclusive {:>4}   {:+.2} $/mo\n",
-                    r.region.as_str(), r.checked, r.drifted, r.stable, r.inconclusive, r.cost_delta
-                ));
-            }
-        }
-
-        if self.deployments.len() > 1 {
-            out.push_str("\n--- Deployments ---\n");
-            for d in &self.deployments {
-                out.push_str(&format!(
-                    "{:>14}   checked {:>6}   drifted {:>5}   stable {:>6}   inconclusive {:>4}   {:+.2} $/mo\n",
-                    format!("{:?}", d.deployment),
-                    d.checked,
-                    d.drifted,
-                    d.stable,
-                    d.inconclusive,
-                    d.cost_delta
-                ));
-            }
-        }
+        render_rollup(&mut out, "Regions", &self.regions, |region| region.as_str().to_string());
+        render_rollup(&mut out, "Deployments", &self.deployments, |d| format!("{d:?}"));
 
         let drifted_lines: Vec<String> = self
             .drifted_customers
@@ -734,7 +705,6 @@ impl DriftMonitor {
         // re-queue depth.
         let obs = self.service.obs().clone();
         let pass_span = obs.histogram("drift.pass_latency").start();
-        let requeue_depth = obs.gauge("drift.requeue_depth");
 
         // Phase 1: submit every staged check, in registration order. The
         // fresh window is kept aside — the drifted subset re-assesses on
@@ -743,7 +713,7 @@ impl DriftMonitor {
         // dropped a counter) cannot be stitched; it becomes an immediate
         // Inconclusive outcome instead of killing the pass for everyone.
         enum Pending {
-            InFlight(usize, PerfHistory, DriftTicket),
+            InFlight(usize, PerfHistory, Ticket<DriftOutcome>),
             Immediate(DriftOutcome),
         }
         let mut pending = Vec::new();
@@ -754,19 +724,13 @@ impl DriftMonitor {
                 .then(|| baseline.iter().map(|(d, _)| d).find(|&d| fresh.get(d).is_none()))
                 .flatten();
             if let Some(dim) = missing {
-                pending.push(Pending::Immediate(DriftOutcome {
-                    index: 0, // re-indexed at collection
-                    customer: w.customer.name.clone(),
-                    deployment: w.customer.deployment,
-                    region: w.customer.region(),
-                    verdict: DriftVerdict::Inconclusive,
-                    severity: DriftSeverity::None,
-                    before_sku: None,
-                    after_sku: None,
-                    throttle_if_unchanged: 0.0,
-                    cost_delta: None,
-                    error: Some(format!("fresh window misaligned with its baseline: no {dim}")),
-                }));
+                pending.push(Pending::Immediate(DriftOutcome::inconclusive(
+                    0, // re-indexed at collection
+                    w.customer.name.clone(),
+                    w.customer.deployment,
+                    w.customer.region(),
+                    format!("fresh window misaligned with its baseline: no {dim}"),
+                )));
                 continue;
             }
             let probe = DriftProbe {
@@ -825,25 +789,8 @@ impl DriftMonitor {
         // the fresh window, month-tagged so the service's own adoption
         // ledger records the re-assessment wave.
         requeue.sort_by_key(|&(_, _, severity)| std::cmp::Reverse(severity.bucket()));
-        let mut tickets = Vec::new();
-        for (slot, fresh, _severity) in requeue {
-            let fleet_request = self.watched[slot].customer.reassessment(fresh.clone(), month);
-            if let Ok(ticket) = self.service.submit(fleet_request) {
-                requeue_depth.add(1);
-                tickets.push((slot, fresh, ticket));
-            }
-        }
-        let mut reassessments = Vec::with_capacity(tickets.len());
-        for (slot, fresh, ticket) in tickets {
-            requeue_depth.add(-1);
-            let Some(result) = ticket.recv() else { continue };
-            if let Ok(assessed) = &result.outcome {
-                let customer = &mut self.watched[slot].customer;
-                customer.baseline = fresh;
-                customer.adopt(assessed);
-            }
-            reassessments.push(result);
-        }
+        let requeue = requeue.into_iter().map(|(slot, fresh, _)| (slot, Some(fresh))).collect();
+        let reassessments = self.reassess(month, requeue, &obs.gauge("drift.requeue_depth"));
 
         obs.counter("drift.passes").incr();
         obs.counter("drift.reassessments").add(reassessments.len() as u64);
@@ -894,55 +841,17 @@ impl DriftMonitor {
 
         // Re-pin and re-queue, in watch order. The key moves even if the
         // re-assessment later fails: the old key is retired, so leaving a
-        // customer pinned to it would strand every future check. A submit
-        // the service refuses (closed mid-roll) must still surface — the
-        // customer was already re-pinned, so dropping it here would hide
-        // an un-re-priced customer from the outcome and the ledger.
-        enum Submitted {
-            InFlight(crate::service::Ticket),
-            Refused,
-        }
-        let mut pending = Vec::new();
+        // customer pinned to it would strand every future check.
+        let mut pinned = Vec::new();
         for (slot, w) in self.watched.iter_mut().enumerate() {
-            if w.customer.catalog_key.as_ref() != Some(old_key) {
-                continue;
+            if w.customer.catalog_key.as_ref() == Some(old_key) {
+                w.customer.catalog_key = Some(new_key.clone());
+                pinned.push((slot, None));
             }
-            w.customer.catalog_key = Some(new_key.clone());
-            let fleet_request = w.customer.reassessment(w.customer.baseline.clone(), month);
-            let submitted = match self.service.submit(fleet_request) {
-                Ok(ticket) => Submitted::InFlight(ticket),
-                Err(_) => Submitted::Refused,
-            };
-            pending.push((slot, submitted));
         }
-
-        let month_label: Arc<str> = Arc::from(month);
-        let mut repriced = Vec::with_capacity(pending.len());
-        let mut reprice_failures = 0usize;
-        for (position, (slot, submitted)) in pending.into_iter().enumerate() {
-            // A refused submit — or a ticket the shut-down service never
-            // answers — becomes a failed result for the customer, indexed
-            // by its position in this roll.
-            let failed = |message: &str| FleetResult {
-                index: position,
-                instance_name: Arc::from(self.watched[slot].customer.name.as_str()),
-                deployment: self.watched[slot].customer.deployment,
-                month: Some(Arc::clone(&month_label)),
-                outcome: Err(AssessmentError { message: message.to_string() }),
-            };
-            let result = match submitted {
-                Submitted::InFlight(ticket) => ticket
-                    .recv()
-                    .unwrap_or_else(|| failed("re-price dropped: service shut down mid-roll")),
-                Submitted::Refused => failed("re-price refused: service closed"),
-            };
-            match &result.outcome {
-                Ok(assessed) => self.watched[slot].customer.adopt(assessed),
-                Err(_) => reprice_failures += 1,
-            }
-            repriced.push(result);
-        }
-        self.ledger.record_roll(month, repriced.iter().filter(|r| r.outcome.is_ok()).count());
+        let repriced = self.reassess(month, pinned, &Gauge::default());
+        let reprice_failures = repriced.iter().filter(|r| r.outcome.is_err()).count();
+        self.ledger.record_roll(month, repriced.len() - reprice_failures);
         self.rolls_since_tick += 1;
         let obs = self.service.obs();
         obs.counter("drift.catalog_rolls").incr();
@@ -965,6 +874,64 @@ impl DriftMonitor {
             repriced,
             reprice_failures,
         }
+    }
+
+    /// Re-assess watched customers through the priority lane, in the given
+    /// order: submit each slot's
+    /// [`reassessment`](MonitoredCustomer::reassessment) — on its fresh
+    /// window when one is given, else on its current baseline — then
+    /// collect the results in that same order, with `depth` counting the
+    /// submissions in flight. A submit the service refuses (closed
+    /// mid-roll), or a ticket it drops, becomes a failed result indexed by
+    /// its position here, so every slot answers exactly once — the
+    /// customer may already have been re-pinned, and dropping it would
+    /// hide it from the outcome and the ledger. A success rolls the
+    /// customer forward: the fresh window becomes its baseline, and the
+    /// re-recommendation its standing one.
+    fn reassess(
+        &mut self,
+        month: &str,
+        slots: Vec<(usize, Option<PerfHistory>)>,
+        depth: &Gauge,
+    ) -> Vec<FleetResult> {
+        let pending: Vec<_> = slots
+            .into_iter()
+            .map(|(slot, fresh)| {
+                let customer = &self.watched[slot].customer;
+                let history = fresh.as_ref().unwrap_or(&customer.baseline).clone();
+                let ticket = self.service.submit(customer.reassessment(history, month)).ok();
+                if ticket.is_some() {
+                    depth.add(1);
+                }
+                (slot, fresh, ticket)
+            })
+            .collect();
+        let mut results = Vec::with_capacity(pending.len());
+        for (position, (slot, fresh, ticket)) in pending.into_iter().enumerate() {
+            let delivered = match ticket {
+                Some(ticket) => {
+                    depth.add(-1);
+                    ticket.recv().ok_or("re-price dropped: service shut down mid-roll")
+                }
+                None => Err("re-price refused: service closed"),
+            };
+            let customer = &mut self.watched[slot].customer;
+            let result = delivered.unwrap_or_else(|message| FleetResult {
+                index: position,
+                instance_name: Arc::from(customer.name.as_str()),
+                deployment: customer.deployment,
+                month: Some(Arc::from(month)),
+                outcome: Err(AssessmentError { message: message.to_string() }),
+            });
+            if let Ok(assessed) = &result.outcome {
+                if let Some(fresh) = fresh {
+                    customer.baseline = fresh;
+                }
+                customer.adopt(assessed);
+            }
+            results.push(result);
+        }
+        results
     }
 
     /// Dispatch every change-log roll this monitor has not yet handled —
@@ -1013,7 +980,7 @@ mod tests {
     use doppler_core::EngineRegistry;
     use doppler_telemetry::{PerfDimension, TimeSeries};
 
-    use crate::assessor::{production_assessor, EngineRoute, FleetConfig};
+    use crate::assessor::{EngineRoute, FleetConfig};
 
     fn window(cpu: f64, n: usize) -> PerfHistory {
         PerfHistory::new()
@@ -1022,7 +989,7 @@ mod tests {
     }
 
     fn monitor(workers: usize) -> DriftMonitor {
-        DriftMonitor::new(production_assessor(FleetConfig::with_workers(workers)))
+        DriftMonitor::new(FleetAssessor::production(FleetConfig::with_workers(workers)))
     }
 
     #[test]
@@ -1184,7 +1151,12 @@ mod tests {
 
     #[test]
     fn unroutable_customers_are_inconclusive_not_fatal() {
-        let mut monitor = monitor(1);
+        // Only SqlDb is routed; SqlMi checks have nowhere to go.
+        let registry = EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production()));
+        let assessor =
+            FleetAssessor::over_registry(Arc::new(registry), FleetConfig::with_workers(1))
+                .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)));
+        let mut monitor = DriftMonitor::new(assessor);
         monitor.watch(MonitoredCustomer::new("mi", DeploymentType::SqlMi, window(0.5, 48)));
         monitor.observe("mi", window(0.5, 48));
         let pass = monitor.tick("Feb-22");
@@ -1224,9 +1196,9 @@ mod tests {
         assert_eq!(pass.report.drifted, 1);
         assert_eq!(pass.report.regions.len(), 2);
         let west_row =
-            pass.report.regions.iter().find(|r| r.region == Region::new("westeurope")).unwrap();
+            pass.report.regions.iter().find(|r| r.key == Region::new("westeurope")).unwrap();
         assert_eq!((west_row.checked, west_row.drifted), (1, 1));
-        let global_row = pass.report.regions.iter().find(|r| r.region == Region::global()).unwrap();
+        let global_row = pass.report.regions.iter().find(|r| r.key == Region::global()).unwrap();
         assert_eq!((global_row.checked, global_row.stable), (1, 1));
         // The drifted West Europe customer re-assessed against its own
         // (8 % dearer) catalog.
@@ -1240,7 +1212,7 @@ mod tests {
 
     #[test]
     fn watch_assessment_seeds_the_monitor_from_a_fleet_run() {
-        let assessor = production_assessor(FleetConfig::with_workers(2));
+        let assessor = FleetAssessor::production(FleetConfig::with_workers(2));
         let fleet: Vec<FleetRequest> = (0..4)
             .map(|i| {
                 FleetRequest::new(
@@ -1250,7 +1222,7 @@ mod tests {
             })
             .collect();
         let out = assessor.assess(fleet.clone());
-        let mut monitor = DriftMonitor::new(production_assessor(FleetConfig::with_workers(2)));
+        let mut monitor = monitor(2);
         for (request, result) in fleet.iter().zip(&out.results) {
             assert!(monitor.watch_assessment(request, result));
         }

@@ -16,7 +16,8 @@
 //!   is bit-for-bit identical for any worker count;
 //! * [`service`] — the [`FleetService`] streaming front-end: a long-lived
 //!   worker pool accepting [`submit`](FleetService::submit)ted requests
-//!   continuously, resolving them through [`Ticket`] handles, and
+//!   continuously (assessments and drift checks alike), resolving them
+//!   through [`Ticket`] handles, and
 //!   publishing incremental [`FleetReport`] snapshots mid-run;
 //! * [`report`] — the [`FleetReport`] aggregation layer: total monthly
 //!   cost, SKU-mix histogram, curve-shape and confidence distributions,
@@ -46,19 +47,12 @@
 //! ## Example
 //!
 //! ```
-//! use std::sync::Arc;
-//!
-//! use doppler_catalog::{
-//!     azure_paas_catalog, CatalogKey, CatalogSpec, DeploymentType, InMemoryCatalogProvider,
-//! };
-//! use doppler_core::EngineRegistry;
-//! use doppler_fleet::{cloud_fleet, EngineRoute, FleetAssessor, FleetConfig};
+//! use doppler_catalog::{azure_paas_catalog, CatalogSpec};
+//! use doppler_fleet::{cloud_fleet, FleetAssessor, FleetConfig};
 //! use doppler_workload::PopulationSpec;
 //!
 //! let catalog = azure_paas_catalog(&CatalogSpec::default());
-//! let registry = Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
-//! let assessor = FleetAssessor::over_registry(registry, FleetConfig::with_workers(4))
-//!     .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)));
+//! let assessor = FleetAssessor::production(FleetConfig::with_workers(4));
 //!
 //! let spec = PopulationSpec { days: 1.0, ..PopulationSpec::sql_db(50, 42) };
 //! let assessment = assessor.assess(cloud_fleet(&spec, &catalog, None));
@@ -73,20 +67,12 @@
 //! and submit requests as they arrive:
 //!
 //! ```
-//! use std::sync::Arc;
-//!
-//! use doppler_catalog::{
-//!     azure_paas_catalog, CatalogKey, CatalogSpec, DeploymentType, InMemoryCatalogProvider,
-//! };
-//! use doppler_core::EngineRegistry;
-//! use doppler_fleet::{cloud_fleet, EngineRoute, FleetAssessor, FleetConfig};
+//! use doppler_catalog::{azure_paas_catalog, CatalogSpec};
+//! use doppler_fleet::{cloud_fleet, FleetAssessor, FleetConfig};
 //! use doppler_workload::PopulationSpec;
 //!
 //! let catalog = azure_paas_catalog(&CatalogSpec::default());
-//! let registry = Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
-//! let service = FleetAssessor::over_registry(registry, FleetConfig::with_workers(2))
-//!     .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)))
-//!     .into_service();
+//! let service = FleetAssessor::production(FleetConfig::with_workers(2)).into_service();
 //!
 //! let spec = PopulationSpec { days: 1.0, ..PopulationSpec::sql_db(10, 42) };
 //! let tickets = service.submit_all(cloud_fleet(&spec, &catalog, None)).unwrap();
@@ -121,8 +107,8 @@ pub use backtest::{
     BacktestReport, ReplayScore,
 };
 pub use drift::{
-    CatalogRollOutcome, DeploymentDriftRow, DriftMonitor, DriftOutcome, DriftPass, DriftProbe,
-    DriftVerdict, DriftedRow, FleetDriftReport, MonitoredCustomer, RegionDriftRow,
+    CatalogRollOutcome, DriftMonitor, DriftOutcome, DriftPass, DriftProbe, DriftRollupRow,
+    DriftVerdict, DriftedRow, FleetDriftReport, MonitoredCustomer,
 };
 pub use queue::BoundedQueue;
 pub use report::{
@@ -133,5 +119,5 @@ pub use scheduler::{
     schedule_summary_from_json, schedule_summary_to_json, FleetScheduler, ScheduleMonthRow,
     ScheduleSummary, SimClock, SimMonth,
 };
-pub use service::{DriftTicket, FleetService, ServiceProgress, Ticket, TicketQueue};
+pub use service::{FleetService, ServiceProgress, Ticket, TicketQueue};
 pub use source::{cloud_fleet, customer_request, onprem_fleet, onprem_request};

@@ -42,20 +42,13 @@
 //! # Example
 //!
 //! ```
-//! use std::sync::Arc;
-//!
-//! use doppler_catalog::{CatalogKey, DeploymentType, InMemoryCatalogProvider};
-//! use doppler_core::EngineRegistry;
+//! use doppler_catalog::DeploymentType;
 //! use doppler_fleet::{
-//!     DriftMonitor, EngineRoute, FleetAssessor, FleetConfig, FleetScheduler, MonitoredCustomer,
-//!     SimClock,
+//!     DriftMonitor, FleetAssessor, FleetConfig, FleetScheduler, MonitoredCustomer, SimClock,
 //! };
 //! use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
 //!
-//! let registry = Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
-//! let assessor = FleetAssessor::over_registry(registry, FleetConfig::with_workers(2))
-//!     .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)));
-//! let monitor = DriftMonitor::new(assessor);
+//! let monitor = DriftMonitor::new(FleetAssessor::production(FleetConfig::with_workers(2)));
 //! let mut sim = FleetScheduler::new(monitor, SimClock::starting(2022, 1));
 //!
 //! let window = |cpu: f64| {
@@ -566,7 +559,7 @@ mod tests {
     use doppler_core::EngineRegistry;
     use doppler_telemetry::{PerfDimension, TimeSeries};
 
-    use crate::assessor::{production_assessor, EngineRoute, FleetAssessor, FleetConfig};
+    use crate::assessor::{EngineRoute, FleetAssessor, FleetConfig};
 
     fn window(cpu: f64, n: usize) -> PerfHistory {
         PerfHistory::new()
@@ -575,7 +568,8 @@ mod tests {
     }
 
     fn simple_scheduler(workers: usize) -> FleetScheduler {
-        let monitor = DriftMonitor::new(production_assessor(FleetConfig::with_workers(workers)));
+        let monitor =
+            DriftMonitor::new(FleetAssessor::production(FleetConfig::with_workers(workers)));
         FleetScheduler::new(monitor, SimClock::starting(2022, 1))
     }
 

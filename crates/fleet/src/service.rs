@@ -60,7 +60,7 @@ enum Task {
     Assess {
         /// Submission index — what [`FleetResult::index`] carries.
         index: usize,
-        /// Interned once at submission; the ticket and the result share it.
+        /// Interned once at submission; the result carries it.
         instance_name: Arc<str>,
         request: FleetRequest,
         reply: mpsc::Sender<FleetResult>,
@@ -182,75 +182,38 @@ fn worker_loop(shared: &ServiceShared, tasks: &Counter) {
     }
 }
 
-/// A claim on one submitted request's eventual [`FleetResult`].
+/// A claim on one submitted job's eventual result: a [`FleetResult`] for
+/// an assessment, a [`DriftOutcome`] for a drift check
+/// ([`FleetService::submit_drift`]).
 ///
 /// Each ticket owns a private channel the worker delivers into, so results
 /// remain receivable even after the service itself has been shut down or
-/// dropped. Dropping a ticket is fine — the assessment still runs and still
-/// counts toward the service's aggregate report.
+/// dropped. Dropping a ticket is fine — the job still runs, and an
+/// assessment still counts toward the service's aggregate report.
 #[derive(Debug)]
-pub struct Ticket {
+pub struct Ticket<T = FleetResult> {
     index: usize,
-    instance_name: Arc<str>,
-    rx: mpsc::Receiver<FleetResult>,
+    rx: mpsc::Receiver<T>,
 }
 
-impl Ticket {
-    /// The submission index this ticket resolves to ([`FleetResult::index`]).
+impl<T> Ticket<T> {
+    /// The submission index this ticket resolves to ([`FleetResult::index`],
+    /// or the drift-check sequence number [`DriftOutcome::index`]).
     pub fn index(&self) -> usize {
         self.index
     }
 
-    /// The instance the request named, for labelling dashboards.
-    pub fn instance_name(&self) -> &str {
-        &self.instance_name
-    }
-
     /// Block until the result is ready. Returns `None` only if the service
-    /// was torn down before the request was assessed — which a normal
+    /// was torn down before the job ran — which a normal
     /// [`FleetService::shutdown`]/`Drop` never does, since both drain the
     /// queue first.
-    pub fn recv(self) -> Option<FleetResult> {
+    pub fn recv(self) -> Option<T> {
         self.rx.recv().ok()
     }
 
     /// Non-blocking poll: `Some` exactly once, when the result has been
     /// delivered; `None` while it is still in flight.
-    pub fn try_recv(&mut self) -> Option<FleetResult> {
-        self.rx.try_recv().ok()
-    }
-}
-
-/// A claim on one submitted drift check's eventual [`DriftOutcome`] —
-/// the drift-lane sibling of [`Ticket`], with the same delivery contract
-/// (results survive service shutdown; dropping the ticket is fine).
-#[derive(Debug)]
-pub struct DriftTicket {
-    index: usize,
-    customer: String,
-    rx: mpsc::Receiver<DriftOutcome>,
-}
-
-impl DriftTicket {
-    /// The drift-check submission index ([`DriftOutcome::index`]).
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// The customer the probe named.
-    pub fn customer(&self) -> &str {
-        &self.customer
-    }
-
-    /// Block until the outcome is ready. `None` only if the service died
-    /// before running the check (not reachable through a normal
-    /// shutdown/drop, which drain the queue first).
-    pub fn recv(self) -> Option<DriftOutcome> {
-        self.rx.recv().ok()
-    }
-
-    /// Non-blocking poll: `Some` exactly once, when the outcome lands.
-    pub fn try_recv(&mut self) -> Option<DriftOutcome> {
+    pub fn try_recv(&mut self) -> Option<T> {
         self.rx.try_recv().ok()
     }
 }
@@ -386,8 +349,8 @@ impl FleetService {
     #[allow(clippy::result_large_err)]
     pub fn submit(&self, request: FleetRequest) -> Result<Ticket, FleetRequest> {
         let (reply, rx) = mpsc::channel();
-        let (index, instance_name) = self.enqueue(request, reply)?;
-        Ok(Ticket { index, instance_name, rx })
+        let index = self.submit_with_reply(request, reply)?;
+        Ok(Ticket { index, rx })
     }
 
     /// [`submit`](FleetService::submit) with a caller-supplied delivery
@@ -404,18 +367,6 @@ impl FleetService {
         request: FleetRequest,
         reply: mpsc::Sender<FleetResult>,
     ) -> Result<usize, FleetRequest> {
-        self.enqueue(request, reply).map(|(index, _)| index)
-    }
-
-    /// The body of both submit paths: count the submission, take its
-    /// index, intern the instance name, and push. Returns the index and the
-    /// interned name the result will carry.
-    #[allow(clippy::result_large_err)]
-    fn enqueue(
-        &self,
-        request: FleetRequest,
-        reply: mpsc::Sender<FleetResult>,
-    ) -> Result<(usize, Arc<str>), FleetRequest> {
         let shared = &*self.shared;
         let priority = request.priority;
         // Count the submission before the push (without holding the lock
@@ -424,19 +375,13 @@ impl FleetService {
         // before it is counted.
         lock_progress(shared).submitted += 1;
         let index = shared.next_index.fetch_add(1, Ordering::Relaxed);
-        let instance_name: Arc<str> = Arc::from(request.request.instance_name.as_str());
+        let instance_name = Arc::from(request.request.instance_name.as_str());
         let enqueued = shared.obs.is_enabled().then(Instant::now);
-        let task = Task::Assess {
-            index,
-            instance_name: Arc::clone(&instance_name),
-            request,
-            reply,
-            enqueued,
-        };
+        let task = Task::Assess { index, instance_name, request, reply, enqueued };
         let pushed =
             if priority { shared.queue.push_priority(task) } else { shared.queue.push(task) };
         match pushed {
-            Ok(()) => Ok((index, instance_name)),
+            Ok(()) => Ok(index),
             Err(Task::Assess { request, .. }) => {
                 // The push lost to a concurrent close: uncount it.
                 lock_progress(shared).submitted -= 1;
@@ -450,16 +395,15 @@ impl FleetService {
     /// background work; it is the *re-assessment* of a drifted customer
     /// that jumps the queue). Drift checks share the worker pool and
     /// backpressure but never enter the assessment aggregate —
-    /// collect the outcome from the returned [`DriftTicket`]. Returns the
+    /// collect the outcome from the returned [`Ticket`]. Returns the
     /// probe back as `Err` if the service has been closed.
     #[allow(clippy::result_large_err)]
-    pub fn submit_drift(&self, probe: DriftProbe) -> Result<DriftTicket, DriftProbe> {
+    pub fn submit_drift(&self, probe: DriftProbe) -> Result<Ticket<DriftOutcome>, DriftProbe> {
         let (reply, rx) = mpsc::channel();
-        let customer = probe.customer.clone();
         let index = self.shared.drift_submitted.fetch_add(1, Ordering::Relaxed);
         let enqueued = self.shared.obs.is_enabled().then(Instant::now);
         match self.shared.queue.push(Task::Drift { index, probe, reply, enqueued }) {
-            Ok(()) => Ok(DriftTicket { index, customer, rx }),
+            Ok(()) => Ok(Ticket { index, rx }),
             Err(Task::Drift { probe, .. }) => Err(probe),
             Err(Task::Assess { .. }) => unreachable!("a drift push returns a drift task"),
         }
@@ -575,10 +519,10 @@ mod tests {
     use doppler_dma::AssessmentRequest;
     use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
 
-    use crate::assessor::{production_assessor, FleetAssessor};
+    use crate::assessor::FleetAssessor;
 
     fn service(workers: usize) -> FleetService {
-        production_assessor(FleetConfig::with_workers(workers)).into_service()
+        FleetAssessor::production(FleetConfig::with_workers(workers)).into_service()
     }
 
     fn request(name: &str, cpu: f64) -> FleetRequest {
@@ -598,7 +542,6 @@ mod tests {
             service.submit_all((0..16).map(|i| request(&format!("inst-{i}"), 0.5))).unwrap();
         for (i, ticket) in tickets.into_iter().enumerate() {
             assert_eq!(ticket.index(), i);
-            assert_eq!(ticket.instance_name(), format!("inst-{i}"));
             let result = ticket.recv().expect("assessed");
             assert_eq!(result.index, i);
             assert_eq!(*result.instance_name, format!("inst-{i}"));
@@ -705,7 +648,17 @@ mod tests {
 
     #[test]
     fn unroutable_submissions_resolve_to_error_outcomes() {
-        let service = service(2);
+        use doppler_catalog::{CatalogKey, InMemoryCatalogProvider};
+        use doppler_core::EngineRegistry;
+
+        use crate::assessor::EngineRoute;
+
+        // Only SqlDb is routed; SqlMi requests have nowhere to go.
+        let registry = EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production()));
+        let service =
+            FleetAssessor::over_registry(Arc::new(registry), FleetConfig::with_workers(2))
+                .with_route(EngineRoute::production(CatalogKey::production(DeploymentType::SqlDb)))
+                .into_service();
         let mut mi = request("mi-stranded", 0.5);
         mi.deployment = DeploymentType::SqlMi;
         let ticket = service.submit(mi).unwrap();
@@ -853,13 +806,13 @@ mod tests {
         };
         let mut ticket = service.submit_drift(probe.clone()).unwrap();
         assert_eq!(ticket.index(), 0);
-        assert_eq!(ticket.customer(), "c-1");
         let outcome = loop {
             match ticket.try_recv() {
                 Some(outcome) => break outcome,
                 None => std::thread::yield_now(),
             }
         };
+        assert_eq!(outcome.customer, "c-1");
         assert_eq!(outcome.verdict, DriftVerdict::Drifted);
         // Drift work is invisible to the assessment aggregate.
         assert_eq!(service.progress(), ServiceProgress { submitted: 0, completed: 0 });
@@ -869,5 +822,50 @@ mod tests {
         let rejected = service.submit_drift(probe).unwrap_err();
         assert_eq!(rejected.customer, "c-1");
         assert_eq!(service.shutdown().fleet_size, 0);
+    }
+
+    #[test]
+    fn drift_tickets_deliver_their_outcome_through_recv() {
+        use crate::drift::{DriftProbe, DriftVerdict};
+        let obs = ObsRegistry::enabled();
+        let service =
+            FleetAssessor::production(FleetConfig::with_workers(2)).with_obs(&obs).into_service();
+        let probe = |customer: &str, fresh_cpu: f64| DriftProbe {
+            customer: customer.into(),
+            deployment: DeploymentType::SqlDb,
+            catalog_key: None,
+            history: PerfHistory::new()
+                .with(
+                    PerfDimension::Cpu,
+                    TimeSeries::ten_minute([vec![0.5; 48], vec![fresh_cpu; 48]].concat()),
+                )
+                .with(PerfDimension::IoLatency, TimeSeries::ten_minute(vec![6.0; 96])),
+            change_point: 48,
+        };
+        let tickets: Vec<Ticket<DriftOutcome>> = [("grown", 7.0), ("steady", 0.5)]
+            .into_iter()
+            .map(|(customer, cpu)| service.submit_drift(probe(customer, cpu)).unwrap())
+            .collect();
+        let verdicts: Vec<_> = tickets
+            .into_iter()
+            .enumerate()
+            .map(|(i, ticket)| {
+                assert_eq!(ticket.index(), i, "drift checks take their own sequence");
+                let outcome = ticket.recv().expect("drift checks are answered");
+                assert_eq!(outcome.index, i);
+                (outcome.customer, outcome.verdict)
+            })
+            .collect();
+        assert_eq!(
+            verdicts,
+            [("grown".to_string(), DriftVerdict::Drifted), ("steady".into(), DriftVerdict::Stable)]
+        );
+        assert_eq!(service.shutdown().fleet_size, 0);
+        // Drift checks share the assessments' panic guard but not their
+        // stage metrics: `fleet.stage.resolve` counts assessments only.
+        let snapshot = obs.snapshot();
+        let count = |name: &str| snapshot.histogram(name).map_or(0, |h| h.count);
+        assert_eq!(count("fleet.stage.drift_probe"), 2);
+        assert_eq!(count("fleet.stage.resolve"), 0);
     }
 }

@@ -141,7 +141,7 @@ fn monitor_pass_matches_serial_detect_drift_with_regional_attribution() {
         pass.report
             .regions
             .iter()
-            .find(|r| r.region == Region::new(label))
+            .find(|r| r.key == Region::new(label))
             .unwrap_or_else(|| panic!("missing region row {label}"))
     };
     for &(label, _) in &REGIONS {

@@ -207,7 +207,7 @@ proptest! {
             0..40,
         ),
     ) {
-        use doppler::fleet::{DriftVerdict, RegionDriftRow};
+        use doppler::fleet::{DriftRollupRow, DriftVerdict};
         let regions = ["global", "westeurope", "eastasia"];
         let outcomes: Vec<DriftOutcome> = fields
             .iter()
@@ -247,7 +247,7 @@ proptest! {
         prop_assert_eq!(report.severity.iter().sum::<usize>(), report.checked);
         prop_assert_eq!(report.drifted_customers.len(), report.drifted);
         // Region rows sum to the fleet totals, column by column.
-        let sum = |f: fn(&RegionDriftRow) -> usize| -> usize {
+        let sum = |f: fn(&DriftRollupRow<Region>) -> usize| -> usize {
             report.regions.iter().map(f).sum()
         };
         prop_assert_eq!(sum(|r| r.checked), report.checked);
@@ -263,7 +263,7 @@ proptest! {
         prop_assert!((deployment_delta - report.total_cost_delta).abs() < 1e-6);
         // Region rows come out sorted and unique.
         for pair in report.regions.windows(2) {
-            prop_assert!(pair[0].region.as_str() < pair[1].region.as_str());
+            prop_assert!(pair[0].key.as_str() < pair[1].key.as_str());
         }
     }
 
