@@ -1,11 +1,15 @@
 //! Confidence-score benchmarks: the §3.4 bootstrap re-runs the full
-//! pipeline per replicate. The heuristic engine scores each window's SKUs
-//! from prefix counts built once, so the per-window cost is profiling the
-//! window's sample range and selecting from its cost-ordered scores; the
-//! MI row also re-runs Step 1 (storage tiers) and builds a curve on every
-//! window of a bursty-IO history. `db_14d` is the DMA user's request: a
-//! trained production engine and a 14-day SQL DB cohort history;
-//! `recommend/db_14d` is the same request with confidence off.
+//! pipeline per replicate. The heuristic engine scores every window from
+//! one walk of the exceedance masks, which keeps the per-SKU counts at the
+//! windows' boundaries, so the per-window cost is profiling the windows'
+//! sample ranges (together, in lockstep) and selecting from cost-ordered
+//! scores. MI windows also re-run Step 1 (storage tiers) and score the
+//! candidates in the cost order of their storage assignment, building no
+//! curve. `db_14d` and `mi_14d` are the DMA user's request: a production
+//! engine trained on a migrated cohort, scoring a 14-day customer of
+//! another cohort (with its file layout, for MI); `mi_layout` is an
+//! untrained MI engine on one bursty-IO history; `recommend/db_14d` is the
+//! DB request with confidence off.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use doppler_bench::backtest::training_records;
@@ -69,6 +73,27 @@ fn bench_confidence(c: &mut Criterion) {
             db_engine.recommend_with_confidence(
                 std::hint::black_box(&db_history),
                 None,
+                &ConfidenceConfig::default(),
+            )
+        })
+    });
+
+    // The same request for SQL MI: the customer's file layout sends every
+    // window through Step 1.
+    let records = training_records(&PopulationSpec::sql_mi(200, 3).customers(&catalog));
+    let mi_engine = DopplerEngine::train(
+        catalog.clone(),
+        EngineConfig::production(DeploymentType::SqlMi),
+        &records,
+    );
+    let mi_customer = PopulationSpec::sql_mi(1, 4).customer(0, &catalog);
+    assert_eq!(mi_customer.history.len(), 2016, "14 days of 10-minute samples");
+    let mi_layout = mi_customer.file_layout.as_ref().expect("MI customers carry a layout");
+    group.bench_function("mi_14d", |b| {
+        b.iter(|| {
+            mi_engine.recommend_with_confidence(
+                std::hint::black_box(&mi_customer.history),
+                Some(mi_layout),
                 &ConfidenceConfig::default(),
             )
         })

@@ -5,7 +5,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use doppler_core::NegotiabilityStrategy;
 use doppler_stats::stl::{SEASONAL_SPAN, TREND_SPAN};
-use doppler_stats::{kmeans, loess_smooth, minmax_scaled_auc, stl_decompose, SeededRng};
+use doppler_stats::{
+    kmeans, loess_smooth, minmax_scaled_auc, stl_decompose, BootstrapWindows, SeededRng,
+};
 use doppler_telemetry::PerfDimension;
 use doppler_workload::{generate, WorkloadArchetype};
 
@@ -33,6 +35,14 @@ fn bench_summarizers(c: &mut Criterion) {
     let mut thresholding = c.benchmark_group("thresholding");
     thresholding.bench_function("window_1008x4", |b| {
         b.iter(|| production.profile_range(std::hint::black_box(&history), &dims, 504..1512))
+    });
+    // All of a confidence request's windows at once: the default 30
+    // one-week bootstrap windows over the same history and dimensions.
+    let windows = BootstrapWindows::generate(history.len(), 7 * 144, 30, 0);
+    thresholding.bench_function("windows_30x1008x4", |b| {
+        b.iter(|| {
+            production.profile_windows(std::hint::black_box(&history), &dims, windows.windows())
+        })
     });
     thresholding.finish();
 }

@@ -46,24 +46,30 @@ pub fn confidence_score(
     config: &ConfidenceConfig,
     mut recommend: impl FnMut(&PerfHistory) -> Option<String>,
 ) -> f64 {
-    bootstrap_agreement(history.len(), config, |window| {
-        recommend(&history.window(window.start, window.end)).as_deref() == Some(original)
-    })
+    let windows = bootstrap_windows(history.len(), config);
+    let agree = windows
+        .iter()
+        .filter(|w| recommend(&history.window(w.start, w.end)).as_deref() == Some(original))
+        .count();
+    agreement(agree, config)
 }
 
-/// The bootstrap behind [`confidence_score`], over sample ranges: the
-/// fraction of `config`'s windows of an `n`-sample history on which
-/// `agrees` holds. Returns 0.0 when `n` or the replicate count is 0.
-pub(crate) fn bootstrap_agreement(
-    n: usize,
-    config: &ConfidenceConfig,
-    mut agrees: impl FnMut(Range<usize>) -> bool,
-) -> f64 {
+/// The sample ranges of `config`'s bootstrap windows over an `n`-sample
+/// history, all of one length; none when `n` or the replicate count is 0.
+pub(crate) fn bootstrap_windows(n: usize, config: &ConfidenceConfig) -> Vec<Range<usize>> {
     if n == 0 || config.replicates == 0 {
-        return 0.0;
+        return Vec::new();
     }
     let plan = BootstrapWindows::generate(n, config.window_samples, config.replicates, config.seed);
-    let agree = plan.windows().iter().filter(|&window| agrees(window.clone())).count();
+    plan.windows().to_vec()
+}
+
+/// The confidence score when `agree` of `config`'s windows reproduce the
+/// original recommendation: 0.0 when no replicates are requested.
+pub(crate) fn agreement(agree: usize, config: &ConfidenceConfig) -> f64 {
+    if config.replicates == 0 {
+        return 0.0;
+    }
     agree as f64 / config.replicates as f64
 }
 

@@ -21,6 +21,18 @@ use doppler_telemetry::PerfHistory;
 
 use crate::throttling::{throttled_fraction, ExceedanceMasks};
 
+/// The curve's point order: ascending monthly cost, ties by SKU id.
+fn by_cost(cost_a: f64, id_a: &str, cost_b: f64, id_b: &str) -> std::cmp::Ordering {
+    cost_a.partial_cmp(&cost_b).expect("finite costs").then_with(|| id_a.cmp(id_b))
+}
+
+/// Sort indices into `skus` into the order their points take on a curve,
+/// where SKU `s` costs `costs[s]`: a bootstrap window scores SKUs in this
+/// order without building the curve.
+pub(crate) fn sort_by_cost(order: &mut [usize], skus: &[&Sku], costs: &[f64]) {
+    order.sort_by(|&a, &b| by_cost(costs[a], &skus[a].id.0, costs[b], &skus[b].id.0));
+}
+
 /// One SKU's position on a price-performance curve.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PricePerfPoint {
@@ -82,9 +94,7 @@ impl PricePerformanceCurve {
     /// triples — the entry point for the MI flow, where both capacity and
     /// cost are adjusted by the storage layout.
     pub fn from_scored(mut scored: Vec<(String, f64, f64)>) -> PricePerformanceCurve {
-        scored.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1).expect("finite costs").then_with(|| a.0.cmp(&b.0))
-        });
+        scored.sort_by(|a, b| by_cost(a.1, &a.0, b.1, &b.0));
         let mut points = Vec::with_capacity(scored.len());
         let mut envelope: f64 = 0.0;
         for (sku_id, monthly_cost, raw_score) in scored {

@@ -1,26 +1,29 @@
 //! The [`DopplerEngine`] façade: train on migrated customers, recommend for
 //! new ones (Figure 3's full loop).
 //!
-//! [`DopplerEngine::recommend_with_confidence`] runs the §3.4 bootstrap
-//! without rebuilding a curve per window. Eq. 1 only counts samples, so
-//! the history's [`ExceedanceMasks`] (per dimension, the SKUs a sample
-//! throttles are a prefix of the capacity order, descending for inverted
-//! latency; a sample's `ceil(S / 64)`-word bitset ORs those prefixes) are
-//! built once, and their [`PrefixCounts`] give any window's per-SKU
-//! counts in O(SKUs). Nothing is copied per window. What a window still
-//! costs:
+//! [`DopplerEngine::recommend_with_confidence`] runs the §3.4 bootstrap in
+//! one sweep, without rebuilding a curve per window. Eq. 1 only counts
+//! samples, so the history's [`ExceedanceMasks`] (per dimension, the SKUs a
+//! sample throttles are a prefix of the capacity order, descending for
+//! inverted latency; a sample's `ceil(S / 64)`-word bitset ORs those
+//! prefixes) are built once. One walk of the masks then keeps the per-SKU
+//! counts at the windows' boundaries and at `0` and `n` ([`BoundaryCounts`]),
+//! so a window's counts cost O(SKUs). Nothing is copied per window. What a
+//! window still costs:
 //!
-//! * **Profile.** [`NegotiabilityStrategy::profile_range`] reads the
-//!   window's sample range of the customer's own series. The thresholding
-//!   statistics of up to four dimensions run in lockstep lanes, three
-//!   passes over the range.
+//! * **Profile.** [`NegotiabilityStrategy::profile_windows`] profiles every
+//!   window together. Under thresholding, the profiled dimensions are copied
+//!   once into sample-major columns, and one lockstep kernel measures two
+//!   windows of up to four dimensions per call, three passes over the
+//!   windows.
 //! * **Group and select.** The group is re-assigned from the window's
-//!   profile. A plain-catalog kernel sorts its SKUs by (cost, id) once per
-//!   customer, so a window fills its envelope scores in that order and runs
-//!   one selection pass over them: no curve, no `String` ids, no sort.
-//! * **MI Step 1.** An MI window also re-runs Step 1, whose IOPS limit
-//!   moves with the window's peak, and builds its curve, because Step 1
-//!   moves the GP costs.
+//!   profile. The kernel sorts its candidate SKUs by (cost, id) once: per
+//!   customer for a plain catalog, per distinct storage assignment for MI.
+//!   A window fills its envelope scores in that order and runs one
+//!   selection pass over them: no curve, no `String` ids, no sort.
+//! * **MI Steps 1 and 2.** An MI window also re-runs Step 1, whose IOPS
+//!   limit moves with the window's peak, and adds the samples past that
+//!   limit to the GP counts.
 //!
 //! The confidence is bit-identical to the provided
 //! [`RecommendationBackend::recommend_with_confidence`](crate::RecommendationBackend::recommend_with_confidence),
@@ -31,14 +34,14 @@ use std::ops::Range;
 use doppler_catalog::{BillingRates, Catalog, DeploymentType, FileLayout, Sku, SkuId, StorageTier};
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
-use crate::confidence::{bootstrap_agreement, ConfidenceConfig};
-use crate::curve::{CurveShape, PricePerformanceCurve};
+use crate::confidence::{agreement, bootstrap_windows, ConfidenceConfig};
+use crate::curve::{sort_by_cost, CurveShape, PricePerformanceCurve};
 use crate::explain::{explain, Explanation};
 use crate::grouping::{FittedGrouping, GroupingStrategy};
 use crate::matching::GroupModel;
 use crate::mi::{MiAssessment, MiKernel};
 use crate::profile::NegotiabilityStrategy;
-use crate::throttling::{throttled_fraction, ExceedanceMasks, PrefixCounts, ThrottleBreakdown};
+use crate::throttling::{throttled_fraction, BoundaryCounts, ExceedanceMasks, ThrottleBreakdown};
 
 /// Engine configuration: which deployment is being assessed and how the
 /// Customer Profiler summarizes and groups.
@@ -250,29 +253,35 @@ impl DopplerEngine {
     }
 
     /// [`recommend`](Self::recommend) with the §3.4 bootstrap confidence
-    /// attached, scoring every window from one set of prefix counts and
-    /// profiling it in place (see the module docs). Windows compare only
-    /// the selected SKU, so they skip the breakdown and explanation.
+    /// attached, scoring every window from one walk of the masks and
+    /// profiling the windows together (see the module docs). Windows
+    /// compare only the selected SKU, so they skip the breakdown and
+    /// explanation.
     pub fn recommend_with_confidence(
         &self,
         history: &PerfHistory,
         layout: Option<&FileLayout>,
         confidence: &ConfidenceConfig,
     ) -> Recommendation {
-        let kernel = CurveKernel::new(self, history, layout);
-        let prefix = PrefixCounts::new(kernel.masks());
+        let mut kernel = CurveKernel::new(self, history, layout);
         let n = history.len();
-        let (curve, mi) = kernel.curve(0..n, prefix.counts(0..n));
+        let windows = bootstrap_windows(n, confidence);
+        let ends = windows.iter().flat_map(|w| [w.start, w.end]);
+        let counts = BoundaryCounts::new(kernel.masks(), ends.chain([0, n]));
+        let (curve, mi) = kernel.curve(0..n, counts.counts(0..n));
         let mut rec = self.recommend_on(history, curve, mi, self.profile(history));
         if let Some(original) = rec.sku_id.as_deref() {
-            let dims = self.dims();
-            rec.confidence = Some(bootstrap_agreement(n, confidence, |range| {
-                let (weights, bits) =
-                    self.config.negotiability.profile_range(history, dims, range.clone());
+            let profiles =
+                self.config.negotiability.profile_windows(history, self.dims(), &windows);
+            let mut agree = 0;
+            for (range, (weights, bits)) in windows.iter().zip(profiles) {
                 let group = self.grouping.assign(&weights, &bits);
-                let counts = prefix.counts(range.clone());
-                kernel.window_selects(&self.model, group, range, counts, original)
-            }));
+                let counts = counts.counts(range.clone());
+                let selects =
+                    kernel.window_selects(&self.model, group, range.clone(), counts, original);
+                agree += usize::from(selects);
+            }
+            rec.confidence = Some(agreement(agree, confidence));
         }
         rec
     }
@@ -366,12 +375,7 @@ impl<'a> CurveKernel<'a> {
                 let caps: Vec<_> = skus.iter().map(|sku| sku.caps).collect();
                 let costs: Vec<f64> = skus.iter().map(|sku| sku.monthly_cost()).collect();
                 let mut by_cost: Vec<usize> = (0..skus.len()).collect();
-                by_cost.sort_by(|&a, &b| {
-                    costs[a]
-                        .partial_cmp(&costs[b])
-                        .expect("finite costs")
-                        .then_with(|| skus[a].id.0.cmp(&skus[b].id.0))
-                });
+                sort_by_cost(&mut by_cost, &skus, &costs);
                 CurveKernel::Plain { masks: ExceedanceMasks::new(history, &caps), by_cost, skus }
             }
         }
@@ -406,32 +410,31 @@ impl<'a> CurveKernel<'a> {
     /// Whether `model` selects the SKU `original` for `group` on the
     /// samples in `range`, given the masks' per-SKU counts over that range:
     /// `model.select(group, &self.curve(range, counts).0)` reads `original`.
-    /// A plain kernel scores its SKUs in cost order and selects from those
-    /// scores directly, building no curve. An MI window still builds one,
-    /// because Step 1 moves its GP costs.
+    /// Both kernels score their SKUs in the curve's (cost, id) order and
+    /// select from those scores directly, building no curve.
     fn window_selects(
-        &self,
+        &mut self,
         model: &GroupModel,
         group: usize,
         range: Range<usize>,
-        counts: Vec<u32>,
+        mut counts: Vec<u32>,
         original: &str,
     ) -> bool {
-        match self {
-            CurveKernel::Plain { skus, by_cost, .. } => {
-                let n = range.len();
-                // The curve's monotone envelope, cheapest SKU first.
-                let scores = by_cost.iter().scan(0.0_f64, |envelope, &s| {
-                    *envelope = envelope.max(1.0 - throttled_fraction(counts[s] as usize, n));
-                    Some((s, *envelope))
-                });
-                model.select_scored(group, scores).is_some_and(|s| skus[s].id.0 == original)
-            }
-            CurveKernel::Mi(_) => {
-                let (curve, _) = self.curve(range, counts);
-                model.select(group, &curve).is_some_and(|p| p.sku_id == original)
-            }
-        }
+        let n = range.len();
+        let (skus, order): (&[&Sku], &[usize]) = match self {
+            CurveKernel::Plain { skus, by_cost, .. } => (skus, by_cost),
+            // No MI placement exists: the curve is empty.
+            CurveKernel::Mi(kernel) => match kernel.window(range, &mut counts) {
+                Some(window) => window,
+                None => return false,
+            },
+        };
+        // The curve's monotone envelope, cheapest SKU first.
+        let scores = order.iter().scan(0.0_f64, |envelope, &s| {
+            *envelope = envelope.max(1.0 - throttled_fraction(counts[s] as usize, n));
+            Some((s, *envelope))
+        });
+        model.select_scored(group, scores).is_some_and(|s| skus[s].id.0 == original)
     }
 }
 

@@ -21,17 +21,22 @@
 //! IOPS unbounded, and the samples whose demand passes the window's limit
 //! are added to the GP counts afterwards. The counts are the ones Eq. 1
 //! gives with the limit substituted into each GP SKU's capacities.
+//!
+//! A §3.4 bootstrap window needs only the SKU its curve would select, so it
+//! builds no curve: the candidates' (monthly cost, id) order depends only
+//! on the window's storage assignment, and the kernel sorts it once per
+//! distinct assignment. The window then scores its candidates in that
+//! order, as a plain-catalog window does.
 
 use std::ops::Range;
 
 use doppler_catalog::{
     BillingRates, Catalog, DeploymentType, FileLayout, ServiceTier, Sku, TierAssignment,
 };
-use doppler_stats::descriptive::max;
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
-use crate::curve::PricePerformanceCurve;
-use crate::throttling::{add_bits, throttled_fraction, ExceedanceMasks};
+use crate::curve::{sort_by_cost, PricePerformanceCurve};
+use crate::throttling::{add_bits, extremes, throttled_fraction, ExceedanceMasks};
 
 /// The §3.2 Step-1 satisfaction fraction ("chosen based on file layout
 /// analysis of current on-cloud Azure SQL MI resources").
@@ -76,6 +81,16 @@ pub(crate) struct MiKernel<'a> {
     iops: Option<&'a [f64]>,
     /// Masks over `candidates`, with every GP candidate's IOPS unbounded.
     masks: ExceedanceMasks,
+    /// Per storage assignment and BC restriction a window has met, the
+    /// indices of the candidates on its curve in (monthly cost, id) order.
+    orders: Vec<(TierAssignment, bool, Vec<usize>)>,
+}
+
+/// Step 1's outcome on one window.
+struct StorageChoice {
+    storage: TierAssignment,
+    restricted_to_bc: bool,
+    gp_iops_limit: f64,
 }
 
 impl<'a> MiKernel<'a> {
@@ -112,6 +127,7 @@ impl<'a> MiKernel<'a> {
             candidates,
             gp,
             iops: history.values(PerfDimension::Iops),
+            orders: Vec::new(),
         }
     }
 
@@ -123,9 +139,77 @@ impl<'a> MiKernel<'a> {
     /// Run Steps 1 and 2 on the samples in `range`, given the masks'
     /// per-candidate counts over that range.
     pub(crate) fn assess(&self, range: Range<usize>, mut counts: Vec<u32>) -> Option<MiAssessment> {
-        // Step 1: storage tiers from size (100 %) and IO demand (95 %).
+        let StorageChoice { storage, restricted_to_bc, gp_iops_limit } =
+            self.steps(range.clone(), &mut counts)?;
+        let scored = self
+            .candidates
+            .iter()
+            .zip(counts)
+            .filter(|(sku, _)| !(restricted_to_bc && sku.tier == ServiceTier::GeneralPurpose))
+            .map(|(sku, count)| {
+                let monthly = self.monthly(sku, &storage);
+                let score = 1.0 - throttled_fraction(count as usize, range.len());
+                (sku.id.to_string(), monthly, score)
+            })
+            .collect();
+        Some(MiAssessment {
+            storage,
+            restricted_to_bc,
+            curve: PricePerformanceCurve::from_scored(scored),
+            gp_iops_limit,
+        })
+    }
+
+    /// [`assess`](Self::assess) without the curve: Steps 1 and 2 on the
+    /// samples in `range`, adjusting `counts` (the masks' counts over that
+    /// range) to Step 2's. Returns the candidate SKUs, in the order of the
+    /// counts, and the indices of the curve's points among them, cheapest
+    /// first; `None` when no MI placement exists.
+    pub(crate) fn window(
+        &mut self,
+        range: Range<usize>,
+        counts: &mut [u32],
+    ) -> Option<(&[&'a Sku], &[usize])> {
+        let StorageChoice { storage, restricted_to_bc, .. } = self.steps(range, counts)?;
+        let cached =
+            self.orders.iter().position(|(s, r, _)| *r == restricted_to_bc && *s == storage);
+        let i = match cached {
+            Some(i) => i,
+            None => {
+                let costs: Vec<f64> =
+                    self.candidates.iter().map(|sku| self.monthly(sku, &storage)).collect();
+                let mut order: Vec<usize> = (0..self.candidates.len())
+                    .filter(|&s| {
+                        !(restricted_to_bc
+                            && self.candidates[s].tier == ServiceTier::GeneralPurpose)
+                    })
+                    .collect();
+                sort_by_cost(&mut order, &self.candidates, &costs);
+                self.orders.push((storage, restricted_to_bc, order));
+                self.orders.len() - 1
+            }
+        };
+        Some((&self.candidates, &self.orders[i].2))
+    }
+
+    /// A candidate's monthly cost under a storage assignment.
+    fn monthly(&self, sku: &Sku, storage: &TierAssignment) -> f64 {
+        match sku.tier {
+            ServiceTier::GeneralPurpose => self.rates.monthly_with_storage(sku, storage),
+            // BC uses local SSD: SKU-constant IO, no premium-disk rent.
+            ServiceTier::BusinessCritical => sku.monthly_cost(),
+        }
+    }
+
+    /// Step 1 on the samples in `range`, then Step 2's adjustment of
+    /// `counts`, the masks' per-candidate counts over that range.
+    fn steps(&self, range: Range<usize>, counts: &mut [u32]) -> Option<StorageChoice> {
+        // Step 1: storage tiers from size (100 %) and IO demand (95 %). The
+        // peak is taken in independent lanes, so of two equal zeros it may
+        // return the other sign than a serial scan; Step 1 only compares
+        // it, so nothing changes.
         let iops = self.iops.map_or(&[][..], |v| &v[range.clone()]);
-        let iops_demand = max(iops).unwrap_or(0.0);
+        let iops_demand = if iops.is_empty() { 0.0 } else { extremes(iops).1 };
         let throughput_demand = iops_demand / 128.0; // 8 KB pages
         let (storage, satisfied) = self.layout.assign_tiers_for_demand(
             iops_demand,
@@ -137,38 +221,18 @@ impl<'a> MiKernel<'a> {
 
         // Step 2: a GP SKU also throttles wherever demand passes the
         // storage-derived IOPS limit and no other dimension already did.
-        if !restricted_to_bc {
+        if !restricted_to_bc && iops_demand > gp_iops_limit {
             let mut extra = vec![0u64; self.gp.len()];
-            for (t, &v) in range.clone().zip(iops) {
+            for (t, &v) in range.zip(iops) {
                 if v > gp_iops_limit {
                     for ((e, g), m) in extra.iter_mut().zip(&self.gp).zip(self.masks.sample(t)) {
                         *e = g & !m;
                     }
-                    add_bits(&mut counts, &extra);
+                    add_bits(counts, &extra);
                 }
             }
         }
-        let scored = self
-            .candidates
-            .iter()
-            .zip(counts)
-            .filter(|(sku, _)| !(restricted_to_bc && sku.tier == ServiceTier::GeneralPurpose))
-            .map(|(sku, count)| {
-                let monthly = match sku.tier {
-                    ServiceTier::GeneralPurpose => self.rates.monthly_with_storage(sku, &storage),
-                    // BC uses local SSD: SKU-constant IO, no premium-disk rent.
-                    ServiceTier::BusinessCritical => sku.monthly_cost(),
-                };
-                let score = 1.0 - throttled_fraction(count as usize, range.len());
-                (sku.id.to_string(), monthly, score)
-            })
-            .collect();
-        Some(MiAssessment {
-            storage,
-            restricted_to_bc,
-            curve: PricePerformanceCurve::from_scored(scored),
-            gp_iops_limit,
-        })
+        Some(StorageChoice { storage, restricted_to_bc, gp_iops_limit })
     }
 }
 
@@ -265,6 +329,48 @@ mod tests {
         for p in a.curve.points() {
             let sku = cat.get(&doppler_catalog::SkuId(p.sku_id.clone())).unwrap();
             assert!(sku.caps.max_data_gb >= 3000.0, "{} too small", p.sku_id);
+        }
+    }
+
+    #[test]
+    fn step_two_counts_the_base_once() {
+        // CPU demand of 6 vCores throttles every SKU under 6 vCores at every
+        // sample, so those sit in the masks' base. IOPS spikes to 5,200 on
+        // one sample in four; Step 1 gives the single file a P30 (5,000
+        // IOPS, at least 95 % of the peak), so the spikes also pass the GP
+        // limit. A GP SKU in the base throttles at every sample once, not
+        // once more per spike: Step 2's read of each sample's mask must see
+        // the base bits.
+        let n = 40;
+        let iops: Vec<f64> = (0..n).map(|t| if t % 4 == 0 { 5_200.0 } else { 100.0 }).collect();
+        let history = history(iops).with(PerfDimension::Cpu, TimeSeries::ten_minute(vec![6.0; n]));
+        let layout = FileLayout::from_sizes(&[100.0]);
+        let catalog = catalog();
+        let rates = BillingRates::default();
+        let a = mi_curve(&history, &layout, &catalog, &rates).unwrap();
+        assert_eq!((a.storage.tiers.clone(), a.restricted_to_bc), (vec![StorageTier::P30], false));
+        let scalar = |id: &str| {
+            let sku = catalog.get(&id.into()).unwrap();
+            let mut caps = sku.caps;
+            if sku.tier == ServiceTier::GeneralPurpose {
+                caps.iops = a.gp_iops_limit;
+            }
+            crate::throttling::throttling_probability(&history, &caps)
+        };
+        for p in a.curve.points() {
+            assert_eq!(p.raw_score.to_bits(), (1.0 - scalar(&p.sku_id)).to_bits(), "{}", p.sku_id);
+        }
+        assert_eq!(a.curve.point_for("MI_GP_4").unwrap().raw_score, 0.0);
+        assert_eq!(a.curve.point_for("MI_GP_8").unwrap().raw_score, 0.75);
+
+        // The window path adjusts the same counts.
+        let mut kernel = MiKernel::new(&history, &layout, &catalog, &rates);
+        let mut counts = kernel.masks().counts(0..n);
+        let (candidates, order) = kernel.window(0..n, &mut counts).unwrap();
+        assert_eq!(order.len(), candidates.len());
+        for (sku, &count) in candidates.iter().zip(&counts) {
+            let fraction = throttled_fraction(count as usize, n);
+            assert_eq!(fraction.to_bits(), scalar(&sku.id.0).to_bits(), "{}", sku.id);
         }
     }
 

@@ -10,7 +10,7 @@
 
 use std::ops::Range;
 
-use doppler_stats::spike::LANES;
+use doppler_stats::spike::{LANES, WINDOWS};
 use doppler_stats::{
     max_scaled_auc, minmax_scaled_auc, outlier_fraction, spike_dwell_fraction, stl_decompose,
     SpikeProfile,
@@ -170,27 +170,82 @@ impl NegotiabilityStrategy {
         dims: &[PerfDimension],
         range: Range<usize>,
     ) -> (Vec<f64>, Vec<bool>) {
-        let mut weights = Vec::with_capacity(dims.len() * self.weights_per_dimension());
-        let mut bits = Vec::with_capacity(dims.len());
+        let mut profile = self.empty_profile(dims);
         for chunk in dims.chunks(LANES) {
             let series: [Option<&[f64]>; LANES] = std::array::from_fn(|l| {
                 let values = history.values(*chunk.get(l)?)?;
                 Some(&values[range.clone()])
             });
             let dwell = self.thresholds().then(|| dwell_lanes(series));
-            for (l, values) in series[..chunk.len()].iter().enumerate() {
-                match values {
-                    Some(values) => {
-                        bits.push(self.push_dimension(values, dwell.map(|d| d[l]), &mut weights))
-                    }
-                    None => {
-                        weights.extend(std::iter::repeat_n(0.0, self.weights_per_dimension()));
-                        bits.push(false);
-                    }
+            self.push_chunk(&series[..chunk.len()], dwell, &mut profile);
+        }
+        profile
+    }
+
+    /// Weight and bit vectors with room for `dims`.
+    fn empty_profile(&self, dims: &[PerfDimension]) -> (Vec<f64>, Vec<bool>) {
+        (
+            Vec::with_capacity(dims.len() * self.weights_per_dimension()),
+            Vec::with_capacity(dims.len()),
+        )
+    }
+
+    /// Append the weights and bits of a chunk of dimensions, `None` where
+    /// the history lacks one. `dwell` holds their dwell fractions, lane by
+    /// lane, when [`thresholds`](Self::thresholds).
+    fn push_chunk(
+        &self,
+        series: &[Option<&[f64]>],
+        dwell: Option<[f64; LANES]>,
+        (weights, bits): &mut (Vec<f64>, Vec<bool>),
+    ) {
+        for (l, values) in series.iter().enumerate() {
+            match values {
+                Some(values) => {
+                    bits.push(self.push_dimension(values, dwell.map(|d| d[l]), weights))
+                }
+                None => {
+                    weights.extend(std::iter::repeat_n(0.0, self.weights_per_dimension()));
+                    bits.push(false);
                 }
             }
         }
-        (weights, bits)
+    }
+
+    /// [`profile_range`](Self::profile_range) of every range in `windows`,
+    /// which share one length (the §3.4 bootstrap's windows), bit for bit.
+    /// A thresholding strategy copies each group of up to [`LANES`]
+    /// dimensions once into sample-major columns and measures the windows'
+    /// dwell fractions [`WINDOWS`] at a time with
+    /// [`SpikeProfile::measure_windows`]; the other strategies profile
+    /// each range on its own. Panics when the windows differ in length or
+    /// run past the history.
+    pub fn profile_windows(
+        &self,
+        history: &PerfHistory,
+        dims: &[PerfDimension],
+        windows: &[Range<usize>],
+    ) -> Vec<(Vec<f64>, Vec<bool>)> {
+        if !self.thresholds() {
+            return windows.iter().map(|w| self.profile_range(history, dims, w.clone())).collect();
+        }
+        let len = windows.first().map_or(0, |w| w.len());
+        assert!(
+            windows.iter().all(|w| w.len() == len && w.end <= history.len()),
+            "windows of unequal length or past the history"
+        );
+        let mut profiles: Vec<_> = windows.iter().map(|_| self.empty_profile(dims)).collect();
+        let starts: Vec<usize> = windows.iter().map(|w| w.start).collect();
+        for chunk in dims.chunks(LANES) {
+            let series: [Option<&[f64]>; LANES] =
+                std::array::from_fn(|l| history.values(*chunk.get(l)?));
+            let dwells = window_dwells(series, &starts, len);
+            for ((profile, dwell), range) in profiles.iter_mut().zip(dwells).zip(windows) {
+                let window = series.map(|values| values.map(|v| &v[range.clone()]));
+                self.push_chunk(&window[..chunk.len()], Some(dwell), profile);
+            }
+        }
+        profiles
     }
 
     /// The weight half of [`profile`](NegotiabilityStrategy::profile).
@@ -221,6 +276,50 @@ fn dwell_lanes(series: [Option<&[f64]>; LANES]) -> [f64; LANES] {
     };
     let lanes = series.map(|s| s.unwrap_or(present));
     SpikeProfile::measure_lanes(lanes).map_or([1.0; LANES], |lanes| lanes.map(|p| p.dwell_fraction))
+}
+
+/// Per window of `len` samples starting at each of `starts`, the
+/// [`spike_dwell_fraction`] of every present series, as [`dwell_lanes`]
+/// reads them. The series are copied once into sample-major columns (an
+/// absent lane reads 0.0 and is ignored) and measured [`WINDOWS`] windows
+/// per call, then one at a time for the rest.
+fn window_dwells(
+    series: [Option<&[f64]>; LANES],
+    starts: &[usize],
+    len: usize,
+) -> Vec<[f64; LANES]> {
+    let present = series.iter().flatten().next();
+    let Some(n) = present.map(|s| s.len()).filter(|_| len > 0) else {
+        return vec![[1.0; LANES]; starts.len()];
+    };
+    let mut columns = vec![[0.0; LANES]; n];
+    for (l, values) in series.iter().enumerate() {
+        for (column, &v) in columns.iter_mut().zip(values.unwrap_or(&[])) {
+            column[l] = v;
+        }
+    }
+    let mut dwells = Vec::with_capacity(starts.len());
+    let batches = starts.chunks_exact(WINDOWS);
+    let rest = batches.remainder();
+    for batch in batches {
+        let batch: [usize; WINDOWS] = batch.try_into().expect("chunks of WINDOWS starts");
+        measure_batch(&columns, batch, len, &mut dwells);
+    }
+    for &start in rest {
+        measure_batch(&columns, [start], len, &mut dwells);
+    }
+    dwells
+}
+
+/// Append the dwell fractions of `W` non-empty windows to `dwells`.
+fn measure_batch<const W: usize>(
+    columns: &[[f64; LANES]],
+    starts: [usize; W],
+    len: usize,
+    dwells: &mut Vec<[f64; LANES]>,
+) {
+    let profiles = SpikeProfile::measure_windows(columns, starts, len).expect("non-empty windows");
+    dwells.extend(profiles.map(|window| window.map(|p| p.dwell_fraction)));
 }
 
 #[cfg(test)]

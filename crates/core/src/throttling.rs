@@ -33,11 +33,15 @@
 //! level, the lower bound's bitset is shared by every sample, and only the
 //! samples above it search, among the levels up to the upper bound. A
 //! dimension whose extremes share a level costs no pass over its samples
-//! at all. Counting set bits gives each SKU's throttled samples, and
-//! [`PrefixCounts`] keeps those counts cumulatively, so a bootstrap
-//! window's counts cost O(S). The counts are the same integers the scalar
-//! walk produces, divided the same way by [`throttled_fraction`], so every
-//! score is bit-identical to [`throttling_probability`].
+//! at all. Counting set bits gives each SKU's throttled samples. The
+//! bitset every sample shares (the *base*) is also kept apart, so a count
+//! adds each sample's bits beyond it, then the base's SKUs once, by the
+//! range's length. [`BoundaryCounts`]
+//! walks the masks once and keeps the counts at a few sample boundaries
+//! (a bootstrap's window ends), so a window's counts cost O(S). The counts
+//! are the same integers the scalar walk produces, divided the same way by
+//! [`throttled_fraction`], so every score is bit-identical to
+//! [`throttling_probability`].
 
 use std::ops::Range;
 
@@ -112,6 +116,9 @@ pub struct ExceedanceMasks {
     words: usize,
     /// Sample-major masks, `words` per sample.
     bits: Vec<u64>,
+    /// The SKUs every sample throttles (set in every mask of `bits` too),
+    /// held apart so a count adds only the bits beyond it.
+    base: Vec<u64>,
 }
 
 impl ExceedanceMasks {
@@ -129,11 +136,11 @@ impl ExceedanceMasks {
         assert!(u32::try_from(history.len()).is_ok(), "too many samples for u32 counts");
         let words = skus.div_ceil(64).max(1);
         let mut bits = vec![0u64; history.len() * words];
+        let mut base = vec![0u64; words];
         if history.is_empty() {
-            return ExceedanceMasks { skus, words, bits };
+            return ExceedanceMasks { skus, words, bits, base };
         }
         let mut table = LevelTable::new(skus, words);
-        let mut base = vec![0u64; words];
         for (dim, series) in history.iter() {
             table.build(caps, dim);
             if dim.inverted() {
@@ -145,7 +152,7 @@ impl ExceedanceMasks {
         for mask in bits.chunks_exact_mut(words) {
             or_into(mask, &base);
         }
-        ExceedanceMasks { skus, words, bits }
+        ExceedanceMasks { skus, words, bits, base }
     }
 
     /// [`new`](Self::new) as one full binary search per sample and
@@ -168,7 +175,7 @@ impl ExceedanceMasks {
                 or_into(mask, table.prefix(k));
             }
         }
-        ExceedanceMasks { skus, words, bits }
+        ExceedanceMasks { skus, words, bits, base: vec![0u64; words] }
     }
 
     /// Number of samples.
@@ -189,11 +196,84 @@ impl ExceedanceMasks {
     /// Per-SKU throttled-sample counts over the sample range `range`.
     pub fn counts(&self, range: Range<usize>) -> Vec<u32> {
         let mut counts = vec![0u32; self.skus];
-        for mask in
-            self.bits[range.start * self.words..range.end * self.words].chunks_exact(self.words)
-        {
-            add_bits(&mut counts, mask);
+        self.add_beyond_base(&mut counts, range.clone());
+        add_base(&mut counts, &self.base, range.len());
+        counts
+    }
+
+    /// Add to `counts` the bits beyond the base of every sample in `range`.
+    fn add_beyond_base(&self, counts: &mut [u32], range: Range<usize>) {
+        let masks = &self.bits[range.start * self.words..range.end * self.words];
+        for mask in masks.chunks_exact(self.words) {
+            for (w, (&word, &base)) in mask.iter().zip(&self.base).enumerate() {
+                add_word(counts, w, word & !base, 1);
+            }
         }
+    }
+}
+
+/// Add `samples` to the count of every SKU in `base`: each throttles every
+/// one of those samples.
+fn add_base(counts: &mut [u32], base: &[u64], samples: usize) {
+    // `ExceedanceMasks::new` checked that the sample count fits a `u32`.
+    let samples = samples as u32;
+    for (w, &word) in base.iter().enumerate() {
+        add_word(counts, w, word, samples);
+    }
+}
+
+/// Per-SKU throttled-sample counts of one [`ExceedanceMasks`] at a set of
+/// sample boundaries, from one walk of the masks: the counts over any
+/// range between two boundaries are one difference. The §3.4 bootstrap
+/// walks once for its windows' ends plus `0` and `n` (the full curve), so
+/// it keeps about 60 rows of counts rather than one per sample.
+#[derive(Debug, Clone)]
+pub struct BoundaryCounts {
+    /// The distinct boundaries, ascending.
+    boundaries: Vec<usize>,
+    /// Row `i` holds the counts of the bits beyond the masks' base over
+    /// samples `0..boundaries[i]`, one `u32` per SKU.
+    rows: Vec<u32>,
+    /// The masks' base: its SKUs throttle every sample of any range.
+    base: Vec<u64>,
+    skus: usize,
+}
+
+impl BoundaryCounts {
+    /// Walk `masks` once, keeping the counts at every boundary (in any
+    /// order, repeats allowed). Panics when a boundary passes the masks'
+    /// sample count.
+    pub fn new(
+        masks: &ExceedanceMasks,
+        boundaries: impl IntoIterator<Item = usize>,
+    ) -> BoundaryCounts {
+        let mut boundaries: Vec<usize> = boundaries.into_iter().collect();
+        boundaries.sort_unstable();
+        boundaries.dedup();
+        assert!(boundaries.last().is_none_or(|&b| b <= masks.len()), "boundary past the samples");
+        let skus = masks.skus;
+        let mut rows = Vec::with_capacity(boundaries.len() * skus);
+        let mut counts = vec![0u32; skus];
+        let mut walked = 0;
+        for &b in &boundaries {
+            masks.add_beyond_base(&mut counts, walked..b);
+            walked = b;
+            rows.extend_from_slice(&counts);
+        }
+        BoundaryCounts { boundaries, rows, base: masks.base.clone(), skus }
+    }
+
+    /// Per-SKU throttled-sample counts over the sample range `range`, whose
+    /// ends must both be boundaries: equal to
+    /// [`ExceedanceMasks::counts`]`(range)`. Panics otherwise.
+    pub fn counts(&self, range: Range<usize>) -> Vec<u32> {
+        let row = |b: usize| {
+            let i = self.boundaries.binary_search(&b).expect("range ends on boundaries");
+            &self.rows[i * self.skus..(i + 1) * self.skus]
+        };
+        let (lo, hi) = (row(range.start), row(range.end));
+        let mut counts: Vec<u32> = hi.iter().zip(lo).map(|(h, l)| h - l).collect();
+        add_base(&mut counts, &self.base, range.len());
         counts
     }
 }
@@ -291,7 +371,7 @@ impl LevelTable {
 }
 
 /// The smallest and largest of `values`, in four independent lanes.
-fn extremes(values: &[f64]) -> (f64, f64) {
+pub(crate) fn extremes(values: &[f64]) -> (f64, f64) {
     let mut lo = [f64::INFINITY; 4];
     let mut hi = [f64::NEG_INFINITY; 4];
     let chunks = values.chunks_exact(4);
@@ -321,43 +401,16 @@ fn or_into(mask: &mut [u64], other: &[u64]) {
 #[inline]
 pub(crate) fn add_bits(counts: &mut [u32], mask: &[u64]) {
     for (w, &word) in mask.iter().enumerate() {
-        let mut word = word;
-        while word != 0 {
-            counts[w * 64 + word.trailing_zeros() as usize] += 1;
-            word &= word - 1;
-        }
+        add_word(counts, w, word, 1);
     }
 }
 
-/// Cumulative per-SKU throttled-sample counts: row `t` holds the counts
-/// over samples `0..t`, so any contiguous window's counts are one row
-/// difference. Costs `(samples + 1) × SKUs` `u32`s (about 226 KB for two
-/// weeks of 10-minute samples against 28 SKUs).
-#[derive(Debug, Clone)]
-pub struct PrefixCounts {
-    skus: usize,
-    rows: Vec<u32>,
-}
-
-impl PrefixCounts {
-    /// Accumulate the counts of every prefix of `masks`.
-    pub fn new(masks: &ExceedanceMasks) -> PrefixCounts {
-        let skus = masks.skus;
-        let mut rows = vec![0u32; (masks.len() + 1) * skus];
-        for t in 0..masks.len() {
-            let (done, next) = rows.split_at_mut((t + 1) * skus);
-            let next = &mut next[..skus];
-            next.copy_from_slice(&done[t * skus..]);
-            add_bits(next, masks.sample(t));
-        }
-        PrefixCounts { skus, rows }
-    }
-
-    /// Per-SKU throttled-sample counts over the sample range `range`.
-    pub fn counts(&self, range: Range<usize>) -> Vec<u32> {
-        let lo = &self.rows[range.start * self.skus..][..self.skus];
-        let hi = &self.rows[range.end * self.skus..][..self.skus];
-        hi.iter().zip(lo).map(|(h, l)| h - l).collect()
+/// Add `by` to `counts[w * 64 + b]` for every bit `b` set in `word`.
+#[inline]
+fn add_word(counts: &mut [u32], w: usize, mut word: u64, by: u32) {
+    while word != 0 {
+        counts[w * 64 + word.trailing_zeros() as usize] += by;
+        word &= word - 1;
     }
 }
 
@@ -608,6 +661,67 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The per-SKU counts over `range`, one full mask at a time, with the
+    /// base counted in every sample: the oracle for both count paths.
+    fn counts_by_sample(masks: &ExceedanceMasks, range: Range<usize>) -> Vec<u32> {
+        let mut counts = vec![0u32; masks.skus];
+        for t in range {
+            add_bits(&mut counts, masks.sample(t));
+        }
+        counts
+    }
+
+    #[test]
+    fn boundary_counts_equal_the_range_counts() {
+        let mut rng = Rng(11);
+        for n in [0, 1, 2, 7, 2016] {
+            for skus in [0, 1, 28, 64, 65, 150] {
+                for _ in 0..6 {
+                    let (h, caps) = mask_case(&mut rng, n, skus);
+                    let masks = ExceedanceMasks::new(&h, &caps);
+                    // Empty ranges (at both ends and inside), the full one,
+                    // one repeated, and random spans, some sharing ends.
+                    let mut ranges = vec![0..0, n..n, 0..n, 0..n];
+                    for _ in 0..12 {
+                        let (a, b) = (rng.below(n + 1), rng.below(n + 1));
+                        ranges.push(a.min(b)..a.max(b));
+                    }
+                    let t = rng.below(n + 1);
+                    ranges.extend([t..t, 0..t, t..n]);
+                    let ends = ranges.iter().flat_map(|r| [r.end, r.start]);
+                    let boundaries = BoundaryCounts::new(&masks, ends);
+                    for range in ranges {
+                        let want = counts_by_sample(&masks, range.clone());
+                        let what = format!("{range:?} of {n} samples, {skus} SKUs");
+                        assert_eq!(masks.counts(range.clone()), want, "{what}");
+                        assert_eq!(boundaries.counts(range), want, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_sample_mask_holds_the_base() {
+        // CPU 3 to 5 throttles the 1- and 2-vCore SKUs at every sample
+        // (the base) and the 4-vCore one at the sample of demand 5.
+        let h = history(vec![3.0, 5.0, 3.0], vec![6.0; 3]);
+        let caps = [1.0, 2.0, 4.0, 8.0].map(|v| caps(v, 10.0, 600.0, 5.0));
+        let masks = ExceedanceMasks::new(&h, &caps);
+        assert_eq!(masks.base, vec![0b0011]);
+        assert_eq!([0, 1, 2].map(|t| masks.sample(t)[0]), [0b0011, 0b0111, 0b0011]);
+        assert_eq!(masks.counts(0..3), vec![3, 3, 1, 0]);
+        assert_eq!(BoundaryCounts::new(&masks, [1, 3]).counts(1..3), vec![2, 2, 1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "range ends on boundaries")]
+    fn boundary_counts_reject_other_ranges() {
+        let h = history(vec![3.0, 5.0, 3.0], vec![6.0; 3]);
+        let masks = ExceedanceMasks::new(&h, &[caps(4.0, 10.0, 600.0, 5.0)]);
+        BoundaryCounts::new(&masks, [0, 3]).counts(1..3);
     }
 
     #[test]

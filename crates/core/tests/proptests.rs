@@ -9,7 +9,7 @@ use doppler_catalog::{
 };
 use doppler_core::engine::profiled_dimensions;
 use doppler_core::matching::{select_for_p, select_with_slack};
-use doppler_core::throttling::{throttled_fraction, ExceedanceMasks, PrefixCounts};
+use doppler_core::throttling::{throttled_fraction, BoundaryCounts, ExceedanceMasks};
 use doppler_core::{
     confidence_score, detect_drift, mi_curve, throttling_probability, BaselineStrategy,
     ConfidenceConfig, DopplerEngine, DriftReport, EngineConfig, GroupModel, GroupingStrategy,
@@ -244,6 +244,29 @@ fn assert_confidence_matches(
     assert_eq!(via_trait, want);
 }
 
+/// Confidence configurations at the edges of an `n`-sample bootstrap: no
+/// replicate, one, an odd count (so the last batch of windows holds one),
+/// and windows as long as the history or longer.
+fn edge_configs(rng: &mut Rng, n: usize, seed: u64) -> Vec<ConfidenceConfig> {
+    let window_samples = 1 + rng.below(n);
+    vec![
+        ConfidenceConfig { replicates: 0, window_samples, seed },
+        ConfidenceConfig { replicates: 1, window_samples, seed },
+        ConfidenceConfig { replicates: 3 + 2 * rng.below(10), window_samples, seed },
+        ConfidenceConfig { replicates: 1 + rng.below(12), window_samples: n, seed },
+        ConfidenceConfig { replicates: 1 + rng.below(12), window_samples: n + rng.below(50), seed },
+    ]
+}
+
+/// `history` without the series of `dim`.
+fn without(history: &PerfHistory, dim: PerfDimension) -> PerfHistory {
+    let mut kept = PerfHistory::new();
+    for (d, series) in history.iter().filter(|&(d, _)| d != dim) {
+        kept.insert(d, series.clone());
+    }
+    kept
+}
+
 /// A 10-minute workload with two regimes (so short windows disagree) and
 /// IOPS bursts whose height varies along the history, so windows see
 /// different peaks.
@@ -368,7 +391,7 @@ fn nan_kernel_case(seed: u64) -> (PerfHistory, Vec<ResourceCaps>) {
     (history, caps)
 }
 
-/// The masks' and prefix counts' scores over the whole history, one
+/// The masks' and boundary counts' scores over the whole history, one
 /// sample and arbitrary (possibly empty) spans equal the scalar walk's.
 fn assert_kernel_matches(history: &PerfHistory, caps: &[ResourceCaps], seed: u64) {
     let n = history.len();
@@ -376,7 +399,6 @@ fn assert_kernel_matches(history: &PerfHistory, caps: &[ResourceCaps], seed: u64
     assert_eq!(masks.len(), n);
     assert_counts_match(history, caps, &masks.counts(0..n), "whole history");
 
-    let prefix = PrefixCounts::new(&masks);
     let mut rng = Rng(seed ^ 0xA5A5);
     let mut windows: Vec<Range<usize>> = Vec::new();
     windows.push(0..n);
@@ -388,10 +410,11 @@ fn assert_kernel_matches(history: &PerfHistory, caps: &[ResourceCaps], seed: u64
             windows.push(a.min(b)..a.max(b));
         }
     }
+    let boundaries = BoundaryCounts::new(&masks, windows.iter().flat_map(|w| [w.start, w.end]));
     for range in windows {
         let window = history.window(range.start, range.end);
         let what = format!("window {range:?} of {n}");
-        assert_counts_match(&window, caps, &prefix.counts(range.clone()), &what);
+        assert_counts_match(&window, caps, &boundaries.counts(range.clone()), &what);
         assert_counts_match(&window, caps, &masks.counts(range), &what);
     }
 }
@@ -444,6 +467,14 @@ proptest! {
             seed,
         };
         assert_confidence_matches(engine(DeploymentType::SqlDb), &history, None, &config);
+        // Edge configurations, and the history without one profiled
+        // dimension.
+        let engine = engine(DeploymentType::SqlDb);
+        let partial = without(&history, profiled_dimensions(DeploymentType::SqlDb)[rng.below(4)]);
+        for config in edge_configs(&mut rng, n, seed) {
+            assert_confidence_matches(engine, &history, None, &config);
+            assert_confidence_matches(engine, &partial, None, &config);
+        }
     }
 
     #[test]
@@ -462,6 +493,24 @@ proptest! {
         assert_confidence_matches(engine, &history, Some(&layout), &config);
         // Without a layout the MI engine scores the plain catalog curve.
         assert_confidence_matches(engine, &history, None, &config);
+        // Edge configurations; the history without one profiled dimension
+        // (IOPS among them, which Step 1 reads); and IOPS demand past what
+        // any premium-disk layout serves in some windows or all of them, so
+        // windows are restricted to Business Critical.
+        let partial = without(&history, profiled_dimensions(DeploymentType::SqlMi)[rng.below(3)]);
+        let iops = history.values(PerfDimension::Iops).expect("workloads collect IOPS");
+        let peak = iops.iter().copied().fold(0.0, f64::max);
+        let scale = 40_000.0 / peak * [1.0, 0.5 + rng.unit()][rng.below(2)];
+        let heavy = history.clone().with(
+            PerfDimension::Iops,
+            TimeSeries::ten_minute(iops.iter().map(|v| v * scale).collect()),
+        );
+        for config in edge_configs(&mut rng, n, seed) {
+            for history in [&history, &partial, &heavy] {
+                assert_confidence_matches(engine, history, Some(&layout), &config);
+            }
+            assert_confidence_matches(engine, &partial, None, &config);
+        }
     }
 
     #[test]
@@ -652,6 +701,59 @@ proptest! {
                         );
                         prop_assert_eq!(&got.1, &want.1, "{}", what);
                     }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Profiling a set of equal-length windows together equals profiling
+    /// each window's range alone, weight for weight (`to_bits`) and bit for
+    /// bit, for every Table 4 strategy over the MI, DB and full dimension
+    /// lists, with dimensions missing: windows of one to three samples, of
+    /// the whole history and of random lengths, starting anywhere and
+    /// ending on the last sample, in odd and even counts (so the last
+    /// lockstep batch holds one window or two).
+    #[test]
+    fn window_profiles_match_the_range_profiles(seed in 0u64..u64::MAX) {
+        let mut rng = Rng(seed);
+        let n = [1 + rng.below(12), 1 + rng.below(160), 288 + rng.below(200)][rng.below(3)];
+        let mut history = workload(&mut rng, n);
+        for _ in 0..rng.below(3) {
+            history = without(&history, PerfDimension::ALL[rng.below(6)]);
+        }
+        let len = [1, 2, 3, n, 1 + rng.below(n)][rng.below(5)].min(n);
+        let count = rng.below(8);
+        let mut windows: Vec<Range<usize>> = (0..count)
+            .map(|_| {
+                let start = rng.below(n - len + 1);
+                start..start + len
+            })
+            .collect();
+        if count > 0 && rng.below(2) == 0 {
+            windows[rng.below(count)] = n - len..n;
+        }
+        let dim_lists: [&[PerfDimension]; 3] = [
+            profiled_dimensions(DeploymentType::SqlMi),
+            profiled_dimensions(DeploymentType::SqlDb),
+            &PerfDimension::ALL,
+        ];
+        for (name, strategy) in NegotiabilityStrategy::table4_lineup() {
+            for dims in dim_lists {
+                let got = strategy.profile_windows(&history, dims, &windows);
+                prop_assert_eq!(got.len(), windows.len());
+                for (range, got) in windows.iter().zip(got) {
+                    let what = format!("{name}, {} dims, window {range:?} of {n}", dims.len());
+                    let want = strategy.profile_range(&history, dims, range.clone());
+                    prop_assert_eq!(
+                        got.0.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
+                        want.0.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
+                        "{}", what
+                    );
+                    prop_assert_eq!(&got.1, &want.1, "{}", what);
                 }
             }
         }

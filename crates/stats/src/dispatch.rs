@@ -1,12 +1,13 @@
-//! The STL kernels compiled twice: once for the build's baseline target and,
-//! on x86-64, once more with AVX2 enabled, chosen at run time.
+//! The lockstep kernels compiled twice: once for the build's baseline
+//! target and, on x86-64, once more with AVX2 enabled, chosen at run time.
 //!
 //! The release build targets baseline x86-64 (SSE2), so the lockstep loops
-//! of [`crate::loess`] and [`crate::stl`] run two `f64` lanes per
-//! instruction. The AVX2 copy runs four. Only `avx2` is enabled, never
-//! `fma`, and Rust never contracts a multiply and an add into one fused
-//! operation on its own, so every lane performs the same operations in the
-//! same order in both copies: their outputs are identical to the bit.
+//! of [`crate::loess`], [`crate::stl`] and the bootstrap windows of
+//! [`crate::spike`] run two `f64` lanes per instruction. The AVX2 copy runs
+//! four. Only `avx2` is enabled, never `fma`, and Rust never contracts a
+//! multiply and an add into one fused operation on its own, so every lane
+//! performs the same operations in the same order in both copies: their
+//! outputs are identical to the bit.
 //!
 //! The bodies live next to their callers as `#[inline(always)]` functions,
 //! and so do the helpers they call, so each copy here compiles its own
@@ -15,6 +16,7 @@
 //! support AVX2, which [`Isa::detect`] checks.
 
 use crate::loess::{self, Plan};
+use crate::spike::{self, SpikeProfile, LANES};
 use crate::stl;
 
 /// A compiled copy of the kernels. Only [`Isa::detect`] makes one that runs
@@ -73,6 +75,33 @@ pub(crate) fn moving_average(isa: Isa, xs: &[f64], w: usize) -> Vec<f64> {
 #[target_feature(enable = "avx2")]
 fn moving_average_avx2(xs: &[f64], w: usize) -> Vec<f64> {
     stl::moving_average(xs, w)
+}
+
+/// Measure `W` windows of sample-major columns in lockstep (see
+/// [`SpikeProfile::measure_windows`]).
+pub(crate) fn spike_windows<const W: usize>(
+    isa: Isa,
+    columns: &[[f64; LANES]],
+    starts: [usize; W],
+    len: usize,
+) -> Option<[[SpikeProfile; LANES]; W]> {
+    #[cfg(target_arch = "x86_64")]
+    if isa.avx2 {
+        // SAFETY: `spike_windows_avx2` requires only AVX2, and `isa.avx2` is
+        // true only when `Isa::detect` found AVX2 on this CPU.
+        return unsafe { spike_windows_avx2(columns, starts, len) };
+    }
+    spike::measure_windows(columns, starts, len)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn spike_windows_avx2<const W: usize>(
+    columns: &[[f64; LANES]],
+    starts: [usize; W],
+    len: usize,
+) -> Option<[[SpikeProfile; LANES]; W]> {
+    spike::measure_windows(columns, starts, len)
 }
 
 #[cfg(test)]
@@ -145,6 +174,37 @@ mod tests {
                     .collect();
                 for (isa, out) in copies().iter().zip(&outputs) {
                     assert_eq!(out, &outputs[0], "n = {}, span = {span}, {isa:?}", ys.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_copy_of_the_window_kernel_gives_the_same_bits() {
+        let bits = |p: &[[SpikeProfile; LANES]]| -> Vec<u64> {
+            p.iter()
+                .flatten()
+                .flat_map(|p| [p.peak, p.mean, p.stddev, p.dwell_fraction])
+                .map(f64::to_bits)
+                .collect()
+        };
+        let all = series();
+        for (k, group) in all.chunks_exact(LANES).enumerate() {
+            let n = group.iter().map(Vec::len).min().unwrap();
+            let columns: Vec<[f64; LANES]> =
+                (0..n).map(|t| std::array::from_fn(|l| group[l][t])).collect();
+            for len in [1, 2, 3, n / 2, n] {
+                let starts = [0, (k * 7) % (n - len + 1), n - len, (n - len) / 2];
+                let outputs: Vec<Vec<u64>> = copies()
+                    .into_iter()
+                    .map(|isa| {
+                        let four = spike_windows(isa, &columns, starts, len).unwrap();
+                        let one = spike_windows(isa, &columns, [starts[2]], len).unwrap();
+                        [bits(&four), bits(&one)].concat()
+                    })
+                    .collect();
+                for (isa, out) in copies().iter().zip(&outputs) {
+                    assert_eq!(out, &outputs[0], "n = {n}, len = {len}, {isa:?}");
                 }
             }
         }

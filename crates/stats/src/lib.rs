@@ -20,7 +20,7 @@
 //! routines take explicit seeds and are fully deterministic.
 //!
 //! The only `unsafe` code is in the private `dispatch` module, which runs
-//! the STL kernels' AVX2 copy on CPUs that have AVX2.
+//! the STL and bootstrap-window kernels' AVX2 copy on CPUs that have AVX2.
 
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]

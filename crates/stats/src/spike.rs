@@ -19,9 +19,28 @@
 //! max keeps the first of equal peaks, both sums start from `-0.0` as
 //! `Iterator::sum` does, and Rust never contracts a multiply and add into
 //! an FMA. So each lane is bit-identical to measuring its series alone.
+//!
+//! The §3.4 bootstrap measures 30 equal-length windows of the same series.
+//! [`SpikeProfile::measure_windows`] reads them from sample-major columns
+//! (`columns[t]` holds every series' sample `t`, one `[f64; LANES]` load)
+//! and measures `W` windows per call, `W × LANES` lanes in lockstep. Each
+//! (window, series) lane keeps the same terms, order and `-0.0` seeds as
+//! `measure_lanes`, so it equals measuring that window alone; the extra
+//! lanes are independent chains for the CPU to overlap.
+//! The body is compiled a second time under AVX2 in the private `dispatch`
+//! module and chosen at run time.
+
+use crate::dispatch::{self, Isa};
 
 /// Series measured together by the profiler; the lane width it uses.
 pub const LANES: usize = 4;
+
+/// Windows the profiler measures per [`SpikeProfile::measure_windows`]
+/// call. Two windows give each pass two independent chains of four-lane
+/// operations. Three or four measured slower on x86-64: the compiler then
+/// keeps the running peaks in scalar registers and rebuilds the vectors on
+/// every sample.
+pub const WINDOWS: usize = 2;
 
 /// The outcome of running the thresholding algorithm on one dimension.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -98,6 +117,88 @@ impl SpikeProfile {
             }
         }))
     }
+
+    /// Measure `W` windows of `len` samples each over sample-major
+    /// columns: `columns[t][l]` is sample `t` of series `l`, and window `w`
+    /// covers `columns[starts[w]..starts[w] + len]`. Lane `l` of window `w`
+    /// equals [`measure_lanes`](SpikeProfile::measure_lanes)'s lane `l` on
+    /// that range of the series, bit for bit. Returns `None` when `len` is
+    /// 0, and panics when a window runs past the columns.
+    pub fn measure_windows<const W: usize>(
+        columns: &[[f64; LANES]],
+        starts: [usize; W],
+        len: usize,
+    ) -> Option<[[SpikeProfile; LANES]; W]> {
+        dispatch::spike_windows(Isa::detect(), columns, starts, len)
+    }
+}
+
+/// The body of [`SpikeProfile::measure_windows`], inlined into each copy
+/// the `dispatch` module compiles.
+#[inline(always)]
+pub(crate) fn measure_windows<const W: usize>(
+    columns: &[[f64; LANES]],
+    starts: [usize; W],
+    len: usize,
+) -> Option<[[SpikeProfile; LANES]; W]> {
+    if len == 0 {
+        return None;
+    }
+    // Each window re-sliced to exactly `len` columns, so the indexing below
+    // skips its bounds checks. Step `t` yields every window's column `t`.
+    let windows = starts.map(|s| &columns[s..s + len]);
+    debug_assert!(
+        windows.iter().all(|w| w.iter().all(|x| x.iter().all(|v| v.is_finite()))),
+        "spike profile over non-finite input"
+    );
+    let steps = || (0..len).map(|t| windows.map(|w| w[t]));
+    let n = len as f64;
+
+    // Pass 1: the running max (a later sample replaces the peak only when
+    // strictly greater) and the sum, as in `measure_lanes`.
+    let mut peak = windows.map(|w| w[0]);
+    let mut sum = [[-0.0; LANES]; W];
+    for x in steps() {
+        for w in 0..W {
+            for l in 0..LANES {
+                peak[w][l] = if x[w][l] > peak[w][l] { x[w][l] } else { peak[w][l] };
+                sum[w][l] += x[w][l];
+            }
+        }
+    }
+    let mean = sum.map(|s| s.map(|s| s / n));
+
+    // Pass 2: the sum of squared deviations from the mean.
+    let mut squares = [[-0.0; LANES]; W];
+    for x in steps() {
+        for w in 0..W {
+            for l in 0..LANES {
+                let d = x[w][l] - mean[w][l];
+                squares[w][l] += d * d;
+            }
+        }
+    }
+    let stddev = squares.map(|s| s.map(|s| (s / n).sqrt()));
+
+    // Pass 3: the dwell count at or above `peak - stddev`.
+    let lo: [[f64; LANES]; W] =
+        std::array::from_fn(|w| std::array::from_fn(|l| peak[w][l] - stddev[w][l]));
+    let mut dwell = [[0u64; LANES]; W];
+    for x in steps() {
+        for w in 0..W {
+            for l in 0..LANES {
+                dwell[w][l] += u64::from(x[w][l] >= lo[w][l]);
+            }
+        }
+    }
+    Some(std::array::from_fn(|w| {
+        std::array::from_fn(|l| SpikeProfile {
+            peak: peak[w][l],
+            mean: mean[w][l],
+            stddev: stddev[w][l],
+            dwell_fraction: dwell[w][l] as f64 / n,
+        })
+    }))
 }
 
 /// Convenience wrapper returning just the dwell fraction (`1.0` for an empty
@@ -203,6 +304,75 @@ mod tests {
                 .collect();
             assert_lanes_match([&lanes[0][..], &lanes[1], &lanes[2], &lanes[3]]);
             assert_lanes_match([&lanes[0][..], &lanes[1], &lanes[2]]);
+        }
+    }
+
+    /// Sample-major columns of four series of one length.
+    fn columns(lanes: &[Vec<f64>; LANES]) -> Vec<[f64; LANES]> {
+        (0..lanes[0].len()).map(|t| std::array::from_fn(|l| lanes[l][t])).collect()
+    }
+
+    /// Assert every (window, lane) of one `measure_windows` call equals
+    /// `measure_lanes` on that window's slices, field by field and bit for
+    /// bit.
+    fn assert_windows_match<const W: usize>(
+        lanes: &[Vec<f64>; LANES],
+        starts: [usize; W],
+        len: usize,
+    ) {
+        let got = SpikeProfile::measure_windows(&columns(lanes), starts, len);
+        assert_eq!(got.is_none(), len == 0, "len = {len}");
+        let bits = |p: SpikeProfile| [p.peak, p.mean, p.stddev, p.dwell_fraction].map(f64::to_bits);
+        for (w, &start) in starts.iter().enumerate() {
+            let range = start..start + len;
+            let want = SpikeProfile::measure_lanes(lanes.each_ref().map(|xs| &xs[range.clone()]));
+            for l in 0..LANES {
+                let (got, want) = (got.map(|p| p[w][l]), want.map(|p| p[l]));
+                assert_eq!(
+                    got.map(bits),
+                    want.map(bits),
+                    "window {w} of {W} at {range:?}, lane {l}: {got:?} vs {want:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn window_lanes_match_the_lockstep_measurement() {
+        let n = 2016;
+        let lanes = [spiky(n, 1, 1e-3), noise(n, 2, 1.0), spiky(n, 3, 1e6), vec![-0.0; n]];
+        assert_windows_match(&lanes, [0, 504, 1008, 1008], 1008);
+        assert_windows_match(&lanes, [0, n - 7], 7);
+        assert_windows_match(&lanes, [n - 1], 1);
+        assert_windows_match(&lanes, [3, 0, n - 3], 3);
+        assert_windows_match(&lanes, [0], n);
+        assert_windows_match(&lanes, [5, 9], 0);
+    }
+
+    proptest! {
+        #[test]
+        fn random_windows_match_the_lockstep_measurement(
+            n in 1usize..300,
+            seed in 0usize..1_000_000,
+            len_pick in 0usize..6,
+            start_picks in prop::collection::vec(0usize..1_000_000, 4),
+        ) {
+            let lanes: [Vec<f64>; LANES] = std::array::from_fn(|l| match (seed + l) % 3 {
+                0 => spiky(n, seed + l, [1e-3, 1.0, 1e6][l % 3]),
+                1 => noise(n, seed + l, 50.0),
+                // Coarse steps, so samples tie with the peak and the
+                // window edge often.
+                _ => noise(n, seed + l, 8.0).iter().map(|y| y.round()).collect(),
+            });
+            // Lengths of 1, under 4, the whole series, and arbitrary.
+            let len = [1, 2, 3, n, 1 + seed % n, n.div_ceil(2)][len_pick].min(n);
+            // Starts anywhere, the last one ending on the final sample.
+            let mut starts: [usize; 4] = std::array::from_fn(|w| start_picks[w] % (n - len + 1));
+            starts[3] = n - len;
+            assert_windows_match(&lanes, starts, len);
+            assert_windows_match(&lanes, [starts[0], starts[3], starts[1]], len);
+            assert_windows_match(&lanes, [starts[2], starts[3]], len);
+            assert_windows_match(&lanes, [starts[1]], len);
         }
     }
 

@@ -5,6 +5,36 @@ use doppler_telemetry::{PerfHistory, TimeSeries};
 
 use crate::spec::{DimensionProfile, WorkloadSpec};
 
+/// The series before spikes and clamps: baseline, trend, daily sine and
+/// noise, one noise draw per sample.
+///
+/// No population dimension has a diurnal cycle, so the sine is skipped when
+/// its amplitude is zero. That changes no output bit: the skipped term is
+/// `±0.0`, which leaves a non-zero level as it is and can only flip the
+/// sign of a zero one, and the noise added next is never `-0.0` (it is
+/// `0.0 + sd × z`, or `0.0` itself), so a zero sum comes out `+0.0`
+/// either way.
+fn levels(
+    profile: &DimensionProfile,
+    n: usize,
+    samples_per_day: f64,
+    rng: &mut SeededRng,
+) -> Vec<f64> {
+    let mut values = Vec::with_capacity(n);
+    for t in 0..n {
+        let day = t as f64 / samples_per_day;
+        let mut level = profile.base + profile.trend_per_day * day;
+        if profile.diurnal_amplitude != 0.0 {
+            level += profile.diurnal_amplitude
+                * (2.0 * std::f64::consts::PI * (t as f64) / samples_per_day).sin();
+        }
+        let noise =
+            if profile.noise_sd > 0.0 { rng.normal_with(0.0, profile.noise_sd) } else { 0.0 };
+        values.push(level + noise);
+    }
+    values
+}
+
 /// Generate one dimension's series.
 fn generate_dimension(
     profile: &DimensionProfile,
@@ -13,15 +43,7 @@ fn generate_dimension(
     samples_per_day: f64,
     rng: &mut SeededRng,
 ) -> Vec<f64> {
-    let mut values = Vec::with_capacity(n);
-    for t in 0..n {
-        let day = t as f64 / samples_per_day;
-        let diurnal = profile.diurnal_amplitude
-            * (2.0 * std::f64::consts::PI * (t as f64) / samples_per_day).sin();
-        let noise =
-            if profile.noise_sd > 0.0 { rng.normal_with(0.0, profile.noise_sd) } else { 0.0 };
-        values.push(profile.base + profile.trend_per_day * day + diurnal + noise);
-    }
+    let mut values = levels(profile, n, samples_per_day, rng);
 
     // Overlay the spike train: Poisson arrivals, fixed duration.
     if let Some(train) = profile.spike {
@@ -88,6 +110,58 @@ mod tests {
     fn base_spec() -> WorkloadSpec {
         WorkloadSpec::new("test", 7.0)
             .with_dim(PerfDimension::Cpu, DimensionProfile::steady(2.0, 0.1))
+    }
+
+    /// [`levels`] as first written, with the sine computed for every
+    /// sample: the oracle the zero-amplitude skip must equal bit for bit.
+    fn levels_reference(
+        profile: &DimensionProfile,
+        n: usize,
+        samples_per_day: f64,
+        rng: &mut SeededRng,
+    ) -> Vec<f64> {
+        let mut values = Vec::with_capacity(n);
+        for t in 0..n {
+            let day = t as f64 / samples_per_day;
+            let diurnal = profile.diurnal_amplitude
+                * (2.0 * std::f64::consts::PI * (t as f64) / samples_per_day).sin();
+            let noise =
+                if profile.noise_sd > 0.0 { rng.normal_with(0.0, profile.noise_sd) } else { 0.0 };
+            values.push(profile.base + profile.trend_per_day * day + diurnal + noise);
+        }
+        values
+    }
+
+    #[test]
+    fn skipping_a_zero_diurnal_term_changes_no_bit() {
+        let mut draw = SeededRng::new(41);
+        for case in 0..400 {
+            // Zero and negative-zero bases, negative and zero trends, and
+            // zero noise are all common.
+            let pick = |draw: &mut SeededRng, options: &[f64]| options[draw.index(options.len())];
+            let scale = pick(&mut draw, &[1e-3, 1.0, 500.0]);
+            // Zero, negative zero, or a signed value at the case's scale.
+            let signed = |draw: &mut SeededRng| {
+                let value = scale * draw.range(-1.0, 1.0);
+                pick(draw, &[0.0, -0.0, value])
+            };
+            let noise = scale * draw.range(0.0, 0.1);
+            let profile = DimensionProfile {
+                base: signed(&mut draw),
+                noise_sd: pick(&mut draw, &[0.0, noise]),
+                // Mostly zero amplitudes, the case the skip takes.
+                diurnal_amplitude: if draw.chance(0.75) { 0.0 } else { signed(&mut draw) },
+                trend_per_day: signed(&mut draw),
+                ..DimensionProfile::constant(0.0)
+            };
+            let n = pick(&mut draw, &[0.0, 1.0, 144.0, 2016.0]) as usize;
+            let per_day = pick(&mut draw, &[24.0, 144.0]);
+            let seed = draw.index(1_000_000) as u64;
+            let got = levels(&profile, n, per_day, &mut SeededRng::new(seed));
+            let want = levels_reference(&profile, n, per_day, &mut SeededRng::new(seed));
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "case {case}: {profile:?}, n = {n}");
+        }
     }
 
     #[test]
