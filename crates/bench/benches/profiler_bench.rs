@@ -18,7 +18,7 @@ fn bench_summarizers(c: &mut Criterion) {
     let mut group = c.benchmark_group("negotiability_summarizers");
     for (name, strategy) in NegotiabilityStrategy::table4_lineup() {
         // STL is orders of magnitude slower; trim its sample budget.
-        if matches!(strategy, NegotiabilityStrategy::StlVarianceDecomposition { .. }) {
+        if matches!(strategy, NegotiabilityStrategy::StlVarianceDecomposition) {
             group.sample_size(10);
         } else {
             group.sample_size(50);

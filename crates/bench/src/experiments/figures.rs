@@ -12,7 +12,7 @@ use doppler_stats::{Ecdf, SeededRng, Summary};
 use doppler_telemetry::PerfDimension;
 use doppler_workload::{
     drift_scenario, generate, onprem_population, BenchmarkFragment, BenchmarkKind, PopulationSpec,
-    SynthesizedWorkload, WorkloadArchetype,
+    ShapeClass, SynthesizedWorkload, WorkloadArchetype,
 };
 
 use crate::ascii::{curve_table, strip_chart};
@@ -89,9 +89,9 @@ pub fn figure5(scale: &ExperimentScale) -> String {
     let mut out = String::from("Figure 5 — a complex price-performance curve\n");
     out.push_str(&curve_table(&curve_rows(&curve)));
     let picks = [
-        ("Largest Performance Increase", CurveHeuristic::largest_performance_increase()),
+        ("Largest Performance Increase", CurveHeuristic::LargestPerformanceIncrease),
         ("Largest Slope", CurveHeuristic::LargestSlope),
-        ("Performance Threshold (95%)", CurveHeuristic::performance_threshold_95()),
+        ("Performance Threshold (95%)", CurveHeuristic::PerformanceThreshold),
     ];
     out.push_str("\nHeuristic selections:\n");
     let mut selected = Vec::new();
@@ -218,7 +218,7 @@ pub fn figure10(scale: &ExperimentScale) -> String {
     let spec = PopulationSpec {
         days: 30.0,
         // Confidence is interesting on non-trivial workloads: force complex.
-        shape_weights: [0.0, 0.0, 1.0],
+        shape: Some(ShapeClass::Complex),
         ..PopulationSpec::sql_db(n, scale.seed)
     };
     let customers = spec.customers(&cat);
@@ -267,7 +267,7 @@ pub fn figure11(scale: &ExperimentScale) -> String {
     let cat = catalog();
     let scenario = drift_scenario(7.0, scale.seed);
     let skus = cat.for_deployment(DeploymentType::SqlDb);
-    let report = detect_drift(&scenario.history, scenario.change_point, &skus, 0.0);
+    let report = detect_drift(&scenario.history, scenario.change_point, &skus);
     let mut out = String::from("Figure 11 — curves before (top) and after (bottom) a SKU change\n");
     out.push_str("before:\n");
     out.push_str(&curve_table(

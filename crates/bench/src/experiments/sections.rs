@@ -115,7 +115,7 @@ pub fn survey(scale: &ExperimentScale) -> String {
         }
         // Right-sizing audit on the customer's own curve.
         let curve = PricePerformanceCurve::generate(&c.history, &skus);
-        if let Some(r) = rightsize(&curve, c.chosen_sku.0.as_str(), 1.5) {
+        if let Some(r) = rightsize(&curve, c.chosen_sku.0.as_str()) {
             if c.over_provisioned {
                 truly_over += 1;
             }

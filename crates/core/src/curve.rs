@@ -129,14 +129,6 @@ impl PricePerformanceCurve {
         self.points.iter().find(|p| p.sku_id == sku_id)
     }
 
-    /// The cheapest SKU achieving the curve's maximum score — Doppler's
-    /// answer for flat curves ("recommends the cheapest SKU as it is the
-    /// most cost-efficient option").
-    pub fn cheapest_at_full_score(&self) -> Option<&PricePerfPoint> {
-        let best = self.points.iter().map(|p| p.score).fold(0.0, f64::max);
-        self.points.iter().find(|p| p.score >= best - 1e-12)
-    }
-
     /// Classify the curve shape per §5.1. `tol` is the score distance from
     /// 0/1 still counted as "at" the extreme (the paper's flat/simple
     /// classes are visual; we use 0.5 %).
@@ -230,8 +222,6 @@ mod tests {
         let curve = PricePerformanceCurve::generate(&tiny_workload(), &skus);
         assert_eq!(curve.classify(), CurveShape::Flat);
         assert!(!curve.is_informative());
-        // Cheapest at full score is the cheapest SKU outright.
-        assert_eq!(curve.cheapest_at_full_score().unwrap().sku_id, curve.points()[0].sku_id);
     }
 
     #[test]
@@ -272,7 +262,6 @@ mod tests {
         let curve = PricePerformanceCurve::generate(&tiny_workload(), &[]);
         assert!(curve.is_empty());
         assert_eq!(curve.classify(), CurveShape::Flat);
-        assert!(curve.cheapest_at_full_score().is_none());
     }
 
     #[test]

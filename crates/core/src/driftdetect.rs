@@ -123,28 +123,27 @@ impl DriftReport {
     }
 }
 
+/// The group tolerance both sides select at: zero, the §5.2.3 study's
+/// setting.
+const P_G: f64 = 0.0;
+
 /// Split `history` at sample `change_point` (clamped to its length),
-/// generate both curves over `skus`, and select on each with the group
-/// tolerance `p_g` (pass 0.0 for a zero-tolerance selection).
+/// generate both curves over `skus`, and select on each at zero group
+/// tolerance.
 ///
 /// Both curves count from one set of [`ExceedanceMasks`] over the whole
 /// history, so neither half is copied: the curves equal
 /// [`PricePerformanceCurve::generate`] on the two halves of
 /// [`doppler_telemetry::split_at`].
-pub fn detect_drift(
-    history: &PerfHistory,
-    change_point: usize,
-    skus: &[&Sku],
-    p_g: f64,
-) -> DriftReport {
+pub fn detect_drift(history: &PerfHistory, change_point: usize, skus: &[&Sku]) -> DriftReport {
     let n = history.len();
     let cp = change_point.min(n);
     let caps: Vec<ResourceCaps> = skus.iter().map(|sku| sku.caps).collect();
     let masks = ExceedanceMasks::new(history, &caps);
     let before_curve = PricePerformanceCurve::from_counts(skus, &masks.counts(0..cp), cp);
     let after_curve = PricePerformanceCurve::from_counts(skus, &masks.counts(cp..n), n - cp);
-    let before_sku = select_for_p(&before_curve, p_g).map(|p| p.sku_id.clone());
-    let after_sku = select_for_p(&after_curve, p_g).map(|p| p.sku_id.clone());
+    let before_sku = select_for_p(&before_curve, P_G).map(|p| p.sku_id.clone());
+    let after_sku = select_for_p(&after_curve, P_G).map(|p| p.sku_id.clone());
     let throttle_if_unchanged = before_sku
         .as_ref()
         .and_then(|id| after_curve.point_for(id))
@@ -179,7 +178,7 @@ mod tests {
         let cat = azure_paas_catalog(&CatalogSpec::default());
         let skus = cat.for_deployment(DeploymentType::SqlDb);
         let h = split_history(1.0, 7.0, 200);
-        let r = detect_drift(&h, 100, &skus, 0.0);
+        let r = detect_drift(&h, 100, &skus);
         assert!(r.changed);
         assert_eq!(r.before_sku.as_deref(), Some("DB_GP_2"));
         assert_eq!(r.after_sku.as_deref(), Some("DB_GP_8"));
@@ -192,7 +191,7 @@ mod tests {
         let cat = azure_paas_catalog(&CatalogSpec::default());
         let skus = cat.for_deployment(DeploymentType::SqlDb);
         let h = split_history(1.0, 1.1, 200);
-        let r = detect_drift(&h, 100, &skus, 0.0);
+        let r = detect_drift(&h, 100, &skus);
         assert!(!r.changed);
         assert_eq!(r.throttle_if_unchanged, 0.0);
     }
@@ -202,7 +201,7 @@ mod tests {
         let cat = azure_paas_catalog(&CatalogSpec::default());
         let skus = cat.for_deployment(DeploymentType::SqlDb);
         let h = split_history(7.0, 0.5, 200);
-        let r = detect_drift(&h, 100, &skus, 0.0);
+        let r = detect_drift(&h, 100, &skus);
         assert!(r.changed);
         // Moving down throttles nothing.
         assert_eq!(r.throttle_if_unchanged, 0.0);
@@ -211,7 +210,7 @@ mod tests {
     #[test]
     fn empty_sku_set_degrades_gracefully() {
         let h = split_history(1.0, 5.0, 100);
-        let r = detect_drift(&h, 50, &[], 0.0);
+        let r = detect_drift(&h, 50, &[]);
         assert!(r.before_sku.is_none());
         assert!(r.after_sku.is_none());
         assert!(!r.changed);
@@ -247,7 +246,7 @@ mod tests {
         let cat = azure_paas_catalog(&CatalogSpec::default());
         let skus = cat.for_deployment(DeploymentType::SqlDb);
         let h = split_history(1.0, 7.0, 200);
-        let r = detect_drift(&h, 100, &skus, 0.0);
+        let r = detect_drift(&h, 100, &skus);
         // Throttling on every after-sample: the top severity grade.
         assert_eq!(r.severity(), DriftSeverity::Critical);
         let re = r.re_recommendation().expect("after-window selects");
@@ -265,7 +264,7 @@ mod tests {
         let cat = azure_paas_catalog(&CatalogSpec::default());
         let skus = cat.for_deployment(DeploymentType::SqlDb);
         let h = split_history(7.0, 0.5, 200);
-        let r = detect_drift(&h, 100, &skus, 0.0);
+        let r = detect_drift(&h, 100, &skus);
         assert_eq!(r.severity(), DriftSeverity::Low, "shrinks throttle nothing");
         assert!(r.cost_delta().unwrap() < 0.0, "moving down saves money");
     }
@@ -276,7 +275,7 @@ mod tests {
         // select the cheapest SKU, and nothing reads as drift.
         let cat = azure_paas_catalog(&CatalogSpec::default());
         let skus = cat.for_deployment(DeploymentType::SqlDb);
-        let r = detect_drift(&PerfHistory::new(), 0, &skus, 0.0);
+        let r = detect_drift(&PerfHistory::new(), 0, &skus);
         assert!(!r.changed);
         assert_eq!(r.before_sku, r.after_sku);
         assert!(r.before_sku.is_some());
@@ -293,15 +292,15 @@ mod tests {
         // change_point 0: the whole history is "after"; the empty before
         // window scores every SKU clean, so the before pick is the
         // cheapest rung and the big after-demand reads as a change.
-        let r = detect_drift(&h, 0, &skus, 0.0);
+        let r = detect_drift(&h, 0, &skus);
         assert!(r.before_curve.points().iter().all(|p| p.score >= 1.0 - 1e-12));
         assert!(r.changed);
         // change_point at (or past) the end: the empty after window also
         // scores clean, so the pick falls back to the cheapest rung and
         // nothing throttles.
-        let r = detect_drift(&h, h.len(), &skus, 0.0);
+        let r = detect_drift(&h, h.len(), &skus);
         assert_eq!(r.throttle_if_unchanged, 0.0);
-        let past = detect_drift(&h, h.len() + 50, &skus, 0.0);
+        let past = detect_drift(&h, h.len() + 50, &skus);
         assert_eq!(past, r, "past-the-end clamps to the end");
     }
 
@@ -316,15 +315,12 @@ mod tests {
         let histories: Vec<PerfHistory> =
             (0..4).map(|i| split_history(1.0 + i as f64, 6.0, 120)).collect();
         let first: Vec<DriftReport> =
-            histories.iter().map(|h| detect_drift(h, 60, &skus, 0.0)).collect();
+            histories.iter().map(|h| detect_drift(h, 60, &skus)).collect();
         let reversed: Vec<DriftReport> =
-            histories.iter().rev().map(|h| detect_drift(h, 60, &skus, 0.0)).collect();
+            histories.iter().rev().map(|h| detect_drift(h, 60, &skus)).collect();
         for (a, b) in first.iter().zip(reversed.iter().rev()) {
             assert_eq!(a, b);
         }
-        assert_eq!(
-            first,
-            histories.iter().map(|h| detect_drift(h, 60, &skus, 0.0)).collect::<Vec<_>>()
-        );
+        assert_eq!(first, histories.iter().map(|h| detect_drift(h, 60, &skus)).collect::<Vec<_>>());
     }
 }

@@ -9,38 +9,28 @@
 
 use crate::curve::PricePerformanceCurve;
 
-/// A heuristic for picking one SKU off a curve.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+/// A heuristic for picking one SKU off a curve, each at the setting the
+/// paper's Figure 5 walk-through uses (the private constants below).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum CurveHeuristic {
     /// "Selecting the SKU that sits after the point … where the difference
     /// in the throttling probability is no longer significant":
-    /// the first SKU whose successor improves by at most `epsilon`.
-    LargestPerformanceIncrease {
-        /// Significance cutoff on successive score gains (paper: 0.001).
-        epsilon: f64,
-    },
+    /// the first SKU whose successor improves the score by at most ε.
+    LargestPerformanceIncrease,
     /// The SKU just after the largest per-dollar score gain:
     /// maximize `(P_i − P_{i−1}) / (price_i − price_{i−1})`.
     LargestSlope,
     /// "The first SKU whose throttling probability is greater than some
-    /// predefined threshold": first point with `score >= gamma`.
-    PerformanceThreshold {
-        /// Score threshold (paper example: 0.95).
-        gamma: f64,
-    },
+    /// predefined threshold": the first point scoring at least γ.
+    PerformanceThreshold,
 }
 
+/// Significance cutoff ε on successive score gains (paper: 0.001).
+const EPSILON: f64 = 0.001;
+/// Score threshold γ (paper example: 0.95).
+const GAMMA: f64 = 0.95;
+
 impl CurveHeuristic {
-    /// The paper's default configurations.
-    pub fn largest_performance_increase() -> CurveHeuristic {
-        CurveHeuristic::LargestPerformanceIncrease { epsilon: 0.001 }
-    }
-
-    /// Threshold at 95 %, as in the Figure 5 walk-through.
-    pub fn performance_threshold_95() -> CurveHeuristic {
-        CurveHeuristic::PerformanceThreshold { gamma: 0.95 }
-    }
-
     /// Apply the heuristic. Returns the selected SKU id, or `None` on an
     /// empty curve (or when no point clears a threshold).
     pub fn select(&self, curve: &PricePerformanceCurve) -> Option<String> {
@@ -49,11 +39,11 @@ impl CurveHeuristic {
             return None;
         }
         match *self {
-            CurveHeuristic::LargestPerformanceIncrease { epsilon } => {
+            CurveHeuristic::LargestPerformanceIncrease => {
                 // Walk until the marginal gain becomes insignificant.
                 for i in 1..pts.len() {
                     let gain = pts[i].score - pts[i - 1].score;
-                    if gain <= epsilon {
+                    if gain <= EPSILON {
                         return Some(pts[i - 1].sku_id.clone());
                     }
                 }
@@ -74,8 +64,8 @@ impl CurveHeuristic {
                 }
                 best.map(|(i, _)| pts[i].sku_id.clone()).or_else(|| Some(pts[0].sku_id.clone()))
             }
-            CurveHeuristic::PerformanceThreshold { gamma } => {
-                pts.iter().find(|p| p.score >= gamma).map(|p| p.sku_id.clone())
+            CurveHeuristic::PerformanceThreshold => {
+                pts.iter().find(|p| p.score >= GAMMA).map(|p| p.sku_id.clone())
             }
         }
     }
@@ -105,9 +95,9 @@ mod tests {
         // The Figure 5 phenomenon: three heuristics, three answers, none
         // of which need be the customer's actual choice (GP14).
         let curve = complex_curve();
-        let a = CurveHeuristic::largest_performance_increase().select(&curve).unwrap();
+        let a = CurveHeuristic::LargestPerformanceIncrease.select(&curve).unwrap();
         let b = CurveHeuristic::LargestSlope.select(&curve).unwrap();
-        let c = CurveHeuristic::performance_threshold_95().select(&curve).unwrap();
+        let c = CurveHeuristic::PerformanceThreshold.select(&curve).unwrap();
         assert_eq!(a, "GP6"); // the next gain (GP8) is insignificant
         assert_eq!(b, "GP4"); // steepest per-dollar climb
         assert_eq!(c, "GP12"); // first >= 0.95
@@ -121,16 +111,17 @@ mod tests {
         let curve = PricePerformanceCurve::from_scored(vec![
             ("a".into(), 100.0, 0.2),
             ("b".into(), 200.0, 0.5),
+            ("c".into(), 300.0, 0.94),
         ]);
-        assert_eq!(CurveHeuristic::PerformanceThreshold { gamma: 0.9 }.select(&curve), None);
+        assert_eq!(CurveHeuristic::PerformanceThreshold.select(&curve), None);
     }
 
     #[test]
     fn all_heuristics_none_on_empty_curve() {
         let curve = PricePerformanceCurve::from_scored(vec![]);
-        assert_eq!(CurveHeuristic::largest_performance_increase().select(&curve), None);
+        assert_eq!(CurveHeuristic::LargestPerformanceIncrease.select(&curve), None);
         assert_eq!(CurveHeuristic::LargestSlope.select(&curve), None);
-        assert_eq!(CurveHeuristic::performance_threshold_95().select(&curve), None);
+        assert_eq!(CurveHeuristic::PerformanceThreshold.select(&curve), None);
     }
 
     #[test]
@@ -141,14 +132,14 @@ mod tests {
             ("c".into(), 300.0, 1.0),
         ]);
         // No significant gain anywhere: settle immediately.
-        assert_eq!(CurveHeuristic::largest_performance_increase().select(&curve).unwrap(), "a");
-        assert_eq!(CurveHeuristic::performance_threshold_95().select(&curve).unwrap(), "a");
+        assert_eq!(CurveHeuristic::LargestPerformanceIncrease.select(&curve).unwrap(), "a");
+        assert_eq!(CurveHeuristic::PerformanceThreshold.select(&curve).unwrap(), "a");
     }
 
     #[test]
     fn single_point_curve_selects_it() {
         let curve = PricePerformanceCurve::from_scored(vec![("only".into(), 50.0, 0.7)]);
-        assert_eq!(CurveHeuristic::largest_performance_increase().select(&curve).unwrap(), "only");
+        assert_eq!(CurveHeuristic::LargestPerformanceIncrease.select(&curve).unwrap(), "only");
         assert_eq!(CurveHeuristic::LargestSlope.select(&curve).unwrap(), "only");
     }
 
@@ -160,6 +151,6 @@ mod tests {
             ("c".into(), 300.0, 0.8),
             ("d".into(), 400.0, 1.0),
         ]);
-        assert_eq!(CurveHeuristic::largest_performance_increase().select(&curve).unwrap(), "d");
+        assert_eq!(CurveHeuristic::LargestPerformanceIncrease.select(&curve).unwrap(), "d");
     }
 }

@@ -17,68 +17,65 @@ use doppler_stats::{
 };
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
-/// A negotiability summarizer (§3.3, Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+/// A negotiability summarizer (§3.3, Table 4), each at the one setting
+/// Table 4 evaluates it at (the private constants below). The
+/// discriminants are the strategies' stable tags in an engine template's
+/// fingerprint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum NegotiabilityStrategy {
     /// The production thresholding algorithm: measure the fraction of the
     /// assessment spent within one standard deviation of the max; a
-    /// dimension dwelling less than `rho` is negotiable.
-    Thresholding {
-        /// Dwell-fraction threshold ρ (tuned by sensitivity analysis;
-        /// default 0.05).
-        rho: f64,
-    },
+    /// dimension dwelling less than ρ is negotiable.
+    Thresholding = 0,
     /// Area under the ECDF of the min-max-scaled series; high AUC =
     /// transient spiky usage = negotiable.
-    MinMaxScalerAuc {
-        /// AUC above this is negotiable.
-        cut: f64,
-    },
+    MinMaxScalerAuc = 1,
     /// Same with max scaling only — "better identifies large spikes".
-    MaxScalerAuc { cut: f64 },
+    MaxScalerAuc = 2,
     /// Fraction of samples ≥ 3σ from the mean; spiky usage shows outliers.
-    OutlierPercentage {
-        /// Outlier fraction above this is negotiable.
-        cut: f64,
-    },
-    /// STL variance decomposition: score `max(0, 1 − var(I)/var(R))`; low
-    /// explained variance = erratic spikes = negotiable.
-    StlVarianceDecomposition {
-        /// Samples per season (144 = daily at 10-minute sampling).
-        period: usize,
-        /// Explained variance below this is negotiable.
-        cut: f64,
-    },
+    OutlierPercentage = 3,
+    /// STL variance decomposition at a daily period: score
+    /// `max(0, 1 − var(I)/var(R))`; low explained variance = erratic
+    /// spikes = negotiable.
+    StlVarianceDecomposition = 4,
     /// MinMax AUC features concatenated with thresholding features — the
     /// "adjusted with timeseries" row of Table 4. Bits follow thresholding.
-    MinMaxAucWithThresholding { rho: f64, cut: f64 },
+    MinMaxAucWithThresholding = 5,
 }
 
+/// Dwell-fraction threshold ρ of both thresholding strategies. The paper
+/// tunes ρ by sensitivity analysis without stating the value; 0.08 keeps a
+/// per-dimension tolerance of 5 % (plus its sampling noise) safely
+/// classified as negotiable while saturated demand (dwell ≳ 30 %) stays
+/// non-negotiable.
+const RHO: f64 = 0.08;
+/// MinMax-scaled AUC above this is negotiable.
+const MINMAX_AUC_CUT: f64 = 0.75;
+/// Max-scaled AUC above this is negotiable.
+const MAX_AUC_CUT: f64 = 0.70;
+/// A 3σ outlier fraction above this is negotiable.
+const OUTLIER_CUT: f64 = 0.004;
+/// STL samples per season: daily at 10-minute sampling.
+const STL_PERIOD: usize = 144;
+/// STL explained variance below this is negotiable.
+const STL_CUT: f64 = 0.55;
+
 impl NegotiabilityStrategy {
-    /// The production default. The paper tunes ρ by sensitivity analysis
-    /// without stating the value; 0.08 keeps a per-dimension tolerance of
-    /// 5 % (plus its sampling noise) safely classified as negotiable while
-    /// saturated demand (dwell ≳ 30 %) stays non-negotiable.
+    /// The production strategy: thresholding.
     pub fn production() -> NegotiabilityStrategy {
-        NegotiabilityStrategy::Thresholding { rho: 0.08 }
+        NegotiabilityStrategy::Thresholding
     }
 
-    /// All six strategies at their evaluation settings, in Table 4 row
-    /// order.
+    /// All six strategies in Table 4 row order.
     pub fn table4_lineup() -> Vec<(&'static str, NegotiabilityStrategy)> {
+        use NegotiabilityStrategy::*;
         vec![
-            ("MinMax Scaler AUC", NegotiabilityStrategy::MinMaxScalerAuc { cut: 0.75 }),
-            ("Max Scaler AUC", NegotiabilityStrategy::MaxScalerAuc { cut: 0.70 }),
-            ("Thresholding Algorithm", NegotiabilityStrategy::Thresholding { rho: 0.08 }),
-            ("Outlier percentage", NegotiabilityStrategy::OutlierPercentage { cut: 0.004 }),
-            (
-                "STL Variance Decomposition",
-                NegotiabilityStrategy::StlVarianceDecomposition { period: 144, cut: 0.55 },
-            ),
-            (
-                "MinMax Scaler AUC adjusted with timeseries",
-                NegotiabilityStrategy::MinMaxAucWithThresholding { rho: 0.08, cut: 0.75 },
-            ),
+            ("MinMax Scaler AUC", MinMaxScalerAuc),
+            ("Max Scaler AUC", MaxScalerAuc),
+            ("Thresholding Algorithm", Thresholding),
+            ("Outlier percentage", OutlierPercentage),
+            ("STL Variance Decomposition", StlVarianceDecomposition),
+            ("MinMax Scaler AUC adjusted with timeseries", MinMaxAucWithThresholding),
         ]
     }
 
@@ -99,40 +96,40 @@ impl NegotiabilityStrategy {
     fn push_dimension(&self, values: &[f64], dwell: Option<f64>, weights: &mut Vec<f64>) -> bool {
         let dwell = || dwell.expect("thresholding strategies are handed the dwell fraction");
         match *self {
-            NegotiabilityStrategy::Thresholding { rho } => {
+            NegotiabilityStrategy::Thresholding => {
                 let dwell = dwell();
                 weights.push(1.0 - dwell);
-                dwell < rho
+                dwell < RHO
             }
-            NegotiabilityStrategy::MinMaxScalerAuc { cut } => {
+            NegotiabilityStrategy::MinMaxScalerAuc => {
                 let auc = minmax_scaled_auc(values);
                 weights.push(auc);
-                auc > cut
+                auc > MINMAX_AUC_CUT
             }
-            NegotiabilityStrategy::MaxScalerAuc { cut } => {
+            NegotiabilityStrategy::MaxScalerAuc => {
                 let auc = max_scaled_auc(values);
                 weights.push(auc);
-                auc > cut
+                auc > MAX_AUC_CUT
             }
-            NegotiabilityStrategy::OutlierPercentage { cut } => {
-                let fraction = outlier_fraction(values, 3.0);
+            NegotiabilityStrategy::OutlierPercentage => {
+                let fraction = outlier_fraction(values);
                 // Outlier fractions live near 0; stretch them so clustering
                 // sees the contrast (3σ outliers cap out around a few %).
                 weights.push((fraction * 25.0).min(1.0));
-                fraction > cut
+                fraction > OUTLIER_CUT
             }
-            NegotiabilityStrategy::StlVarianceDecomposition { period, cut } => {
-                let explained = stl_decompose(values, period)
+            NegotiabilityStrategy::StlVarianceDecomposition => {
+                let explained = stl_decompose(values, STL_PERIOD)
                     .map(|d| d.variance_explained())
                     // Short series: fall back to "unstructured".
                     .unwrap_or(0.0);
                 weights.push(1.0 - explained);
-                explained < cut
+                explained < STL_CUT
             }
-            NegotiabilityStrategy::MinMaxAucWithThresholding { rho, .. } => {
+            NegotiabilityStrategy::MinMaxAucWithThresholding => {
                 let dwell = dwell();
                 weights.extend([minmax_scaled_auc(values), 1.0 - dwell]);
-                dwell < rho
+                dwell < RHO
             }
         }
     }
@@ -141,8 +138,7 @@ impl NegotiabilityStrategy {
     fn thresholds(&self) -> bool {
         matches!(
             self,
-            NegotiabilityStrategy::Thresholding { .. }
-                | NegotiabilityStrategy::MinMaxAucWithThresholding { .. }
+            NegotiabilityStrategy::Thresholding | NegotiabilityStrategy::MinMaxAucWithThresholding
         )
     }
 
@@ -262,7 +258,7 @@ impl NegotiabilityStrategy {
     /// strategy, 1 otherwise).
     pub fn weights_per_dimension(&self) -> usize {
         match self {
-            NegotiabilityStrategy::MinMaxAucWithThresholding { .. } => 2,
+            NegotiabilityStrategy::MinMaxAucWithThresholding => 2,
             _ => 1,
         }
     }
@@ -361,10 +357,7 @@ mod tests {
 
     #[test]
     fn auc_strategies_separate_spiky_from_saturated() {
-        for s in [
-            NegotiabilityStrategy::MinMaxScalerAuc { cut: 0.75 },
-            NegotiabilityStrategy::MaxScalerAuc { cut: 0.70 },
-        ] {
+        for s in [NegotiabilityStrategy::MinMaxScalerAuc, NegotiabilityStrategy::MaxScalerAuc] {
             let w_spiky = s.dimension_profile(&spiky()).0[0];
             let w_sat = s.dimension_profile(&saturated()).0[0];
             assert!(w_spiky > w_sat, "{s:?}: {w_spiky} !> {w_sat}");
@@ -373,7 +366,7 @@ mod tests {
 
     #[test]
     fn outlier_strategy_sees_three_sigma_spikes() {
-        let s = NegotiabilityStrategy::OutlierPercentage { cut: 0.004 };
+        let s = NegotiabilityStrategy::OutlierPercentage;
         assert!(s.dimension_profile(&spiky()).1);
         assert!(!s.dimension_profile(&saturated()).1);
     }
@@ -385,7 +378,7 @@ mod tests {
         let diurnal: Vec<f64> = (0..2016)
             .map(|i| 5.0 + 3.0 * (2.0 * std::f64::consts::PI * i as f64 / 144.0).sin())
             .collect();
-        let s = NegotiabilityStrategy::StlVarianceDecomposition { period: 144, cut: 0.55 };
+        let s = NegotiabilityStrategy::StlVarianceDecomposition;
         assert!(!s.dimension_profile(&diurnal).1);
         assert!(s.dimension_profile(&spiky()).1);
     }
@@ -403,7 +396,7 @@ mod tests {
 
     #[test]
     fn combined_strategy_emits_two_weights_per_dimension() {
-        let s = NegotiabilityStrategy::MinMaxAucWithThresholding { rho: 0.05, cut: 0.75 };
+        let s = NegotiabilityStrategy::MinMaxAucWithThresholding;
         assert_eq!(s.weights_per_dimension(), 2);
         assert_eq!(s.dimension_profile(&spiky()).0.len(), 2);
     }
@@ -412,7 +405,7 @@ mod tests {
     fn combined_strategy_calls_a_flat_series_non_negotiable() {
         // MinMax AUC reads a flat series as 1; the thresholding dwell is 1,
         // so its weight is 0 and the dwell rule calls it non-negotiable.
-        let s = NegotiabilityStrategy::MinMaxAucWithThresholding { rho: 0.08, cut: 0.75 };
+        let s = NegotiabilityStrategy::MinMaxAucWithThresholding;
         for level in [0.0, 7.71853, 2477.084] {
             assert_eq!(s.dimension_profile(&[level; 2016]), (vec![1.0, 0.0], false), "{level}");
         }
@@ -440,26 +433,27 @@ mod tests {
     }
 
     /// The profile of one series straight from the `doppler_stats`
-    /// summaries, independent of [`NegotiabilityStrategy::dimension_profile`].
+    /// summaries at Table 4's settings, written out as literals,
+    /// independent of [`NegotiabilityStrategy::dimension_profile`].
     fn reference(strategy: NegotiabilityStrategy, v: &[f64]) -> (Vec<f64>, bool) {
         let dwell = spike_dwell_fraction(v);
         let minmax = minmax_scaled_auc(v);
         match strategy {
-            NegotiabilityStrategy::Thresholding { rho } => (vec![1.0 - dwell], dwell < rho),
-            NegotiabilityStrategy::MinMaxScalerAuc { cut } => (vec![minmax], minmax > cut),
-            NegotiabilityStrategy::MaxScalerAuc { cut } => {
-                (vec![max_scaled_auc(v)], max_scaled_auc(v) > cut)
+            NegotiabilityStrategy::Thresholding => (vec![1.0 - dwell], dwell < 0.08),
+            NegotiabilityStrategy::MinMaxScalerAuc => (vec![minmax], minmax > 0.75),
+            NegotiabilityStrategy::MaxScalerAuc => {
+                (vec![max_scaled_auc(v)], max_scaled_auc(v) > 0.70)
             }
-            NegotiabilityStrategy::OutlierPercentage { cut } => {
-                let fraction = outlier_fraction(v, 3.0);
-                (vec![(fraction * 25.0).min(1.0)], fraction > cut)
+            NegotiabilityStrategy::OutlierPercentage => {
+                let fraction = outlier_fraction(v);
+                (vec![(fraction * 25.0).min(1.0)], fraction > 0.004)
             }
-            NegotiabilityStrategy::StlVarianceDecomposition { period, cut } => {
-                let explained = stl_decompose(v, period).map_or(0.0, |d| d.variance_explained());
-                (vec![1.0 - explained], explained < cut)
+            NegotiabilityStrategy::StlVarianceDecomposition => {
+                let explained = stl_decompose(v, 144).map_or(0.0, |d| d.variance_explained());
+                (vec![1.0 - explained], explained < 0.55)
             }
-            NegotiabilityStrategy::MinMaxAucWithThresholding { rho, .. } => {
-                (vec![minmax, 1.0 - dwell], dwell < rho)
+            NegotiabilityStrategy::MinMaxAucWithThresholding => {
+                (vec![minmax, 1.0 - dwell], dwell < 0.08)
             }
         }
     }
@@ -499,16 +493,49 @@ mod tests {
                 assert_eq!(s.weights(history, &dims), want.0, "{name}");
                 assert_eq!(s.bits(history, &dims), want.1, "{name}");
             }
-            if let NegotiabilityStrategy::StlVarianceDecomposition { .. } = s {
+            if s == NegotiabilityStrategy::StlVarianceDecomposition {
                 // The fallback reads "unstructured": weight 1 on every
                 // present dimension.
                 assert_eq!(s.weights(&short, &dims), vec![1.0; 3]);
             }
         }
         // The missing dimension profiles as weight 0, bit false.
-        let s = NegotiabilityStrategy::MinMaxAucWithThresholding { rho: 0.08, cut: 0.75 };
+        let s = NegotiabilityStrategy::MinMaxAucWithThresholding;
         let (w, bits) = s.profile(&missing, &dims);
         assert_eq!((&w[2..4], bits[1]), (&[0.0, 0.0][..], false));
+    }
+
+    /// `perfbench`'s Table 4 zips these names with its golden's rows, so
+    /// the lineup is pinned: the six names in row order, and each variant
+    /// in its own row. The match is exhaustive, so a new variant fails to
+    /// compile here until it is given a row.
+    #[test]
+    fn table4_lineup_holds_every_strategy_once_in_row_order() {
+        let lineup = NegotiabilityStrategy::table4_lineup();
+        let names: Vec<&str> = lineup.iter().map(|&(name, _)| name).collect();
+        assert_eq!(
+            names,
+            [
+                "MinMax Scaler AUC",
+                "Max Scaler AUC",
+                "Thresholding Algorithm",
+                "Outlier percentage",
+                "STL Variance Decomposition",
+                "MinMax Scaler AUC adjusted with timeseries",
+            ]
+        );
+        let rows: Vec<usize> = lineup
+            .iter()
+            .map(|&(_, s)| match s {
+                NegotiabilityStrategy::MinMaxScalerAuc => 0,
+                NegotiabilityStrategy::MaxScalerAuc => 1,
+                NegotiabilityStrategy::Thresholding => 2,
+                NegotiabilityStrategy::OutlierPercentage => 3,
+                NegotiabilityStrategy::StlVarianceDecomposition => 4,
+                NegotiabilityStrategy::MinMaxAucWithThresholding => 5,
+            })
+            .collect();
+        assert_eq!(rows, [0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

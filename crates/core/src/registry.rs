@@ -105,39 +105,12 @@ impl EngineTemplate {
         }
     }
 
-    /// Content fingerprint: a variant tag plus every parameter, by bit
-    /// pattern. Allocation-free — this runs on every warm engine
-    /// resolution, once per fleet request.
+    /// Content fingerprint: the strategy's stable tag (its discriminant)
+    /// plus the grouping's tag and parameters. Allocation-free — this runs
+    /// on every warm engine resolution, once per fleet request.
     fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new();
-        match self.negotiability {
-            NegotiabilityStrategy::Thresholding { rho } => {
-                fp.write_u8(0);
-                fp.write_f64(rho);
-            }
-            NegotiabilityStrategy::MinMaxScalerAuc { cut } => {
-                fp.write_u8(1);
-                fp.write_f64(cut);
-            }
-            NegotiabilityStrategy::MaxScalerAuc { cut } => {
-                fp.write_u8(2);
-                fp.write_f64(cut);
-            }
-            NegotiabilityStrategy::OutlierPercentage { cut } => {
-                fp.write_u8(3);
-                fp.write_f64(cut);
-            }
-            NegotiabilityStrategy::StlVarianceDecomposition { period, cut } => {
-                fp.write_u8(4);
-                fp.write_usize(period);
-                fp.write_f64(cut);
-            }
-            NegotiabilityStrategy::MinMaxAucWithThresholding { rho, cut } => {
-                fp.write_u8(5);
-                fp.write_f64(rho);
-                fp.write_f64(cut);
-            }
-        }
+        fp.write_u8(self.negotiability as u8);
         match self.grouping {
             GroupingStrategy::Enumeration => fp.write_u8(0),
             GroupingStrategy::KMeans { k, seed } => {
@@ -975,6 +948,27 @@ mod tests {
         let rec2 = v2.recommend(&record(0.4, 32).history, None);
         assert_eq!(rec1.sku_id, rec2.sku_id);
         assert!(rec2.monthly_cost.unwrap() > rec1.monthly_cost.unwrap());
+    }
+
+    /// Two strategies sharing a tag would share one trained engine.
+    #[test]
+    fn template_fingerprints_separate_every_strategy() {
+        let template = |negotiability| EngineTemplate {
+            negotiability,
+            grouping: GroupingStrategy::Enumeration,
+        };
+        let fingerprints: HashSet<u64> = NegotiabilityStrategy::table4_lineup()
+            .into_iter()
+            .map(|(_, strategy)| template(strategy).fingerprint())
+            .collect();
+        assert_eq!(fingerprints.len(), 6);
+        for (_, strategy) in NegotiabilityStrategy::table4_lineup() {
+            assert_eq!(template(strategy).fingerprint(), template(strategy).fingerprint());
+        }
+        assert_eq!(
+            EngineTemplate::production().fingerprint(),
+            template(NegotiabilityStrategy::Thresholding).fingerprint()
+        );
     }
 
     #[test]

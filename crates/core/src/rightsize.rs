@@ -7,10 +7,10 @@
 //!
 //! The rule implemented here is the curve-position one: find the cheapest
 //! SKU delivering (within ε of) the same score as the customer's current
-//! SKU; if the current SKU costs at least `cost_ratio_threshold` times
-//! that, the customer is over-provisioned and the delta is the savings
-//! opportunity — the Figure 8a example (an 80-core machine doing a 2-core
-//! job) realizes "over $100k in annual savings".
+//! SKU; if the current SKU costs at least 1.5 times that, the customer is
+//! over-provisioned and the delta is the savings opportunity — the Figure
+//! 8a example (an 80-core machine doing a 2-core job) realizes "over $100k
+//! in annual savings".
 
 use crate::curve::PricePerformanceCurve;
 
@@ -39,17 +39,15 @@ impl RightsizeReport {
     }
 }
 
-/// Audit one customer: `curve` is their price-performance curve,
-/// `current_sku` the SKU they are fixed on, and `cost_ratio_threshold` the
-/// over-provisioning bar (1.5 marks "much farther along the curve";
-/// Figure 8a's 4x cases are flagged by any sane threshold).
+/// The over-provisioning bar on the cost ratio: 1.5 marks "much farther
+/// along the curve"; Figure 8a's 4x cases clear any sane bar.
+const OVER_PROVISIONED_RATIO: f64 = 1.5;
+
+/// Audit one customer: `curve` is their price-performance curve and
+/// `current_sku` the SKU they are fixed on.
 ///
 /// Returns `None` when the current SKU is not on the curve.
-pub fn rightsize(
-    curve: &PricePerformanceCurve,
-    current_sku: &str,
-    cost_ratio_threshold: f64,
-) -> Option<RightsizeReport> {
+pub fn rightsize(curve: &PricePerformanceCurve, current_sku: &str) -> Option<RightsizeReport> {
     const EPS: f64 = 1e-9;
     let current = curve.point_for(current_sku)?;
     let target = curve
@@ -66,7 +64,7 @@ pub fn rightsize(
         recommended_monthly: target.monthly_cost,
         cost_ratio,
         monthly_savings: current.monthly_cost - target.monthly_cost,
-        over_provisioned: cost_ratio >= cost_ratio_threshold,
+        over_provisioned: cost_ratio >= OVER_PROVISIONED_RATIO,
         score: target.score,
     })
 }
@@ -87,7 +85,7 @@ mod tests {
         // The Figure 8a story: a 2-core SKU meets 100% of needs but the
         // customer pays for ~80 cores.
         let curve = flat_ladder();
-        let r = rightsize(&curve, "GP20", 1.5).unwrap();
+        let r = rightsize(&curve, "GP20").unwrap();
         assert!(r.over_provisioned);
         assert_eq!(r.recommended_sku, "GP2");
         assert!((r.cost_ratio - 10.0).abs() < 1e-9);
@@ -97,7 +95,7 @@ mod tests {
     #[test]
     fn right_sized_customer_is_not_flagged() {
         let curve = flat_ladder();
-        let r = rightsize(&curve, "GP2", 1.5).unwrap();
+        let r = rightsize(&curve, "GP2").unwrap();
         assert!(!r.over_provisioned);
         assert_eq!(r.monthly_savings, 0.0);
         assert_eq!(r.recommended_sku, "GP2");
@@ -112,27 +110,30 @@ mod tests {
             ("huge".into(), 1800.0, 1.0),
         ]);
         // "big" delivers the same 0.95 as "mid": recommend "mid".
-        let r = rightsize(&curve, "big", 1.5).unwrap();
+        let r = rightsize(&curve, "big").unwrap();
         assert_eq!(r.recommended_sku, "mid");
         assert!(r.over_provisioned);
         // "huge" is the only 1.0 point: it is right-sized at its score.
-        let r2 = rightsize(&curve, "huge", 1.5).unwrap();
+        let r2 = rightsize(&curve, "huge").unwrap();
         assert_eq!(r2.recommended_sku, "huge");
         assert!(!r2.over_provisioned);
     }
 
     #[test]
     fn unknown_sku_yields_none() {
-        assert!(rightsize(&flat_ladder(), "nope", 1.5).is_none());
+        assert!(rightsize(&flat_ladder(), "nope").is_none());
     }
 
     #[test]
     fn threshold_controls_the_flag() {
-        let curve = flat_ladder();
-        // GP4 costs 2x GP2 on a flat curve.
-        let strict = rightsize(&curve, "GP4", 1.5).unwrap();
-        assert!(strict.over_provisioned);
-        let lenient = rightsize(&curve, "GP4", 3.0).unwrap();
-        assert!(!lenient.over_provisioned);
+        // On a flat curve a cost ratio of exactly 1.5 clears the bar and
+        // one just under it does not.
+        let curve = PricePerformanceCurve::from_scored(vec![
+            ("base".into(), 100.0, 1.0),
+            ("under".into(), 149.0, 1.0),
+            ("at".into(), 150.0, 1.0),
+        ]);
+        assert!(!rightsize(&curve, "under").unwrap().over_provisioned);
+        assert!(rightsize(&curve, "at").unwrap().over_provisioned);
     }
 }

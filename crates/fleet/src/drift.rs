@@ -80,10 +80,6 @@ pub struct DriftProbe {
     pub change_point: usize,
 }
 
-/// The group tolerance every drift check selects SKUs at: zero, the
-/// §5.2.3 study's setting.
-const DRIFT_TOLERANCE: f64 = 0.0;
-
 /// What one drift check concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum DriftVerdict {
@@ -164,7 +160,7 @@ pub(crate) fn evaluate_probe(engines: &EngineSet, index: usize, probe: DriftProb
         // scaled by the provider), so the drift verdict is priced in the
         // customer's own region.
         let skus = pipeline.backend().catalog().for_deployment(deployment);
-        detect_drift(&history, change_point, &skus, DRIFT_TOLERANCE)
+        detect_drift(&history, change_point, &skus)
     });
     let report = match evaluated {
         Ok(report) => report,

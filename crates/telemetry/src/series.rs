@@ -36,11 +36,6 @@ impl TimeSeries {
         TimeSeries::new(DEFAULT_INTERVAL_MINUTES, values)
     }
 
-    /// Generate a series of `n` samples from an index function.
-    pub fn from_fn(interval_minutes: u32, n: usize, f: impl FnMut(usize) -> f64) -> TimeSeries {
-        TimeSeries::new(interval_minutes, (0..n).map(f).collect())
-    }
-
     /// Sampling interval in minutes.
     pub fn interval_minutes(&self) -> u32 {
         self.interval_minutes
@@ -114,12 +109,6 @@ mod tests {
     fn duration_of_a_day_of_ten_minute_samples() {
         let s = TimeSeries::ten_minute(vec![0.0; 144]);
         assert!((s.duration_hours() - 24.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_fn_generates_indexed_values() {
-        let s = TimeSeries::from_fn(10, 5, |i| i as f64 * 2.0);
-        assert_eq!(s.values(), &[0.0, 2.0, 4.0, 6.0, 8.0]);
     }
 
     #[test]

@@ -49,7 +49,9 @@ pub enum ShapeClass {
     Complex,
 }
 
-/// Configuration of a synthetic cloud-customer cohort.
+/// Configuration of a synthetic cloud-customer cohort. The behavioural
+/// calibration (shape mix, latency posture, idiosyncrasy, over-provisioning
+/// and tolerance) is fixed per deployment to the paper's §5 evaluation.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PopulationSpec {
     pub deployment: DeploymentType,
@@ -57,18 +59,10 @@ pub struct PopulationSpec {
     /// Assessment window per customer, days (paper: ≥ 40-day retention).
     pub days: f64,
     pub seed: u64,
-    /// Fraction of customers choosing several rungs above need (§5.1: >10 %).
-    pub over_provision_rate: f64,
-    /// Probability a GP-chooser deviates one rung from the model choice.
-    pub idiosyncrasy_gp: f64,
-    /// Probability a BC-chooser deviates one rung from the model choice.
-    pub idiosyncrasy_bc: f64,
-    /// Curve-shape weights (flat, simple, complex), Figure 9.
-    pub shape_weights: [f64; 3],
-    /// Fraction of customers with latency-critical workloads (BC-bound).
-    pub bc_preference_rate: f64,
-    /// Quantile of a negotiable dimension used as its requirement.
-    pub negotiable_quantile: f64,
+    /// Give every customer this curve-shape class; `None` draws it from the
+    /// deployment's Figure 9 mix. The draw is made either way, so forcing a
+    /// shape changes nothing else a customer draws.
+    pub shape: Option<ShapeClass>,
     /// Azure region this cohort's customers live in; `None` leaves them
     /// untagged (single-catalog behaviour). Fleet sources turn the tag
     /// into a per-request catalog key, so chaining cohorts with different
@@ -76,40 +70,59 @@ pub struct PopulationSpec {
     pub region: Option<Region>,
 }
 
+/// Fraction of customers choosing several rungs above need (§5.1: >10 %).
+const OVER_PROVISION_RATE: f64 = 0.10;
+/// Quantile of a negotiable dimension used as its requirement: a per-
+/// dimension tolerance τ of 5 %.
+const NEGOTIABLE_QUANTILE: f64 = 0.95;
+
+/// One deployment's behavioural calibration.
+struct Calibration {
+    /// Probability a GP-chooser deviates one rung from the model choice.
+    idiosyncrasy_gp: f64,
+    /// Probability a BC-chooser deviates one rung from the model choice.
+    idiosyncrasy_bc: f64,
+    /// Curve-shape weights (flat, simple, complex), Figure 9.
+    shape_weights: [f64; 3],
+    /// Fraction of customers with latency-critical workloads (BC-bound).
+    bc_preference_rate: f64,
+}
+
+/// SQL DB: Figure 9's 73.3 % flat / 26.2 % complex / remainder simple.
+const SQL_DB: Calibration = Calibration {
+    idiosyncrasy_gp: 0.16,
+    idiosyncrasy_bc: 0.02,
+    shape_weights: [0.733, 0.005, 0.262],
+    bc_preference_rate: 0.35,
+};
+
+/// SQL MI: Figure 9's 74.9 % flat / 21.7 % complex.
+const SQL_MI: Calibration = Calibration {
+    idiosyncrasy_gp: 0.04,
+    idiosyncrasy_bc: 0.12,
+    shape_weights: [0.749, 0.034, 0.217],
+    bc_preference_rate: 0.30,
+};
+
 impl PopulationSpec {
-    /// SQL DB cohort with weights calibrated to the paper's evaluation.
+    /// SQL DB cohort calibrated to the paper's evaluation.
     pub fn sql_db(n_customers: usize, seed: u64) -> PopulationSpec {
-        PopulationSpec {
-            deployment: DeploymentType::SqlDb,
-            n_customers,
-            days: 14.0,
-            seed,
-            over_provision_rate: 0.10,
-            idiosyncrasy_gp: 0.16,
-            idiosyncrasy_bc: 0.02,
-            // Figure 9: DB 73.3% flat / 26.2% complex / remainder simple.
-            shape_weights: [0.733, 0.005, 0.262],
-            bc_preference_rate: 0.35,
-            negotiable_quantile: 0.95,
-            region: None,
-        }
+        PopulationSpec::new(DeploymentType::SqlDb, n_customers, seed)
     }
 
     /// SQL MI cohort.
     pub fn sql_mi(n_customers: usize, seed: u64) -> PopulationSpec {
-        PopulationSpec {
-            deployment: DeploymentType::SqlMi,
-            n_customers,
-            days: 14.0,
-            seed,
-            over_provision_rate: 0.10,
-            idiosyncrasy_gp: 0.04,
-            idiosyncrasy_bc: 0.12,
-            // Figure 9: MI 74.9% flat / 21.7% complex.
-            shape_weights: [0.749, 0.034, 0.217],
-            bc_preference_rate: 0.30,
-            negotiable_quantile: 0.95,
-            region: None,
+        PopulationSpec::new(DeploymentType::SqlMi, n_customers, seed)
+    }
+
+    fn new(deployment: DeploymentType, n_customers: usize, seed: u64) -> PopulationSpec {
+        PopulationSpec { deployment, n_customers, days: 14.0, seed, shape: None, region: None }
+    }
+
+    fn calibration(&self) -> &'static Calibration {
+        match self.deployment {
+            DeploymentType::SqlDb => &SQL_DB,
+            DeploymentType::SqlMi => &SQL_MI,
         }
     }
 
@@ -143,11 +156,13 @@ impl PopulationSpec {
         let mut rng = SeededRng::new(
             self.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(17),
         );
-        let shape = match rng.weighted_index(&self.shape_weights) {
+        let calibration = self.calibration();
+        let drawn = match rng.weighted_index(&calibration.shape_weights) {
             0 => ShapeClass::Flat,
             1 => ShapeClass::Simple,
             _ => ShapeClass::Complex,
         };
+        let shape = self.shape.unwrap_or(drawn);
         let profiled = self.profiled_dimensions();
         // Most real counters are steady; spiky, negotiable dimensions are
         // the minority the profiler exists to find.
@@ -155,7 +170,8 @@ impl PopulationSpec {
         // A flat curve means every SKU satisfies 100% of needs — which by
         // definition includes GP's 5 ms latency floor, so latency-critical
         // workloads only occur among non-flat customers.
-        let latency_critical = shape != ShapeClass::Flat && rng.chance(self.bc_preference_rate);
+        let latency_critical =
+            shape != ShapeClass::Flat && rng.chance(calibration.bc_preference_rate);
 
         // Natural size: flat customers fit inside the smallest SKU; complex
         // customers land mid-ladder; simple customers sit exactly between
@@ -199,7 +215,7 @@ impl PopulationSpec {
         // *around* that target, so the choice constraint carries a
         // 3σ-binomial slack — otherwise a coin-flip of customers would
         // land one rung off their own intended operating point.
-        let tau = 1.0 - self.negotiable_quantile;
+        let tau = 1.0 - NEGOTIABLE_QUANTILE;
         let k = negotiability.iter().filter(|&&b| b).count() as i32;
         let target_p = 1.0 - (1.0 - tau).powi(k);
         let n_samples = history.len().max(1) as f64;
@@ -212,9 +228,9 @@ impl PopulationSpec {
         // Idiosyncrasy: one rung off-model within the chosen tier.
         let tier = model_choice.tier;
         let idio = if tier == ServiceTier::BusinessCritical {
-            self.idiosyncrasy_bc
+            calibration.idiosyncrasy_bc
         } else {
-            self.idiosyncrasy_gp
+            calibration.idiosyncrasy_gp
         };
         let ladder = catalog.for_deployment_tier(self.deployment, tier);
         let mut pos = ladder
@@ -233,7 +249,7 @@ impl PopulationSpec {
         }
 
         // Over-provisioned segment: several rungs up.
-        let over_provisioned = rng.chance(self.over_provision_rate);
+        let over_provisioned = rng.chance(OVER_PROVISION_RATE);
         if over_provisioned {
             let jump = 2 + rng.index(4);
             pos = (pos + jump).min(ladder.len() - 1);
@@ -305,12 +321,12 @@ impl PopulationSpec {
                 _ => {
                     if negotiability[i] {
                         // Short excursions to the peak covering an expected
-                        // τ = 1 − negotiable_quantile of samples — the
+                        // τ = 1 − NEGOTIABLE_QUANTILE of samples — the
                         // per-dimension tolerance that composes into the
                         // group operating points of Table 3. Duration
                         // varies; the rate compensates so the expected
                         // exceedance fraction stays τ.
-                        let tau = 1.0 - self.negotiable_quantile;
+                        let tau = 1.0 - NEGOTIABLE_QUANTILE;
                         let dur = 1 + rng.index(2);
                         let rate = tau * 144.0 / dur as f64;
                         // Spikes overshoot the nominal peak (1.1p) so a SKU
@@ -584,6 +600,22 @@ mod tests {
         // Latency-critical customers only occur among non-flat shapes now,
         // so the sample is smaller.
         assert!(checked > 5, "too few latency-critical customers to be meaningful");
+    }
+
+    #[test]
+    fn a_forced_shape_changes_nothing_but_the_shape() {
+        let cat = catalog();
+        let drawn = PopulationSpec { days: 2.0, ..PopulationSpec::sql_db(24, 8) };
+        let forced = PopulationSpec { shape: Some(ShapeClass::Complex), ..drawn.clone() };
+        let mut same = 0;
+        for (d, f) in drawn.customers(&cat).into_iter().zip(forced.customers(&cat)) {
+            assert_eq!(f.shape_class, ShapeClass::Complex);
+            if d.shape_class == ShapeClass::Complex {
+                assert_eq!(d, f);
+                same += 1;
+            }
+        }
+        assert!(same > 0, "no customer drew a complex curve");
     }
 
     #[test]

@@ -16,7 +16,7 @@ fn main() {
     let mut flagged = Vec::new();
     for customer in &fleet {
         let curve = PricePerformanceCurve::generate(&customer.history, &skus);
-        let Some(report) = rightsize(&curve, customer.chosen_sku.0.as_str(), 1.5) else {
+        let Some(report) = rightsize(&curve, customer.chosen_sku.0.as_str()) else {
             continue;
         };
         if report.over_provisioned {

@@ -92,7 +92,7 @@ fn serial_verdicts() -> Vec<SerialVerdict> {
             let resolved = provider.resolve(&key).expect("registered region");
             let skus = resolved.catalog.for_deployment(customer.deployment);
             let stitched = doppler::telemetry::concat(&customer.baseline, &fresh);
-            let report = detect_drift(&stitched, customer.baseline.len(), &skus, 0.0);
+            let report = detect_drift(&stitched, customer.baseline.len(), &skus);
             let verdict = match (&report.before_sku, &report.after_sku) {
                 (Some(_), Some(_)) if report.changed => DriftVerdict::Drifted,
                 (Some(_), Some(_)) => DriftVerdict::Stable,
