@@ -267,7 +267,7 @@ pub fn figure11(scale: &ExperimentScale) -> String {
     let cat = catalog();
     let scenario = drift_scenario(7.0, scale.seed);
     let skus = cat.for_deployment(DeploymentType::SqlDb);
-    let report = detect_drift(&scenario.history, scenario.change_point, &skus);
+    let report = detect_drift(&scenario.before, &scenario.after, &skus);
     let mut out = String::from("Figure 11 — curves before (top) and after (bottom) a SKU change\n");
     out.push_str("before:\n");
     out.push_str(&curve_table(

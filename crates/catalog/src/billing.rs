@@ -5,8 +5,7 @@
 //! (GP ≈ $0.2525/vCore/h, BC ≈ $0.68/vCore/h for SQL DB) and expand with a
 //! per-deployment multiplier. Monthly cost uses Azure's 730-hour month.
 
-use crate::sku::{DeploymentType, ServiceTier, Sku};
-use crate::storage::TierAssignment;
+use crate::sku::{DeploymentType, ServiceTier};
 
 /// Hours in a billing month (Azure convention).
 pub const HOURS_PER_MONTH: f64 = 730.0;
@@ -49,18 +48,11 @@ impl BillingRates {
     pub fn monthly(&self, deployment: DeploymentType, tier: ServiceTier, vcores: f64) -> f64 {
         self.hourly(deployment, tier, vcores) * HOURS_PER_MONTH
     }
-
-    /// Full monthly cost of an MI SKU with its storage layout: compute plus
-    /// the premium disks backing the file layout.
-    pub fn monthly_with_storage(&self, sku: &Sku, storage: &TierAssignment) -> f64 {
-        sku.monthly_cost() + storage.monthly_storage_cost()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sku::{ResourceCaps, SkuId};
     use crate::storage::FileLayout;
 
     #[test]
@@ -113,24 +105,9 @@ mod tests {
 
     #[test]
     fn storage_cost_is_added_for_mi() {
-        let r = BillingRates::default();
-        let sku = Sku {
-            id: SkuId("MI_GP_4".into()),
-            deployment: DeploymentType::SqlMi,
-            tier: ServiceTier::GeneralPurpose,
-            caps: ResourceCaps {
-                vcores: 4.0,
-                memory_gb: 20.8,
-                max_data_gb: 2048.0,
-                iops: 0.0,
-                log_rate_mbps: 15.0,
-                min_io_latency_ms: 5.0,
-                throughput_mbps: 400.0,
-            },
-            price_per_hour: r.hourly(DeploymentType::SqlMi, ServiceTier::GeneralPurpose, 4.0),
-        };
+        // An MI General Purpose SKU costs its compute plus the rent of the
+        // premium disks under its files: one 100 GiB file rents a P10.
         let storage = FileLayout::from_sizes(&[100.0]).assign_tiers().unwrap();
-        let total = r.monthly_with_storage(&sku, &storage);
-        assert!((total - (sku.monthly_cost() + 19.71)).abs() < 1e-9);
+        assert!((storage.monthly_storage_cost() - 19.71).abs() < 1e-9);
     }
 }

@@ -3,17 +3,16 @@
 //! "Since changes in resource utilization patterns trigger changes in the
 //! price-performance curves, Doppler can automatically detect the need to
 //! change SKUs to accommodate changing workload requirements." The study
-//! splits a customer's history at the change point, regenerates the curve
-//! on each side, and compares where the recommendations land — including
-//! the counterfactual throttling the customer would suffer by keeping the
-//! old SKU (the Figure 11 customer would see > 40 %).
+//! generates one curve on the telemetry before the change and one on the
+//! telemetry after it, and compares where the recommendations land —
+//! including the counterfactual throttling the customer would suffer by
+//! keeping the old SKU (the Figure 11 customer would see > 40 %).
 
-use doppler_catalog::{ResourceCaps, Sku};
+use doppler_catalog::Sku;
 use doppler_telemetry::PerfHistory;
 
 use crate::curve::{PricePerfPoint, PricePerformanceCurve};
 use crate::matching::select_for_p;
-use crate::throttling::ExceedanceMasks;
 
 /// How urgently a detected SKU change needs acting on, graded by the
 /// throttling the customer suffers while they stay put. A fleet monitor
@@ -77,7 +76,7 @@ impl DriftSeverity {
     }
 }
 
-/// Before/after comparison of a split history.
+/// Before/after comparison of two telemetry windows.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DriftReport {
     pub before_curve: PricePerformanceCurve,
@@ -127,21 +126,11 @@ impl DriftReport {
 /// setting.
 const P_G: f64 = 0.0;
 
-/// Split `history` at sample `change_point` (clamped to its length),
-/// generate both curves over `skus`, and select on each at zero group
-/// tolerance.
-///
-/// Both curves count from one set of [`ExceedanceMasks`] over the whole
-/// history, so neither half is copied: the curves equal
-/// [`PricePerformanceCurve::generate`] on the two halves of
-/// [`doppler_telemetry::split_at`].
-pub fn detect_drift(history: &PerfHistory, change_point: usize, skus: &[&Sku]) -> DriftReport {
-    let n = history.len();
-    let cp = change_point.min(n);
-    let caps: Vec<ResourceCaps> = skus.iter().map(|sku| sku.caps).collect();
-    let masks = ExceedanceMasks::new(history, &caps);
-    let before_curve = PricePerformanceCurve::from_counts(skus, &masks.counts(0..cp), cp);
-    let after_curve = PricePerformanceCurve::from_counts(skus, &masks.counts(cp..n), n - cp);
+/// Generate the curves of the `before` and `after` windows over `skus`,
+/// and select on each at zero group tolerance.
+pub fn detect_drift(before: &PerfHistory, after: &PerfHistory, skus: &[&Sku]) -> DriftReport {
+    let before_curve = PricePerformanceCurve::generate(before, skus);
+    let after_curve = PricePerformanceCurve::generate(after, skus);
     let before_sku = select_for_p(&before_curve, P_G).map(|p| p.sku_id.clone());
     let after_sku = select_for_p(&after_curve, P_G).map(|p| p.sku_id.clone());
     let throttle_if_unchanged = before_sku
@@ -165,11 +154,9 @@ mod tests {
     use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType};
     use doppler_telemetry::{PerfDimension, TimeSeries};
 
-    fn split_history(before_cpu: f64, after_cpu: f64, n: usize) -> PerfHistory {
-        let mut cpu = vec![before_cpu; n / 2];
-        cpu.extend(vec![after_cpu; n - n / 2]);
+    fn window(cpu: f64, n: usize) -> PerfHistory {
         PerfHistory::new()
-            .with(PerfDimension::Cpu, TimeSeries::ten_minute(cpu))
+            .with(PerfDimension::Cpu, TimeSeries::ten_minute(vec![cpu; n]))
             .with(PerfDimension::IoLatency, TimeSeries::ten_minute(vec![7.0; n]))
     }
 
@@ -177,8 +164,7 @@ mod tests {
     fn growth_triggers_a_change() {
         let cat = azure_paas_catalog(&CatalogSpec::default());
         let skus = cat.for_deployment(DeploymentType::SqlDb);
-        let h = split_history(1.0, 7.0, 200);
-        let r = detect_drift(&h, 100, &skus);
+        let r = detect_drift(&window(1.0, 100), &window(7.0, 100), &skus);
         assert!(r.changed);
         assert_eq!(r.before_sku.as_deref(), Some("DB_GP_2"));
         assert_eq!(r.after_sku.as_deref(), Some("DB_GP_8"));
@@ -190,8 +176,7 @@ mod tests {
     fn stable_workload_reports_no_change() {
         let cat = azure_paas_catalog(&CatalogSpec::default());
         let skus = cat.for_deployment(DeploymentType::SqlDb);
-        let h = split_history(1.0, 1.1, 200);
-        let r = detect_drift(&h, 100, &skus);
+        let r = detect_drift(&window(1.0, 100), &window(1.1, 100), &skus);
         assert!(!r.changed);
         assert_eq!(r.throttle_if_unchanged, 0.0);
     }
@@ -200,8 +185,7 @@ mod tests {
     fn shrink_is_also_detected() {
         let cat = azure_paas_catalog(&CatalogSpec::default());
         let skus = cat.for_deployment(DeploymentType::SqlDb);
-        let h = split_history(7.0, 0.5, 200);
-        let r = detect_drift(&h, 100, &skus);
+        let r = detect_drift(&window(7.0, 100), &window(0.5, 100), &skus);
         assert!(r.changed);
         // Moving down throttles nothing.
         assert_eq!(r.throttle_if_unchanged, 0.0);
@@ -209,8 +193,7 @@ mod tests {
 
     #[test]
     fn empty_sku_set_degrades_gracefully() {
-        let h = split_history(1.0, 5.0, 100);
-        let r = detect_drift(&h, 50, &[]);
+        let r = detect_drift(&window(1.0, 50), &window(5.0, 50), &[]);
         assert!(r.before_sku.is_none());
         assert!(r.after_sku.is_none());
         assert!(!r.changed);
@@ -245,8 +228,7 @@ mod tests {
     fn growth_report_grades_critical_and_prices_the_move() {
         let cat = azure_paas_catalog(&CatalogSpec::default());
         let skus = cat.for_deployment(DeploymentType::SqlDb);
-        let h = split_history(1.0, 7.0, 200);
-        let r = detect_drift(&h, 100, &skus);
+        let r = detect_drift(&window(1.0, 100), &window(7.0, 100), &skus);
         // Throttling on every after-sample: the top severity grade.
         assert_eq!(r.severity(), DriftSeverity::Critical);
         let re = r.re_recommendation().expect("after-window selects");
@@ -263,8 +245,7 @@ mod tests {
     fn shrink_report_grades_low_with_a_negative_cost_delta() {
         let cat = azure_paas_catalog(&CatalogSpec::default());
         let skus = cat.for_deployment(DeploymentType::SqlDb);
-        let h = split_history(7.0, 0.5, 200);
-        let r = detect_drift(&h, 100, &skus);
+        let r = detect_drift(&window(7.0, 100), &window(0.5, 100), &skus);
         assert_eq!(r.severity(), DriftSeverity::Low, "shrinks throttle nothing");
         assert!(r.cost_delta().unwrap() < 0.0, "moving down saves money");
     }
@@ -275,7 +256,7 @@ mod tests {
         // select the cheapest SKU, and nothing reads as drift.
         let cat = azure_paas_catalog(&CatalogSpec::default());
         let skus = cat.for_deployment(DeploymentType::SqlDb);
-        let r = detect_drift(&PerfHistory::new(), 0, &skus);
+        let r = detect_drift(&PerfHistory::new(), &PerfHistory::new(), &skus);
         assert!(!r.changed);
         assert_eq!(r.before_sku, r.after_sku);
         assert!(r.before_sku.is_some());
@@ -288,20 +269,17 @@ mod tests {
     fn single_window_splits_degrade_to_an_empty_side() {
         let cat = azure_paas_catalog(&CatalogSpec::default());
         let skus = cat.for_deployment(DeploymentType::SqlDb);
-        let h = split_history(1.0, 7.0, 100);
-        // change_point 0: the whole history is "after"; the empty before
-        // window scores every SKU clean, so the before pick is the
-        // cheapest rung and the big after-demand reads as a change.
-        let r = detect_drift(&h, 0, &skus);
+        // An empty before window scores every SKU clean, so the before
+        // pick is the cheapest rung and the big after-demand reads as a
+        // change.
+        let r = detect_drift(&PerfHistory::new(), &window(7.0, 50), &skus);
         assert!(r.before_curve.points().iter().all(|p| p.score >= 1.0 - 1e-12));
         assert!(r.changed);
-        // change_point at (or past) the end: the empty after window also
-        // scores clean, so the pick falls back to the cheapest rung and
-        // nothing throttles.
-        let r = detect_drift(&h, h.len(), &skus);
+        // An empty after window also scores clean, so the pick falls back
+        // to the cheapest rung and nothing throttles.
+        let r = detect_drift(&window(1.0, 50), &PerfHistory::new(), &skus);
+        assert!(r.after_curve.points().iter().all(|p| p.score >= 1.0 - 1e-12));
         assert_eq!(r.throttle_if_unchanged, 0.0);
-        let past = detect_drift(&h, h.len() + 50, &skus);
-        assert_eq!(past, r, "past-the-end clamps to the end");
     }
 
     #[test]
@@ -312,15 +290,18 @@ mod tests {
         // this.
         let cat = azure_paas_catalog(&CatalogSpec::default());
         let skus = cat.for_deployment(DeploymentType::SqlDb);
-        let histories: Vec<PerfHistory> =
-            (0..4).map(|i| split_history(1.0 + i as f64, 6.0, 120)).collect();
+        let after = window(6.0, 60);
+        let befores: Vec<PerfHistory> = (0..4).map(|i| window(1.0 + i as f64, 60)).collect();
         let first: Vec<DriftReport> =
-            histories.iter().map(|h| detect_drift(h, 60, &skus)).collect();
+            befores.iter().map(|b| detect_drift(b, &after, &skus)).collect();
         let reversed: Vec<DriftReport> =
-            histories.iter().rev().map(|h| detect_drift(h, 60, &skus)).collect();
+            befores.iter().rev().map(|b| detect_drift(b, &after, &skus)).collect();
         for (a, b) in first.iter().zip(reversed.iter().rev()) {
             assert_eq!(a, b);
         }
-        assert_eq!(first, histories.iter().map(|h| detect_drift(h, 60, &skus)).collect::<Vec<_>>());
+        assert_eq!(
+            first,
+            befores.iter().map(|b| detect_drift(b, &after, &skus)).collect::<Vec<_>>()
+        );
     }
 }

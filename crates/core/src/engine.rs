@@ -364,12 +364,9 @@ impl<'a> CurveKernel<'a> {
         layout: Option<&'a FileLayout>,
     ) -> CurveKernel<'a> {
         match (engine.config.deployment, layout) {
-            (DeploymentType::SqlMi, Some(layout)) => CurveKernel::Mi(MiKernel::new(
-                history,
-                layout,
-                &engine.catalog,
-                &engine.config.rates,
-            )),
+            (DeploymentType::SqlMi, Some(layout)) => {
+                CurveKernel::Mi(MiKernel::new(history, layout, &engine.catalog))
+            }
             _ => {
                 let skus = engine.catalog.for_deployment(engine.config.deployment);
                 let caps: Vec<_> = skus.iter().map(|sku| sku.caps).collect();

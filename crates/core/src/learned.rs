@@ -289,11 +289,6 @@ impl LearnedBackend {
         &self.fallback
     }
 
-    /// Number of training exemplars retained (post-compression).
-    pub fn exemplar_count(&self) -> usize {
-        self.exemplars.len()
-    }
-
     /// The catalog in use.
     pub fn catalog(&self) -> &Catalog {
         self.fallback.catalog()
@@ -458,7 +453,7 @@ mod tests {
         let b = LearnedBackend::train(catalog(), config(), LearnedConfig::default(), &[]);
         let h = history(0.5, 100.0);
         assert_eq!(b.recommend(&h, None), b.fallback().recommend(&h, None));
-        assert_eq!(b.exemplar_count(), 0);
+        assert_eq!(b.exemplars.len(), 0);
     }
 
     #[test]
@@ -497,8 +492,8 @@ mod tests {
         let cfg = LearnedConfig { max_profiles: 8, seed: 7, ..LearnedConfig::default() };
         let a = LearnedBackend::train(catalog(), config(), cfg, &records);
         let b = LearnedBackend::train(catalog(), config(), cfg, &records);
-        assert!(a.exemplar_count() <= 8);
-        assert!(a.exemplar_count() > 0);
+        assert!(a.exemplars.len() <= 8);
+        assert!(!a.exemplars.is_empty());
         assert_eq!(a.fingerprint(), b.fingerprint());
         let h = history(2.8, 840.0);
         assert_eq!(a.recommend(&h, None), b.recommend(&h, None));

@@ -30,9 +30,7 @@
 
 use std::ops::Range;
 
-use doppler_catalog::{
-    BillingRates, Catalog, DeploymentType, FileLayout, ServiceTier, Sku, TierAssignment,
-};
+use doppler_catalog::{Catalog, DeploymentType, FileLayout, ServiceTier, Sku, TierAssignment};
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
 use crate::curve::{sort_by_cost, PricePerformanceCurve};
@@ -62,9 +60,8 @@ pub fn mi_curve(
     history: &PerfHistory,
     layout: &FileLayout,
     catalog: &Catalog,
-    rates: &BillingRates,
 ) -> Option<MiAssessment> {
-    let kernel = MiKernel::new(history, layout, catalog, rates);
+    let kernel = MiKernel::new(history, layout, catalog);
     let n = history.len();
     kernel.assess(0..n, kernel.masks().counts(0..n))
 }
@@ -72,7 +69,6 @@ pub fn mi_curve(
 /// One history's MI assessment, ready to run on any window of it.
 pub(crate) struct MiKernel<'a> {
     layout: &'a FileLayout,
-    rates: &'a BillingRates,
     /// MI SKUs whose instance can hold the layout's data, in catalog order.
     candidates: Vec<&'a Sku>,
     /// Bitset of the General Purpose candidates.
@@ -99,7 +95,6 @@ impl<'a> MiKernel<'a> {
         history: &'a PerfHistory,
         layout: &'a FileLayout,
         catalog: &'a Catalog,
-        rates: &'a BillingRates,
     ) -> MiKernel<'a> {
         let total_data = layout.total_gib();
         let candidates: Vec<&Sku> = catalog
@@ -122,7 +117,6 @@ impl<'a> MiKernel<'a> {
             .collect();
         MiKernel {
             layout,
-            rates,
             masks: ExceedanceMasks::new(history, &caps),
             candidates,
             gp,
@@ -195,7 +189,7 @@ impl<'a> MiKernel<'a> {
     /// A candidate's monthly cost under a storage assignment.
     fn monthly(&self, sku: &Sku, storage: &TierAssignment) -> f64 {
         match sku.tier {
-            ServiceTier::GeneralPurpose => self.rates.monthly_with_storage(sku, storage),
+            ServiceTier::GeneralPurpose => sku.monthly_cost() + storage.monthly_storage_cost(),
             // BC uses local SSD: SKU-constant IO, no premium-disk rent.
             ServiceTier::BusinessCritical => sku.monthly_cost(),
         }
@@ -259,8 +253,7 @@ mod tests {
     fn paper_example_three_small_files() {
         // Three files on 128 GB disks -> 3 x P10 -> 1500 IOPS limit.
         let layout = FileLayout::from_sizes(&[100.0, 100.0, 100.0]);
-        let a = mi_curve(&history(vec![1000.0; 20]), &layout, &catalog(), &BillingRates::default())
-            .unwrap();
+        let a = mi_curve(&history(vec![1000.0; 20]), &layout, &catalog()).unwrap();
         assert_eq!(a.storage.tiers, vec![StorageTier::P10; 3]);
         assert_eq!(a.gp_iops_limit, 1500.0);
         assert!(!a.restricted_to_bc);
@@ -269,8 +262,7 @@ mod tests {
     #[test]
     fn io_demand_upgrades_storage_tiers() {
         let layout = FileLayout::from_sizes(&[100.0]);
-        let a = mi_curve(&history(vec![4500.0; 20]), &layout, &catalog(), &BillingRates::default())
-            .unwrap();
+        let a = mi_curve(&history(vec![4500.0; 20]), &layout, &catalog()).unwrap();
         // A single P10 (500 IOPS) cannot serve 4500: expect >= P30.
         assert!(a.storage.tiers[0] >= StorageTier::P30);
         assert!(a.gp_iops_limit >= 0.95 * 4500.0);
@@ -279,9 +271,7 @@ mod tests {
     #[test]
     fn impossible_io_demand_restricts_to_bc() {
         let layout = FileLayout::from_sizes(&[100.0]);
-        let a =
-            mi_curve(&history(vec![60_000.0; 20]), &layout, &catalog(), &BillingRates::default())
-                .unwrap();
+        let a = mi_curve(&history(vec![60_000.0; 20]), &layout, &catalog()).unwrap();
         assert!(a.restricted_to_bc);
         assert!(a.curve.points().iter().all(|p| p.sku_id.contains("BC")));
     }
@@ -289,16 +279,14 @@ mod tests {
     #[test]
     fn oversized_file_yields_none() {
         let layout = FileLayout::from_sizes(&[9_000.0]);
-        assert!(mi_curve(&history(vec![100.0; 5]), &layout, &catalog(), &BillingRates::default())
-            .is_none());
+        assert!(mi_curve(&history(vec![100.0; 5]), &layout, &catalog()).is_none());
     }
 
     #[test]
     fn gp_costs_include_premium_disk_rent() {
         let layout = FileLayout::from_sizes(&[100.0]);
         let cat = catalog();
-        let rates = BillingRates::default();
-        let a = mi_curve(&history(vec![200.0; 20]), &layout, &cat, &rates).unwrap();
+        let a = mi_curve(&history(vec![200.0; 20]), &layout, &cat).unwrap();
         let gp4 = a.curve.point_for("MI_GP_4").expect("GP 4 on curve");
         let compute = cat.get(&"MI_GP_4".into()).unwrap().monthly_cost();
         assert!(
@@ -312,8 +300,7 @@ mod tests {
     fn bc_costs_exclude_premium_disk_rent() {
         let layout = FileLayout::from_sizes(&[100.0]);
         let cat = catalog();
-        let a =
-            mi_curve(&history(vec![200.0; 20]), &layout, &cat, &BillingRates::default()).unwrap();
+        let a = mi_curve(&history(vec![200.0; 20]), &layout, &cat).unwrap();
         let bc4 = a.curve.point_for("MI_BC_4").expect("BC 4 on curve");
         let compute = cat.get(&"MI_BC_4".into()).unwrap().monthly_cost();
         assert!((bc4.monthly_cost - compute).abs() < 1e-6);
@@ -323,8 +310,7 @@ mod tests {
     fn instances_too_small_for_the_data_are_excluded() {
         // 3 TB of data excludes SKUs whose max_data_gb is below it.
         let layout = FileLayout::from_sizes(&[1500.0, 1500.0]);
-        let a = mi_curve(&history(vec![500.0; 10]), &layout, &catalog(), &BillingRates::default())
-            .unwrap();
+        let a = mi_curve(&history(vec![500.0; 10]), &layout, &catalog()).unwrap();
         let cat = catalog();
         for p in a.curve.points() {
             let sku = cat.get(&doppler_catalog::SkuId(p.sku_id.clone())).unwrap();
@@ -346,8 +332,7 @@ mod tests {
         let history = history(iops).with(PerfDimension::Cpu, TimeSeries::ten_minute(vec![6.0; n]));
         let layout = FileLayout::from_sizes(&[100.0]);
         let catalog = catalog();
-        let rates = BillingRates::default();
-        let a = mi_curve(&history, &layout, &catalog, &rates).unwrap();
+        let a = mi_curve(&history, &layout, &catalog).unwrap();
         assert_eq!((a.storage.tiers.clone(), a.restricted_to_bc), (vec![StorageTier::P30], false));
         let scalar = |id: &str| {
             let sku = catalog.get(&id.into()).unwrap();
@@ -364,7 +349,7 @@ mod tests {
         assert_eq!(a.curve.point_for("MI_GP_8").unwrap().raw_score, 0.75);
 
         // The window path adjusts the same counts.
-        let mut kernel = MiKernel::new(&history, &layout, &catalog, &rates);
+        let mut kernel = MiKernel::new(&history, &layout, &catalog);
         let mut counts = kernel.masks().counts(0..n);
         let (candidates, order) = kernel.window(0..n, &mut counts).unwrap();
         assert_eq!(order.len(), candidates.len());
@@ -384,7 +369,7 @@ mod tests {
             iops[i] = 7_000.0;
         }
         let layout = FileLayout::from_sizes(&[100.0]);
-        let a = mi_curve(&history(iops), &layout, &catalog(), &BillingRates::default()).unwrap();
+        let a = mi_curve(&history(iops), &layout, &catalog()).unwrap();
         // Storage upgraded to satisfy >= 95% of the 7000 peak -> P40 (7500).
         assert!(a.gp_iops_limit >= 6650.0);
         // All GP SKUs share the same layout-derived IOPS cap.

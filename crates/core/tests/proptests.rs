@@ -5,16 +5,16 @@ use std::sync::OnceLock;
 
 use doppler_catalog::{
     azure_paas_catalog, Catalog, CatalogSpec, DeploymentType, FileLayout, ResourceCaps,
-    ServiceTier, Sku, SkuId,
+    ServiceTier, SkuId,
 };
 use doppler_core::engine::profiled_dimensions;
 use doppler_core::matching::{select_for_p, select_with_slack};
 use doppler_core::throttling::{throttled_fraction, BoundaryCounts, ExceedanceMasks};
 use doppler_core::{
-    confidence_score, detect_drift, mi_curve, throttling_probability, BaselineStrategy,
-    ConfidenceConfig, DopplerEngine, DriftReport, EngineConfig, GroupModel, GroupingStrategy,
-    NegotiabilityStrategy, PricePerformanceCurve, Recommendation, RecommendationBackend,
-    ThrottleBreakdown, TrainingRecord,
+    confidence_score, mi_curve, throttling_probability, BaselineStrategy, ConfidenceConfig,
+    DopplerEngine, EngineConfig, GroupModel, GroupingStrategy, NegotiabilityStrategy,
+    PricePerformanceCurve, Recommendation, RecommendationBackend, ThrottleBreakdown,
+    TrainingRecord,
 };
 use doppler_stats::BootstrapWindows;
 use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
@@ -523,8 +523,7 @@ proptest! {
         let history = maybe_tie_iops(&mut rng, history);
         let layout = random_layout(&mut rng);
         let catalog = engine(DeploymentType::SqlMi).catalog();
-        let rates = Default::default();
-        let a = mi_curve(&history, &layout, catalog, &rates).expect("files fit a premium disk");
+        let a = mi_curve(&history, &layout, catalog).expect("files fit a premium disk");
         for point in a.curve.points() {
             let sku = catalog.get(&SkuId(point.sku_id.clone())).expect("catalog SKU");
             let mut caps = sku.caps;
@@ -563,7 +562,7 @@ fn mi_windows_move_the_storage_tiers() {
     let mut restricted = false;
     for w in BootstrapWindows::generate(n, 300, 30, 4).windows() {
         let window = history.window(w.start, w.end);
-        let a = mi_curve(&window, &layout, catalog, &Default::default()).unwrap();
+        let a = mi_curve(&window, &layout, catalog).unwrap();
         restricted |= a.restricted_to_bc;
         if !limits.contains(&a.gp_iops_limit) {
             limits.push(a.gp_iops_limit);
@@ -572,30 +571,6 @@ fn mi_windows_move_the_storage_tiers() {
     assert!(limits.len() >= 3, "windows hit only GP IOPS limits {limits:?}");
     assert!(restricted, "no window was restricted to Business Critical");
     assert_confidence_matches(engine, &history, Some(&layout), &config);
-}
-
-/// The drift probe as it was first written: copy both halves with
-/// `split_at`, generate each curve from scratch and select at zero group
-/// tolerance.
-fn drift_oracle(history: &PerfHistory, change_point: usize, skus: &[&Sku]) -> DriftReport {
-    let (before, after) = doppler_telemetry::split_at(history, change_point);
-    let before_curve = PricePerformanceCurve::generate(&before, skus);
-    let after_curve = PricePerformanceCurve::generate(&after, skus);
-    let before_sku = select_for_p(&before_curve, 0.0).map(|p| p.sku_id.clone());
-    let after_sku = select_for_p(&after_curve, 0.0).map(|p| p.sku_id.clone());
-    let throttle_if_unchanged = before_sku
-        .as_ref()
-        .and_then(|id| after_curve.point_for(id))
-        .map(|p| 1.0 - p.raw_score)
-        .unwrap_or(0.0);
-    DriftReport {
-        changed: before_sku != after_sku,
-        before_curve,
-        after_curve,
-        before_sku,
-        after_sku,
-        throttle_if_unchanged,
-    }
 }
 
 /// Sample ranges of an `n`-sample history: empty ones (at the start, the
@@ -611,32 +586,6 @@ fn ranges(rng: &mut Rng, n: usize) -> Vec<Range<usize>> {
         }
     }
     ranges
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn drift_masks_match_the_split_histories(seed in 0u64..u64::MAX) {
-        let mut rng = Rng(seed);
-        let n = rng.below(400);
-        let history = if rng.below(8) == 0 {
-            kernel_case(seed).0
-        } else {
-            let history = workload(&mut rng, n);
-            maybe_tie_iops(&mut rng, history)
-        };
-        let deployment = [DeploymentType::SqlDb, DeploymentType::SqlMi][rng.below(2)];
-        let catalog = engine(deployment).catalog();
-        let skus = catalog.for_deployment(deployment);
-        let skus = &skus[..rng.below(skus.len() + 1)];
-        let len = history.len();
-        // Change points inside, on both ends, and past the end (clamped).
-        let change_point = [0, len, len + 1 + rng.below(50), rng.below(len + 1)][rng.below(4)];
-        let got = detect_drift(&history, change_point, skus);
-        let want = drift_oracle(&history, change_point, skus);
-        prop_assert_eq!(got, want);
-    }
 }
 
 proptest! {

@@ -11,9 +11,9 @@
 //!    fleet run via [`DriftMonitor::watch_assessment`]);
 //! 2. **observe** — stage each customer's freshest telemetry window as it
 //!    arrives;
-//! 3. **tick** — per month (or on demand), stitch every staged window onto
-//!    its baseline and run [`detect_drift`] through the shared
-//!    [`FleetService`] worker pool, folding the per-customer
+//! 3. **tick** — per month (or on demand), compare every staged window with
+//!    its baseline window — [`detect_drift`] on the two, through the shared
+//!    [`FleetService`] worker pool — folding the per-customer
 //!    [`DriftOutcome`]s — in registration order, so every aggregate is
 //!    bit-for-bit identical for any worker count — into a
 //!    [`FleetDriftReport`] with per-region and per-deployment roll-ups;
@@ -63,9 +63,10 @@ use crate::assessor::{AssessmentError, EngineSet, FleetAssessor, FleetRequest, F
 use crate::report::{bar_row, render_attention_list, FleetReport};
 use crate::service::{FleetService, Ticket};
 
-/// One drift check, shipped to the worker pool: a customer's stitched
-/// history (baseline ++ fresh window), the change point between the two,
-/// and where to price the verdict.
+/// One drift check, shipped to the worker pool: a customer's baseline
+/// window, its fresh window, and where to price the verdict. The probe
+/// shares both windows with the monitor, so submitting one copies no
+/// telemetry.
 #[derive(Debug, Clone)]
 pub struct DriftProbe {
     /// The customer being checked (labels the outcome).
@@ -74,10 +75,10 @@ pub struct DriftProbe {
     /// Price the check against this exact offer catalog; `None` = the
     /// deployment's default route (same resolution as assessment).
     pub catalog_key: Option<CatalogKey>,
-    /// Baseline window ++ fresh window.
-    pub history: PerfHistory,
-    /// First sample of the fresh window.
-    pub change_point: usize,
+    /// The window the standing recommendation was made on.
+    pub baseline: Arc<PerfHistory>,
+    /// The freshest telemetry window.
+    pub fresh: Arc<PerfHistory>,
 }
 
 /// What one drift check concluded.
@@ -88,8 +89,10 @@ pub enum DriftVerdict {
     /// The recommendation moved: the workload outgrew (or shrank out of)
     /// its SKU.
     Drifted,
-    /// No verdict: one of the windows produced no selection, or the check
-    /// itself failed (no route, panic) — see [`DriftOutcome::error`].
+    /// No verdict: the fresh window was empty or collected other
+    /// dimensions than the baseline, one of the windows produced no
+    /// selection, or the check itself failed (no route, panic) — see
+    /// [`DriftOutcome::error`].
     Inconclusive,
 }
 
@@ -151,7 +154,7 @@ impl DriftOutcome {
 /// of a drift check. Panics and resolution failures become
 /// [`DriftVerdict::Inconclusive`] outcomes instead of killing the worker.
 pub(crate) fn evaluate_probe(engines: &EngineSet, index: usize, probe: DriftProbe) -> DriftOutcome {
-    let DriftProbe { customer, deployment, catalog_key, history, change_point } = probe;
+    let DriftProbe { customer, deployment, catalog_key, baseline, fresh } = probe;
     let region = catalog_key.as_ref().map(|k| k.region.clone()).unwrap_or_else(Region::global);
     // Drift checks are not assessments: their resolution stays out of
     // `fleet.stage.resolve`.
@@ -160,7 +163,7 @@ pub(crate) fn evaluate_probe(engines: &EngineSet, index: usize, probe: DriftProb
         // scaled by the provider), so the drift verdict is priced in the
         // customer's own region.
         let skus = pipeline.backend().catalog().for_deployment(deployment);
-        detect_drift(&history, change_point, &skus)
+        detect_drift(&baseline, &fresh, &skus)
     });
     let report = match evaluated {
         Ok(report) => report,
@@ -418,8 +421,9 @@ pub struct MonitoredCustomer {
     /// Price drift checks and re-assessments against this exact offer
     /// catalog; `None` = the deployment's default route.
     pub catalog_key: Option<CatalogKey>,
-    /// The window the standing recommendation was made on.
-    pub baseline: PerfHistory,
+    /// The window the standing recommendation was made on, shared with
+    /// the drift probes that compare against it.
+    pub baseline: Arc<PerfHistory>,
     /// The standing recommendation, when known (display only — verdicts
     /// compare the baseline window's own selection against the fresh
     /// window's).
@@ -444,7 +448,7 @@ impl MonitoredCustomer {
             name: name.into(),
             deployment,
             catalog_key: None,
-            baseline,
+            baseline: Arc::new(baseline),
             baseline_sku: None,
             baseline_cost: None,
             file_sizes_gib: Vec::new(),
@@ -456,17 +460,6 @@ impl MonitoredCustomer {
     pub fn with_catalog_key(mut self, key: CatalogKey) -> MonitoredCustomer {
         self.deployment = key.deployment;
         self.catalog_key = Some(key);
-        self
-    }
-
-    /// Record the standing recommendation.
-    pub fn with_recommendation(
-        mut self,
-        sku: impl Into<String>,
-        monthly_cost: Option<f64>,
-    ) -> MonitoredCustomer {
-        self.baseline_sku = Some(sku.into());
-        self.baseline_cost = monthly_cost;
         self
     }
 
@@ -521,10 +514,20 @@ impl MonitoredCustomer {
     }
 }
 
+/// Why `fresh` cannot be compared with `baseline`: it holds no samples,
+/// or it collects another set of dimensions. `None` when it can.
+fn incomparable(baseline: &PerfHistory, fresh: &PerfHistory) -> Option<String> {
+    if fresh.is_empty() {
+        return Some("fresh window is empty".to_string());
+    }
+    let (want, got) = (baseline.dimensions(), fresh.dimensions());
+    (want != got).then(|| format!("fresh window misaligned with its baseline: {got:?} vs {want:?}"))
+}
+
 struct Watched {
     customer: MonitoredCustomer,
     /// The freshest telemetry window staged by `observe`, if any.
-    fresh: Option<PerfHistory>,
+    fresh: Option<Arc<PerfHistory>>,
 }
 
 /// What one processed catalog roll did to the monitored fleet
@@ -668,7 +671,7 @@ impl DriftMonitor {
     pub fn observe(&mut self, name: &str, fresh: PerfHistory) -> bool {
         match self.slots.get(name) {
             Some(&slot) => {
-                self.watched[slot].fresh = Some(fresh);
+                self.watched[slot].fresh = Some(Arc::new(fresh));
                 true
             }
             None => false,
@@ -690,8 +693,11 @@ impl DriftMonitor {
     /// fan the drift checks out across the service's workers, fold the
     /// outcomes in registration order, re-queue the drifted customers
     /// through the priority lane, and roll their baselines forward to the
-    /// fresh window. Deterministic: the same staged windows produce the
-    /// same [`DriftPass`] for any worker count.
+    /// fresh window. A fresh window with no samples, or with another
+    /// dimension set than its baseline, gets no probe: it reads as
+    /// [`DriftVerdict::Inconclusive`], and the customer's baseline and
+    /// standing SKU stay as they were. Deterministic: the same staged
+    /// windows produce the same [`DriftPass`] for any worker count.
     pub fn tick(&mut self, month: &str) -> DriftPass {
         // Write-aside pass instrumentation, through the service's shared
         // registry — all no-ops unless the service was built with
@@ -704,28 +710,24 @@ impl DriftMonitor {
 
         // Phase 1: submit every staged check, in registration order. The
         // fresh window is kept aside — the drifted subset re-assesses on
-        // it and rolls its baseline forward to it. A fresh window whose
-        // dimension schema no longer matches the baseline (a collector
-        // dropped a counter) cannot be stitched; it becomes an immediate
-        // Inconclusive outcome instead of killing the pass for everyone.
+        // it and rolls its baseline forward to it. A fresh window that
+        // cannot be compared with its baseline (no samples, or a collector
+        // dropped or added a counter) becomes an immediate Inconclusive
+        // outcome instead of a verdict or a failed pass.
         enum Pending {
-            InFlight(usize, PerfHistory, Ticket<DriftOutcome>),
+            InFlight(usize, Arc<PerfHistory>, Ticket<DriftOutcome>),
             Immediate(DriftOutcome),
         }
         let mut pending = Vec::new();
         for (slot, w) in self.watched.iter_mut().enumerate() {
             let Some(fresh) = w.fresh.take() else { continue };
-            let baseline = &w.customer.baseline;
-            let missing = (!fresh.is_empty())
-                .then(|| baseline.iter().map(|(d, _)| d).find(|&d| fresh.get(d).is_none()))
-                .flatten();
-            if let Some(dim) = missing {
+            if let Some(reason) = incomparable(&w.customer.baseline, &fresh) {
                 pending.push(Pending::Immediate(DriftOutcome::inconclusive(
                     0, // re-indexed at collection
                     w.customer.name.clone(),
                     w.customer.deployment,
                     w.customer.region(),
-                    format!("fresh window misaligned with its baseline: no {dim}"),
+                    reason,
                 )));
                 continue;
             }
@@ -733,8 +735,8 @@ impl DriftMonitor {
                 customer: w.customer.name.clone(),
                 deployment: w.customer.deployment,
                 catalog_key: w.customer.catalog_key.clone(),
-                history: doppler_telemetry::concat(baseline, &fresh),
-                change_point: baseline.len(),
+                baseline: Arc::clone(&w.customer.baseline),
+                fresh: Arc::clone(&fresh),
             };
             match self.service.submit_drift(probe) {
                 Ok(ticket) => pending.push(Pending::InFlight(slot, fresh, ticket)),
@@ -887,14 +889,14 @@ impl DriftMonitor {
     fn reassess(
         &mut self,
         month: &str,
-        slots: Vec<(usize, Option<PerfHistory>)>,
+        slots: Vec<(usize, Option<Arc<PerfHistory>>)>,
         depth: &Gauge,
     ) -> Vec<FleetResult> {
         let pending: Vec<_> = slots
             .into_iter()
             .map(|(slot, fresh)| {
                 let customer = &self.watched[slot].customer;
-                let history = fresh.as_ref().unwrap_or(&customer.baseline).clone();
+                let history = PerfHistory::clone(fresh.as_ref().unwrap_or(&customer.baseline));
                 let ticket = self.service.submit(customer.reassessment(history, month)).ok();
                 if ticket.is_some() {
                     depth.add(1);
@@ -991,10 +993,10 @@ mod tests {
     #[test]
     fn grown_customers_drift_and_requeue_while_steady_ones_hold() {
         let mut monitor = monitor(2);
-        monitor.watch(
-            MonitoredCustomer::new("grower", DeploymentType::SqlDb, window(0.5, 96))
-                .with_recommendation("DB_GP_2", Some(100.0)),
-        );
+        let mut grower = MonitoredCustomer::new("grower", DeploymentType::SqlDb, window(0.5, 96));
+        grower.baseline_sku = Some("DB_GP_2".into());
+        grower.baseline_cost = Some(100.0);
+        monitor.watch(grower);
         monitor.watch(MonitoredCustomer::new("steady", DeploymentType::SqlDb, window(0.5, 96)));
         assert_eq!(monitor.watched(), 2);
         assert!(monitor.observe("grower", window(7.0, 96)));
@@ -1106,29 +1108,58 @@ mod tests {
 
     #[test]
     fn schema_mismatched_fresh_windows_are_inconclusive_not_fatal() {
-        use doppler_telemetry::TimeSeries;
         let mut monitor = monitor(2);
-        monitor.watch(MonitoredCustomer::new("broken", DeploymentType::SqlDb, window(0.5, 48)));
-        monitor.watch(MonitoredCustomer::new("fine", DeploymentType::SqlDb, window(0.5, 48)));
-        // The collector stopped reporting IoLatency: the fresh window no
-        // longer matches the baseline's schema and cannot be stitched.
-        let partial =
+        for name in ["dropped", "added", "fine"] {
+            monitor.watch(MonitoredCustomer::new(name, DeploymentType::SqlDb, window(0.5, 48)));
+        }
+        // The collector stopped reporting IoLatency for one customer and
+        // started reporting Memory for another: neither fresh window
+        // collects its baseline's dimensions any more.
+        let dropped =
             PerfHistory::new().with(PerfDimension::Cpu, TimeSeries::ten_minute(vec![0.5; 48]));
-        monitor.observe("broken", partial);
+        let added =
+            window(7.0, 48).with(PerfDimension::Memory, TimeSeries::ten_minute(vec![1.0; 48]));
+        monitor.observe("dropped", dropped);
+        monitor.observe("added", added);
         monitor.observe("fine", window(0.5, 48));
         let pass = monitor.tick("Aug-22");
-        assert_eq!(pass.report.checked, 2, "the pass survives the broken window");
-        assert_eq!(pass.report.inconclusive, 1);
+        assert_eq!(pass.report.checked, 3, "the pass survives the broken windows");
+        assert_eq!(pass.report.inconclusive, 2);
         assert_eq!(pass.report.stable, 1);
-        assert_eq!(pass.outcomes[0].customer, "broken");
-        assert_eq!(pass.outcomes[0].verdict, DriftVerdict::Inconclusive);
-        assert!(pass.outcomes[0].error.as_ref().unwrap().contains("misaligned"));
+        assert!(pass.reassessments.is_empty());
+        for (outcome, name) in pass.outcomes.iter().zip(["dropped", "added"]) {
+            assert_eq!(outcome.customer, name);
+            assert_eq!(outcome.verdict, DriftVerdict::Inconclusive);
+            assert!(outcome.error.as_ref().unwrap().contains("misaligned"), "{outcome:?}");
+        }
         // Outcome indices are pass positions, including across ticks.
-        assert_eq!(pass.outcomes[0].index, 0);
-        assert_eq!(pass.outcomes[1].index, 1);
+        assert_eq!(pass.outcomes.iter().map(|o| o.index).collect::<Vec<_>>(), [0, 1, 2]);
         monitor.observe("fine", window(0.5, 48));
         let second = monitor.tick("Sep-22");
         assert_eq!(second.outcomes[0].index, 0);
+    }
+
+    #[test]
+    fn empty_fresh_windows_are_inconclusive_and_keep_the_baseline() {
+        let mut monitor = monitor(2);
+        let mut customer = MonitoredCustomer::new("quiet", DeploymentType::SqlDb, window(5.0, 96));
+        customer.baseline_sku = Some("DB_GP_6".into());
+        monitor.watch(customer);
+        // No samples at all, and the baseline's dimensions with no samples.
+        for (month, empty) in [("Jun-23", PerfHistory::new()), ("Jul-23", window(5.0, 0))] {
+            monitor.observe("quiet", empty);
+            let pass = monitor.tick(month);
+            assert_eq!(pass.report.inconclusive, 1, "{month}");
+            assert_eq!(pass.outcomes[0].verdict, DriftVerdict::Inconclusive);
+            assert!(pass.outcomes[0].error.as_ref().unwrap().contains("empty"));
+            assert!(pass.reassessments.is_empty(), "nothing re-assesses on zero samples");
+            let kept = &monitor.watched[0].customer;
+            assert_eq!(kept.baseline.len(), 96, "the baseline stays");
+            assert_eq!(kept.baseline_sku.as_deref(), Some("DB_GP_6"), "the standing SKU stays");
+        }
+        // The baseline still judges: the same workload again is stable.
+        monitor.observe("quiet", window(5.0, 96));
+        assert_eq!(monitor.tick("Aug-23").outcomes[0].verdict, DriftVerdict::Stable);
     }
 
     #[test]
@@ -1279,11 +1310,11 @@ mod tests {
 
         let west = Region::new("westeurope");
         let old_key = CatalogKey::production(DeploymentType::SqlDb).in_region(west.clone());
-        monitor.watch(
-            MonitoredCustomer::new("west-a", DeploymentType::SqlDb, window(0.5, 48))
-                .with_catalog_key(old_key.clone())
-                .with_recommendation("DB_GP_2", Some(100.0)),
-        );
+        let mut west_a = MonitoredCustomer::new("west-a", DeploymentType::SqlDb, window(0.5, 48))
+            .with_catalog_key(old_key.clone());
+        west_a.baseline_sku = Some("DB_GP_2".into());
+        west_a.baseline_cost = Some(100.0);
+        monitor.watch(west_a);
         monitor.watch(MonitoredCustomer::new("global-b", DeploymentType::SqlDb, window(0.5, 48)));
         monitor.watch(
             MonitoredCustomer::new("west-c", DeploymentType::SqlDb, window(0.5, 48))
@@ -1468,10 +1499,10 @@ mod tests {
     #[test]
     fn rewatching_replaces_the_baseline_and_keeps_pass_order() {
         let mut monitor = monitor(2);
-        monitor.watch(
-            MonitoredCustomer::new("a", DeploymentType::SqlDb, window(0.5, 96))
-                .with_recommendation("DB_GP_2", Some(100.0)),
-        );
+        let mut a = MonitoredCustomer::new("a", DeploymentType::SqlDb, window(0.5, 96));
+        a.baseline_sku = Some("DB_GP_2".into());
+        a.baseline_cost = Some(100.0);
+        monitor.watch(a);
         monitor.watch(MonitoredCustomer::new("b", DeploymentType::SqlDb, window(0.5, 96)));
 
         // Re-watch "a" with a *grown* baseline: the slot must be replaced

@@ -791,18 +791,19 @@ mod tests {
     fn drift_probes_ride_the_pool_without_entering_the_aggregate() {
         use crate::drift::{DriftProbe, DriftVerdict};
         let service = service(2);
-        let history = PerfHistory::new()
-            .with(
-                PerfDimension::Cpu,
-                TimeSeries::ten_minute([vec![0.5; 48], vec![7.0; 48]].concat()),
+        let window = |cpu: f64| {
+            Arc::new(
+                PerfHistory::new()
+                    .with(PerfDimension::Cpu, TimeSeries::ten_minute(vec![cpu; 48]))
+                    .with(PerfDimension::IoLatency, TimeSeries::ten_minute(vec![6.0; 48])),
             )
-            .with(PerfDimension::IoLatency, TimeSeries::ten_minute(vec![6.0; 96]));
+        };
         let probe = DriftProbe {
             customer: "c-1".into(),
             deployment: DeploymentType::SqlDb,
             catalog_key: None,
-            history,
-            change_point: 48,
+            baseline: window(0.5),
+            fresh: window(7.0),
         };
         let mut ticket = service.submit_drift(probe.clone()).unwrap();
         assert_eq!(ticket.index(), 0);
@@ -830,17 +831,19 @@ mod tests {
         let obs = ObsRegistry::enabled();
         let service =
             FleetAssessor::production(FleetConfig::with_workers(2)).with_obs(&obs).into_service();
+        let window = |cpu: f64| {
+            Arc::new(
+                PerfHistory::new()
+                    .with(PerfDimension::Cpu, TimeSeries::ten_minute(vec![cpu; 48]))
+                    .with(PerfDimension::IoLatency, TimeSeries::ten_minute(vec![6.0; 48])),
+            )
+        };
         let probe = |customer: &str, fresh_cpu: f64| DriftProbe {
             customer: customer.into(),
             deployment: DeploymentType::SqlDb,
             catalog_key: None,
-            history: PerfHistory::new()
-                .with(
-                    PerfDimension::Cpu,
-                    TimeSeries::ten_minute([vec![0.5; 48], vec![fresh_cpu; 48]].concat()),
-                )
-                .with(PerfDimension::IoLatency, TimeSeries::ten_minute(vec![6.0; 96])),
-            change_point: 48,
+            baseline: window(0.5),
+            fresh: window(fresh_cpu),
         };
         let tickets: Vec<Ticket<DriftOutcome>> = [("grown", 7.0), ("steady", 0.5)]
             .into_iter()

@@ -46,10 +46,6 @@ impl PerfDimension {
         PerfDimension::Storage,
     ];
 
-    /// The four dimensions every assessment collects (§3.2).
-    pub const CORE: [PerfDimension; 4] =
-        [PerfDimension::Cpu, PerfDimension::Memory, PerfDimension::Iops, PerfDimension::IoLatency];
-
     /// True for dimensions where *smaller* observed values are more
     /// demanding (IO latency). Eq. 1 compares these via their inverse.
     pub fn inverted(&self) -> bool {
@@ -152,15 +148,6 @@ impl PerfHistory {
     pub fn iter(&self) -> impl Iterator<Item = (PerfDimension, &TimeSeries)> {
         self.series.iter().map(|(d, s)| (*d, s))
     }
-
-    /// Contiguous sub-history over a sample range (used by bootstrapping).
-    pub fn window(&self, start: usize, end: usize) -> PerfHistory {
-        let mut out = PerfHistory::new();
-        for (dim, s) in self.iter() {
-            out.insert(dim, s.slice(start, end));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -236,19 +223,6 @@ mod tests {
         assert!(PerfDimension::IoLatency.inverted());
         assert!(!PerfDimension::Cpu.inverted());
         assert!(!PerfDimension::LogRate.inverted());
-    }
-
-    #[test]
-    fn core_dimensions_match_paper() {
-        assert_eq!(
-            PerfDimension::CORE,
-            [
-                PerfDimension::Cpu,
-                PerfDimension::Memory,
-                PerfDimension::Iops,
-                PerfDimension::IoLatency
-            ]
-        );
     }
 
     #[test]

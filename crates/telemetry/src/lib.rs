@@ -11,8 +11,11 @@
 //! * [`collect`] — the pre-aggregator: bucketing raw, possibly gappy
 //!   samples into clean 10-minute intervals,
 //! * [`mod@rollup`] — file → database → instance aggregation,
-//! * [`mod@window`] — splitting and stitching histories for before/after
-//!   drift comparisons.
+//! * [`mod@window`] — [`PerfHistory::window`], one contiguous window cut
+//!   out of a longer history.
+//!
+//! A before/after drift comparison (§5.2.3) takes its two windows as two
+//! [`PerfHistory`] values.
 
 #![forbid(unsafe_code)]
 
@@ -26,4 +29,3 @@ pub use collect::{PreAggregator, RawSample};
 pub use counters::{PerfDimension, PerfHistory};
 pub use rollup::{rollup, AggregationLevel};
 pub use series::TimeSeries;
-pub use window::{concat, split_at};

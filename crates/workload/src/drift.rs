@@ -8,8 +8,9 @@
 //! original SKU choice of GP 2 cores, they would experience significant
 //! throttling (>40%)."
 //!
-//! A [`DriftSpec`] describes one continuous history whose demand changes at
-//! an onset day: the *direction* of the change (grow or shrink), the
+//! A [`DriftSpec`] describes a workload whose demand changes at an onset
+//! day, and generates its two telemetry windows, before and after the
+//! onset. It sets the *direction* of the change (grow or shrink), the
 //! *magnitude* (demand ratio between the big and small phase; `1.0` means
 //! no change at all — the control cohort), and whether the big phase is
 //! latency-critical (only Business Critical SKUs host it). The original
@@ -27,22 +28,10 @@ use crate::spec::{DimensionProfile, WorkloadSpec};
 /// A workload whose resource needs changed mid-assessment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftScenario {
-    /// The full history (before ++ after).
-    pub history: PerfHistory,
-    /// Sample index of the change point.
-    pub change_point: usize,
-}
-
-impl DriftScenario {
-    /// The history before the change.
-    pub fn before(&self) -> PerfHistory {
-        self.history.window(0, self.change_point)
-    }
-
-    /// The history after the change.
-    pub fn after(&self) -> PerfHistory {
-        self.history.window(self.change_point, self.history.len())
-    }
+    /// The telemetry before the change.
+    pub before: PerfHistory,
+    /// The telemetry after the change.
+    pub after: PerfHistory,
 }
 
 /// Which way demand moves at the onset.
@@ -72,18 +61,19 @@ pub enum DriftDirection {
 ///     ..DriftSpec::default()
 /// };
 /// let scenario = spec.scenario(17);
-/// assert_eq!(scenario.change_point, 3 * 144);
-/// assert_eq!(scenario.history.len(), 7 * 144);
+/// assert_eq!(scenario.before.len(), 3 * 144);
+/// assert_eq!(scenario.after.len(), 4 * 144);
 /// // magnitude 1.0 is the control: statistically identical phases.
 /// let control = DriftSpec { magnitude: 1.0, ..spec };
-/// assert!(control.scenario(17).history.len() == 7 * 144);
+/// assert_eq!(control.scenario(17).after.len(), 4 * 144);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DriftSpec {
     pub direction: DriftDirection,
     /// Total window length, days.
     pub days: f64,
-    /// Day the change hits (the change point; clamped into `(0, days)`).
+    /// Day the change hits, where `before` ends and `after` begins
+    /// (clamped into `[0, days]`).
     pub onset_day: f64,
     /// Demand ratio big-phase / small-phase (`1.0` = no injected drift).
     pub magnitude: f64,
@@ -147,10 +137,10 @@ impl DriftSpec {
             drifts && self.latency_critical && big_is_after,
         );
 
-        let before = generate(&before_spec, seed);
-        let after = generate(&after_spec, seed ^ 0xD1F7);
-        let change_point = before.len();
-        DriftScenario { history: doppler_telemetry::concat(&before, &after), change_point }
+        DriftScenario {
+            before: generate(&before_spec, seed),
+            after: generate(&after_spec, seed ^ 0xD1F7),
+        }
     }
 
     /// One phase's workload spec at `scale`. At scale 1.0 this is the
@@ -204,31 +194,31 @@ mod tests {
     #[test]
     fn change_point_splits_evenly() {
         let s = drift_scenario(7.0, 1);
-        assert_eq!(s.change_point, 7 * 144);
-        assert_eq!(s.history.len(), 14 * 144);
-        assert_eq!(s.before().len(), s.after().len());
+        assert_eq!(s.before.len(), 7 * 144);
+        assert_eq!(s.after.len(), 7 * 144);
+        assert_eq!(s.before.dimensions(), s.after.dimensions());
     }
 
     #[test]
     fn demand_steps_up_after_change() {
         let s = drift_scenario(5.0, 2);
-        let cpu_before = mean(s.before().values(PerfDimension::Cpu).unwrap());
-        let cpu_after = mean(s.after().values(PerfDimension::Cpu).unwrap());
+        let cpu_before = mean(s.before.values(PerfDimension::Cpu).unwrap());
+        let cpu_after = mean(s.after.values(PerfDimension::Cpu).unwrap());
         assert!(cpu_after > 3.0 * cpu_before, "{cpu_before} -> {cpu_after}");
     }
 
     #[test]
     fn latency_tightens_after_change() {
         let s = drift_scenario(5.0, 3);
-        let lat_before = mean(s.before().values(PerfDimension::IoLatency).unwrap());
-        let lat_after = mean(s.after().values(PerfDimension::IoLatency).unwrap());
+        let lat_before = mean(s.before.values(PerfDimension::IoLatency).unwrap());
+        let lat_after = mean(s.after.values(PerfDimension::IoLatency).unwrap());
         assert!(lat_before > 5.0);
         assert!(lat_after < 1.5);
     }
 
     #[test]
     fn scenario_is_deterministic() {
-        assert_eq!(drift_scenario(3.0, 9).history, drift_scenario(3.0, 9).history);
+        assert_eq!(drift_scenario(3.0, 9), drift_scenario(3.0, 9));
         let spec = DriftSpec { magnitude: 2.5, ..DriftSpec::figure11(2.0) };
         assert_eq!(spec.scenario(4), spec.scenario(4));
     }
@@ -238,13 +228,11 @@ mod tests {
         // Phase 1 demand stays within GP 2's caps (2 vCores, 640 IOPS);
         // phase 2 blows through them.
         let s = drift_scenario(5.0, 4);
-        let iops_before = s.before();
-        let iops_before = iops_before.values(PerfDimension::Iops).unwrap();
+        let iops_before = s.before.values(PerfDimension::Iops).unwrap();
         let exceed_before =
             iops_before.iter().filter(|&&v| v > 640.0).count() as f64 / iops_before.len() as f64;
         assert!(exceed_before < 0.01, "before-phase exceedance {exceed_before}");
-        let after = s.after();
-        let iops_after = after.values(PerfDimension::Iops).unwrap();
+        let iops_after = s.after.values(PerfDimension::Iops).unwrap();
         let exceed_after =
             iops_after.iter().filter(|&&v| v > 640.0).count() as f64 / iops_after.len() as f64;
         assert!(exceed_after > 0.99, "after-phase exceedance {exceed_after}");
@@ -254,8 +242,8 @@ mod tests {
     fn onset_day_places_the_change_point() {
         let spec = DriftSpec { days: 5.0, onset_day: 1.0, ..DriftSpec::figure11(1.0) };
         let s = spec.scenario(5);
-        assert_eq!(s.change_point, 144);
-        assert_eq!(s.history.len(), 5 * 144);
+        assert_eq!(s.before.len(), 144);
+        assert_eq!(s.after.len(), 4 * 144);
     }
 
     #[test]
@@ -269,12 +257,12 @@ mod tests {
             latency_critical: true,
         };
         let s = spec.scenario(6);
-        let cpu_before = mean(s.before().values(PerfDimension::Cpu).unwrap());
-        let cpu_after = mean(s.after().values(PerfDimension::Cpu).unwrap());
+        let cpu_before = mean(s.before.values(PerfDimension::Cpu).unwrap());
+        let cpu_after = mean(s.after.values(PerfDimension::Cpu).unwrap());
         assert!(cpu_before > 3.0 * cpu_after, "{cpu_before} -> {cpu_after}");
         // Shrink: the latency-critical phase is the *before* one.
-        let lat_before = mean(s.before().values(PerfDimension::IoLatency).unwrap());
-        let lat_after = mean(s.after().values(PerfDimension::IoLatency).unwrap());
+        let lat_before = mean(s.before.values(PerfDimension::IoLatency).unwrap());
+        let lat_after = mean(s.after.values(PerfDimension::IoLatency).unwrap());
         assert!(lat_before < 1.5);
         assert!(lat_after > 5.0);
     }
@@ -284,13 +272,13 @@ mod tests {
         let control = DriftSpec::figure11(1.0).control();
         assert_eq!(control.magnitude, 1.0);
         let s = control.scenario(8);
-        let cpu_before = mean(s.before().values(PerfDimension::Cpu).unwrap());
-        let cpu_after = mean(s.after().values(PerfDimension::Cpu).unwrap());
+        let cpu_before = mean(s.before.values(PerfDimension::Cpu).unwrap());
+        let cpu_after = mean(s.after.values(PerfDimension::Cpu).unwrap());
         assert!((cpu_before - cpu_after).abs() < 0.1, "{cpu_before} vs {cpu_after}");
         // Even with latency_critical set, magnitude 1.0 means no big phase
         // and therefore no latency flip.
         let same = DriftSpec { magnitude: 1.0, ..DriftSpec::figure11(1.0) }.scenario(8);
-        let lat_after = mean(same.after().values(PerfDimension::IoLatency).unwrap());
+        let lat_after = mean(same.after.values(PerfDimension::IoLatency).unwrap());
         assert!(lat_after > 5.0);
     }
 
@@ -298,7 +286,7 @@ mod tests {
     fn base_scale_sizes_both_phases() {
         let small = DriftSpec { base_scale: 0.5, ..DriftSpec::figure11(1.0) }.scenario(9);
         let big = DriftSpec { base_scale: 2.0, ..DriftSpec::figure11(1.0) }.scenario(9);
-        let mean_cpu = |s: &DriftScenario| mean(s.before().values(PerfDimension::Cpu).unwrap());
+        let mean_cpu = |s: &DriftScenario| mean(s.before.values(PerfDimension::Cpu).unwrap());
         assert!(mean_cpu(&big) > 3.0 * mean_cpu(&small));
     }
 }

@@ -28,9 +28,7 @@
 //! bits from raw series, the modeler must rank SKUs, the group model must
 //! recover the tolerances, and the matcher must invert the choice rule.
 
-use doppler_catalog::{
-    BillingRates, Catalog, DeploymentType, FileLayout, Region, ServiceTier, SkuId,
-};
+use doppler_catalog::{Catalog, DeploymentType, FileLayout, Region, ServiceTier, SkuId};
 use doppler_core::matching::select_with_slack;
 use doppler_core::mi::mi_curve;
 use doppler_core::PricePerformanceCurve;
@@ -200,7 +198,7 @@ impl PopulationSpec {
         // The customer's own price-performance curve — the same one the
         // engine will later regenerate when back-testing.
         let curve = match &file_layout {
-            Some(layout) => mi_curve(&history, layout, catalog, &BillingRates::default())
+            Some(layout) => mi_curve(&history, layout, catalog)
                 .map(|a| a.curve)
                 .unwrap_or_else(|| PricePerformanceCurve::from_scored(vec![])),
             None => {

@@ -61,7 +61,7 @@ fn main() {
         CatalogKey::production(DeploymentType::SqlDb).in_region(Region::new(DRIFTING_REGION));
     let mut requests = Vec::new();
     for i in 0..size {
-        let baseline = spec_for(i, size, false).scenario(77 + i as u64).before();
+        let baseline = spec_for(i, size, false).scenario(77 + i as u64).before;
         let mut request = FleetRequest::new(
             DeploymentType::SqlDb,
             AssessmentRequest::from_history(format!("cust-{i:03}"), baseline, vec![], None),
@@ -97,7 +97,7 @@ fn main() {
             // stable; everyone else keeps drawing fresh control windows.
             let window_seed =
                 if month == "Jan-22" && i >= size / 2 { 2_000 } else { seed } + i as u64;
-            let fresh = spec_for(i, size, drifting).scenario(window_seed).after();
+            let fresh = spec_for(i, size, drifting).scenario(window_seed).after;
             monitor.observe(&format!("cust-{i:03}"), fresh);
         }
         let pass = monitor.tick(month);

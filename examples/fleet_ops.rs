@@ -69,7 +69,7 @@ fn main() {
         CatalogKey::production(DeploymentType::SqlDb).in_region(Region::new(WAVE_REGION));
     let mut requests = Vec::new();
     for i in 0..size {
-        let baseline = spec_for(i, size, false).scenario(131 + i as u64).before();
+        let baseline = spec_for(i, size, false).scenario(131 + i as u64).before;
         let mut request = FleetRequest::new(
             DeploymentType::SqlDb,
             AssessmentRequest::from_history(format!("cust-{i:03}"), baseline, vec![], None),
@@ -91,7 +91,7 @@ fn main() {
     //    re-queue through the priority lane; the pass latency, verdict
     //    counters, and re-queue gauge all land in the obs registry.
     for i in 0..size {
-        let fresh = spec_for(i, size, true).scenario(5_000 + i as u64).after();
+        let fresh = spec_for(i, size, true).scenario(5_000 + i as u64).after;
         monitor.observe(&format!("cust-{i:03}"), fresh);
     }
     let nov = monitor.tick("Nov-22");
@@ -127,7 +127,7 @@ fn main() {
     //    business verdicts first, then where the time went (stage
     //    latencies, queue waits, training counts).
     for i in 0..size {
-        let held = spec_for(i, size, true).scenario(5_000 + i as u64).after();
+        let held = spec_for(i, size, true).scenario(5_000 + i as u64).after;
         monitor.observe(&format!("cust-{i:03}"), held);
     }
     let dec = monitor.tick("Dec-22");

@@ -23,7 +23,6 @@ fn history(iops_level: f64) -> PerfHistory {
 
 fn main() {
     let catalog = azure_paas_catalog(&CatalogSpec::default());
-    let rates = BillingRates::default();
     // The instance hosts four database files.
     let layout = FileLayout::from_sizes(&[120.0, 120.0, 200.0, 120.0]);
 
@@ -33,7 +32,7 @@ fn main() {
         ("io-monster (80k IOPS)", 80_000.0),
     ] {
         println!("=== {label} ===");
-        let Some(assessment) = mi_curve(&history(iops), &layout, &catalog, &rates) else {
+        let Some(assessment) = mi_curve(&history(iops), &layout, &catalog) else {
             println!("no MI placement exists for this layout\n");
             continue;
         };

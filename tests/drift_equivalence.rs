@@ -3,8 +3,8 @@
 //! into exactly one region) must
 //!
 //! 1. produce per-customer verdicts **identical to serially calling
-//!    `detect_drift`** on the same stitched histories against the same
-//!    regional catalogs,
+//!    `detect_drift`** on the same baseline and fresh windows against the
+//!    same regional catalogs,
 //! 2. attribute every drifted customer to the region the drift was
 //!    injected into (and nothing to the control regions), and
 //! 3. be **bit-for-bit deterministic** — the same `FleetDriftReport`,
@@ -45,13 +45,13 @@ fn cohort_member(i: usize) -> (MonitoredCustomer, PerfHistory) {
     };
     let scenario = spec.scenario(1000 + i as u64);
     let mut customer =
-        MonitoredCustomer::new(format!("cust-{i:04}"), DeploymentType::SqlDb, scenario.before());
+        MonitoredCustomer::new(format!("cust-{i:04}"), DeploymentType::SqlDb, scenario.before);
     if region != "global" {
         customer = customer.with_catalog_key(
             CatalogKey::production(DeploymentType::SqlDb).in_region(Region::new(region)),
         );
     }
-    (customer, scenario.after())
+    (customer, scenario.after)
 }
 
 fn monitor(config: Config) -> DriftMonitor {
@@ -78,7 +78,7 @@ fn run_pass(config: Config) -> DriftPass {
 type SerialVerdict = (String, DriftVerdict, Option<String>, Option<String>, f64);
 
 /// The serial reference: `detect_drift` called customer by customer on
-/// the stitched history, against the catalog its key resolves to, with
+/// the baseline and fresh windows, against the catalog its key resolves to, with
 /// the monitor's verdict rule applied by hand.
 fn serial_verdicts() -> Vec<SerialVerdict> {
     let provider = provider();
@@ -91,8 +91,7 @@ fn serial_verdicts() -> Vec<SerialVerdict> {
                 .unwrap_or_else(|| CatalogKey::production(DeploymentType::SqlDb));
             let resolved = provider.resolve(&key).expect("registered region");
             let skus = resolved.catalog.for_deployment(customer.deployment);
-            let stitched = doppler::telemetry::concat(&customer.baseline, &fresh);
-            let report = detect_drift(&stitched, customer.baseline.len(), &skus);
+            let report = detect_drift(&customer.baseline, &fresh, &skus);
             let verdict = match (&report.before_sku, &report.after_sku) {
                 (Some(_), Some(_)) if report.changed => DriftVerdict::Drifted,
                 (Some(_), Some(_)) => DriftVerdict::Stable,

@@ -407,9 +407,9 @@ proptest! {
             monitor.watch(MonitoredCustomer::new(
                 format!("ctrl-{i}"),
                 DeploymentType::SqlDb,
-                scenario.before(),
+                scenario.before,
             ));
-            monitor.observe(&format!("ctrl-{i}"), scenario.after());
+            monitor.observe(&format!("ctrl-{i}"), scenario.after);
         }
         let pass = monitor.tick("Ctl-22");
         prop_assert_eq!(pass.report.checked, n);
